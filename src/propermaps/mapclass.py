@@ -775,6 +775,8 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
         parts = line.split()
         kind = parts[0]
         if kind == "support":
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: support needs one depth")
             depth = int(parts[1])
         elif kind == "vmap":
             src, _, dst = line[len("vmap") :].partition("->")
@@ -789,9 +791,10 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
             src, _, dst = line[len("endmap") :].partition("->")
             endmap[parse_path(src)] = parse_path(dst)
         elif kind == "outside":
-            if parts[1] == "identity":
+            flag = parts[1:2]
+            if flag == ["identity"]:
                 outside = IDENTITY_OUTSIDE
-            elif parts[1] == "banded":
+            elif flag == ["banded"] and len(parts) > 2:
                 outside = banded(int(parts[2]))
             else:
                 raise ValueError(f"line {lineno}: bad outside flag")

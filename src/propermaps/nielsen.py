@@ -80,6 +80,12 @@ class FiniteGroup:
     @classmethod
     def make(cls, elements: Sequence[str], mult: Mapping[tuple[str, str], str]) -> "FiniteGroup":
         elems = tuple(elements)
+        for g in elems:
+            for h in elems:
+                if (g, h) not in mult:
+                    raise ValueError(f"missing product {g}*{h}")
+                if mult[(g, h)] not in elems:
+                    raise ValueError(f"product {g}*{h} = {mult[(g, h)]} is not an element")
         ident = None
         for e in elems:
             if all(mult[(e, g)] == g and mult[(g, e)] == g for g in elems):
@@ -89,8 +95,6 @@ class FiniteGroup:
             raise ValueError("multiplication table has no identity")
         for g in elems:
             for h in elems:
-                if (g, h) not in mult:
-                    raise ValueError(f"missing product {g}*{h}")
                 for k in elems:
                     if mult[(mult[(g, h)], k)] != mult[(g, mult[(h, k)])]:
                         raise ValueError("multiplication table is not associative")
@@ -1376,51 +1380,6 @@ def _enumerate_embeddings(small: SymGraph, big: SymGraph):
     yield from backtrack({}, {}, 0)
 
 
-# -- express a subgroup inside a component -----------------------------------------------
-
-
-def express_in_component(comp: st.LabeledGraph, ambient_words: Sequence[Word]) -> tuple[Word, ...]:
-    """Rewrite subgroup generators over the petal basis of a containing component."""
-    k = st.subgroup_graph(list(ambient_words))
-    c0 = st.LabeledGraph(k.vertices, k.edges, None).core()
-    v = k.basepoint
-    u: list[tuple[str, int]] = []
-    visited = {v}
-    while v not in c0.vertices:
-        nbrs = []
-        for a_, l, b_ in sorted(k.edges):
-            if a_ == v and b_ not in visited:
-                nbrs.append((b_, l, 1))
-            if b_ == v and a_ not in visited:
-                nbrs.append((a_, l, -1))
-        if not nbrs:
-            raise ValueError("no route into the core")
-        nxt, lab, sgn = nbrs[0]
-        u.append((lab, sgn))
-        visited.add(nxt)
-        v = nxt
-    uw = tuple(u)
-    morph = None
-    for m in c0.immersions_into(comp):
-        morph = m
-        break
-    if morph is None:
-        raise ValueError("subgroup does not immerse into the component")
-    entry = morph[v]
-    base = min(comp.vertices)
-    tree = comp.spanning_tree(base)
-    q = comp.tree_path_word(tree, base, entry)
-    out = []
-    for word in ambient_words:
-        h = W.mul(W.inv(uw), word, uw)
-        loop = W.mul(q, h, W.inv(q))
-        rewritten = comp.rewrite_in_petals(base, loop)
-        if rewritten is None:
-            raise ValueError("word does not read inside the component")
-        out.append(rewritten)
-    return tuple(out)
-
-
 # -- helpers for the pipelines --------------------------------------------------------
 
 
@@ -1648,7 +1607,7 @@ def realize_core_case(
             eb = min(ecomp0.vertices)
             _, epetals = ecomp0.petals(eb)
             amb = [action.outer(tr)(word) for _, _, word in epetals]
-            factor_words.append(express_in_component(comp, amb))
+            factor_words.append(st.rewrite_in_component(comp, amb))
         gamma0 = SymGraph(v_off, tuple(base_edges))
         g0_action: dict[str, GraphAutomorphism] = {}
         for h in sgroup.elements:
@@ -2320,7 +2279,7 @@ class GeneralRealization:
 
 def _check_core_simplicial(action: FiniteGroupAction):
     a = action.automaton
-    corev = core_vertices(a, a and action.depth)
+    corev = core_vertices(a, action.depth)
     for h in action.group.elements:
         f = action.reps[h]
         img = {f.vmap[v] for v in corev}

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 from . import words as W
 from .words import Word
@@ -21,6 +22,13 @@ class NotAnAutomorphismError(ValueError):
 
 
 Edge = tuple[int, str, int]  # (origin, label, terminus)
+
+
+class _Index(NamedTuple):
+    labels: tuple[str, ...]  # sorted
+    out: dict[tuple[int, str], int]  # (v, label) -> terminus of a label-edge leaving v
+    inn: dict[tuple[int, str], int]  # (v, label) -> origin of a label-edge entering v
+    incident: dict[int, list[tuple[int, str, int]]]  # v -> (neighbour, label, sign) in sorted(edges) order
 
 
 @dataclass(frozen=True)
@@ -71,29 +79,29 @@ class LabeledGraph:
 
     # -- basic structure ------------------------------------------------
 
+    @cached_property
+    def _index(self) -> _Index:
+        """Adjacency index, built on first use.
+
+        Cached in the instance ``__dict__``: not a field, so it stays out
+        of ``__eq__`` and ``__hash__``.  ``out``/``inn`` keep the first
+        edge met in ``self.edges`` for each (vertex, label); on unfolded
+        graphs that fixes which edge ``step`` and the key encoding follow.
+        """
+        out: dict[tuple[int, str], int] = {}
+        inn: dict[tuple[int, str], int] = {}
+        for u, l, t in self.edges:
+            out.setdefault((u, l), t)
+            inn.setdefault((t, l), u)
+        incident: dict[int, list[tuple[int, str, int]]] = {v: [] for v in self.vertices}
+        for u, l, t in sorted(self.edges):
+            incident[u].append((t, l, 1))
+            incident[t].append((u, l, -1))
+        labels = tuple(sorted({l for _, l, _ in self.edges}))
+        return _Index(labels, out, inn, incident)
+
     def is_empty(self) -> bool:
         return not self.vertices
-
-    def out_edges(self, v: int):
-        return [e for e in self.edges if e[0] == v]
-
-    def in_edges(self, v: int):
-        return [e for e in self.edges if e[2] == v]
-
-    def degree(self, v: int) -> int:
-        d = 0
-        for u, _, w in self.edges:
-            if u == v:
-                d += 1
-            if w == v:
-                d += 1
-        return d
-
-    def labels(self) -> frozenset[str]:
-        return frozenset(l for _, l, _ in self.edges)
-
-    def betti(self) -> int:
-        return len(self.edges) - len(self.vertices) + len(self.component_vertex_sets())
 
     def rank(self) -> int:
         """First Betti number of a connected graph."""
@@ -102,22 +110,18 @@ class LabeledGraph:
         return len(self.edges) - len(self.vertices) + 1
 
     def component_vertex_sets(self) -> list[frozenset[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for u, _, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
+        incident = self._index.incident
         seen: set[int] = set()
         comps = []
         for v in sorted(self.vertices):
             if v in seen:
                 continue
-            stack, comp = [v], set()
+            stack, comp = [v], {v}
             while stack:
-                x = stack.pop()
-                if x in comp:
-                    continue
-                comp.add(x)
-                stack.extend(adj[x] - comp)
+                for t, _, _ in incident[stack.pop()]:
+                    if t not in comp:
+                        comp.add(t)
+                        stack.append(t)
             seen |= comp
             comps.append(frozenset(comp))
         return comps
@@ -131,22 +135,32 @@ class LabeledGraph:
         return out
 
     def is_folded(self) -> bool:
-        seen_out: set[tuple[int, str]] = set()
-        seen_in: set[tuple[int, str]] = set()
-        for u, l, v in self.edges:
-            if (u, l) in seen_out or (v, l) in seen_in:
-                return False
-            seen_out.add((u, l))
-            seen_in.add((v, l))
-        return True
+        idx = self._index
+        return len(idx.out) == len(self.edges) == len(idx.inn)
 
     # -- folding ---------------------------------------------------------
 
     def fold(self) -> "LabeledGraph":
         """Identify same-label edges at shared endpoints until folded.
 
-        The result is independent of the fold order (confluence).
+        A worklist union-find.  Every merge is forced, and each class is
+        named by its least vertex, so the result does not depend on the
+        merge order (confluence).  A folded graph is returned as it is.
         """
+        # (class root, label) -> one terminus (out) / one origin (inn) of
+        # such an edge; `pending` holds the vertex pairs still to be merged
+        out: dict[tuple[int, str], int] = {}
+        inn: dict[tuple[int, str], int] = {}
+        pending: list[tuple[int, int]] = []
+        for u, l, t in self.edges:
+            prev = out.setdefault((u, l), t)
+            if prev != t:
+                pending.append((prev, t))
+            prev = inn.setdefault((t, l), u)
+            if prev != u:
+                pending.append((prev, u))
+        if not pending:
+            return self
         parent = {v: v for v in self.vertices}
 
         def find(x):
@@ -155,34 +169,24 @@ class LabeledGraph:
                 x = parent[x]
             return x
 
-        def union(a, b):
+        labels = {l for _, l, _ in self.edges}
+        while pending:
+            a, b = pending.pop()
             ra, rb = find(a), find(b)
-            if ra != rb:
-                if rb < ra:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-
-        edges = set(self.edges)
-        changed = True
-        while changed:
-            changed = False
-            collapsed = {(find(u), l, find(v)) for u, l, v in edges}
-            out_map: dict[tuple[int, str], int] = {}
-            in_map: dict[tuple[int, str], int] = {}
-            for u, l, v in sorted(collapsed):
-                if (u, l) in out_map and out_map[(u, l)] != v:
-                    union(out_map[(u, l)], v)
-                    changed = True
-                    break
-                out_map[(u, l)] = v
-                if (l, v) in in_map and in_map[(l, v)] != u:
-                    union(in_map[(l, v)], u)
-                    changed = True
-                    break
-                in_map[(l, v)] = u
-            edges = collapsed
+            if ra == rb:
+                continue
+            if rb < ra:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            for adj in (out, inn):
+                for l in labels:
+                    x = adj.pop((rb, l), None)
+                    if x is not None:
+                        prev = adj.setdefault((ra, l), x)
+                        if prev != x:
+                            pending.append((prev, x))
         vs = frozenset(find(v) for v in self.vertices)
-        es = frozenset((find(u), l, find(v)) for u, l, v in edges)
+        es = frozenset((find(u), l, find(v)) for u, l, v in self.edges)
         bp = find(self.basepoint) if self.basepoint is not None else None
         return LabeledGraph(vs, es, bp)
 
@@ -192,47 +196,76 @@ class LabeledGraph:
         The basepoint, when present, is kept; a tree collapses to the empty
         marker (or to the bare basepoint for based graphs).
         """
-        vs = set(self.vertices)
-        es = set(self.edges)
-        while True:
-            deg: dict[int, int] = {v: 0 for v in vs}
-            for u, _, v in es:
-                deg[u] += 1
-                deg[v] += 1
-            prune = {v for v in vs if deg[v] <= 1 and v != self.basepoint}
-            if not prune:
-                break
-            vs -= prune
-            es = {e for e in es if e[0] not in prune and e[2] not in prune}
+        # live degree and XOR of live neighbours (a loop adds 2 and 0), so
+        # a vertex left with one edge names its last neighbour
+        deg = dict.fromkeys(self.vertices, 0)
+        nbr_xor = dict.fromkeys(self.vertices, 0)
+        for u, _, t in self.edges:
+            deg[u] += 1
+            deg[t] += 1
+            nbr_xor[u] ^= t
+            nbr_xor[t] ^= u
+        stack = [v for v, d in deg.items() if d <= 1 and v != self.basepoint]
+        gone: set[int] = set()
+        while stack:
+            v = stack.pop()
+            if v in gone:
+                continue
+            gone.add(v)
+            if deg[v] == 1:
+                t = nbr_xor[v]
+                deg[t] -= 1
+                nbr_xor[t] ^= v
+                if deg[t] <= 1 and t != self.basepoint:
+                    stack.append(t)
+        es = frozenset(e for e in self.edges if e[0] not in gone and e[2] not in gone)
         if not es and self.basepoint is None:
             return LabeledGraph.empty()
         if not es and self.basepoint is not None:
             return LabeledGraph(frozenset([self.basepoint]), frozenset(), self.basepoint)
-        return LabeledGraph(frozenset(vs), frozenset(es), self.basepoint)
+        return LabeledGraph(self.vertices - gone, es, self.basepoint)
 
     # -- canonical form ---------------------------------------------------
 
-    def _encode_from(self, start: int) -> tuple | None:
-        """BFS encoding from a start vertex; deterministic on folded graphs."""
+    def _slot_table(self) -> dict[int, tuple[int | None, ...]]:
+        """Each vertex's neighbour in every (label, direction) slot of a key row.
+
+        Slots run over the sorted labels, "+" (out) before "-" (in) for
+        each; None marks an empty slot.
+        """
+        labels, out, inn, _ = self._index
+        return {v: tuple(adj.get((v, lab)) for lab in labels for adj in (out, inn)) for v in self.vertices}
+
+    def _encode_from(self, start: int, table: dict[int, tuple[int | None, ...]], best: tuple | None = None) -> tuple | None:
+        """BFS encoding from a start vertex; deterministic on folded graphs.
+
+        One row per vertex in BFS order: the BFS number of the neighbour in
+        each slot of `table`, or -1.  Returns None when the walk misses a
+        vertex (disconnected), and, given the least encoding `best` found
+        so far, as soon as a row compares greater than the row of `best`
+        at the same position.
+        """
         order = {start: 0}
         queue = [start]
         rows = []
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # the queue grows while it is walked
             row = []
-            for lab in sorted({l for _, l, _ in self.edges}):
-                nxt_out = [t for (u, l, t) in self.edges if u == v and l == lab]
-                nxt_in = [u for (u, l, t) in self.edges if t == v and l == lab]
-                for direction, targets in (("+", nxt_out), ("-", nxt_in)):
-                    if not targets:
-                        row.append((lab, direction, -1))
-                        continue
-                    t = targets[0]
-                    if t not in order:
-                        order[t] = len(order)
-                        queue.append(t)
-                    row.append((lab, direction, order[t]))
-            rows.append(tuple(row))
+            for t in table[v]:
+                if t is None:
+                    row.append(-1)
+                    continue
+                i = order.get(t)
+                if i is None:
+                    i = order[t] = len(order)
+                    queue.append(t)
+                row.append(i)
+            row = tuple(row)
+            if best is not None:
+                if row > best[len(rows)]:
+                    return None
+                if row < best[len(rows)]:
+                    best = None
+            rows.append(row)
         if len(order) != len(self.vertices):
             return None  # disconnected
         return tuple(rows)
@@ -242,38 +275,38 @@ class LabeledGraph:
 
         Based graphs are encoded from the basepoint; otherwise the least
         encoding over all start vertices is taken.  Equal keys mean equal
-        subgroups (based) or conjugate subgroups (basepoint-free).
+        subgroups (based) or conjugate subgroups (basepoint-free).  The key
+        spells each row entry as (label, direction, number).
+        Connected encodings all have one row per vertex, so an encoding
+        is abandoned at its first row above the least one so far.
         """
         if not self.vertices:
             return ()
+        table = self._slot_table()
         if self.basepoint is not None:
-            enc = self._encode_from(self.basepoint)
-            if enc is None:
-                raise ValueError("canonical_key requires a connected graph")
-            return enc
-        encs = [self._encode_from(v) for v in sorted(self.vertices)]
-        encs = [e for e in encs if e is not None]
-        if not encs:
+            rows = self._encode_from(self.basepoint, table)
+        else:
+            rows = None
+            for v in sorted(self.vertices):
+                enc = self._encode_from(v, table, rows)
+                if enc is not None:
+                    rows = enc
+        if rows is None:
             raise ValueError("canonical_key requires a connected graph")
-        return min(encs)
+        heads = [(lab, d) for lab in self._index.labels for d in "+-"]
+        return tuple(tuple((lab, d, i) for (lab, d), i in zip(heads, row)) for row in rows)
 
     # -- paths and membership ----------------------------------------------
 
     def step(self, v: int, gen: str, sign: int) -> int | None:
-        if sign > 0:
-            for u, l, t in self.edges:
-                if u == v and l == gen:
-                    return t
-        else:
-            for u, l, t in self.edges:
-                if t == v and l == gen:
-                    return u
-        return None
+        idx = self._index
+        return (idx.out if sign > 0 else idx.inn).get((v, gen))
 
     def trace(self, word: Sequence[tuple[str, int]], start: int) -> int | None:
+        idx = self._index
         v = start
         for g, s in word:
-            v = self.step(v, g, s)
+            v = (idx.out if s > 0 else idx.inn).get((v, g))
             if v is None:
                 return None
         return v
@@ -286,17 +319,11 @@ class LabeledGraph:
 
     def spanning_tree(self, base: int) -> dict[int, tuple[int, str, int, int]]:
         """BFS tree as {vertex: (parent, label, sign, depth)}; base maps to itself."""
+        incident = self._index.incident
         tree: dict[int, tuple[int, str, int, int]] = {base: (base, "", 0, 0)}
         queue = [base]
-        while queue:
-            v = queue.pop(0)
-            nbrs = []
-            for u, l, t in sorted(self.edges):
-                if u == v:
-                    nbrs.append((t, l, 1))
-                if t == v:
-                    nbrs.append((u, l, -1))
-            for t, l, s in nbrs:
+        for v in queue:  # the queue grows while it is walked
+            for t, l, s in incident[v]:
                 if t not in tree:
                     tree[t] = (v, l, s, tree[v][3] + 1)
                     queue.append(t)
@@ -336,38 +363,6 @@ class LabeledGraph:
             out.append((e, f"p{len(out)}", word))
         return tree, out
 
-    def rewrite_in_petals(self, base: int, word: Sequence[tuple[str, int]]) -> Word | None:
-        """Express a subgroup word in the petal basis at `base`.
-
-        Returns None when the word does not read as a loop at `base`.
-        """
-        tree, petals = self.petals(base)
-        petal_of = {}
-        for e, name, _ in petals:
-            petal_of[e] = name
-        v = base
-        out: list[tuple[str, int]] = []
-        for g, s in W.reduce_word(word):
-            if s > 0:
-                nxt = self.step(v, g, 1)
-                if nxt is None:
-                    return None
-                e = (v, g, nxt)
-                if e in petal_of:
-                    out.append((petal_of[e], 1))
-                v = nxt
-            else:
-                nxt = self.step(v, g, -1)
-                if nxt is None:
-                    return None
-                e = (nxt, g, v)
-                if e in petal_of:
-                    out.append((petal_of[e], -1))
-                v = nxt
-        if v != base:
-            return None
-        return W.reduce_word(out)
-
     # -- morphisms ----------------------------------------------------------
 
     def immersions_into(self, other: "LabeledGraph"):
@@ -379,36 +374,27 @@ class LabeledGraph:
         if self.is_empty():
             yield {}
             return
+        incident = self._index.incident
+        _, out, inn, _ = other._index
         v0 = min(self.vertices)
         for w0 in sorted(other.vertices):
             fmap = {v0: w0}
             queue = [v0]
             ok = True
-            while queue and ok:
-                v = queue.pop(0)
-                for u, l, t in sorted(self.edges):
-                    pairs = []
-                    if u == v:
-                        pairs.append((t, l, 1))
-                    if t == v:
-                        pairs.append((u, l, -1))
-                    for nbr, lab, sgn in pairs:
-                        img = other.step(fmap[v], lab, sgn)
-                        if img is None:
-                            ok = False
-                            break
-                        if nbr in fmap:
-                            if fmap[nbr] != img:
-                                ok = False
-                                break
-                        else:
-                            fmap[nbr] = img
-                            queue.append(nbr)
-                    if not ok:
+            for v in queue:  # the queue grows while it is walked
+                for nbr, lab, sgn in incident[v]:
+                    img = (out if sgn > 0 else inn).get((fmap[v], lab))
+                    if img is None or fmap.get(nbr, img) != img:
+                        ok = False
                         break
+                    if nbr not in fmap:
+                        fmap[nbr] = img
+                        queue.append(nbr)
+                if not ok:
+                    break
             if ok and len(fmap) == len(self.vertices):
                 # every edge must be consistent, re-check globally
-                if all(other.step(fmap[u], l, 1) == fmap[t] for u, l, t in self.edges):
+                if all(out.get((fmap[u], l)) == fmap[t] for u, l, t in self.edges):
                     yield dict(fmap)
 
     def immerses_into(self, other: "LabeledGraph") -> bool:
@@ -417,38 +403,25 @@ class LabeledGraph:
         return False
 
 
-def fold(g: LabeledGraph) -> LabeledGraph:
-    return g.fold()
-
-
-def core_of(g: LabeledGraph) -> LabeledGraph:
-    return g.core()
-
-
 def pullback(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
     """Fiber product over the rose; folded when both inputs are folded.
 
     Only vertex pairs incident to an edge are kept (isolated pairs are
     contractible anyway).
     """
-    pair_id: dict[tuple[int, int], int] = {}
-
-    def pid(p):
-        if p not in pair_id:
-            pair_id[p] = len(pair_id)
-        return pair_id[p]
-
+    pair_id: dict[tuple[int, int], int] = {}  # numbered in order of first use
     edges = []
     by_label1: dict[str, list[Edge]] = {}
     for e in sorted(g1.edges):
         by_label1.setdefault(e[1], []).append(e)
     for u2, l, v2 in sorted(g2.edges):
         for u1, _, v1 in by_label1.get(l, []):
-            edges.append((pid((u1, u2)), l, pid((v1, v2))))
+            u = pair_id.setdefault((u1, u2), len(pair_id))
+            edges.append((u, l, pair_id.setdefault((v1, v2), len(pair_id))))
     bp = None
     if g1.basepoint is not None and g2.basepoint is not None:
-        bp = pid((g1.basepoint, g2.basepoint))
-    return LabeledGraph.make(pair_id.values(), edges, bp)
+        bp = pair_id.setdefault((g1.basepoint, g2.basepoint), len(pair_id))
+    return LabeledGraph(frozenset(pair_id.values()), frozenset(edges), bp)
 
 
 def subgroup_graph(generators: Iterable[Word]) -> LabeledGraph:
@@ -754,6 +727,64 @@ def apply_automorphism(phi: FreeGroupAutomorphism, f: FreeFactorSystem) -> FreeF
     return FreeFactorSystem.from_graphs(pieces)
 
 
+def rewrite_in_component(comp: LabeledGraph, words: Sequence[Word], onto: bool = False) -> tuple[Word, ...]:
+    """Rewrite generators of a subgroup conjugate into `comp` over its petal basis.
+
+    The walk from the basepoint of the subgroup's Stallings graph takes the
+    first unvisited neighbour until it reaches the core; the core is mapped
+    into `comp` by its first immersion (with `onto`, the first one that
+    reaches every vertex of `comp`).  Each word, conjugated along the walk
+    and the tree path to the image of its end, is read as a loop at
+    min(comp.vertices) and spelled in the petals p0, p1, ... there.
+    """
+    k = subgroup_graph(words)
+    c0 = LabeledGraph(k.vertices, k.edges, None).core()
+    incident = k._index.incident
+    v = k.basepoint
+    tail: list[tuple[str, int]] = []
+    visited = {v}
+    while v not in c0.vertices:
+        nxt = next(((t, l, s) for t, l, s in incident[v] if t not in visited), None)
+        if nxt is None:
+            raise ValueError("no route from the basepoint into the core")
+        v, lab, sgn = nxt
+        tail.append((lab, sgn))
+        visited.add(v)
+    uw = tuple(tail)
+    immersions = c0.immersions_into(comp)
+    if onto:
+        immersions = (m for m in immersions if len(set(m.values())) == len(comp.vertices))
+    morph = next(immersions, None)
+    if morph is None:
+        raise ValueError("the subgroup core does not " + ("map onto" if onto else "immerse into") + " the component")
+    base = min(comp.vertices)
+    tree, petals = comp.petals(base)
+    petal_of = {e: name for e, name, _ in petals}
+    q = comp.tree_path_word(tree, base, morph[v])
+    _, out, inn, _ = comp._index
+
+    def spell(loop: Word) -> Word | None:
+        v = base
+        spelled: list[tuple[str, int]] = []
+        for g, s in loop:
+            nxt = (out if s > 0 else inn).get((v, g))
+            if nxt is None:
+                return None
+            e = (v, g, nxt) if s > 0 else (nxt, g, v)
+            if e in petal_of:
+                spelled.append((petal_of[e], s))
+            v = nxt
+        return W.reduce_word(spelled) if v == base else None
+
+    rewritten = []
+    for word in words:
+        spelled = spell(W.mul(q, W.inv(uw), word, uw, W.inv(q)))
+        if spelled is None:
+            raise ValueError("word does not read inside the component")
+        rewritten.append(spelled)
+    return tuple(rewritten)
+
+
 def restriction_outer(comp: LabeledGraph, phi: FreeGroupAutomorphism) -> FreeGroupAutomorphism:
     """Outer action induced by phi on an invariant component.
 
@@ -761,51 +792,10 @@ def restriction_outer(comp: LabeledGraph, phi: FreeGroupAutomorphism) -> FreeGro
     result is an automorphism of the free group on the component's petal
     basis p0, p1, ..., well defined up to inner.
     """
-    base = min(comp.vertices)
-    _, petals = comp.petals(base)
-    gens = [word for _, _, word in petals]
-    imgs = [phi(wd) for wd in gens]
-    k = subgroup_graph(imgs)
-    c0 = LabeledGraph(k.vertices, k.edges, None).core()
-    # tail from basepoint into the core copy
-    v = k.basepoint
-    u: list[tuple[str, int]] = []
-    visited = {v}
-    while v not in c0.vertices:
-        nbrs = []
-        for a, l, b in sorted(k.edges):
-            if a == v and b not in visited:
-                nbrs.append((b, l, 1))
-            if b == v and a not in visited:
-                nbrs.append((a, l, -1))
-        if not nbrs:
-            raise ValueError("component image does not contain a core")
-        nxt, lab, sgn = nbrs[0]
-        u.append((lab, sgn))
-        visited.add(nxt)
-        v = nxt
-    uw = tuple(u)
-    # identify the copy with comp
-    iso = None
-    for m in c0.immersions_into(comp):
-        if len(set(m.values())) == len(comp.vertices):
-            iso = m
-            break
-    if iso is None:
-        raise ValueError("invariance failed: image core is not the component")
-    entry = iso[v]
-    tree = comp.spanning_tree(base)
-    q = comp.tree_path_word(tree, base, entry)
-    out_images = {}
-    for (_, name, _), img in zip(petals, imgs):
-        h = W.mul(W.inv(uw), img, uw)  # loop at v in the copy, same ambient word at `entry`
-        loop_at_base = W.mul(q, h, W.inv(q))
-        rewritten = comp.rewrite_in_petals(base, loop_at_base)
-        if rewritten is None:
-            raise ValueError("restriction does not read in the component")
-        out_images[name] = rewritten
-    basis = tuple(name for _, name, _ in petals)
-    return FreeGroupAutomorphism(basis, out_images)
+    _, petals = comp.petals(min(comp.vertices))
+    names = tuple(name for _, name, _ in petals)
+    images = rewrite_in_component(comp, [phi(word) for _, _, word in petals], onto=True)
+    return FreeGroupAutomorphism(names, dict(zip(names, images)))
 
 
 # -- file formats ---------------------------------------------------------------

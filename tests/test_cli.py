@@ -224,3 +224,41 @@ def test_realize_general_via_cli(tmp_path, capsys):
     assert code == 0
     assert rep["stage"] == "general"
     assert (out / "realized.dot").exists()
+
+
+def run_err(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "map_text",
+    ["support\noutside identity\n", "support 3\noutside banded\n"],
+    ids=["support-without-depth", "banded-without-width"],
+)
+def test_check_id_truncated_record_is_parse_error(tmp_path, capsys, map_text):
+    g = tmp_path / "g.aut"
+    g.write_text(LOOP_RAY)
+    m = tmp_path / "bad.map"
+    m.write_text(map_text)
+    code, err = run_err(capsys, "check-id", str(g), str(m))
+    assert code == 4
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "last_product",
+    ["", "mult s s = z\n"],
+    ids=["missing-product", "product-outside-group"],
+)
+def test_realize_bad_mult_table_is_parse_error(tmp_path, capsys, last_product):
+    g, act = _write_tree_action(tmp_path)
+    act.write_text(
+        "group z2 order 2\n"
+        "elem e: mapfile=e.map\n"
+        "elem s: mapfile=s.map\n"
+        "mult e e = e\nmult e s = s\nmult s e = s\n" + last_product
+    )
+    code, err = run_err(capsys, "realize", "tree", str(g), str(act))
+    assert code == 4
+    assert "Traceback" not in err

@@ -1,0 +1,294 @@
+"""The indexed Stallings kernel against the edge-scan reference it replaced.
+
+The ``ref_*`` functions are verbatim copies of the scan-based
+``LabeledGraph`` methods (``_encode_from``, ``canonical_key``, ``fold``,
+``core``, ``step``, ``spanning_tree``, ``immersions_into``), written as
+functions of the graph.  They rescan the whole edge set at every step, so
+they are slow but obviously right; the indexed versions must agree with
+them exactly, on folded and unfolded graphs alike.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st_h
+
+from propermaps import stallings as st
+from propermaps import words as W
+from propermaps.stallings import LabeledGraph
+
+# -- reference implementations ------------------------------------------------------------
+
+
+def ref_encode_from(self, start):
+    order = {start: 0}
+    queue = [start]
+    rows = []
+    while queue:
+        v = queue.pop(0)
+        row = []
+        for lab in sorted({l for _, l, _ in self.edges}):
+            nxt_out = [t for (u, l, t) in self.edges if u == v and l == lab]
+            nxt_in = [u for (u, l, t) in self.edges if t == v and l == lab]
+            for direction, targets in (("+", nxt_out), ("-", nxt_in)):
+                if not targets:
+                    row.append((lab, direction, -1))
+                    continue
+                t = targets[0]
+                if t not in order:
+                    order[t] = len(order)
+                    queue.append(t)
+                row.append((lab, direction, order[t]))
+        rows.append(tuple(row))
+    if len(order) != len(self.vertices):
+        return None  # disconnected
+    return tuple(rows)
+
+
+def ref_canonical_key(self):
+    if not self.vertices:
+        return ()
+    if self.basepoint is not None:
+        enc = ref_encode_from(self, self.basepoint)
+        if enc is None:
+            raise ValueError("canonical_key requires a connected graph")
+        return enc
+    encs = [ref_encode_from(self, v) for v in sorted(self.vertices)]
+    encs = [e for e in encs if e is not None]
+    if not encs:
+        raise ValueError("canonical_key requires a connected graph")
+    return min(encs)
+
+
+def ref_fold(self):
+    parent = {v: v for v in self.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            parent[rb] = ra
+
+    edges = set(self.edges)
+    changed = True
+    while changed:
+        changed = False
+        collapsed = {(find(u), l, find(v)) for u, l, v in edges}
+        out_map = {}
+        in_map = {}
+        for u, l, v in sorted(collapsed):
+            if (u, l) in out_map and out_map[(u, l)] != v:
+                union(out_map[(u, l)], v)
+                changed = True
+                break
+            out_map[(u, l)] = v
+            if (l, v) in in_map and in_map[(l, v)] != u:
+                union(in_map[(l, v)], u)
+                changed = True
+                break
+            in_map[(l, v)] = u
+        edges = collapsed
+    vs = frozenset(find(v) for v in self.vertices)
+    es = frozenset((find(u), l, find(v)) for u, l, v in edges)
+    bp = find(self.basepoint) if self.basepoint is not None else None
+    return LabeledGraph(vs, es, bp)
+
+
+def ref_core(self):
+    vs = set(self.vertices)
+    es = set(self.edges)
+    while True:
+        deg = {v: 0 for v in vs}
+        for u, _, v in es:
+            deg[u] += 1
+            deg[v] += 1
+        prune = {v for v in vs if deg[v] <= 1 and v != self.basepoint}
+        if not prune:
+            break
+        vs -= prune
+        es = {e for e in es if e[0] not in prune and e[2] not in prune}
+    if not es and self.basepoint is None:
+        return LabeledGraph.empty()
+    if not es and self.basepoint is not None:
+        return LabeledGraph(frozenset([self.basepoint]), frozenset(), self.basepoint)
+    return LabeledGraph(frozenset(vs), frozenset(es), self.basepoint)
+
+
+def ref_step(self, v, gen, sign):
+    if sign > 0:
+        for u, l, t in self.edges:
+            if u == v and l == gen:
+                return t
+    else:
+        for u, l, t in self.edges:
+            if t == v and l == gen:
+                return u
+    return None
+
+
+def ref_spanning_tree(self, base):
+    tree = {base: (base, "", 0, 0)}
+    queue = [base]
+    while queue:
+        v = queue.pop(0)
+        nbrs = []
+        for u, l, t in sorted(self.edges):
+            if u == v:
+                nbrs.append((t, l, 1))
+            if t == v:
+                nbrs.append((u, l, -1))
+        for t, l, s in nbrs:
+            if t not in tree:
+                tree[t] = (v, l, s, tree[v][3] + 1)
+                queue.append(t)
+    return tree
+
+
+def ref_immersions_into(self, other):
+    if self.is_empty():
+        yield {}
+        return
+    v0 = min(self.vertices)
+    for w0 in sorted(other.vertices):
+        fmap = {v0: w0}
+        queue = [v0]
+        ok = True
+        while queue and ok:
+            v = queue.pop(0)
+            for u, l, t in sorted(self.edges):
+                pairs = []
+                if u == v:
+                    pairs.append((t, l, 1))
+                if t == v:
+                    pairs.append((u, l, -1))
+                for nbr, lab, sgn in pairs:
+                    img = ref_step(other, fmap[v], lab, sgn)
+                    if img is None:
+                        ok = False
+                        break
+                    if nbr in fmap:
+                        if fmap[nbr] != img:
+                            ok = False
+                            break
+                    else:
+                        fmap[nbr] = img
+                        queue.append(nbr)
+                if not ok:
+                    break
+        if ok and len(fmap) == len(self.vertices):
+            if all(ref_step(other, fmap[u], l, 1) == fmap[t] for u, l, t in self.edges):
+                yield dict(fmap)
+
+
+# -- graphs ------------------------------------------------------------------------------------
+
+
+@st_h.composite
+def graphs(draw, max_vertices=7, labels="abc"):
+    """Random labeled graph, possibly unfolded, disconnected or based."""
+    n = draw(st_h.integers(1, max_vertices))
+    verts = st_h.integers(0, n - 1)
+    edges = draw(st_h.lists(st_h.tuples(verts, st_h.sampled_from(labels), verts), max_size=3 * n))
+    based = draw(st_h.booleans())
+    return LabeledGraph.make(range(n), edges, 0 if based else None)
+
+
+def key_or_error(key, g):
+    try:
+        return key(g)
+    except ValueError:
+        return ValueError
+
+
+def assert_kernel_matches(g):
+    """Every indexed routine agrees with its scan-based reference on g."""
+    assert key_or_error(LabeledGraph.canonical_key, g) == key_or_error(ref_canonical_key, g)
+    for v in sorted(g.vertices):
+        based = LabeledGraph(g.vertices, g.edges, v)  # same edge set object, so the same edge order
+        assert key_or_error(LabeledGraph.canonical_key, based) == (ref_encode_from(g, v) or ValueError)
+        assert g.spanning_tree(v) == ref_spanning_tree(g, v)
+        for lab in "abcd":
+            for sign in (1, -1):
+                assert g.step(v, lab, sign) == ref_step(g, v, lab, sign)
+    assert g.fold() == ref_fold(g)
+    assert g.core() == ref_core(g)
+
+
+@given(graphs())
+@settings(max_examples=300, deadline=None)
+def test_unfolded_graphs_match_reference(g):
+    assert_kernel_matches(g)
+
+
+@given(graphs())
+@settings(max_examples=300, deadline=None)
+def test_folded_graphs_match_reference(g):
+    folded = ref_fold(g)
+    assert folded.is_folded()
+    assert_kernel_matches(folded)
+    free = LabeledGraph(folded.vertices, folded.edges, None)
+    assert_kernel_matches(free)
+    assert_kernel_matches(ref_core(free))
+
+
+@given(graphs(), graphs())
+@settings(max_examples=200, deadline=None)
+def test_immersions_match_reference(g, h):
+    source, target = ref_fold(g), ref_fold(h)
+    for src in (source, ref_core(LabeledGraph(source.vertices, source.edges, None))):
+        assert list(src.immersions_into(target)) == list(ref_immersions_into(src, target))
+
+
+def test_disconnected_graphs_raise_in_both():
+    two_loops = LabeledGraph.make([0, 1], [(0, "a", 0), (1, "b", 1)])
+    based = LabeledGraph.make([0, 1, 2], [(0, "a", 0), (1, "a", 2)], basepoint=0)
+    for g in (two_loops, based):
+        with pytest.raises(ValueError):
+            ref_canonical_key(g)
+        with pytest.raises(ValueError):
+            g.canonical_key()
+
+
+# -- ffs-style pullbacks ------------------------------------------------------------------------
+
+
+def random_word(rng, letters, length):
+    out = []
+    while len(out) < length:
+        g, s = rng.choice(letters), rng.choice((1, -1))
+        if out and out[-1] == (g, -s):
+            continue
+        out.append((g, s))
+    return tuple(out)
+
+
+def ffs_pair(rng, letters, length):
+    """Two-generator core graphs sharing words, as in an ffs intersection."""
+    a, b = random_word(rng, letters, length), random_word(rng, letters, length)
+    by = random_word(rng, letters, 3)
+    first = LabeledGraph.from_words([a, b])
+    partner = LabeledGraph.from_words([W.mul(a, b), W.mul(by, a, W.inv(by)), b])
+    return [LabeledGraph(g.vertices, g.edges, None) for g in (ref_fold(first), ref_fold(partner))]
+
+
+@pytest.mark.parametrize("nletters", [3, 4])
+@pytest.mark.parametrize("length", [8, 16, 24])
+def test_ffs_pullbacks_match_reference(nletters, length):
+    rng = random.Random(f"oracle/{nletters}/{length}")
+    for _ in range(3):
+        g1, g2 = ffs_pair(rng, "abcd"[:nletters], length)
+        pb = st.pullback(ref_core(g1), ref_core(g2))
+        folded = pb.fold()
+        assert folded == ref_fold(pb)
+        cored = folded.core()
+        assert cored == ref_core(folded)
+        for comp in cored.components():
+            assert comp.canonical_key() == ref_canonical_key(comp)
+            assert list(comp.immersions_into(ref_core(g1))) == list(ref_immersions_into(comp, ref_core(g1)))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path as FsPath
@@ -26,14 +25,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 2
 EXIT_BOUND = 3
 EXIT_PARSE = 4
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("PROPERMAPS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(report: dict, out_dir: str | None, name: str) -> None:
@@ -54,9 +45,10 @@ def _base_report(command: str, args) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "command": command,
-        "seed": getattr(args, "seed", 0),
-        "threads": 1,  # deterministic sequential evaluation, capped by PROPERMAPS_THREADS
-        "threads_cap": _threads_cap(),
+        # constants kept for schema 1: nothing is random or parallel
+        "seed": 0,
+        "threads": 1,
+        "threads_cap": 1,
     }
 
 
@@ -202,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--eps-base", default=None, help="base of the epsilon schedule (rational)")
         sp.add_argument("--max-edges", type=int, default=6, help="edge bound for realization searches")
         sp.add_argument("--rank-bound", type=int, default=3, help="rank bound for exhaustive searches")
-        sp.add_argument("--seed", type=int, default=0, help="seed recorded for randomized suites")
         sp.add_argument("--out", default=None, help="output directory for reports and DOT files")
 
     sp = sub.add_parser("classify", help="compare characteristic pairs of two automata")

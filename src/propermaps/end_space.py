@@ -197,14 +197,6 @@ class FiniteCylinderGroup:
     def apply(self, name: str, cyl: Path) -> Path:
         return self.elements[name][cyl]
 
-    def apply_to_prefix(self, name: str, v: Path) -> Path:
-        """Induced action on shallower vertices (uses tree compatibility)."""
-        perm = self.elements[name]
-        for c, d in perm.items():
-            if is_ancestor(v, c):
-                return d[: len(v)]
-        raise KeyError(f"{path_str(v)} has no live extension")
-
     def block_image(self, name: str, block: ClopenSet) -> frozenset[Path]:
         ex = expand_to_depth(self.automaton, block.cylinders, self.depth)
         return frozenset(self.apply(name, c) for c in ex)
@@ -307,12 +299,6 @@ class TelescopeTree:
     def block_of(self, v: Vertex) -> ClopenSet:
         n, i = v
         return self.partitions[n].blocks[i]
-
-    def parent_of(self, v: Vertex) -> Vertex | None:
-        for child, parent in self.edges:
-            if child == v:
-                return parent
-        return None
 
     def check_tree(self):
         vs = self.vertices()

@@ -681,6 +681,8 @@ def parse_automaton(text: str) -> UnfoldingAutomaton:
             if len(parts) != 4 or not parts[2].startswith("loops=") or not parts[3].startswith("children="):
                 raise ValueError(f"line {lineno}: bad state line {line!r}")
             sid = parts[1]
+            if sid in loops:
+                raise ValueError(f"line {lineno}: duplicate state {sid!r}")
             loops[sid] = int(parts[2][len("loops=") :])
             kids = parts[3][len("children=") :]
             children[sid] = tuple(k for k in kids.split(",") if k)

@@ -8,7 +8,9 @@ interval covers, invariant free factor systems and trees of groups), trees
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -287,23 +289,14 @@ def ffs_of_interval(a: UnfoldingAutomaton, cover: IntervalCover, J: tuple[int, i
     t = unfold(a, depth)
     verts = [v for v in t.vertices if lo <= len(v) <= hi]
     vset = set(verts)
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = es._UnionFind(verts)
     for u, v in t.tree_edges:
         if u in vset and v in vset:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
+            uf.union(u, v)
     comps: dict[Path, list[str]] = {}
     for v, k in t.loop_edges:
         if v in vset:
-            comps.setdefault(find(v), []).append(mc.loop_id(v, k))
+            comps.setdefault(uf.find(v), []).append(mc.loop_id(v, k))
     graphs = [st.LabeledGraph.rose(sorted(lids)) for _, lids in sorted(comps.items())]
     return st.FreeFactorSystem.from_graphs(graphs)
 
@@ -563,13 +556,7 @@ def fold_to_t(tstar: TreeOfGroups, t: TreeOfGroups, max_rounds: int = 8) -> list
     script: list[tuple] = []
     cur = tstar.copy()
 
-    # match T* vertices to T vertices by height and containment
-    def t_vertex_of(comp: st.LabeledGraph, height: int) -> str:
-        hits = [v for v, h in t.vertex_heights.items() if h == height and st.contained_in(_single(comp), _single(t.vertex_groups[v]))]
-        if len(hits) != 1:
-            raise NoScriptFoundError("T* vertex has no unique T image")
-        return hits[0]
-
+    # match T* edges to T edges by height and containment
     def t_edge_of(comp: st.LabeledGraph, lo_height: int) -> str:
         hits = []
         for e, (lo, hi) in t.edge_ends.items():
@@ -892,6 +879,41 @@ def _element_expressions(group: FiniteGroup, gens: Sequence[str]) -> dict[str, l
     return expr
 
 
+def _extend_to_action(
+    group: FiniteGroup, expr: Mapping[str, list[str]], g: SymGraph, gen_img: Mapping[str, GraphAutomorphism]
+) -> dict[str, GraphAutomorphism] | None:
+    """The action extending the generator images, or None if they violate a relation.
+
+    Each element acts by the composite along its expression. By induction on
+    expression length, act[s*h] == act[s]∘act[h] for the generators s and
+    every h already gives the whole multiplication table.
+    """
+    along: dict[tuple[str, ...], GraphAutomorphism] = {(): identity_automorphism(g)}
+    act = {}
+    for elem, word in expr.items():  # breadth-first: word[1:] is composed already
+        if word:
+            along[tuple(word)] = gen_img[word[0]].compose(along[tuple(word[1:])])
+        act[elem] = along[tuple(word)]
+    for s in gen_img:
+        for h in group.elements:
+            if act[group.mult[(s, h)]] != act[s].compose(act[h]):
+                return None
+    return act
+
+
+def _small_graph_actions(group: FiniteGroup, n: int, e_max: int):
+    """(graph, action) over the small graphs of rank n and their automorphisms
+    as generator images, in canonical enumeration order."""
+    gens = _generating_subset(group)
+    expr = _element_expressions(group, gens)
+    for g in _enumerate_graphs(n, e_max):
+        auts = automorphisms(g)
+        for images in itertools.product(auts, repeat=len(gens)):
+            act = _extend_to_action(group, expr, g, dict(zip(gens, images)))
+            if act is not None:
+                yield g, act
+
+
 def _signed_permutation_candidate(group: FiniteGroup, targets: Mapping[str, st.FreeGroupAutomorphism], basis) -> RealizedAction | None:
     """Rose realization when every target is a signed permutation up to conjugacy."""
     n = len(basis)
@@ -957,32 +979,11 @@ def realize_finite_out(
         return fast
     if n > rank_bound:
         raise NotFoundWithinBoundError(f"rank {n} exceeds the search bound {rank_bound}")
-    gens = _generating_subset(group)
-    for g in _enumerate_graphs(n, e_max):
-        auts = automorphisms(g)
-        for images in itertools.product(auts, repeat=len(gens)):
-            expr = _element_expressions(group, gens)
-            gen_img = dict(zip(gens, images))
-            act = {}
-            ok = True
-            for elem, word in expr.items():
-                acc = identity_automorphism(g)
-                for s in reversed(word):
-                    acc = gen_img[s].compose(acc)
-                act[elem] = acc
-            for gname in group.elements:
-                for hname in group.elements:
-                    if act[group.mult[(gname, hname)]] != act[gname].compose(act[hname]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            if len({tuple(a.vperm) + tuple(a.emap) for a in act.values()}) != len(group.elements):
-                continue  # not injective
-            if all(st.outer_equal(induced_outer(g, act[h], basis), targets[h]) for h in group.elements):
-                return RealizedAction(g, act, tuple(basis))
+    for g, act in _small_graph_actions(group, n, e_max):
+        if len({tuple(a.vperm) + tuple(a.emap) for a in act.values()}) != len(group.elements):
+            continue  # not injective
+        if all(st.outer_equal(induced_outer(g, act[h], basis), targets[h]) for h in group.elements):
+            return RealizedAction(g, act, tuple(basis))
     raise NotFoundWithinBoundError("no realization within the edge bound")
 
 
@@ -1119,99 +1120,78 @@ def _embedded_classes_match(piece: RelativePiece, g: SymGraph, petal_words: Sequ
     return True
 
 
-def _structured_extensions(group, targets, piece: RelativePiece, n: int, cap: int = 6000):
+STRUCTURED_SEARCH_CAP = 6000
+"""Generator assignments the structured wedge search examines before it stops."""
+
+
+def _wedge_images(vperm: tuple[int, ...], base_emap: tuple[tuple[int, int], ...], wedge_petals: Sequence[int]):
+    """One generator's image, extended by each signed permutation of the wedge
+    petals in turn (permutations outermost, then flips)."""
+    k = len(wedge_petals)
+    for perm in itertools.permutations(range(k)):
+        for flips in itertools.product((0, 1), repeat=k):
+            yield GraphAutomorphism(vperm, base_emap + tuple((wedge_petals[p], f) for p, f in zip(perm, flips)))
+
+
+def _lazy_product(factors: Sequence):
+    """The order of ``itertools.product(*(f() for f in factors))``, but each
+    factor is re-made for every prefix instead of being held in memory."""
+    if not factors:
+        yield ()
+        return
+    for head in factors[0]():
+        for tail in _lazy_product(factors[1:]):
+            yield (head,) + tail
+
+
+def _structured_extensions(group: FiniteGroup, piece: RelativePiece, n: int):
     """Wedge extra petals at an action-fixed vertex (single piece), or wedge
     the pieces at a fresh base vertex; enumerate signed-permutation actions
-    on the fresh petals."""
+    on the fresh petals.  Raises NotFoundWithinBoundError once
+    STRUCTURED_SEARCH_CAP generator assignments have been examined."""
     g0 = piece.graph
     comps = piece.component_vertex_sets()
     gens = _generating_subset(group)
     k = n - g0.rank() if len(comps) == 1 else n - sum(
         len({e for e in range(len(g0.edges)) if set(g0.edges[e]) <= comp}) - len(comp) + 1 for comp in comps
     )
+    if k < 0:
+        return
     if len(comps) == 1:
         fixed = [v for v in range(g0.n_vertices) if all(piece.action[h].apply_vertex(v) == v for h in group.elements)]
-        if k < 0 or not fixed:
+        if not fixed:
             return
-        base = fixed[0]
-        edges = tuple(g0.edges) + tuple((base, base) for _ in range(k))
-        g = SymGraph(g0.n_vertices, edges)
-        emb = Embedding({v: v for v in range(g0.n_vertices)}, {e: (e, 0) for e in range(len(g0.edges))})
-        wedge_petals = list(range(len(g0.edges), len(edges)))
+        g = SymGraph(g0.n_vertices, tuple(g0.edges) + ((fixed[0], fixed[0]),) * k)
+        bases = {s: (tuple(piece.action[s].vperm), tuple(piece.action[s].emap)) for s in gens}
     else:
-        if k < 0:
-            return
         base = g0.n_vertices
-        attach = {i: min(comp) for i, comp in enumerate(comps)}
-        edges = tuple(g0.edges) + tuple((base, attach[i]) for i in range(len(comps))) + tuple(
-            (base, base) for _ in range(k)
-        )
-        g = SymGraph(g0.n_vertices + 1, edges)
-        emb = Embedding({v: v for v in range(g0.n_vertices)}, {e: (e, 0) for e in range(len(g0.edges))})
-        wedge_petals = list(range(len(g0.edges) + len(comps), len(edges)))
-    signed = [
-        (perm, flips)
-        for perm in itertools.permutations(range(k))
-        for flips in itertools.product((0, 1), repeat=k)
-    ]
-    count = 0
-    for assignment in itertools.product(signed, repeat=len(gens)):
-        count += 1
-        if count > cap:
-            return
-        gen_imgs = {}
-        ok = True
-        for s, (perm, flips) in zip(gens, assignment):
+        attach = [min(comp) for comp in comps]
+        g = SymGraph(g0.n_vertices + 1, tuple(g0.edges) + tuple((base, v) for v in attach) + ((base, base),) * k)
+        bases = {}
+        for s in gens:
             a0 = piece.action[s]
-            if len(comps) == 1:
-                vperm = a0.vperm
-                emap = list(a0.emap)
-            else:
-                vperm = tuple(list(a0.vperm) + [base])
-                emap = list(a0.emap)
-                # connecting edges follow the component permutation
-                comp_img = []
-                for i, comp in enumerate(comps):
-                    img_attach = a0.apply_vertex(attach[i])
-                    j = next(jj for jj, c2 in enumerate(comps) if img_attach in c2)
-                    if a0.apply_vertex(attach[i]) != attach[j]:
-                        ok = False
-                        break
-                    comp_img.append(j)
-                if not ok:
-                    break
-                for i in range(len(comps)):
-                    emap.append((len(g0.edges) + comp_img[i], 0))
-            for i, p in enumerate(wedge_petals):
-                emap.append((wedge_petals[perm[i]], flips[i]))
-            # emap entries were appended positionally: rebuild indexed
-            full = [None] * len(edges)
-            for e in range(len(g0.edges)):
-                full[e] = emap[e]
-            if len(comps) > 1:
-                for i in range(len(comps)):
-                    full[len(g0.edges) + i] = emap[len(g0.edges) + i]
-            for i, p in enumerate(wedge_petals):
-                full[p] = (wedge_petals[perm[i]], flips[i])
-            gen_imgs[s] = GraphAutomorphism(vperm if len(comps) > 1 else a0.vperm, tuple(full))
-        if not ok:
-            continue
-        expr = _element_expressions(group, gens)
-        act = {}
-        for elem, word in expr.items():
-            acc = identity_automorphism(g)
-            for s in reversed(word):
-                acc = gen_imgs[s].compose(acc)
-            act[elem] = acc
-        good = True
-        for gname in group.elements:
-            for hname in group.elements:
-                if act[group.mult[(gname, hname)]] != act[gname].compose(act[hname]):
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
+            # connecting edges follow the component permutation
+            comp_img = []
+            for v in attach:
+                img = a0.apply_vertex(v)
+                j = next(jj for jj, c2 in enumerate(comps) if img in c2)
+                if img != attach[j]:
+                    return
+                comp_img.append(j)
+            bases[s] = (tuple(a0.vperm) + (base,), tuple(a0.emap) + tuple((len(g0.edges) + j, 0) for j in comp_img))
+    emb = Embedding({v: v for v in range(g0.n_vertices)}, {e: (e, 0) for e in range(len(g0.edges))})
+    wedge_petals = range(len(g.edges) - k, len(g.edges))
+    expr = _element_expressions(group, gens)
+    factors = [functools.partial(_wedge_images, *bases[s], wedge_petals) for s in gens]
+    for examined, images in enumerate(_lazy_product(factors)):
+        if examined == STRUCTURED_SEARCH_CAP:
+            total = (math.factorial(k) * 2**k) ** len(gens)
+            raise NotFoundWithinBoundError(
+                f"the structured wedge search stopped at its cap (STRUCTURED_SEARCH_CAP = {STRUCTURED_SEARCH_CAP}) "
+                f"after examining {examined} of {total} signed-permutation assignments"
+            )
+        act = _extend_to_action(group, expr, g, dict(zip(gens, images)))
+        if act is not None:
             yield g, act, emb
 
 
@@ -1307,39 +1287,22 @@ def realize_relative(
                 return pw
         return None
 
-    for g, act, emb in _structured_extensions(group, targets, piece, n):
-        pw = verify(g, act, emb)
-        if pw is not None:
-            return RelativeRealization(g, act, tuple(basis), emb, pw)
+    cut_off = ""
+    try:
+        for g, act, emb in _structured_extensions(group, piece, n):
+            pw = verify(g, act, emb)
+            if pw is not None:
+                return RelativeRealization(g, act, tuple(basis), emb, pw)
+    except NotFoundWithinBoundError as exc:
+        cut_off = f"; {exc}"
 
     if n <= rank_bound:
-        gens = _generating_subset(group)
-        for g in _enumerate_graphs(n, e_max):
-            auts = automorphisms(g)
-            for images in itertools.product(auts, repeat=len(gens)):
-                expr = _element_expressions(group, gens)
-                gen_img = dict(zip(gens, images))
-                act = {}
-                ok = True
-                for elem, word in expr.items():
-                    acc = identity_automorphism(g)
-                    for s in reversed(word):
-                        acc = gen_img[s].compose(acc)
-                    act[elem] = acc
-                for gname in group.elements:
-                    for hname in group.elements:
-                        if act[group.mult[(gname, hname)]] != act[gname].compose(act[hname]):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                for emb in _enumerate_embeddings(piece.graph, g):
-                    pw = verify(g, act, emb)
-                    if pw is not None:
-                        return RelativeRealization(g, act, tuple(basis), emb, pw)
-    raise NotFoundWithinBoundError("no equivariant extension within the bounds")
+        for g, act in _small_graph_actions(group, n, e_max):
+            for emb in _enumerate_embeddings(piece.graph, g):
+                pw = verify(g, act, emb)
+                if pw is not None:
+                    return RelativeRealization(g, act, tuple(basis), emb, pw)
+    raise NotFoundWithinBoundError(f"no equivariant extension within the bounds{cut_off}")
 
 
 def _enumerate_embeddings(small: SymGraph, big: SymGraph):
@@ -1453,14 +1416,6 @@ class _FlipUnionFind:
 
 
 @dataclass
-class RealizedGraphOfGroups:
-    """Vertex and edge graphs with actions and the equivariant embeddings."""
-
-    edge_graphs: dict[str, "RealizedAction"]
-    vertex_graphs: dict[str, "RelativeRealization"]
-
-
-@dataclass
 class CoreRealization:
     cover: IntervalCover | None
     depth: int
@@ -1472,7 +1427,6 @@ class CoreRealization:
     labels: dict[int, Word]
     verdicts: dict[str, mc.IdentityVerdict]
     report: dict
-    pieces: "RealizedGraphOfGroups | None" = None
 
 
 def _tog_action(ts: TreeOfGroups, action: FiniteGroupAction) -> dict[str, dict[str, str]]:
@@ -1772,11 +1726,7 @@ def realize_core_case(
     }
     if not all(bool(v) for v in verdicts.values()):
         raise FinalCheckFailedError("final equivariance check failed")
-    pieces = RealizedGraphOfGroups(
-        {e0: edge_real[e0] for e0 in edge_orbits},
-        {w0: vertex_real[w0].real for w0 in vertex_orbits},
-    )
-    return CoreRealization(cover, depth, t_star, t, script, y, y_action, labels, verdicts, report, pieces)
+    return CoreRealization(cover, depth, t_star, t, script, y, y_action, labels, verdicts, report)
 
 
 def _realize_compact_core(action: FiniteGroupAction, e_max: int, rank_bound: int) -> CoreRealization:
@@ -2453,11 +2403,16 @@ def parse_action_file(a: UnfoldingAutomaton, text: str, read_map_file) -> Finite
     elems: list[str] = []
     files: dict[str, str] = {}
     mult: dict[tuple[str, str], str] = {}
+    order = None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("group"):
+            parts = line.split()
+            if len(parts) != 4 or parts[2] != "order" or not parts[3].isdigit():
+                raise ValueError(f"line {lineno}: expected group <name> order <k>")
+            order = int(parts[3])
             continue
         if line.startswith("elem"):
             rest = line[len("elem") :].strip()
@@ -2474,6 +2429,8 @@ def parse_action_file(a: UnfoldingAutomaton, text: str, read_map_file) -> Finite
             mult[(g.strip(), h.strip())] = rhs.strip()
         else:
             raise ValueError(f"line {lineno}: unknown record")
+    if order is not None and order != len(elems):
+        raise ValueError(f"group order {order} does not match the {len(elems)} elem lines")
     group = FiniteGroup.make(elems, mult)
     reps = {name: mc.parse_map_file(a, read_map_file(files[name])) for name in elems}
     return FiniteGroupAction.make(group, reps)

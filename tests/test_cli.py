@@ -262,3 +262,26 @@ def test_realize_bad_mult_table_is_parse_error(tmp_path, capsys, last_product):
     code, err = run_err(capsys, "realize", "tree", str(g), str(act))
     assert code == 4
     assert "Traceback" not in err
+
+
+def test_duplicate_state_is_parse_error(tmp_path, capsys):
+    x = tmp_path / "x.aut"
+    x.write_text(LOOP_RAY + "state s loops=2 children=s\n")
+    y = tmp_path / "y.aut"
+    y.write_text(RAY)
+    code, err = run_err(capsys, "classify", str(x), str(y))
+    assert code == 4
+    assert "duplicate state" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "group_line",
+    ["group z2 order 3", "group z2 order 1", "group z2 2"],
+    ids=["order-too-large", "order-too-small", "order-missing"],
+)
+def test_realize_group_order_mismatch_is_parse_error(tmp_path, capsys, group_line):
+    g, act = _write_tree_action(tmp_path)
+    act.write_text(act.read_text().replace("group z2 order 2", group_line))
+    code, err = run_err(capsys, "realize", "tree", str(g), str(act))
+    assert code == 4
+    assert "group" in err and "Traceback" not in err

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -302,6 +303,60 @@ def test_realize_not_found_within_bound():
         nz.realize_finite_out(z5, targets, e_max=4)
 
 
+def _full_table_action(group, gens, g, images):
+    """Reference: the former check, which composes every element along its
+    expression and then compares the whole |G|^2 table."""
+    expr = nz._element_expressions(group, gens)
+    gen_img = dict(zip(gens, images))
+    act = {}
+    ok = True
+    for elem, word in expr.items():
+        acc = nz.identity_automorphism(g)
+        for s in reversed(word):
+            acc = gen_img[s].compose(acc)
+        act[elem] = acc
+    for gname in group.elements:
+        for hname in group.elements:
+            if act[group.mult[(gname, hname)]] != act[gname].compose(act[hname]):
+                ok = False
+                break
+        if not ok:
+            break
+    return act if ok else None
+
+
+def _extensions_match_full_table(group, g):
+    """Compare over every generator assignment; return (accepted, rejected)."""
+    gens = nz._generating_subset(group)
+    expr = nz._element_expressions(group, gens)
+    outcomes = []
+    for images in itertools.product(nz.automorphisms(g), repeat=len(gens)):
+        want = _full_table_action(group, gens, g, images)
+        assert nz._extend_to_action(group, expr, g, dict(zip(gens, images))) == want
+        outcomes.append(want is not None)
+    return outcomes.count(True), outcomes.count(False)
+
+
+@pytest.mark.parametrize("petals", [1, 2])
+@pytest.mark.parametrize("group_name", ["z2", "z3", "order8"])
+def test_extend_to_action_matches_full_table_on_roses(group_name, petals):
+    group = {
+        "z2": nz.FiniteGroup.cyclic(2),
+        "z3": nz.FiniteGroup.cyclic(3),
+        "order8": _order8_wedge_group()[0],
+    }[group_name]
+    accepted, _ = _extensions_match_full_table(group, nz.SymGraph(1, ((0, 0),) * petals))
+    assert accepted >= 1  # the trivial action
+
+
+def test_extend_to_action_matches_full_table_on_small_graphs():
+    graphs = list(nz._enumerate_graphs(2, 4))
+    assert len(graphs) > 1
+    totals = [_extensions_match_full_table(nz.FiniteGroup.cyclic(2), g) for g in graphs]
+    assert all(accepted >= 1 for accepted, _ in totals)
+    assert any(rejected for _, rejected in totals)
+
+
 # -- relative realization ------------------------------------------------------------------
 
 
@@ -366,6 +421,16 @@ def test_realize_core_flip(loop_ray):
     # the action is a simplicial involution
     g1 = real.action["g1"]
     assert g1.compose(g1) == nz.identity_automorphism(real.graph)
+
+
+def test_realize_core_flip_height_two(loop_ray):
+    """Three intervals: a tree of groups of height 2."""
+    act = make_flip_action(loop_ray, 40)
+    cov = nz.IntervalCover.make(range(41), [(0, 16), (4, 30), (18, 40)], min_overlap=10)
+    real = nz.realize_core_case(act, cov)
+    assert [h for h, _ in real.report["t_star_shape"]] == [0, 1, 2]
+    assert real.graph.rank() == 41
+    assert all(v.kind == "certified_yes" for v in real.verdicts.values())
 
 
 def test_realize_core_rejects_tree(cantor_tree):
@@ -632,9 +697,7 @@ def _order8_wedge_group():
     return nz.FiniteGroup.make(names, mult), elements
 
 
-def test_realize_core_order8_two_loop_ray(two_loop_ray):
-    """The order-8 per-vertex symmetry of the two-loop ray, depth-14 run."""
-    depth = 14
+def _order8_action(two_loop_ray, depth):
     group, elements = _order8_wedge_group()
     t = gm.unfold(two_loop_ray, depth)
     reps = {}
@@ -645,7 +708,13 @@ def test_realize_core_order8_two_loop_ray(two_loop_ray):
             if img != W.gen(lid(v, k)):
                 li[lid(v, k)] = img
         reps[name] = mc.ProperMapRep.make(two_loop_ray, depth, loop_images=li)
-    act = nz.FiniteGroupAction.make(group, reps)
+    return group, nz.FiniteGroupAction.make(group, reps)
+
+
+def test_realize_core_order8_two_loop_ray(two_loop_ray):
+    """The order-8 per-vertex symmetry of the two-loop ray, depth-14 run."""
+    depth = 14
+    group, act = _order8_action(two_loop_ray, depth)
     cov = nz.IntervalCover.make(range(depth + 1), [(0, 12), (2, 14)], min_overlap=10)
     real = nz.realize_core_case(act, cov)
     assert real.graph.rank() == 2 * (depth + 1)
@@ -653,6 +722,16 @@ def test_realize_core_order8_two_loop_ray(two_loop_ray):
     # simplicial action table of order 8
     nz.RealizedAction(real.graph, real.action, ()).check_homomorphism(group)
     assert len({tuple(a.emap) for a in real.action.values()}) == 8
+
+
+def test_structured_search_cut_off_is_named(two_loop_ray, monkeypatch):
+    # the order-8 vertex search needs 3,968 assignments; rank 28 is past the
+    # small-graph bound, so the cut-off is the reason nothing was found
+    monkeypatch.setattr(nz, "STRUCTURED_SEARCH_CAP", 100)
+    _, act = _order8_action(two_loop_ray, 14)
+    cov = nz.IntervalCover.make(range(15), [(0, 12), (2, 14)], min_overlap=10)
+    with pytest.raises(nz.NotFoundWithinBoundError, match=r"STRUCTURED_SEARCH_CAP = 100\) after examining 100 of \d+"):
+        nz.realize_core_case(act, cov)
 
 
 def _branch_permutation_action(automaton, depth, perm_of_first_index):

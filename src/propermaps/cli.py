@@ -41,7 +41,7 @@ def _write_dot(out_dir: str | None, name: str, dot: str) -> None:
         (FsPath(out_dir) / f"{name}.dot").write_text(dot)
 
 
-def _base_report(command: str, args) -> dict:
+def _base_report(command: str) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "command": command,
@@ -61,7 +61,7 @@ def cmd_classify(args) -> int:
         return EXIT_PARSE
     verdict = gm.classify_equivalent(x, y)
     cx, cy = gm.characteristic_pair(x), gm.characteristic_pair(y)
-    report = _base_report("classify", args)
+    report = _base_report("classify")
     report.update(
         {
             "verdict": verdict,
@@ -91,7 +91,7 @@ def cmd_intersect(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     inter = st.intersect_ffs(f1, f2)
-    report = _base_report("intersect", args)
+    report = _base_report("intersect")
     report.update(
         {
             "component_count": len(inter.components),
@@ -114,7 +114,7 @@ def cmd_check_id(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     verdict = mc.is_properly_homotopic_to_identity(f)
-    report = _base_report("check-id", args)
+    report = _base_report("check-id")
     report.update(
         {
             "verdict": verdict.kind,
@@ -138,7 +138,7 @@ def cmd_realize(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    report = _base_report(f"realize-{args.kind}", args)
+    report = _base_report(f"realize-{args.kind}")
     try:
         if args.kind == "tree":
             tr = nz.realize_tree_case(a, action.end_group(), levels=args.depth or 4, eps_base=Fraction(args.eps_base) if args.eps_base else None)
@@ -190,10 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp):
-        sp.add_argument("--depth", type=int, default=None, help="support depth / telescope levels")
-        sp.add_argument("--eps-base", default=None, help="base of the epsilon schedule (rational)")
-        sp.add_argument("--max-edges", type=int, default=6, help="edge bound for realization searches")
-        sp.add_argument("--rank-bound", type=int, default=3, help="rank bound for exhaustive searches")
         sp.add_argument("--out", default=None, help="output directory for reports and DOT files")
 
     sp = sub.add_parser("classify", help="compare characteristic pairs of two automata")
@@ -218,6 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("kind", choices=["tree", "core", "general"])
     sp.add_argument("graph")
     sp.add_argument("action")
+    sp.add_argument("--depth", type=int, default=None, help="telescope levels")
+    sp.add_argument("--eps-base", default=None, help="base of the epsilon schedule (rational)")
+    sp.add_argument("--max-edges", type=int, default=6, help="edge bound for realization searches")
+    sp.add_argument("--rank-bound", type=int, default=3, help="rank bound for exhaustive searches")
     common(sp)
     sp.set_defaults(func=cmd_realize)
     return p

@@ -9,6 +9,7 @@ pairs) is computed from the finite automaton.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -54,15 +55,7 @@ class UnfoldingAutomaton:
         return tuple(sorted(self.children))
 
     def reachable_states(self) -> set[str]:
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            s = stack.pop()
-            for c in self.children[s]:
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        return seen
+        return set(_reachable_from(self.children, [self.root]))
 
     def state_of(self, path: Path) -> str:
         s = self.root
@@ -93,6 +86,26 @@ def parse_path(text: str) -> Path:
     return tuple(int(p) for p in text.split("/"))
 
 
+def _once_per_automaton(fn):
+    """Compute ``fn(a, *args)`` once per automaton instance.
+
+    The result is kept in the frozen instance's ``__dict__`` (as
+    ``LabeledGraph._index`` is), so it lives exactly as long as the automaton.
+    Every caller gets the same object, so callers must not mutate it.
+    """
+
+    @functools.wraps(fn)
+    def once(a, *args):
+        memo = a.__dict__.setdefault("_memo", {})
+        key = (fn.__name__, *args)
+        if key not in memo:
+            memo[key] = fn(a, *args)
+        return memo[key]
+
+    return once
+
+
+@_once_per_automaton
 def bisimulation_classes(a: UnfoldingAutomaton) -> dict[str, int]:
     """Partition of states by unfolding behavior (loops and child structure).
 
@@ -122,6 +135,7 @@ class GraphTruncation:
     frontier: Mapping[Path, str]
 
 
+@_once_per_automaton
 def unfold(a: UnfoldingAutomaton, depth: int) -> GraphTruncation:
     """Materialize the generated graph down to the given depth."""
     if depth < 0:
@@ -152,40 +166,18 @@ def unfold(a: UnfoldingAutomaton, depth: int) -> GraphTruncation:
 # -- state analysis -----------------------------------------------------------
 
 
+@_once_per_automaton
 def loop_reaching_states(a: UnfoldingAutomaton) -> frozenset[str]:
     """States from which some loop-bearing state is reachable."""
-    reach = {s for s in a.children if a.loops[s] > 0}
-    changed = True
-    while changed:
-        changed = False
-        for s, cs in a.children.items():
-            if s not in reach and any(c in reach for c in cs):
-                reach.add(s)
-                changed = True
-    return frozenset(reach)
+    return _reaching(a.children, [s for s in a.children if a.loops[s] > 0])
 
 
 def _cycle_states(children: Mapping[str, tuple[str, ...]]) -> frozenset[str]:
     """States lying on a directed cycle of the (restricted) children relation."""
-    states = set(children)
-    on_cycle = set()
-    for s in states:
-        # s on a cycle iff s reachable from one of its own children
-        stack = list(children.get(s, ()))
-        seen = set()
-        while stack:
-            t = stack.pop()
-            if t == s:
-                on_cycle.add(s)
-                break
-            if t in seen:
-                continue
-            seen.add(t)
-            stack.extend(children.get(t, ()))
-    return frozenset(on_cycle)
+    return frozenset(s for s in children if s in _reachable_from(children, children[s]))
 
 
-def _reachable_from(children: Mapping[str, tuple[str, ...]], sources: Iterable[str]) -> frozenset[str]:
+def _reachable_from(children: Mapping[str, Iterable[str]], sources: Iterable[str]) -> frozenset[str]:
     seen = set(sources)
     stack = list(seen)
     while stack:
@@ -197,38 +189,57 @@ def _reachable_from(children: Mapping[str, tuple[str, ...]], sources: Iterable[s
     return frozenset(seen)
 
 
+def _reaching(children: Mapping[str, tuple[str, ...]], targets: Iterable[str]) -> frozenset[str]:
+    """States with a path to one of the targets: ``_reachable_from`` over reversed edges."""
+    parents: dict[str, list[str]] = {}
+    for s, cs in children.items():
+        for c in cs:
+            parents.setdefault(c, []).append(s)
+    return _reachable_from(parents, targets)
+
+
+def _instance_counts(children: Mapping[str, tuple[str, ...]], root: str) -> dict[str, int]:
+    """Instances of each state in the unfolding of an acyclic children relation
+    (its root-to-state paths), by counting along a topological order."""
+    order: list[str] = []
+    seen: set[str] = set()
+
+    def visit(s):
+        seen.add(s)
+        for c in children[s]:
+            if c not in seen:
+                visit(c)
+        order.append(s)
+
+    visit(root)
+    inst = dict.fromkeys(children, 0)
+    inst[root] = 1
+    for s in reversed(order):
+        for c in children[s]:
+            inst[c] += inst[s]
+    return inst
+
+
+def _restricted(a: UnfoldingAutomaton, keep: frozenset[str]) -> dict[str, tuple[str, ...]]:
+    """The children relation restricted to a state set."""
+    return {s: tuple(c for c in cs if c in keep) for s, cs in a.children.items() if s in keep}
+
+
+@_once_per_automaton
 def live_states(a: UnfoldingAutomaton) -> frozenset[str]:
     """States admitting an infinite path (they reach a directed cycle)."""
-    cyc = _cycle_states(a.children)
-    live = set(cyc)
-    changed = True
-    while changed:
-        changed = False
-        for s, cs in a.children.items():
-            if s not in live and any(c in live for c in cs):
-                live.add(s)
-                changed = True
-    return frozenset(live)
+    return _reaching(a.children, _cycle_states(a.children))
 
 
 def restrict(a: UnfoldingAutomaton, keep: frozenset[str]) -> UnfoldingAutomaton | None:
     """Sub-automaton on a child-closed-along-paths state set containing root."""
     if a.root not in keep:
         return None
-    ch = {s: tuple(c for c in cs if c in keep) for s, cs in a.children.items() if s in keep}
-    lp = {s: a.loops[s] for s in ch}
+    ch = _restricted(a, keep)
     # drop states that became unreachable after restriction
-    seen = {a.root}
-    stack = [a.root]
-    while stack:
-        s = stack.pop()
-        for c in ch[s]:
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
+    seen = _reachable_from(ch, [a.root])
     ch = {s: cs for s, cs in ch.items() if s in seen}
-    lp = {s: lp[s] for s in ch}
-    return UnfoldingAutomaton(a.root, ch, lp)
+    return UnfoldingAutomaton(a.root, ch, {s: a.loops[s] for s in ch})
 
 
 # -- core, genus, genus ends ---------------------------------------------------
@@ -255,46 +266,22 @@ def core(a: UnfoldingAutomaton) -> UnfoldingAutomaton | None:
         seen_guard += 1
         if seen_guard > len(a.children) + 1:
             raise AssertionError("core root walk failed to terminate")
-    ch = {}
-    stack = [s]
-    while stack:
-        t = stack.pop()
-        if t in ch:
-            continue
-        ch[t] = tuple(c for c in a.children[t] if c in reach)
-        stack.extend(ch[t])
-    lp = {t: a.loops[t] for t in ch}
-    return UnfoldingAutomaton(s, ch, lp)
+    sub = _restricted(a, reach)
+    below = _reachable_from(sub, [s])
+    ch = {t: cs for t, cs in sub.items() if t in below}
+    return UnfoldingAutomaton(s, ch, {t: a.loops[t] for t in ch})
 
 
+@_once_per_automaton
 def genus(a: UnfoldingAutomaton) -> int | float:
     """Total number of loop instances in the unfolding (or INFINITY)."""
     reach = loop_reaching_states(a)
     if a.root not in reach:
         return 0
-    sub = {s: tuple(c for c in a.children[s] if c in reach) for s in reach}
-    if _cycle_states(sub):
+    if genus_end_states(a):
         return INFINITY
-    # topological path counting on the loop-reaching DAG
-    order: list[str] = []
-    marks: dict[str, int] = {}
-
-    def visit(s):
-        if marks.get(s) == 2:
-            return
-        marks[s] = 1
-        for c in sub[s]:
-            visit(c)
-        marks[s] = 2
-        order.append(s)
-
-    visit(a.root)
-    inst = {s: 0 for s in sub}
-    inst[a.root] = 1
-    for s in reversed(order):
-        for c in sub[s]:
-            inst[c] += inst[s]
-    return sum(a.loops[s] * inst[s] for s in sub)
+    inst = _instance_counts(_restricted(a, reach), a.root)
+    return sum(a.loops[s] * inst[s] for s in reach)
 
 
 def genus_ends(a: UnfoldingAutomaton) -> UnfoldingAutomaton | None:
@@ -329,25 +316,20 @@ def classify_end_space(a: UnfoldingAutomaton | None) -> EndFamily:
     isolated points}; anything else (e.g. infinitely many isolated points)
     comes back as "other".
     """
-    if a is None:
-        return EndFamily("empty")
+    return EndFamily("empty") if a is None else _end_family(a)
+
+
+@_once_per_automaton
+def _end_family(a: UnfoldingAutomaton) -> EndFamily:
     live = live_states(a)
     if a.root not in live:
         return EndFamily("empty")
     sub = restrict(a, live)
     assert sub is not None
     ch = sub.children
-    cyc = _cycle_states(ch)
-    after_cycle = _reachable_from(ch, cyc)
+    after_cycle = _reachable_from(ch, _cycle_states(ch))
     branch = {s for s in ch if len(ch[s]) >= 2}
-    can_reach_branch = set(branch)
-    changed = True
-    while changed:
-        changed = False
-        for s in ch:
-            if s not in can_reach_branch and any(c in can_reach_branch for c in ch[s]):
-                can_reach_branch.add(s)
-                changed = True
+    can_reach_branch = _reaching(ch, branch)
 
     if not (branch & after_cycle):
         # finitely many branch instances: count the ends
@@ -379,25 +361,7 @@ def classify_end_space(a: UnfoldingAutomaton | None) -> EndFamily:
         return EndFamily("other")
     # count instances of entry sources on the cycle-free part
     na = {s: tuple(c for c in ch[s] if c not in after_cycle) for s in ch if s not in after_cycle}
-    inst = {s: 0 for s in na}
-    if sub.root in inst:
-        inst[sub.root] = 1
-        order: list[str] = []
-        marks: dict[str, int] = {}
-
-        def visit(s):
-            if marks.get(s) == 2:
-                return
-            marks[s] = 1
-            for c in na[s]:
-                visit(c)
-            marks[s] = 2
-            order.append(s)
-
-        visit(sub.root)
-        for s in reversed(order):
-            for c in na[s]:
-                inst[c] += inst[s]
+    inst = _instance_counts(na, sub.root) if sub.root in na else {}
     k = sum(inst.get(s, 0) for s in entries)
     if k == 0:
         # the only ray entries are unreachable; no isolated points after all
@@ -425,6 +389,7 @@ class CharacteristicData:
         return classify_end_space(self.genus_end_space)
 
 
+@_once_per_automaton
 def characteristic_pair(a: UnfoldingAutomaton) -> CharacteristicData:
     ends = restrict(a, live_states(a))
     g = genus(a)
@@ -552,41 +517,17 @@ def _core_part(gf: EndFamily) -> tuple[dict[str, tuple[str, ...]], dict[str, int
 # -- DX geometry helpers (used by mapclass) ---------------------------------------
 
 
+@_once_per_automaton
 def dx_states(a: UnfoldingAutomaton) -> frozenset[str]:
     """States with a non-genus end somewhere below them."""
-    live = live_states(a)
-    reach = loop_reaching_states(a)
-    outside = live - reach
-    has_dx = set(outside)
-    changed = True
-    while changed:
-        changed = False
-        for s, cs in a.children.items():
-            if s not in has_dx and any(c in has_dx for c in cs):
-                has_dx.add(s)
-                changed = True
-    return frozenset(has_dx)
+    return _reaching(a.children, live_states(a) - loop_reaching_states(a))
 
 
+@_once_per_automaton
 def genus_end_states(a: UnfoldingAutomaton) -> frozenset[str]:
     """States with a genus end below (an infinite path inside the loop-reaching set)."""
-    reach = loop_reaching_states(a)
-    sub = {s: tuple(c for c in a.children[s] if c in reach) for s in reach}
-    gcyc = _cycle_states(sub)
-    out = set()
-    for s in reach:
-        stack = [s]
-        seen = set()
-        while stack:
-            t = stack.pop()
-            if t in gcyc:
-                out.add(s)
-                break
-            if t in seen:
-                continue
-            seen.add(t)
-            stack.extend(sub.get(t, ()))
-    return frozenset(out)
+    sub = _restricted(a, loop_reaching_states(a))
+    return _reaching(sub, _cycle_states(sub))
 
 
 def mixed_states(a: UnfoldingAutomaton) -> frozenset[str]:
@@ -594,23 +535,15 @@ def mixed_states(a: UnfoldingAutomaton) -> frozenset[str]:
     return genus_end_states(a) & dx_states(a)
 
 
+@_once_per_automaton
 def deep_mixed_states(a: UnfoldingAutomaton) -> frozenset[str]:
     """States below which DX ends accumulate onto genus ends.
 
     These are the states that can reach a mixed state with unboundedly many
     instances (a mixed state reachable from a live cycle).
     """
-    live = live_states(a)
-    cyc = _cycle_states({s: tuple(c for c in a.children[s] if c in live) for s in live})
-    after = _reachable_from(a.children, cyc)
-    bad = mixed_states(a) & after
-    if not bad:
-        return frozenset()
-    out = set()
-    for s in a.children:
-        if _reachable_from(a.children, [s]) & bad:
-            out.add(s)
-    return frozenset(out)
+    after = _reachable_from(a.children, _cycle_states(a.children))
+    return _reaching(a.children, mixed_states(a) & after)
 
 
 def dx_compact(a: UnfoldingAutomaton) -> bool:
@@ -618,6 +551,7 @@ def dx_compact(a: UnfoldingAutomaton) -> bool:
     return not deep_mixed_states(a)
 
 
+@_once_per_automaton
 def core_vertices(a: UnfoldingAutomaton, depth: int) -> frozenset[Path]:
     """Truncation vertices lying in the core (hull of all loops)."""
     reach = loop_reaching_states(a)
@@ -642,6 +576,7 @@ def core_vertices(a: UnfoldingAutomaton, depth: int) -> frozenset[Path]:
     return frozenset(out)
 
 
+@_once_per_automaton
 def cylinders(a: UnfoldingAutomaton, depth: int) -> tuple[Path, ...]:
     """Live depth-D vertices; their shadows partition the end space."""
     live = live_states(a)

@@ -20,6 +20,7 @@ relative to the base end is A(b)^-1 A(a0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import words as W
@@ -123,7 +124,7 @@ class ProperMapRep:
             for g, _ in word:
                 if g not in lids:
                     raise ValueError(f"word uses unknown loop generator {g}")
-        live = frozenset(c for c in t.frontier if automaton.state_of(c) in live_states(automaton))
+        live = frozenset(cylinders(automaton, depth))
         ea = dict(end_action) if end_action is not None else {c: vm[c] for c in live}
         if set(ea) != live or set(ea.values()) != live:
             raise ValueError("end action must be a bijection of the live frontier cylinders")
@@ -154,12 +155,19 @@ class ProperMapRep:
     def wrap(self, child: Path) -> Word:
         return self.edge_wraps.get(child, W.EMPTY)
 
+    @cached_property
+    def _accumulated_wraps(self) -> dict[Path, Word]:
+        acc: dict[Path, Word] = {(): W.EMPTY}
+        for parent, child in self.truncation().tree_edges:
+            acc[child] = W.mul(acc[parent], self.wrap(child))
+        return acc
+
     def accumulated_wrap(self, v: Path) -> Word:
         """A(v): product of the edge wraps along the root-to-v path."""
-        out: Word = W.EMPTY
-        for i in range(1, len(v) + 1):
-            out = W.mul(out, self.wrap(v[:i]))
-        return out
+        acc = self._accumulated_wraps
+        while v not in acc:  # no edge beyond the support is wrapped
+            v = v[:-1]
+        return acc[v]
 
     def substitution(self) -> st.FreeGroupAutomorphism:
         basis = self.loop_ids()
@@ -221,9 +229,7 @@ def extend(f: ProperMapRep, depth: int) -> ProperMapRep:
         img = W.mul(acc, W.gen(transported), W.inv(acc))
         if img != W.gen(loop_id(v, k)):
             li[loop_id(v, k)] = img
-    live = frozenset(c for c in t_new.frontier if a.state_of(c) in live_states(a))
-    ea = {c: vm[c] for c in live}
-    return ProperMapRep.make(a, depth, vm, li, dict(f.edge_wraps), ea, IDENTITY_OUTSIDE)
+    return ProperMapRep.make(a, depth, vm, li, f.edge_wraps)
 
 
 def compose(f: ProperMapRep, g: ProperMapRep) -> ProperMapRep:
@@ -490,11 +496,9 @@ class RFunction:
 
 def default_base_end(a: UnfoldingAutomaton, depth: int) -> Path:
     """Lexicographically least pure-DX cylinder (live, no loops below)."""
-    live = live_states(a)
     reach = loop_reaching_states(a)
     for c in cylinders(a, depth):
-        s = a.state_of(c)
-        if s in live and s not in reach:
+        if a.state_of(c) not in reach:
             return c
     raise PreconditionFailedError("no pure DX cylinder at this depth")
 

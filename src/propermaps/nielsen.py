@@ -1543,8 +1543,8 @@ def realize_core_case(
         targets = {h: st.restriction_outer(comp, action.outer(h)) for h in sgroup.elements}
         incident = sorted(e for e, (lo, hi) in t_star.edge_ends.items() if w0 in (lo, hi))
         if not incident:
-            out = realize_finite_out(sgroup, targets, e_max=e_max, rank_bound=max(rank_bound, 1))
-            vertex_real[w0] = _Piece(RelativeRealization(out.graph, out.action, out.basis, None), sgroup, marking, [])
+            rr = realize_relative(sgroup, targets, None, e_max=e_max, rank_bound=max(rank_bound, 1))
+            vertex_real[w0] = _Piece(rr, sgroup, marking, [])
             continue
         base_edges: list = []
         v_off = 0

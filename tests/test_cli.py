@@ -141,14 +141,15 @@ def test_realize_tree(tmp_path, capsys):
     assert (out / "realize.json").exists()
 
 
-def test_realize_core(tmp_path, capsys):
+def _write_flip_action(tmp_path, depth):
+    """The loop-ray flip at the given support, as graph and action files."""
     g = tmp_path / "g.aut"
     g.write_text(LOOP_RAY)
     a = gm.parse_automaton(LOOP_RAY)
-    t = gm.unfold(a, 26)
+    t = gm.unfold(a, depth)
     li = {mc.loop_id(v, k): W.gen(mc.loop_id(v, k), -1) for v, k in t.loop_edges}
-    flip = mc.ProperMapRep.make(a, 26, loop_images=li)
-    (tmp_path / "e.map").write_text(mc.format_map_file(mc.ProperMapRep.identity(a, 26)))
+    flip = mc.ProperMapRep.make(a, depth, loop_images=li)
+    (tmp_path / "e.map").write_text(mc.format_map_file(mc.ProperMapRep.identity(a, depth)))
     (tmp_path / "f.map").write_text(mc.format_map_file(flip))
     act = tmp_path / "flip.act"
     act.write_text(
@@ -157,8 +158,21 @@ def test_realize_core(tmp_path, capsys):
         "elem f: mapfile=f.map\n"
         "mult e e = e\nmult e f = f\nmult f e = f\nmult f f = e\n"
     )
+    return g, act
+
+
+def test_realize_core(tmp_path, capsys):
+    g, act = _write_flip_action(tmp_path, 26)
     code, rep = run(capsys, "realize", "core", str(g), str(act))
     assert code == 0
+    assert rep["verdicts"] == {"e": "certified_yes", "f": "certified_yes"}
+
+
+def test_realize_core_default_one_interval_cover(tmp_path, capsys):
+    g, act = _write_flip_action(tmp_path, 14)
+    code, rep = run(capsys, "realize", "core", str(g), str(act))
+    assert code == 0
+    assert rep["intervals"] == [[0, 14]]
     assert rep["verdicts"] == {"e": "certified_yes", "f": "certified_yes"}
 
 
@@ -285,3 +299,13 @@ def test_realize_group_order_mismatch_is_parse_error(tmp_path, capsys, group_lin
     code, err = run_err(capsys, "realize", "tree", str(g), str(act))
     assert code == 4
     assert "group" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--depth", "--eps-base", "--max-edges", "--rank-bound"])
+def test_realize_only_flags_rejected_elsewhere(tmp_path, capsys, flag):
+    x = tmp_path / "x.aut"
+    x.write_text(LOOP_RAY)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", str(x), str(x), flag, "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -242,6 +242,45 @@ def test_phi_round_trip_randomized(core_with_rays):
         assert mc.phi_T(f, alpha0) == h
 
 
+def _path_product_of_wraps(f, v):
+    """A(v) as the product of the edge wraps along the root-to-v path, one query at a time."""
+    out = W.EMPTY
+    for i in range(1, len(v) + 1):
+        out = W.mul(out, f.wrap(v[:i]))
+    return out
+
+
+def test_accumulated_wrap_matches_path_product(core_with_rays):
+    rng = random.Random(17)
+    a = core_with_rays
+    depth = 4
+    alpha0 = mc.default_base_end(a, depth)
+    verts = gm.unfold(a, depth).vertices
+    lids = mc.ProperMapRep.identity(a, depth).loop_ids()
+    for _ in range(10):
+        wraps = {
+            v: W.reduce_word([(rng.choice(lids), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))])
+            for v in rng.sample(verts[1:], 5)
+        }
+        f = mc.ProperMapRep.make(a, depth, edge_wraps=wraps)
+        g = mc.realize_r_function(_random_rfunction(a, depth, rng, alpha0))
+        for h in (f, g, mc.compose(f, g)):
+            for v in h.truncation().vertices:
+                for path in (v, v + (0, 0)):  # at and beyond the support
+                    assert h.accumulated_wrap(path) == _path_product_of_wraps(h, path)
+
+
+def test_identity_criterion_computes_live_states_once(monkeypatch, core_with_rays):
+    """`make` plus the identity criterion find the cycles of the automaton once."""
+    a = core_with_rays
+    on_a = []
+    cycle_states = gm._cycle_states
+    monkeypatch.setattr(gm, "_cycle_states", lambda children: on_a.append(children is a.children) or cycle_states(children))
+    f = drag_map(a, 4, (0, 1), W.gen(lid(())))
+    assert mc.is_properly_homotopic_to_identity(f).kind == "no"
+    assert sum(on_a) == 1
+
+
 def test_r_compose_and_inverse(core_with_rays):
     rng = random.Random(9)
     alpha0 = mc.default_base_end(core_with_rays, 4)

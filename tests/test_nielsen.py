@@ -433,6 +433,19 @@ def test_realize_core_flip_height_two(loop_ray):
     assert all(v.kind == "certified_yes" for v in real.verdicts.values())
 
 
+@pytest.mark.parametrize("depth", [8, 14, 20])
+def test_realize_core_one_interval_cover(loop_ray, depth):
+    """The default cover at supports up to 24 is one interval: a one-vertex tree of groups."""
+    act = make_flip_action(loop_ray, depth)
+    real = nz.realize_core_case(act)
+    assert real.report["intervals"] == [(0, depth)]
+    assert real.report["vertex_count"] == 1
+    assert real.graph.rank() == depth + 1
+    assert all(v.kind == "certified_yes" for v in real.verdicts.values())
+    trivial = nz.FiniteGroupAction.make(nz.FiniteGroup.trivial(), {"e": mc.ProperMapRep.identity(loop_ray, depth)})
+    assert nz.realize_core_case(trivial).verdicts["e"].kind == "certified_yes"
+
+
 def test_realize_core_rejects_tree(cantor_tree):
     act = nz.FiniteGroupAction.make(nz.FiniteGroup.trivial(), {"e": mc.ProperMapRep.identity(cantor_tree, 4)})
     with pytest.raises(nz.NotCoreGraphError):

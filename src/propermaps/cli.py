@@ -41,6 +41,12 @@ def _write_dot(out_dir: str | None, name: str, dot: str) -> None:
         (FsPath(out_dir) / f"{name}.dot").write_text(dot)
 
 
+def _write_truncation(out_dir: str | None, a: gm.UnfoldingAutomaton, depth: int) -> None:
+    """truncation.dot, the depth-``depth`` truncation; built only when there is somewhere to write it."""
+    if out_dir:
+        _write_dot(out_dir, "truncation", gm.truncation_to_dot(gm.unfold(a, depth)))
+
+
 def _base_report(command: str) -> dict:
     return {
         "schema": SCHEMA_VERSION,
@@ -114,6 +120,7 @@ def cmd_check_id(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     verdict = mc.is_properly_homotopic_to_identity(f)
+    _write_truncation(args.out, a, f.depth)
     report = _base_report("check-id")
     report.update(
         {
@@ -138,6 +145,7 @@ def cmd_realize(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    _write_truncation(args.out, a, action.depth)
     report = _base_report(f"realize-{args.kind}")
     try:
         if args.kind == "tree":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .graph_model import Path, UnfoldingAutomaton, cylinders, live_states, path_str
@@ -120,10 +121,21 @@ class Partition:
         return Partition(self.automaton, self.depth, self.blocks, n)
 
     def block_of(self, cyl: Path) -> int:
+        """The lowest-index block listing cyl or one of its ancestors."""
+        index = self._block_index
+        hits = [index[cyl[:n]] for n in range(len(cyl) + 1) if cyl[:n] in index]
+        if not hits:
+            raise KeyError(f"cylinder {path_str(cyl)} not covered")
+        return min(hits)
+
+    @cached_property
+    def _block_index(self) -> dict[Path, int]:
+        """Cylinder -> the lowest index of a block listing it."""
+        index: dict[Path, int] = {}
         for i, b in enumerate(self.blocks):
-            if any(is_ancestor(u, cyl) for u in b.cylinders):
-                return i
-        raise KeyError(f"cylinder {path_str(cyl)} not covered")
+            for u in b.cylinders:
+                index.setdefault(u, i)
+        return index
 
 
 # -- metrics -----------------------------------------------------------------

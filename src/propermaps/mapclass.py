@@ -146,8 +146,11 @@ class ProperMapRep:
         return unfold(self.automaton, self.depth)
 
     def loop_ids(self) -> tuple[str, ...]:
-        t = self.truncation()
-        return tuple(loop_id(v, k) for v, k in sorted(t.loop_edges))
+        return self._loop_ids
+
+    @cached_property
+    def _loop_ids(self) -> tuple[str, ...]:
+        return tuple(loop_id(v, k) for v, k in sorted(self.truncation().loop_edges))
 
     def loop_word(self, lid: str) -> Word:
         return self.loop_images.get(lid, W.gen(lid))

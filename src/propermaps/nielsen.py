@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -635,9 +636,6 @@ def fold_to_t(tstar: TreeOfGroups, t: TreeOfGroups, max_rounds: int = 8) -> list
 # -- symmetric finite graphs -----------------------------------------------------------
 
 
-Dart = tuple[int, int]  # (edge index, end 0/1)
-
-
 @dataclass(frozen=True)
 class SymGraph:
     """Finite multigraph with loops; automorphisms act on darts."""
@@ -650,13 +648,6 @@ class SymGraph:
         for a, b in self.edges:
             d += (a == v) + (b == v)
         return d
-
-    def endpoint(self, d: Dart) -> int:
-        e, side = d
-        return self.edges[e][side]
-
-    def darts(self) -> list[Dart]:
-        return [(e, s) for e in range(len(self.edges)) for s in (0, 1)]
 
     def rank(self) -> int:
         return len(self.edges) - self.n_vertices + 1
@@ -679,15 +670,24 @@ class SymGraph:
 
     def spanning_tree(self) -> dict[int, tuple[int, int, int]]:
         """{vertex: (parent, edge, side_in)} reaching each vertex from 0."""
+        return dict(self._tree)
+
+    @functools.cached_property
+    def _tree(self) -> dict[int, tuple[int, int, int]]:
+        # breadth first from 0; each vertex scans its edges in index order,
+        # an edge (a, b) leaving a before it leaves b
+        incident: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(self.n_vertices)}
+        for e, (a, b) in enumerate(self.edges):
+            incident[a].append((b, e, 1))
+            incident[b].append((a, e, 0))
         tree = {0: (0, -1, 0)}
-        queue = [0]
+        queue = deque([0])
         while queue:
-            v = queue.pop(0)
-            for e, (a, b) in enumerate(self.edges):
-                for src, dst, side in ((a, b, 1), (b, a, 0)):
-                    if src == v and dst not in tree:
-                        tree[dst] = (v, e, side)
-                        queue.append(dst)
+            v = queue.popleft()
+            for dst, e, side in incident.get(v, ()):
+                if dst not in tree:
+                    tree[dst] = (v, e, side)
+                    queue.append(dst)
         return tree
 
     def tree_path_darts(self, tree, src: int, dst: int) -> list[tuple[int, int]]:
@@ -711,9 +711,22 @@ class SymGraph:
         return u1 + down
 
     def petal_edges(self) -> list[int]:
-        tree = self.spanning_tree()
-        tree_e = {e for (_, e, _) in tree.values() if e != -1}
-        return [e for e in range(len(self.edges)) if e not in tree_e]
+        return list(self._petal_index)
+
+    @functools.cached_property
+    def _petal_index(self) -> dict[int, int]:
+        """Petal edge -> its place among the edges off the spanning tree."""
+        tree_e = {e for (_, e, _) in self._tree.values() if e != -1}
+        return {e: i for i, e in enumerate(e for e in range(len(self.edges)) if e not in tree_e)}
+
+    @functools.cached_property
+    def _petal_loops(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per petal, the loop 0 -> a -> b -> 0 through the tree as (edge, direction) pairs."""
+        loops = []
+        for e in self._petal_index:
+            a, b = self.edges[e]
+            loops.append(tuple(self.tree_path_darts(self._tree, 0, a) + [(e, 1)] + self.tree_path_darts(self._tree, b, 0)))
+        return tuple(loops)
 
 
 @dataclass(frozen=True)
@@ -798,34 +811,22 @@ def automorphisms(g: SymGraph) -> list[GraphAutomorphism]:
 def induced_outer(g: SymGraph, alpha: GraphAutomorphism, basis: Sequence[str]) -> st.FreeGroupAutomorphism:
     """Outer action of a graph automorphism in the petal marking.
 
-    The marking sends petal i (in canonical order) to basis[i].
+    The marking sends petal i (in canonical order) to basis[i].  The image of
+    petal i is alpha applied to its tree loop; the tree path joining the base
+    vertex to its image carries no petal, so it adds no letters.
     """
-    tree = g.spanning_tree()
-    petals = g.petal_edges()
-    if len(petals) != len(basis):
+    petal_index = g._petal_index
+    if len(petal_index) != len(basis):
         raise ValueError("marking size mismatch")
-    petal_index = {e: i for i, e in enumerate(petals)}
-
-    def expand(path: list[tuple[int, int]]) -> Word:
-        out = []
-        for e, direction in path:
-            if e in petal_index:
-                out.append((basis[petal_index[e]], direction))
-        return W.reduce_word(out)
-
     images = {}
-    v0 = 0
-    prefix = g.tree_path_darts(tree, v0, alpha.apply_vertex(v0))
-    for i, e in enumerate(petals):
-        a, b = g.edges[e]
-        loop_path = g.tree_path_darts(tree, v0, a) + [(e, 1)] + g.tree_path_darts(tree, b, v0)
-        img_path = []
-        cur = alpha.apply_vertex(v0)
-        for ed, direction in loop_path:
-            ie, idir = alpha.apply_edge_dir(ed, direction)
-            img_path.append((ie, idir))
-        full = prefix + img_path + [(e2, -d2) for (e2, d2) in reversed(prefix)]
-        images[basis[i]] = expand(full)
+    for x, loop in zip(basis, g._petal_loops):
+        word = []
+        for e, direction in loop:
+            img, flip = alpha.emap[e]
+            i = petal_index.get(img)
+            if i is not None:
+                word.append((basis[i], -direction if flip else direction))
+        images[x] = W.reduce_word(word)
     return st.FreeGroupAutomorphism(tuple(basis), images)
 
 
@@ -1121,7 +1122,8 @@ def _embedded_classes_match(piece: RelativePiece, g: SymGraph, petal_words: Sequ
 
 
 STRUCTURED_SEARCH_CAP = 6000
-"""Generator assignments the structured wedge search examines before it stops."""
+"""Generator assignments the structured wedge search examines before it
+stops, counted by position in the unscreened product."""
 
 
 def _wedge_images(vperm: tuple[int, ...], base_emap: tuple[tuple[int, int], ...], wedge_petals: Sequence[int]):
@@ -1133,22 +1135,44 @@ def _wedge_images(vperm: tuple[int, ...], base_emap: tuple[tuple[int, int], ...]
             yield GraphAutomorphism(vperm, base_emap + tuple((wedge_petals[p], f) for p, f in zip(perm, flips)))
 
 
-def _lazy_product(factors: Sequence):
-    """The order of ``itertools.product(*(f() for f in factors))``, but each
-    factor is re-made for every prefix instead of being held in memory."""
-    if not factors:
-        yield ()
-        return
-    for head in factors[0]():
-        for tail in _lazy_product(factors[1:]):
-            yield (head,) + tail
+class _Screened:
+    """The items of a stream that pass ``keep``, with their stream positions.
+
+    Items are drawn and screened lazily, each at most once, so the survivors
+    can be run through again and again at the cost of one pass."""
+
+    def __init__(self, stream, keep):
+        self._items = enumerate(stream)
+        self._keep = keep
+        self._found: list[tuple[int, object]] = []
+        self._drawn = 0  # positions screened so far
+
+    def below(self, limit: int):
+        """(position, item) for the survivors at positions < limit, in order."""
+        i = 0
+        while True:
+            if i < len(self._found):
+                if self._found[i][0] >= limit:
+                    return
+                yield self._found[i]
+                i += 1
+                continue
+            if self._drawn >= limit:
+                return
+            drawn = next(self._items, None)
+            if drawn is None:  # the stream has ended
+                return
+            self._drawn = drawn[0] + 1
+            if self._keep(drawn[1]):
+                self._found.append(drawn)
 
 
-def _structured_extensions(group: FiniteGroup, piece: RelativePiece, n: int):
+def _structured_wedge(group: FiniteGroup, piece: RelativePiece, n: int):
     """Wedge extra petals at an action-fixed vertex (single piece), or wedge
-    the pieces at a fresh base vertex; enumerate signed-permutation actions
-    on the fresh petals.  Raises NotFoundWithinBoundError once
-    STRUCTURED_SEARCH_CAP generator assignments have been examined."""
+    the pieces at a fresh base vertex.  Returns the wedge graph, the piece's
+    embedding, each generator's fixed part of the action (vertex permutation,
+    edge map of the old edges) and the number k of fresh petals, or None when
+    no such wedge carries the action."""
     g0 = piece.graph
     comps = piece.component_vertex_sets()
     gens = _generating_subset(group)
@@ -1156,11 +1180,11 @@ def _structured_extensions(group: FiniteGroup, piece: RelativePiece, n: int):
         len({e for e in range(len(g0.edges)) if set(g0.edges[e]) <= comp}) - len(comp) + 1 for comp in comps
     )
     if k < 0:
-        return
+        return None
     if len(comps) == 1:
         fixed = [v for v in range(g0.n_vertices) if all(piece.action[h].apply_vertex(v) == v for h in group.elements)]
         if not fixed:
-            return
+            return None
         g = SymGraph(g0.n_vertices, tuple(g0.edges) + ((fixed[0], fixed[0]),) * k)
         bases = {s: (tuple(piece.action[s].vperm), tuple(piece.action[s].emap)) for s in gens}
     else:
@@ -1176,23 +1200,52 @@ def _structured_extensions(group: FiniteGroup, piece: RelativePiece, n: int):
                 img = a0.apply_vertex(v)
                 j = next(jj for jj, c2 in enumerate(comps) if img in c2)
                 if img != attach[j]:
-                    return
+                    return None
                 comp_img.append(j)
             bases[s] = (tuple(a0.vperm) + (base,), tuple(a0.emap) + tuple((len(g0.edges) + j, 0) for j in comp_img))
     emb = Embedding({v: v for v in range(g0.n_vertices)}, {e: (e, 0) for e in range(len(g0.edges))})
-    wedge_petals = range(len(g.edges) - k, len(g.edges))
+    return g, emb, bases, k
+
+
+def _structured_extensions(group: FiniteGroup, g: SymGraph, bases: Mapping[str, tuple], k: int, admits):
+    """Actions on the wedge graph g whose generator s acts by bases[s] on the
+    old edges and by a signed permutation on the k fresh petals, in product
+    order (generators in order, each through ``_wedge_images``).
+
+    Only generator images with ``admits(s, image)`` enter an assignment; each
+    is screened at most once, when first needed.  An assignment's position is
+    its place in the unscreened product.  Nothing at or past
+    STRUCTURED_SEARCH_CAP is screened or extended, and when the product is
+    longer than the cap the stream ends with NotFoundWithinBoundError."""
+    gens = list(bases)
     expr = _element_expressions(group, gens)
-    factors = [functools.partial(_wedge_images, *bases[s], wedge_petals) for s in gens]
-    for examined, images in enumerate(_lazy_product(factors)):
-        if examined == STRUCTURED_SEARCH_CAP:
-            total = (math.factorial(k) * 2**k) ** len(gens)
-            raise NotFoundWithinBoundError(
-                f"the structured wedge search stopped at its cap (STRUCTURED_SEARCH_CAP = {STRUCTURED_SEARCH_CAP}) "
-                f"after examining {examined} of {total} signed-permutation assignments"
-            )
+    wedge_petals = range(len(g.edges) - k, len(g.edges))
+    per_gen = math.factorial(k) * 2**k
+    cap = STRUCTURED_SEARCH_CAP
+    screens = [_Screened(_wedge_images(*bases[s], wedge_petals), functools.partial(admits, s)) for s in gens]
+
+    def assignments(j: int, pos: int):
+        """Admitted images of generators j, j+1, ... below the cap; the
+        assignments of this subtree start at position pos."""
+        if j == len(gens):
+            if pos < cap:
+                yield ()
+            return
+        stride = per_gen ** (len(gens) - 1 - j)
+        for i, img in screens[j].below(-(-(cap - pos) // stride)):  # pos + i·stride < cap
+            for tail in assignments(j + 1, pos + i * stride):
+                yield (img,) + tail
+
+    for images in assignments(0, 0):
         act = _extend_to_action(group, expr, g, dict(zip(gens, images)))
         if act is not None:
-            yield g, act, emb
+            yield act
+    total = per_gen ** len(gens)
+    if total > cap:
+        raise NotFoundWithinBoundError(
+            f"the structured wedge search stopped at its cap (STRUCTURED_SEARCH_CAP = {cap}) "
+            f"after examining {cap} of {total} signed-permutation assignments"
+        )
 
 
 def _aligned_marking(piece: RelativePiece, g: SymGraph, emb: Embedding, basis) -> tuple[Word, ...] | None:
@@ -1223,18 +1276,23 @@ def _aligned_marking(piece: RelativePiece, g: SymGraph, emb: Embedding, basis) -
     return tuple(out) if len(out) == len(basis) and remaining == [] else None
 
 
-def marked_outer(g: SymGraph, alpha: GraphAutomorphism, petal_words: Sequence[Word], basis) -> st.FreeGroupAutomorphism:
-    """Outer action under the marking petal j -> petal_words[j]."""
-    qnames = tuple(f"__q{i}" for i in range(len(petal_words)))
-    rho_q = induced_outer(g, alpha, qnames)
-    rename = dict(zip(qnames, basis))
-    nu = st.FreeGroupAutomorphism(tuple(basis), {rename[q]: petal_words[i] for i, q in enumerate(qnames)})
-    nu_inv = nu.inverse()
-    rho_x = st.FreeGroupAutomorphism(
-        tuple(basis),
-        {rename[q]: W.reduce_word([(rename[t], s) for t, s in rho_q.images[q]]) for q in qnames},
-    )
-    return nu.compose(rho_x).compose(nu_inv)
+@dataclass(frozen=True)
+class _Marking:
+    """A petal marking, petal j -> words[j], with its change of basis ν and ν⁻¹."""
+
+    words: tuple[Word, ...]
+    nu: st.FreeGroupAutomorphism
+    nu_inv: st.FreeGroupAutomorphism
+
+    @classmethod
+    def make(cls, words: Sequence[Word], basis: Sequence[str]) -> "_Marking":
+        """Raises NotAnAutomorphismError when the words are not a basis."""
+        nu = st.FreeGroupAutomorphism(tuple(basis), dict(zip(basis, words)))
+        return cls(tuple(words), nu, nu.inverse())
+
+    def outer(self, g: SymGraph, alpha: GraphAutomorphism) -> st.FreeGroupAutomorphism:
+        """Outer action of alpha under this marking: ν ∘ ρ ∘ ν⁻¹."""
+        return self.nu.compose(induced_outer(g, alpha, self.nu.basis)).compose(self.nu_inv)
 
 
 def realize_relative(
@@ -1258,46 +1316,67 @@ def realize_relative(
         out = realize_finite_out(group, targets, e_max, rank_bound)
         return RelativeRealization(out.graph, out.action, out.basis, None, tuple(W.gen(x) for x in out.basis))
 
-    def marking_candidates(g, emb):
-        out = []
+    def markings(g, emb) -> list[_Marking]:
+        """The factor-aligned marking, the positional one and, at rank <= 3,
+        every signed permutation, in that order; markings that are no basis
+        are left out."""
+        words = []
         aligned = _aligned_marking(piece, g, emb, basis)
         if aligned is not None:
-            out.append(aligned)
-        out.append(tuple(W.gen(x) for x in basis))
+            words.append(aligned)
+        words.append(tuple(W.gen(x) for x in basis))
         if n <= 3:
             for perm in itertools.permutations(basis):
                 for signs in itertools.product((1, -1), repeat=n):
                     cand = tuple(W.gen(x, s) for x, s in zip(perm, signs))
-                    if cand not in out:
-                        out.append(cand)
-        return out
-
-    def verify(g, act, emb):
-        if not g.is_connected() or g.rank() != n:
-            return None
-        if not _apply_embedding_action_check(piece, g, act, emb, group.elements):
-            return None
-        for pw in marking_candidates(g, emb):
+                    if cand not in words:
+                        words.append(cand)
+        out = []
+        for pw in words:
             try:
-                if not all(st.outer_equal(marked_outer(g, act[h], pw, basis), targets[h]) for h in group.elements):
-                    continue
+                out.append(_Marking.make(pw, basis))
             except st.NotAnAutomorphismError:
                 continue
-            if _embedded_classes_match(piece, g, pw, emb):
-                return pw
+        return out
+
+    def usable(g) -> bool:
+        return g.is_connected() and g.rank() == n
+
+    def verify(g, act, emb, marks=None):
+        """The first marking under which act induces every target and the
+        piece's factors embed as prescribed, or None."""
+        if not _apply_embedding_action_check(piece, g, act, emb, group.elements):
+            return None
+        for m in markings(g, emb) if marks is None else marks:
+            if all(st.outer_equal(m.outer(g, act[h]), targets[h]) for h in group.elements):
+                if _embedded_classes_match(piece, g, m.words, emb):
+                    return m.words
         return None
 
     cut_off = ""
-    try:
-        for g, act, emb in _structured_extensions(group, piece, n):
-            pw = verify(g, act, emb)
-            if pw is not None:
-                return RelativeRealization(g, act, tuple(basis), emb, pw)
-    except NotFoundWithinBoundError as exc:
-        cut_off = f"; {exc}"
+    wedge = _structured_wedge(group, piece, n)
+    if wedge is not None:
+        g, emb, bases, k = wedge
+        # g and emb are fixed for the whole wedge search: mark once, and let
+        # a generator image in only if it induces its own target under some
+        # marking (verify asks that of every element, the generators included)
+        marks = markings(g, emb) if usable(g) else []
+
+        def admits(s, img):
+            return any(st.outer_equal(m.outer(g, img), targets[s]) for m in marks)
+
+        try:
+            for act in _structured_extensions(group, g, bases, k, admits):
+                pw = verify(g, act, emb, marks)
+                if pw is not None:
+                    return RelativeRealization(g, act, tuple(basis), emb, pw)
+        except NotFoundWithinBoundError as exc:
+            cut_off = f"; {exc}"
 
     if n <= rank_bound:
         for g, act in _small_graph_actions(group, n, e_max):
+            if not usable(g):
+                continue
             for emb in _enumerate_embeddings(piece.graph, g):
                 pw = verify(g, act, emb)
                 if pw is not None:

@@ -240,6 +240,32 @@ def test_realize_general_via_cli(tmp_path, capsys):
     assert (out / "realized.dot").exists()
 
 
+def _stdout(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_out_writes_truncation_dot(tmp_path, capsys):
+    """--out adds truncation.dot for check-id and realize; the report stays byte-identical."""
+    g, act = _write_flip_action(tmp_path, 14)
+    (tmp_path / "tree").mkdir()
+    runs = {
+        "check-id": ["check-id", str(g), str(tmp_path / "f.map")],
+        "realize-core": ["realize", "core", str(g), str(act)],
+        "realize-tree": ["realize", "tree", *map(str, _write_tree_action(tmp_path / "tree"))],
+    }
+    for name, argv in runs.items():
+        plain = _stdout(capsys, *argv)
+        out = tmp_path / "out" / name
+        assert _stdout(capsys, *argv, "--out", str(out)) == plain
+        dot = (out / "truncation.dot").read_text()
+        assert dot.startswith("digraph truncation {") and dot.endswith("}\n")
+        assert list(out.glob("*.json"))
+    # the core action's truncation is the depth-14 loop ray: 15 vertices, 15 loops
+    dot = (tmp_path / "out" / "realize-core" / "truncation.dot").read_text()
+    assert dot.count("shape=") == 15 and dot.count("[label=\"loop0\"]") == 15
+
+
 def run_err(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().err

@@ -263,3 +263,39 @@ def test_telescope_dot(cantor_tree):
     t = es.telescope(_binary_seq(cantor_tree, 2))
     dot = es.telescope_to_dot(t)
     assert dot.startswith("graph") and "--" in dot
+
+
+# -- block lookup ----------------------------------------------------------------------
+
+
+def _scan_block_of(p, cyl):
+    """The linear scan that block_of replaced."""
+    for i, b in enumerate(p.blocks):
+        if any(es.is_ancestor(u, cyl) for u in b.cylinders):
+            return i
+    raise KeyError(cyl)
+
+
+def _rotation_group(a, depth, arity):
+    cyls = gm.cylinders(a, depth)
+    return es.FiniteCylinderGroup(
+        a, depth, {f"r{k}": {c: ((c[0] + k) % arity,) + c[1:] for c in cyls} for k in range(arity)}
+    )
+
+
+@pytest.mark.parametrize("arity, depth", [(2, 4), (2, 6), (3, 3), (3, 4)])
+def test_block_of_index_matches_scan(arity, depth):
+    a = gm.UnfoldingAutomaton.make("b", {"b": ["b"] * arity}, {"b": 0})
+    avg = es.average_metric(es.EndMetric.base(a, depth), _rotation_group(a, depth, arity))
+    parts = [es.Partition.trivial(a, depth)]
+    parts += [es.epsilon_partition(avg, Fr(2) ** (1 - n), depth) for n in range(1, depth + 2)]
+    queries = list(gm.unfold(a, depth + 1).vertices)
+    for p in parts:
+        for cyl in queries:
+            try:
+                want = _scan_block_of(p, cyl)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    p.block_of(cyl)
+                continue
+            assert p.block_of(cyl) == want

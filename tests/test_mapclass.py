@@ -281,6 +281,24 @@ def test_identity_criterion_computes_live_states_once(monkeypatch, core_with_ray
     assert sum(on_a) == 1
 
 
+def test_loop_ids_formatted_once_per_representative(monkeypatch, core_with_rays):
+    """compose and the identity criterion ask for the loop ids again and again;
+    a representative formats them on the first request only."""
+    f = drag_map(core_with_rays, 4, (0, 1), W.gen(lid(())))
+    g = mc.ProperMapRep.identity(core_with_rays, 4)
+    reps = (f, g, mc.compose(f, g))
+    for h in reps:
+        mc.is_properly_homotopic_to_identity(h)
+    want = tuple(mc.loop_id(v, k) for v, k in sorted(f.truncation().loop_edges))
+    formatted = []
+    loop_id = mc.loop_id
+    monkeypatch.setattr(mc, "loop_id", lambda *args: formatted.append(args) or loop_id(*args))
+    for h in reps:
+        for _ in range(3):
+            assert h.loop_ids() == want
+    assert formatted == []
+
+
 def test_r_compose_and_inverse(core_with_rays):
     rng = random.Random(9)
     alpha0 = mc.default_base_end(core_with_rays, 4)

@@ -747,6 +747,30 @@ def test_structured_search_cut_off_is_named(two_loop_ray, monkeypatch):
         nz.realize_core_case(act, cov)
 
 
+def test_structured_search_extends_only_admitted_assignments(two_loop_ray, monkeypatch):
+    # unscreened, each order-8 vertex search extended 3,968 assignments to find one
+    group, act = _order8_action(two_loop_ray, 14)
+    cov = nz.IntervalCover.make(range(15), [(0, 12), (2, 14)], min_overlap=10)
+    extend, relative = nz._extend_to_action, nz.realize_relative
+    extended, per_call = [0], []
+
+    def counting_extend(*args):
+        extended[0] += 1
+        return extend(*args)
+
+    def counting_relative(*args, **kwargs):
+        before = extended[0]
+        out = relative(*args, **kwargs)
+        per_call.append(extended[0] - before)
+        return out
+
+    monkeypatch.setattr(nz, "_extend_to_action", counting_extend)
+    monkeypatch.setattr(nz, "realize_relative", counting_relative)
+    real = nz.realize_core_case(act, cov)
+    assert all(v.kind == "certified_yes" for v in real.verdicts.values())
+    assert per_call and max(per_call) <= 8, per_call
+
+
 def _branch_permutation_action(automaton, depth, perm_of_first_index):
     t = gm.unfold(automaton, depth)
 

@@ -1,0 +1,469 @@
+"""The screened structured wedge search against the unscreened one.
+
+The reference below is a verbatim copy of the earlier blind search (module
+names qualified with ``nz.``): ``_lazy_product``, ``_structured_extensions``,
+``marked_outer`` and ``realize_relative`` with its ``verify`` loop, plus the
+scan-based ``SymGraph.spanning_tree`` / ``petal_edges`` and ``induced_outer``
+they rested on.  The screened search must find the same first realization
+(graph, action, embedding and petal words) and stop at the cap with the same
+message.
+"""
+
+import functools
+import itertools
+import math
+import random
+
+import pytest
+
+from propermaps import graph_model as gm
+from propermaps import mapclass as mc
+from propermaps import nielsen as nz
+from propermaps import stallings as st
+from propermaps import words as W
+from tests.conftest import make_flip_action
+from tests.test_nielsen import _branch_permutation_action, _order8_action
+
+# -- reference: the unscreened search -------------------------------------------------------
+
+
+def ref_spanning_tree(self):
+    """{vertex: (parent, edge, side_in)} reaching each vertex from 0."""
+    tree = {0: (0, -1, 0)}
+    queue = [0]
+    while queue:
+        v = queue.pop(0)
+        for e, (a, b) in enumerate(self.edges):
+            for src, dst, side in ((a, b, 1), (b, a, 0)):
+                if src == v and dst not in tree:
+                    tree[dst] = (v, e, side)
+                    queue.append(dst)
+    return tree
+
+
+def ref_petal_edges(self):
+    tree = ref_spanning_tree(self)
+    tree_e = {e for (_, e, _) in tree.values() if e != -1}
+    return [e for e in range(len(self.edges)) if e not in tree_e]
+
+
+def ref_induced_outer(g, alpha, basis):
+    """Outer action of a graph automorphism in the petal marking.
+
+    The marking sends petal i (in canonical order) to basis[i].
+    """
+    tree = ref_spanning_tree(g)
+    petals = ref_petal_edges(g)
+    if len(petals) != len(basis):
+        raise ValueError("marking size mismatch")
+    petal_index = {e: i for i, e in enumerate(petals)}
+
+    def expand(path):
+        out = []
+        for e, direction in path:
+            if e in petal_index:
+                out.append((basis[petal_index[e]], direction))
+        return W.reduce_word(out)
+
+    images = {}
+    v0 = 0
+    prefix = g.tree_path_darts(tree, v0, alpha.apply_vertex(v0))
+    for i, e in enumerate(petals):
+        a, b = g.edges[e]
+        loop_path = g.tree_path_darts(tree, v0, a) + [(e, 1)] + g.tree_path_darts(tree, b, v0)
+        img_path = []
+        cur = alpha.apply_vertex(v0)
+        for ed, direction in loop_path:
+            ie, idir = alpha.apply_edge_dir(ed, direction)
+            img_path.append((ie, idir))
+        full = prefix + img_path + [(e2, -d2) for (e2, d2) in reversed(prefix)]
+        images[basis[i]] = expand(full)
+    return st.FreeGroupAutomorphism(tuple(basis), images)
+
+
+def ref_lazy_product(factors):
+    """The order of ``itertools.product(*(f() for f in factors))``, but each
+    factor is re-made for every prefix instead of being held in memory."""
+    if not factors:
+        yield ()
+        return
+    for head in factors[0]():
+        for tail in ref_lazy_product(factors[1:]):
+            yield (head,) + tail
+
+
+def ref_structured_extensions(group, piece, n):
+    """Wedge extra petals at an action-fixed vertex (single piece), or wedge
+    the pieces at a fresh base vertex; enumerate signed-permutation actions
+    on the fresh petals.  Raises NotFoundWithinBoundError once
+    STRUCTURED_SEARCH_CAP generator assignments have been examined."""
+    g0 = piece.graph
+    comps = piece.component_vertex_sets()
+    gens = nz._generating_subset(group)
+    k = n - g0.rank() if len(comps) == 1 else n - sum(
+        len({e for e in range(len(g0.edges)) if set(g0.edges[e]) <= comp}) - len(comp) + 1 for comp in comps
+    )
+    if k < 0:
+        return
+    if len(comps) == 1:
+        fixed = [v for v in range(g0.n_vertices) if all(piece.action[h].apply_vertex(v) == v for h in group.elements)]
+        if not fixed:
+            return
+        g = nz.SymGraph(g0.n_vertices, tuple(g0.edges) + ((fixed[0], fixed[0]),) * k)
+        bases = {s: (tuple(piece.action[s].vperm), tuple(piece.action[s].emap)) for s in gens}
+    else:
+        base = g0.n_vertices
+        attach = [min(comp) for comp in comps]
+        g = nz.SymGraph(g0.n_vertices + 1, tuple(g0.edges) + tuple((base, v) for v in attach) + ((base, base),) * k)
+        bases = {}
+        for s in gens:
+            a0 = piece.action[s]
+            # connecting edges follow the component permutation
+            comp_img = []
+            for v in attach:
+                img = a0.apply_vertex(v)
+                j = next(jj for jj, c2 in enumerate(comps) if img in c2)
+                if img != attach[j]:
+                    return
+                comp_img.append(j)
+            bases[s] = (tuple(a0.vperm) + (base,), tuple(a0.emap) + tuple((len(g0.edges) + j, 0) for j in comp_img))
+    emb = nz.Embedding({v: v for v in range(g0.n_vertices)}, {e: (e, 0) for e in range(len(g0.edges))})
+    wedge_petals = range(len(g.edges) - k, len(g.edges))
+    expr = nz._element_expressions(group, gens)
+    factors = [functools.partial(nz._wedge_images, *bases[s], wedge_petals) for s in gens]
+    for examined, images in enumerate(ref_lazy_product(factors)):
+        if examined == nz.STRUCTURED_SEARCH_CAP:
+            total = (math.factorial(k) * 2**k) ** len(gens)
+            raise nz.NotFoundWithinBoundError(
+                f"the structured wedge search stopped at its cap (STRUCTURED_SEARCH_CAP = {nz.STRUCTURED_SEARCH_CAP}) "
+                f"after examining {examined} of {total} signed-permutation assignments"
+            )
+        act = nz._extend_to_action(group, expr, g, dict(zip(gens, images)))
+        if act is not None:
+            yield g, act, emb
+
+
+def ref_marked_outer(g, alpha, petal_words, basis):
+    """Outer action under the marking petal j -> petal_words[j]."""
+    qnames = tuple(f"__q{i}" for i in range(len(petal_words)))
+    rho_q = ref_induced_outer(g, alpha, qnames)
+    rename = dict(zip(qnames, basis))
+    nu = st.FreeGroupAutomorphism(tuple(basis), {rename[q]: petal_words[i] for i, q in enumerate(qnames)})
+    nu_inv = nu.inverse()
+    rho_x = st.FreeGroupAutomorphism(
+        tuple(basis),
+        {rename[q]: W.reduce_word([(rename[t], s) for t, s in rho_q.images[q]]) for q in qnames},
+    )
+    return nu.compose(rho_x).compose(nu_inv)
+
+
+def ref_realize_relative(group, targets, piece, e_max=6, rank_bound=3):
+    basis = list(targets[group.identity].basis)
+    n = len(basis)
+    if piece is None or piece.graph.n_vertices == 0:
+        out = nz.realize_finite_out(group, targets, e_max, rank_bound)
+        return nz.RelativeRealization(out.graph, out.action, out.basis, None, tuple(W.gen(x) for x in out.basis))
+
+    def marking_candidates(g, emb):
+        out = []
+        aligned = nz._aligned_marking(piece, g, emb, basis)
+        if aligned is not None:
+            out.append(aligned)
+        out.append(tuple(W.gen(x) for x in basis))
+        if n <= 3:
+            for perm in itertools.permutations(basis):
+                for signs in itertools.product((1, -1), repeat=n):
+                    cand = tuple(W.gen(x, s) for x, s in zip(perm, signs))
+                    if cand not in out:
+                        out.append(cand)
+        return out
+
+    def verify(g, act, emb):
+        if not g.is_connected() or g.rank() != n:
+            return None
+        if not nz._apply_embedding_action_check(piece, g, act, emb, group.elements):
+            return None
+        for pw in marking_candidates(g, emb):
+            try:
+                if not all(st.outer_equal(ref_marked_outer(g, act[h], pw, basis), targets[h]) for h in group.elements):
+                    continue
+            except st.NotAnAutomorphismError:
+                continue
+            if nz._embedded_classes_match(piece, g, pw, emb):
+                return pw
+        return None
+
+    cut_off = ""
+    try:
+        for g, act, emb in ref_structured_extensions(group, piece, n):
+            pw = verify(g, act, emb)
+            if pw is not None:
+                return nz.RelativeRealization(g, act, tuple(basis), emb, pw)
+    except nz.NotFoundWithinBoundError as exc:
+        cut_off = f"; {exc}"
+
+    if n <= rank_bound:
+        for g, act in nz._small_graph_actions(group, n, e_max):
+            for emb in nz._enumerate_embeddings(piece.graph, g):
+                pw = verify(g, act, emb)
+                if pw is not None:
+                    return nz.RelativeRealization(g, act, tuple(basis), emb, pw)
+    raise nz.NotFoundWithinBoundError(f"no equivariant extension within the bounds{cut_off}")
+
+
+# -- the cases ----------------------------------------------------------------------------
+
+
+def _cover(depth):
+    return nz.IntervalCover.make(range(depth + 1), [(0, depth - 2), (2, depth)], min_overlap=depth - 4)
+
+
+def _order8_case():
+    _, act = _order8_action(gm.UnfoldingAutomaton.make("s", {"s": ["s"]}, {"s": 2}), 14)
+    return act, _cover(14)
+
+
+def _branch_case(branches):
+    auto = gm.UnfoldingAutomaton.make(
+        "r", {"r": [f"p{i}" for i in range(branches)], **{f"p{i}": [f"p{i}"] for i in range(branches)}},
+        {"r": 1, **{f"p{i}": 1 for i in range(branches)}},
+    )
+    group = nz.FiniteGroup.cyclic(branches)
+    reps = {"e": mc.ProperMapRep.identity(auto, 14)}
+    for shift in range(1, branches):
+        reps[f"g{shift}"] = _branch_permutation_action(auto, 14, {i: (i + shift) % branches for i in range(branches)})
+    return nz.FiniteGroupAction.make(group, reps), _cover(14)
+
+
+def _flip_case(depth):
+    return make_flip_action(gm.UnfoldingAutomaton.make("s", {"s": ["s"]}, {"s": 1}), depth), _cover(depth)
+
+
+def _flip_height_two_case():
+    act = make_flip_action(gm.UnfoldingAutomaton.make("s", {"s": ["s"]}, {"s": 1}), 40)
+    return act, nz.IntervalCover.make(range(41), [(0, 16), (4, 30), (18, 40)], min_overlap=10)
+
+
+CASES = {
+    "order8-d14": _order8_case,
+    "branch2-d14": lambda: _branch_case(2),
+    "branch3-d14": lambda: _branch_case(3),
+    "flip-d14": lambda: _flip_case(14),
+    "flip-d20": lambda: _flip_case(20),
+    "flip-height2-d40": _flip_height_two_case,
+}
+
+
+def _recorded_calls(monkeypatch, action, cover):
+    """realize_core_case, with every realize_relative call's arguments and result."""
+    calls = []
+    screened = nz.realize_relative
+
+    def recording(*args, **kwargs):
+        out = screened(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(nz, "realize_relative", recording)
+    real = nz.realize_core_case(action, cover)
+    monkeypatch.setattr(nz, "realize_relative", screened)
+    return real, calls
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_first_realization_matches_unscreened_search(case, monkeypatch):
+    action, cover = CASES[case]()
+    real, calls = _recorded_calls(monkeypatch, action, cover)
+    assert any(args[2] is not None for args, _, _ in calls), "no relative piece was realized"
+    for args, kwargs, out in calls:
+        ref = ref_realize_relative(*args, **kwargs)
+        assert out.graph == ref.graph
+        assert out.action == ref.action
+        assert out.embedding == ref.embedding
+        assert out.petal_words == ref.petal_words
+        assert out == ref
+        for h, alpha in out.action.items():
+            basis = [f"x{i}" for i in range(out.graph.rank())]
+            assert nz.induced_outer(out.graph, alpha, basis).images == ref_induced_outer(out.graph, alpha, basis).images
+    assert all(v.kind == "certified_yes" for v in real.verdicts.values())
+
+
+def test_cap_boundary_matches_unscreened_search(monkeypatch):
+    # the first survivor of the first order-8 vertex search sits at position 3967
+    action, cover = _order8_case()
+    real, calls = _recorded_calls(monkeypatch, action, cover)
+    args, kwargs, first = next(c for c in calls if c[0][2] is not None)
+
+    monkeypatch.setattr(nz, "STRUCTURED_SEARCH_CAP", 3967)
+    with pytest.raises(nz.NotFoundWithinBoundError) as screened:
+        nz.realize_core_case(action, cover)
+    with pytest.raises(nz.NotFoundWithinBoundError) as unscreened:
+        ref_realize_relative(*args, **kwargs)
+    assert str(screened.value) == str(unscreened.value)
+    assert "(STRUCTURED_SEARCH_CAP = 3967) after examining 3967 of 147456 signed-permutation assignments" in str(
+        screened.value
+    )
+
+    monkeypatch.setattr(nz, "STRUCTURED_SEARCH_CAP", 3968)
+    assert nz.realize_relative(*args, **kwargs) == first
+    assert nz.realize_core_case(action, cover).graph == real.graph
+
+
+@pytest.fixture(scope="module")
+def order8_wedge():
+    """The first order-8 vertex search: its group, piece and wedge."""
+    action, cover = _order8_case()
+    calls = []
+    screened = nz.realize_relative
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return screened(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nz, "realize_relative", recording)
+        nz.realize_core_case(action, cover)
+    (group, targets, piece, *_), _ = next(c for c in calls if c[0][2] is not None)
+    return group, piece, nz._structured_wedge(group, piece, len(targets[group.identity].basis))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 383, 384, 385, 1000])
+def test_screened_product_keeps_positions_and_cap(cap, order8_wedge, monkeypatch):
+    """With an arbitrary screen, the screened stream is the unscreened one
+    restricted to assignments whose every image passes, below the cap."""
+    group, piece, (g, emb, bases, k) = order8_wedge
+    gens = list(bases)
+
+    def admits(s, img):
+        return (gens.index(s) + sum(i * e + f for i, (e, f) in enumerate(img.emap))) % 3 != 0
+
+    screened_calls = []
+
+    def counting(s, img):
+        screened_calls.append((s, img.emap))
+        return admits(s, img)
+
+    monkeypatch.setattr(nz, "STRUCTURED_SEARCH_CAP", cap)
+    got, got_err = [], None
+    try:
+        for act in nz._structured_extensions(group, g, bases, k, counting):
+            got.append(act)
+    except nz.NotFoundWithinBoundError as exc:
+        got_err = str(exc)
+    want, want_err = [], None
+    n = g.rank()
+    try:
+        for _, act, _ in ref_structured_extensions(group, piece, n):
+            if all(admits(s, act[s]) for s in gens):
+                want.append(act)
+    except nz.NotFoundWithinBoundError as exc:
+        want_err = str(exc)
+    assert got == want
+    assert got_err == want_err
+    assert len(screened_calls) == len(set(screened_calls)), "an image was screened twice"
+    per_gen = math.factorial(k) * 2**k
+    # the first generator's image i opens the assignments at i * per_gen
+    assert all(
+        i * per_gen < cap
+        for i, img in enumerate(nz._wedge_images(*bases[gens[0]], range(len(g.edges) - k, len(g.edges))))
+        if (gens[0], img.emap) in screened_calls
+    )
+
+
+def test_screened_stream_draws_each_item_once_and_never_past_the_limit():
+    drawn = []
+
+    def keep(x):
+        drawn.append(x)
+        return x % 3 == 1
+
+    s = nz._Screened(iter(range(20)), keep)
+    assert list(s.below(5)) == [(1, 1), (4, 4)]
+    assert drawn == [0, 1, 2, 3, 4]
+    assert list(s.below(3)) == [(1, 1)]
+    assert list(s.below(11)) == [(1, 1), (4, 4), (7, 7), (10, 10)]
+    assert list(s.below(100)) == [(i, i) for i in range(20) if i % 3 == 1]
+    assert list(s.below(0)) == []
+    assert drawn == list(range(20))
+
+
+def test_symgraph_marking_structure_matches_scan():
+    graphs = list(nz._enumerate_graphs(2, 4)) + list(nz._enumerate_graphs(3, 4))
+    graphs.append(nz.SymGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 0), (2, 2), (1, 3))))
+    for g in graphs:
+        assert g.spanning_tree() == ref_spanning_tree(g)
+        assert g.petal_edges() == ref_petal_edges(g)
+        basis = [f"x{i}" for i in range(g.rank())]
+        for alpha in nz.automorphisms(g):
+            got = nz.induced_outer(g, alpha, basis)
+            assert got.images == ref_induced_outer(g, alpha, basis).images
+
+
+def _small_cases(count):
+    """Realizable Z/2 targets around a one-petal piece.
+
+    Each case takes a small graph with a Z/2 action and an invariant loop,
+    re-marks its outer action by a random signed permutation nu, and asks
+    for an extension of that loop (with nu's image of its letter as factor
+    word)."""
+    rng = random.Random(5)
+    group = nz.FiniteGroup.cyclic(2)
+    pool = []
+    for n in (2, 3):
+        for g, act in nz._small_graph_actions(group, n, 4):
+            loops = [e for e, (a, b) in enumerate(g.edges) if a == b and act["g1"].emap[e][0] == e]
+            if loops and len({a.emap for a in act.values()}) == 2:
+                pool.append((g, act, loops))
+    cases = []
+    for _ in range(count):
+        g, act, loops = rng.choice(pool)
+        basis = ("a", "b", "c")[: g.rank()]
+        images = list(basis)
+        rng.shuffle(images)
+        nu = st.FreeGroupAutomorphism(basis, {x: W.gen(y, rng.choice((1, -1))) for x, y in zip(basis, images)})
+        nu_inv = nu.inverse()
+        targets = {h: nu.compose(nz.induced_outer(g, act[h], basis)).compose(nu_inv) for h in group.elements}
+        e = rng.choice(loops)
+        rose = nz.SymGraph(1, ((0, 0),))
+        flip = nz.GraphAutomorphism((0,), ((0, act["g1"].emap[e][1]),))
+        letter = nu.images[basis[g.petal_edges().index(e)]]
+        piece = nz.RelativePiece(rose, {"e": nz.identity_automorphism(rose), "g1": flip}, ((letter,),))
+        cases.append((targets, piece))
+    return cases
+
+
+def _hand_cases():
+    """The rose with a petal swap (complete piece) and the rotated two-edge
+    circle, which has no fixed vertex to wedge at."""
+    swap = {
+        "e": st.FreeGroupAutomorphism.identity(("a", "b")),
+        "g1": st.FreeGroupAutomorphism.from_images(("a", "b"), {"a": W.gen("b"), "b": W.gen("a")}),
+    }
+    rose = nz.SymGraph(1, ((0, 0), (0, 0)))
+    complete = nz.RelativePiece(
+        rose,
+        {"e": nz.identity_automorphism(rose), "g1": nz.GraphAutomorphism((0,), ((1, 0), (0, 0)))},
+        ((W.gen("a"), W.gen("b")),),
+    )
+    circle = nz.SymGraph(2, ((0, 1), (1, 0)))
+    rotated = nz.RelativePiece(
+        circle,
+        {"e": nz.identity_automorphism(circle), "g1": nz.GraphAutomorphism((1, 0), ((1, 0), (0, 0)))},
+        ((W.word_from_str("ab"),),),
+    )
+    return [(swap, complete), (swap, rotated)]
+
+
+@pytest.fixture(scope="module")
+def small_cases():
+    return _small_cases(24) + _hand_cases()
+
+
+@pytest.mark.parametrize("case", range(26))
+def test_small_pieces_match_unscreened_search(case, small_cases):
+    """Small ranks: every signed-permutation marking is a candidate, and a
+    piece without a fixed vertex goes to the small-graph stream."""
+    targets, piece = small_cases[case]
+    group = nz.FiniteGroup.cyclic(2)
+    want = ref_realize_relative(group, targets, piece, e_max=4)
+    assert nz.realize_relative(group, targets, piece, e_max=4) == want

@@ -133,6 +133,14 @@ def cmd_check_id(args) -> int:
     return EXIT_VERIFICATION if verdict.kind == "no" else EXIT_OK
 
 
+def _rational(text: str | None) -> Fraction | None:
+    """An optional rational option value; a zero denominator is a bad literal like any other."""
+    try:
+        return Fraction(text) if text else None
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{text!r} has a zero denominator") from exc
+
+
 def cmd_realize(args) -> int:
     try:
         a = gm.parse_automaton(FsPath(args.graph).read_text())
@@ -149,7 +157,7 @@ def cmd_realize(args) -> int:
     report = _base_report(f"realize-{args.kind}")
     try:
         if args.kind == "tree":
-            tr = nz.realize_tree_case(a, action.end_group(), levels=args.depth or 4, eps_base=Fraction(args.eps_base) if args.eps_base else None)
+            tr = nz.realize_tree_case(a, action.end_group(), levels=args.depth or 4, eps_base=_rational(args.eps_base))
             report.update({"stage": "done", **tr.report})
             _write_dot(args.out, "telescope", es.telescope_to_dot(tr.telescope))
         elif args.kind == "core":

@@ -57,11 +57,11 @@ class ClopenSet:
     def make(cls, cyls: Iterable[Path], reference_depth: int) -> "ClopenSet":
         cs = set(cyls)
         # normalize: drop any vertex with a strict ancestor present
-        keep = {v for v in cs if not any(is_ancestor(u, v) and u != v for u in cs)}
+        keep = {v for v in cs if not any(v[:n] in cs for n in range(len(v)))}
         return cls(frozenset(keep), reference_depth)
 
     def min_cylinder(self) -> Path:
-        return min(sorted(self.cylinders))
+        return min(self.cylinders)
 
 
 def expand_to_depth(a: UnfoldingAutomaton, cyls: Iterable[Path], depth: int) -> frozenset[Path]:
@@ -142,27 +142,20 @@ class Partition:
 
 
 class EndMetric:
-    """Exact metric on depth-D cylinders; BASE is the 2^-prefix ultrametric."""
+    """The 2^-prefix ultrametric on depth-D cylinders, exact."""
 
-    def __init__(self, automaton: UnfoldingAutomaton, depth: int, kind: str = "base", table: Mapping[tuple[Path, Path], Fraction] | None = None):
+    def __init__(self, automaton: UnfoldingAutomaton, depth: int):
         self.automaton = automaton
         self.depth = depth
-        self.kind = kind
-        self._table = dict(table) if table is not None else None
 
     @classmethod
     def base(cls, a: UnfoldingAutomaton, depth: int) -> "EndMetric":
-        return cls(a, depth, "base")
+        return cls(a, depth)
 
     def distance(self, u: Path, v: Path) -> Fraction:
         if u == v:
             return Fraction(0)
-        if self.kind == "base":
-            return Fraction(1, 2 ** common_prefix_len(u, v))
-        key = (u, v) if u <= v else (v, u)
-        if self._table is None or key not in self._table:
-            raise DepthTooShallowError(f"averaged metric has no value for {path_str(u)},{path_str(v)}")
-        return self._table[key]
+        return Fraction(1, 2 ** common_prefix_len(u, v))
 
 
 class FiniteCylinderGroup:
@@ -209,32 +202,22 @@ class FiniteCylinderGroup:
     def apply(self, name: str, cyl: Path) -> Path:
         return self.elements[name][cyl]
 
-    def block_image(self, name: str, block: ClopenSet) -> frozenset[Path]:
-        ex = expand_to_depth(self.automaton, block.cylinders, self.depth)
-        return frozenset(self.apply(name, c) for c in ex)
-
 
 def average_metric(d: EndMetric, action: FiniteCylinderGroup) -> EndMetric:
-    """Group-average d over the finite action; exact rational arithmetic.
+    """Group-average d over the finite action, which is d itself.
 
-    The result is invariant: d'(hp, hq) = d'(p, q) for every element h, and
-    this is asserted pairwise on all cylinders.
+    Each element maps the depth-k prefixes well-definedly and injectively for
+    k = 0..D (checked), so it keeps common prefixes and is an isometry of d.
     """
     if action.automaton != d.automaton or action.depth != d.depth:
         raise NotAnActionError("action and metric live on different cylinder sets")
-    cyls = cylinders(d.automaton, d.depth)
-    n = len(action.elements)
-    table: dict[tuple[Path, Path], Fraction] = {}
-    for i, u in enumerate(cyls):
-        for v in cyls[i + 1 :]:
-            total = sum((d.distance(action.apply(h, u), action.apply(h, v)) for h in action.names()), Fraction(0))
-            table[(u, v)] = total / n
-    out = EndMetric(d.automaton, d.depth, "averaged", table)
     for h in action.names():
-        for i, u in enumerate(cyls):
-            for v in cyls[i + 1 :]:
-                assert out.distance(action.apply(h, u), action.apply(h, v)) == out.distance(u, v)
-    return out
+        perm = action.elements[h]
+        for k in range(d.depth + 1):
+            pairs = {(c[:k], x[:k]) for c, x in perm.items()}
+            if not len(pairs) == len({u for u, _ in pairs}) == len({x for _, x in pairs}):
+                raise NotInvariantError(f"element {h} is not an isometry of the prefix metric at depth {k}")
+    return d
 
 
 # -- epsilon partitions -------------------------------------------------------
@@ -259,33 +242,46 @@ class _UnionFind:
 
 
 def epsilon_partition(m: EndMetric, eps: Fraction | int, depth: int, level: int | None = None) -> Partition:
-    """Blocks are the eps-path-connected components (strict `< eps` joins)."""
+    """Blocks are the eps-path-connected components (strict `< eps` joins).
+
+    d(u, v) < eps iff u[:j] == v[:j], j the least integer with 2^-j < eps;
+    that relation is transitive, so the components are the classes of c[:j].
+    """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if m.kind == "averaged" and depth != m.depth:
+    if depth != m.depth:
         raise DepthTooShallowError("averaged metrics evaluate only at their construction depth")
-    cyls = cylinders(m.automaton, depth)
-    uf = _UnionFind(cyls)
-    for i, u in enumerate(cyls):
-        for v in cyls[i + 1 :]:
-            if m.distance(u, v) < eps:
-                uf.union(u, v)
+    j = 0
+    while j < depth and Fraction(1, 2**j) >= eps:
+        j += 1
     groups: dict[Path, set[Path]] = {}
-    for c in cyls:
-        groups.setdefault(uf.find(c), set()).add(c)
+    for c in cylinders(m.automaton, depth):
+        groups.setdefault(c[:j], set()).add(c)
     blocks = [ClopenSet.make(g, depth) for g in groups.values()]
     return Partition.make(m.automaton, depth, blocks, level)
 
 
+def _parents(fine: Partition, coarse: Partition) -> list[list[int]]:
+    """For each block of fine, the indices of the blocks of coarse containing it.
+
+    Coarse blocks are disjoint: a nonempty block lies in the one block that
+    block_of names for all of its cylinders, or in none.
+    """
+    if fine.automaton != coarse.automaton:
+        raise ValueError("partitions of different end spaces")
+    depth = max(fine.depth, coarse.depth)
+    out = []
+    for b in fine.blocks:
+        js = {coarse.block_of(c) for c in expand_to_depth(fine.automaton, b.cylinders, depth)}
+        # a block of dead cylinders is empty and lies in every block
+        out.append(list(js) if len(js) == 1 else [] if js else list(range(len(coarse.blocks))))
+    return out
+
+
 def refines(p: Partition, q: Partition) -> bool:
     """Whether every block of p lies inside some block of q."""
-    if p.automaton != q.automaton:
-        raise ValueError("partitions of different end spaces")
-    for b in p.blocks:
-        if not any(clopen_subset(p.automaton, b, c) for c in q.blocks):
-            return False
-    return True
+    return all(_parents(p, q))
 
 
 # -- telescopes ----------------------------------------------------------------
@@ -334,11 +330,10 @@ def telescope(seq: Sequence[Partition]) -> TelescopeTree:
     parts = tuple(p.with_level(n) for n, p in enumerate(seq))
     edges: list[tuple[Vertex, Vertex]] = []
     for n in range(1, len(parts)):
-        fine, coarse = parts[n], parts[n - 1]
-        if not refines(fine, coarse):
+        parents = _parents(parts[n], parts[n - 1])
+        if not all(parents):
             raise NotRefiningError(f"partition {n} does not refine partition {n - 1}")
-        for i, b in enumerate(fine.blocks):
-            js = [j for j, c in enumerate(coarse.blocks) if clopen_subset(fine.automaton, b, c)]
+        for i, js in enumerate(parents):
             if len(js) != 1:
                 raise NotRefiningError(f"block {i} of level {n} has {len(js)} parents")
             edges.append(((n, i), (n - 1, js[0])))
@@ -401,17 +396,20 @@ class TelescopeAction:
 def induced_telescope_action(t: TelescopeTree, action: FiniteCylinderGroup) -> TelescopeAction:
     """Permute level-n vertices by permuting blocks; verified simplicial."""
     a = t.automaton
+    levels = []  # per level: the expanded blocks, and each expansion's first block index
+    for p in t.partitions:
+        expanded = [expand_to_depth(a, b.cylinders, action.depth) for b in p.blocks]
+        levels.append((expanded, {e: j for j, e in reversed(list(enumerate(expanded)))}))
     maps: dict[str, dict[Vertex, Vertex]] = {}
     for h in action.names():
+        perm = action.elements[h]
         vmap: dict[Vertex, Vertex] = {}
-        for n, p in enumerate(t.partitions):
-            ex_blocks = [expand_to_depth(a, b.cylinders, action.depth) for b in p.blocks]
-            for i, b in enumerate(p.blocks):
-                img = action.block_image(h, b)
-                js = [j for j, e in enumerate(ex_blocks) if e == img]
-                if not js:
+        for n, (expanded, index) in enumerate(levels):
+            for i, e in enumerate(expanded):
+                j = index.get(frozenset(perm[c] for c in e))
+                if j is None:
                     raise NotInvariantError(f"element {h} does not preserve partition level {n}")
-                vmap[(n, i)] = (n, js[0])
+                vmap[(n, i)] = (n, j)
         maps[h] = vmap
     out = TelescopeAction(t, maps)
     # simplicial check: levels preserved by construction, edges must map to edges

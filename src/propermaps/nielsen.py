@@ -143,7 +143,11 @@ class FiniteGroupAction:
         return action
 
     def certify(self):
-        """Check every relation g∘h = k at the level of proper homotopy classes."""
+        """Check every relation g∘h = k at the level of proper homotopy classes.
+
+        Generator rows suffice: from rep(e) ≃ id and rep(s)∘rep(h) ≃ rep(sh),
+        induction on word length gives rep(g)∘rep(h) ≃ rep(gh) for all g.
+        """
         ident = self.reps[self.group.identity]
         if not mc.is_properly_homotopic_to_identity(ident):
             raise ValueError("identity element representative is not certified trivial")
@@ -153,7 +157,7 @@ class FiniteGroupAction:
             if inv is None:
                 raise ValueError(f"representative of {g} has no rigid inverse")
             inverses[g] = inv
-        for g in self.group.elements:
+        for g in _generating_subset(self.group):
             for h in self.group.elements:
                 k = self.group.mult[(g, h)]
                 comp = mc.compose(self.reps[h], self.reps[g])  # h first, then g
@@ -2276,6 +2280,8 @@ def realize_tree_case(
     base = es.EndMetric.base(a, depth)
     avg = es.average_metric(base, action)
     eps0 = Fraction(2) if eps_base is None else Fraction(eps_base)
+    if eps0 <= 0:
+        raise ValueError(f"eps base must be positive, got {eps0}")
     seq = [es.Partition.trivial(a, depth, level=0)]
     for n in range(1, levels + 1):
         seq.append(es.epsilon_partition(avg, eps0 ** (1 - n), depth, level=n))
@@ -2371,53 +2377,26 @@ def realize_general_case(
             edge_key[("loop", v, k)] = len(edges)
             edges.append((vindex[v], vindex[v]))
 
-    # telescope vertices: (block-cylinder-set, level); base level attaches at rho
+    # telescope vertices: (level, block-cylinder-set) below each good block
+    # (a level-n block); the good block itself attaches at rho
+    expanded = [[es.expand_to_depth(a, blk.cylinders, depth) for blk in p.blocks] for p in seq]
     tindex: dict[tuple, int] = {}
-    nvert = len(corev)
-    tele_levels: dict[tuple, int] = {}
-    for n, block in cover.blocks:
-        bc = es.expand_to_depth(a, block.cylinders, depth)
-        for lev in range(n, levels + 1):
-            for blk in seq[lev].blocks:
-                cyl = es.expand_to_depth(a, blk.cylinders, depth)
-                if cyl <= bc:
-                    key = (lev, cyl)
-                    if key not in tindex and not (lev == n and cyl == bc):
-                        tindex[key] = nvert
-                        tele_levels[key] = lev
-                        nvert += 1
-
-    def tele_vertex(lev: int, cyl: frozenset, root_block: frozenset, root_level: int) -> int:
-        if lev == root_level and cyl == root_block:
-            return vindex[cover.rho[(root_level, root_block)]]
-        return tindex[(lev, cyl)]
-
     for n, block in cover.blocks:
         bc = es.expand_to_depth(a, block.cylinders, depth)
         for lev in range(n + 1, levels + 1):
-            for blk in seq[lev].blocks:
-                cyl = es.expand_to_depth(a, blk.cylinders, depth)
+            for cyl in expanded[lev]:
                 if not cyl <= bc:
                     continue
-                parents = [
-                    es.expand_to_depth(a, pb.cylinders, depth)
-                    for pb in seq[lev - 1].blocks
-                    if cyl <= es.expand_to_depth(a, pb.cylinders, depth)
-                ]
-                parent = parents[0]
-                lo = tele_vertex(lev - 1, parent, bc, n)
-                hi = tele_vertex(lev, cyl, bc, n)
+                tindex[(lev, cyl)] = len(corev) + len(tindex)
+                parent = (lev - 1, expanded[lev - 1][seq[lev - 1].block_of(min(cyl))])
+                lo = vindex[cover.rho[(n, bc)]] if parent == (n, bc) else tindex[parent]
                 edge_key[("tele", lev, cyl)] = len(edges)
-                edges.append((lo, hi))
+                edges.append((lo, tindex[(lev, cyl)]))
+    nvert = len(corev) + len(tindex)
 
     y = SymGraph(nvert, tuple(edges))
 
     y_action: dict[str, GraphAutomorphism] = {}
-    block_of_key: dict[tuple, tuple] = {}
-    for n, block in cover.blocks:
-        bc = es.expand_to_depth(a, block.cylinders, depth)
-        block_of_key[(n, bc)] = (n, bc)
-
     for h in action.group.elements:
         f = action.reps[h]
         vperm = [None] * nvert

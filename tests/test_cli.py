@@ -141,6 +141,14 @@ def test_realize_tree(tmp_path, capsys):
     assert (out / "realize.json").exists()
 
 
+@pytest.mark.parametrize("base", ["0", "-2"])
+def test_realize_tree_nonpositive_eps_base_is_input_error(tmp_path, capsys, base):
+    g, act = _write_tree_action(tmp_path)
+    code, rep = run(capsys, "realize", "tree", str(g), str(act), "--eps-base", base)
+    assert code == 4
+    assert rep["stage"] == "input" and rep["error"].startswith("eps base must be positive")
+
+
 def _write_flip_action(tmp_path, depth):
     """The loop-ray flip at the given support, as graph and action files."""
     g = tmp_path / "g.aut"

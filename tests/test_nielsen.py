@@ -737,6 +737,32 @@ def test_realize_core_order8_two_loop_ray(two_loop_ray):
     assert len({tuple(a.emap) for a in real.action.values()}) == 8
 
 
+def test_certify_composes_generator_rows_only(two_loop_ray, monkeypatch):
+    # the full table made 2 * 8^2 = 128 compositions; two generator rows make 32
+    _, act = _order8_action(two_loop_ray, 4)
+    compose, calls = mc.compose, [0]
+
+    def counting_compose(*args):
+        calls[0] += 1
+        return compose(*args)
+
+    monkeypatch.setattr(mc, "compose", counting_compose)
+    act.certify()
+    assert 0 < calls[0] <= 32
+
+
+def test_certify_rejects_wrong_non_generator_element():
+    # Z/3 is generated by g1 alone; a wrong rep(g2) shows in the g1 row
+    three = gm.UnfoldingAutomaton.make(
+        "r", {"r": ["p", "q", "s"], "p": ["p"], "q": ["q"], "s": ["s"]}, {"r": 1, "p": 1, "q": 1, "s": 1}
+    )
+    rotate = _branch_permutation_action(three, 4, {0: 1, 1: 2, 2: 0})
+    reps = {"e": mc.ProperMapRep.identity(three, 4), "g1": rotate, "g2": rotate}
+    assert nz._generating_subset(nz.FiniteGroup.cyclic(3)) == ["g1"]
+    with pytest.raises(ValueError, match=r"relation g1\*g1=g2 fails certification"):
+        nz.FiniteGroupAction.make(nz.FiniteGroup.cyclic(3), reps)
+
+
 def test_structured_search_cut_off_is_named(two_loop_ray, monkeypatch):
     # the order-8 vertex search needs 3,968 assignments; rank 28 is past the
     # small-graph bound, so the cut-off is the reason nothing was found

@@ -1,0 +1,328 @@
+"""The tree pipeline against the pairwise routines it replaced.
+
+The ``ref_*`` functions are verbatim copies of the old ``end_space`` tree
+pipeline: the group-averaged metric as a ``Fraction`` table over all
+cylinder pairs, the union-find epsilon partition over all pairs, the
+pairwise ``clopen_subset`` parent search of ``refines`` and ``telescope``,
+and the linear image-block search of ``induced_telescope_action``.  They
+are slow but obviously right for any metric and any blocks; the prefix
+versions must agree with them exactly on tree-compatible actions.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st_h
+
+from propermaps import end_space as es
+from propermaps import graph_model as gm
+from propermaps.end_space import (
+    ClopenSet,
+    DepthTooShallowError,
+    FiniteCylinderGroup,
+    NotAnActionError,
+    NotInvariantError,
+    NotRefiningError,
+    Partition,
+    TelescopeAction,
+    TelescopeTree,
+    common_prefix_len,
+    cylinders,
+    expand_to_depth,
+    is_ancestor,
+    path_str,
+)
+from tests.test_nielsen import _swap_branch_action
+
+# -- reference implementations ------------------------------------------------------------
+
+
+class RefEndMetric:
+    """Exact metric on depth-D cylinders; BASE is the 2^-prefix ultrametric."""
+
+    def __init__(self, automaton, depth, kind="base", table=None):
+        self.automaton = automaton
+        self.depth = depth
+        self.kind = kind
+        self._table = dict(table) if table is not None else None
+
+    @classmethod
+    def base(cls, a, depth):
+        return cls(a, depth, "base")
+
+    def distance(self, u, v):
+        if u == v:
+            return Fraction(0)
+        if self.kind == "base":
+            return Fraction(1, 2 ** common_prefix_len(u, v))
+        key = (u, v) if u <= v else (v, u)
+        if self._table is None or key not in self._table:
+            raise DepthTooShallowError(f"averaged metric has no value for {path_str(u)},{path_str(v)}")
+        return self._table[key]
+
+
+def ref_average_metric(d, action):
+    if action.automaton != d.automaton or action.depth != d.depth:
+        raise NotAnActionError("action and metric live on different cylinder sets")
+    cyls = cylinders(d.automaton, d.depth)
+    n = len(action.elements)
+    table = {}
+    for i, u in enumerate(cyls):
+        for v in cyls[i + 1 :]:
+            total = sum((d.distance(action.apply(h, u), action.apply(h, v)) for h in action.names()), Fraction(0))
+            table[(u, v)] = total / n
+    out = RefEndMetric(d.automaton, d.depth, "averaged", table)
+    for h in action.names():
+        for i, u in enumerate(cyls):
+            for v in cyls[i + 1 :]:
+                assert out.distance(action.apply(h, u), action.apply(h, v)) == out.distance(u, v)
+    return out
+
+
+class RefUnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            if ry < rx:
+                rx, ry = ry, rx
+            self.parent[ry] = rx
+
+
+def ref_epsilon_partition(m, eps, depth, level=None):
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if m.kind == "averaged" and depth != m.depth:
+        raise DepthTooShallowError("averaged metrics evaluate only at their construction depth")
+    cyls = cylinders(m.automaton, depth)
+    uf = RefUnionFind(cyls)
+    for i, u in enumerate(cyls):
+        for v in cyls[i + 1 :]:
+            if m.distance(u, v) < eps:
+                uf.union(u, v)
+    groups = {}
+    for c in cyls:
+        groups.setdefault(uf.find(c), set()).add(c)
+    blocks = [ClopenSet.make(g, depth) for g in groups.values()]
+    return Partition.make(m.automaton, depth, blocks, level)
+
+
+def ref_clopen_subset(a, c1, c2):
+    d = max(c1.reference_depth, c2.reference_depth, max((len(v) for v in c1.cylinders | c2.cylinders), default=0))
+    return expand_to_depth(a, c1.cylinders, d) <= expand_to_depth(a, c2.cylinders, d)
+
+
+def ref_refines(p, q):
+    if p.automaton != q.automaton:
+        raise ValueError("partitions of different end spaces")
+    for b in p.blocks:
+        if not any(ref_clopen_subset(p.automaton, b, c) for c in q.blocks):
+            return False
+    return True
+
+
+def ref_telescope(seq):
+    if not seq:
+        raise ValueError("empty partition sequence")
+    if len(seq[0].blocks) != 1:
+        raise NotRefiningError("sequence must start with the trivial partition")
+    parts = tuple(p.with_level(n) for n, p in enumerate(seq))
+    edges = []
+    for n in range(1, len(parts)):
+        fine, coarse = parts[n], parts[n - 1]
+        if not ref_refines(fine, coarse):
+            raise NotRefiningError(f"partition {n} does not refine partition {n - 1}")
+        for i, b in enumerate(fine.blocks):
+            js = [j for j, c in enumerate(coarse.blocks) if ref_clopen_subset(fine.automaton, b, c)]
+            if len(js) != 1:
+                raise NotRefiningError(f"block {i} of level {n} has {len(js)} parents")
+            edges.append(((n, i), (n - 1, js[0])))
+    t = TelescopeTree(parts, tuple(edges))
+    t.check_tree()
+    return t
+
+
+def ref_block_image(action, name, block):
+    ex = expand_to_depth(action.automaton, block.cylinders, action.depth)
+    return frozenset(action.apply(name, c) for c in ex)
+
+
+def ref_induced_telescope_action(t, action):
+    a = t.automaton
+    maps = {}
+    for h in action.names():
+        vmap = {}
+        for n, p in enumerate(t.partitions):
+            ex_blocks = [expand_to_depth(a, b.cylinders, action.depth) for b in p.blocks]
+            for i, b in enumerate(p.blocks):
+                img = ref_block_image(action, h, b)
+                js = [j for j, e in enumerate(ex_blocks) if e == img]
+                if not js:
+                    raise NotInvariantError(f"element {h} does not preserve partition level {n}")
+                vmap[(n, i)] = (n, js[0])
+        maps[h] = vmap
+    out = TelescopeAction(t, maps)
+    edge_set = set(t.edges)
+    for h, vmap in maps.items():
+        for child, parent in t.edges:
+            if (vmap[child], vmap[parent]) not in edge_set:
+                raise AssertionError(f"element {h} does not act simplicially")
+    return out
+
+
+def ref_clopen_make(cyls, reference_depth):
+    cs = set(cyls)
+    keep = {v for v in cs if not any(is_ancestor(u, v) and u != v for u in cs)}
+    return ClopenSet(frozenset(keep), reference_depth)
+
+
+# -- inputs ---------------------------------------------------------------------------------
+
+
+def _twisted_rotation(rng, arity, depth):
+    """Z/arity rotating the root's children, twisted below by a random prefix
+    automorphism pi on child 0 and its inverse on child 1, as a cylinder group."""
+    a = gm.UnfoldingAutomaton.make("t", {"t": ["t"] * arity}, {"t": 0})
+    prefixes = {tuple(rng.randrange(arity) for _ in range(rng.randint(0, max(0, depth - 2)))) for _ in range(rng.randint(0, 3))}
+
+    def twist(path, sign):
+        out = []
+        for i, d in enumerate(path):
+            key = tuple(out) if sign < 0 else path[:i]
+            out.append((d + sign) % arity if key in prefixes else d)
+        return tuple(out)
+
+    below = [lambda p: twist(p, 1), lambda p: twist(p, -1)] + [lambda p: p] * (arity - 2)
+    cyls = gm.cylinders(a, depth)
+    power = {c: c for c in cyls}
+    elements = {}
+    for k in range(arity):
+        elements[f"g{k}"] = dict(power)
+        power = {c: ((x[0] + 1) % arity,) + below[x[0]](x[1:]) for c, x in power.items()}
+    return a, FiniteCylinderGroup(a, depth, elements)
+
+
+def _cases():
+    rng = random.Random(20211)
+    cases = []
+    for depth in range(2, 7):
+        for copy in range(2):
+            cases.append((f"cantor-d{depth}-{copy}", *_twisted_rotation(rng, 2, depth)))
+    for depth in range(2, 5):
+        cases.append((f"ternary-d{depth}", *_twisted_rotation(rng, 3, depth)))
+    for depth in (3, 4):
+        model, act = _swap_branch_action(depth)
+        cases.append((f"swap-branch-d{depth}", model, act.end_group()))
+    ray = gm.UnfoldingAutomaton.make("r", {"r": ["r"]}, {"r": 0})
+    cases.append(("plain-ray-d3", ray, FiniteCylinderGroup.trivial(ray, 3)))
+    return cases
+
+
+CASES = _cases()
+BASES = [Fraction(2), Fraction(3), Fraction(3, 2), Fraction(1)]
+LEVELS = 5
+
+
+def _outcome(fn, *args):
+    """The value fn returns, or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, AssertionError) as exc:
+        return (type(exc), str(exc))
+
+
+REFERENCE = (RefEndMetric, ref_average_metric, ref_epsilon_partition, ref_telescope, ref_induced_telescope_action)
+CURRENT = (es.EndMetric, es.average_metric, es.epsilon_partition, es.telescope, es.induced_telescope_action)
+
+
+def _pipeline(impl, a, action, bases):
+    """The averaged metric, then per eps base: partition sequence, telescope, telescope action."""
+    metric, avg_fn, eps_fn, tele_fn, act_fn = impl
+    avg = avg_fn(metric.base(a, action.depth), action)
+    runs = []
+    for base in bases:
+        seq = [Partition.trivial(a, action.depth, level=0)]
+        seq += [eps_fn(avg, base ** (1 - n), action.depth, n) for n in range(1, LEVELS + 1)]
+        tele = _outcome(tele_fn, seq)
+        tact = _outcome(act_fn, tele, action) if isinstance(tele, TelescopeTree) else None
+        runs.append((seq, tele, tact))
+    return avg, runs
+
+
+# -- tests ---------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, a, action", CASES, ids=[c[0] for c in CASES])
+def test_tree_pipeline_matches_pairwise_reference(name, a, action):
+    ref_avg, ref_runs = _pipeline(REFERENCE, a, action, BASES)
+    avg, runs = _pipeline(CURRENT, a, action, BASES)
+    cyls = cylinders(a, action.depth)
+    for i, u in enumerate(cyls):
+        for v in cyls[i:]:
+            assert avg.distance(u, v) == ref_avg.distance(u, v)
+    for (ref_seq, ref_tele, ref_act), (seq, tele, tact) in zip(ref_runs, runs):
+        assert [p.blocks for p in seq] == [p.blocks for p in ref_seq]
+        pairs = [(p, q) for p, q in zip(seq, seq[1:])] + [(q, p) for p, q in zip(seq, seq[1:])]
+        assert [es.refines(p, q) for p, q in pairs] == [ref_refines(p, q) for p, q in pairs]
+        assert isinstance(tele, TelescopeTree) and isinstance(ref_tele, TelescopeTree)
+        assert tele.edges == ref_tele.edges
+        assert isinstance(tact, TelescopeAction) and tact.vertex_maps == ref_act.vertex_maps
+
+
+@pytest.mark.parametrize("name, a, action", [c for c in CASES if c[0] in ("cantor-d4-0", "ternary-d3", "swap-branch-d3")])
+def test_increasing_eps_fails_alike(name, a, action):
+    ((_, ref_tele, _),) = _pipeline(REFERENCE, a, action, [Fraction(1, 2)])[1]
+    ((_, tele, _),) = _pipeline(CURRENT, a, action, [Fraction(1, 2)])[1]
+    assert tele == ref_tele
+    assert tele[0] is NotRefiningError and tele[1].startswith("partition 2 does not refine")
+
+
+def test_crossing_partitions_fail_alike(cantor_tree):
+    halves = Partition.make(cantor_tree, 2, [ClopenSet.make([(0,)], 1), ClopenSet.make([(1,)], 1)])
+    stripes = Partition.make(cantor_tree, 2, [ClopenSet.make([(0, 0), (1, 0)], 2), ClopenSet.make([(0, 1), (1, 1)], 2)])
+    for p, q in ((halves, stripes), (stripes, halves)):
+        assert es.refines(p, q) == ref_refines(p, q) == False  # noqa: E712
+        seq = [Partition.trivial(cantor_tree, 2), q, p]
+        want = _outcome(ref_telescope, seq)
+        assert _outcome(es.telescope, seq) == want and want[0] is NotRefiningError
+
+
+def test_non_invariant_partition_fails_alike(cantor_tree):
+    stripes = Partition.make(cantor_tree, 2, [ClopenSet.make([(0, 0), (1, 0)], 2), ClopenSet.make([(0, 1), (1, 1)], 2)])
+    t = es.telescope([Partition.trivial(cantor_tree, 2), stripes])
+    cyls = gm.cylinders(cantor_tree, 2)
+    bad = {(0, 0): (0, 1), (0, 1): (0, 0), (1, 0): (1, 0), (1, 1): (1, 1)}
+    grp = FiniteCylinderGroup(cantor_tree, 2, {"e": {c: c for c in cyls}, "b": bad})
+    want = _outcome(ref_induced_telescope_action, t, grp)
+    assert _outcome(es.induced_telescope_action, t, grp) == want and want[0] is NotInvariantError
+
+
+def test_dead_block_parents_match_reference():
+    # a leaf state makes (1,) a dead path: its block expands to nothing and
+    # lies in every block of the coarser partition
+    a = gm.UnfoldingAutomaton.make("r", {"r": ["b", "x"], "b": ["b", "b"], "x": []}, {"r": 0})
+    trivial = Partition.trivial(a, 2)
+    coarse = Partition.make(a, 2, [ClopenSet.make([(0,)], 2), ClopenSet.make([(1,)], 2)])
+    fine = Partition.make(a, 2, [ClopenSet.make([c], 2) for c in ((0, 0), (0, 1), (1,))])
+    for seq in ([trivial, coarse], [trivial, fine], [trivial, fine, coarse], [trivial, coarse, fine]):
+        assert _outcome(es.telescope, seq) == _outcome(ref_telescope, seq)
+        assert es.refines(seq[-1], seq[-2]) == ref_refines(seq[-1], seq[-2])
+
+
+_paths = st_h.lists(st_h.integers(min_value=0, max_value=2), max_size=4).map(tuple)
+
+
+@given(st_h.sets(_paths, max_size=12), st_h.integers(min_value=0, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_clopen_make_matches_all_pairs(paths, depth):
+    assert ClopenSet.make(paths, depth) == ref_clopen_make(paths, depth)

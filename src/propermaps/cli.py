@@ -239,8 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+PARSER = build_parser()  # built once; parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     return args.func(args)
 
 

@@ -69,20 +69,19 @@ def expand_to_depth(a: UnfoldingAutomaton, cyls: Iterable[Path], depth: int) -> 
     live = live_states(a)
     out: set[Path] = set()
 
-    def walk(path: Path, d: int):
-        s = a.state_of(path)
+    def walk(path: Path, s: str, d: int):
         if s not in live:
             return
         if d == depth:
             out.add(path)
             return
-        for i in range(len(a.children[s])):
-            walk(path + (i,), d + 1)
+        for i, c in enumerate(a.children[s]):
+            walk(path + (i,), c, d + 1)
 
     for v in cyls:
         if len(v) > depth:
             raise DepthTooShallowError(f"cylinder {path_str(v)} deeper than {depth}")
-        walk(v, len(v))
+        walk(v, a.state_of(v), len(v))
     return frozenset(out)
 
 

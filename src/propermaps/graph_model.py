@@ -144,21 +144,20 @@ def unfold(a: UnfoldingAutomaton, depth: int) -> GraphTruncation:
     tree_edges: list[tuple[Path, Path]] = []
     loop_edges: list[tuple[Path, int]] = []
     frontier: dict[Path, str] = {}
-    level: list[Path] = [()]
+    level: list[tuple[Path, str]] = [((), a.root)]
     for d in range(depth + 1):
-        nxt: list[Path] = []
-        for v in level:
+        nxt: list[tuple[Path, str]] = []
+        for v, s in level:
             vertices.append(v)
-            s = a.state_of(v)
             for k in range(a.loops[s]):
                 loop_edges.append((v, k))
             if d == depth:
                 frontier[v] = s
             else:
-                for i in range(len(a.children[s])):
+                for i, c in enumerate(a.children[s]):
                     w = v + (i,)
                     tree_edges.append((v, w))
-                    nxt.append(w)
+                    nxt.append((w, c))
         level = nxt
     return GraphTruncation(a, depth, tuple(vertices), tuple(tree_edges), tuple(loop_edges), frontier)
 

@@ -105,7 +105,7 @@ class ProperMapRep:
         bis = bisimulation_classes(automaton)
         for v, s in t.frontier.items():
             w = vm[v]
-            if w not in t.frontier or bis[automaton.state_of(w)] != bis[s]:
+            if w not in t.frontier or bis[t.frontier[w]] != bis[s]:
                 raise ValueError(f"frontier vertex {path_str(v)} must map to an equivalent frontier vertex")
         lids = {loop_id(v, k) for v, k in t.loop_edges}
         li = {}
@@ -130,7 +130,7 @@ class ProperMapRep:
             raise ValueError("end action must be a bijection of the live frontier cylinders")
         reach = loop_reaching_states(automaton)
         for c, d in ea.items():
-            if (automaton.state_of(c) in reach) != (automaton.state_of(d) in reach):
+            if (t.frontier[c] in reach) != (t.frontier[d] in reach):
                 raise ValueError("end action must preserve the genus end set")
         if outside != IDENTITY_OUTSIDE and not (isinstance(outside, tuple) and outside[0] == "banded"):
             raise ValueError(f"bad outside flag {outside!r}")
@@ -181,7 +181,8 @@ class ProperMapRep:
 
     def dx_frontier(self) -> tuple[Path, ...]:
         dx = dx_states(self.automaton)
-        return tuple(c for c in self.live_frontier() if self.automaton.state_of(c) in dx)
+        frontier = self.truncation().frontier
+        return tuple(c for c in self.live_frontier() if frontier[c] in dx)
 
     def genus_frontier(self) -> tuple[Path, ...]:
         """Frontier vertices with loops strictly beyond the support."""
@@ -501,7 +502,7 @@ def default_base_end(a: UnfoldingAutomaton, depth: int) -> Path:
     """Lexicographically least pure-DX cylinder (live, no loops below)."""
     reach = loop_reaching_states(a)
     for c in cylinders(a, depth):
-        if a.state_of(c) not in reach:
+        if unfold(a, depth).frontier[c] not in reach:  # memoized; only reached when depth >= 0
             return c
     raise PreconditionFailedError("no pure DX cylinder at this depth")
 
@@ -814,7 +815,7 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
     ea = None
     if endmap:
         live = live_states(a)
-        ea = {c: endmap.get(c, full_vmap[c]) for c in t.frontier if a.state_of(c) in live}
+        ea = {c: endmap.get(c, full_vmap[c]) for c, s in t.frontier.items() if s in live}
     return ProperMapRep.make(a, depth, full_vmap, loops, wraps, ea, outside)
 
 

@@ -127,8 +127,12 @@ class LabeledGraph:
         return comps
 
     def components(self) -> list["LabeledGraph"]:
+        """Connected components in order of least vertex; a connected graph is its own."""
+        comps = self.component_vertex_sets()
+        if len(comps) == 1:
+            return [self]
         out = []
-        for comp in self.component_vertex_sets():
+        for comp in comps:
             es = frozenset(e for e in self.edges if e[0] in comp)
             bp = self.basepoint if self.basepoint in comp else None
             out.append(LabeledGraph(comp, es, bp))
@@ -218,6 +222,8 @@ class LabeledGraph:
                 nbr_xor[t] ^= v
                 if deg[t] <= 1 and t != self.basepoint:
                     stack.append(t)
+        if not gone:
+            return self
         es = frozenset(e for e in self.edges if e[0] not in gone and e[2] not in gone)
         if not es and self.basepoint is None:
             return LabeledGraph.empty()
@@ -278,8 +284,14 @@ class LabeledGraph:
         subgroups (based) or conjugate subgroups (basepoint-free).  The key
         spells each row entry as (label, direction, number).
         Connected encodings all have one row per vertex, so an encoding
-        is abandoned at its first row above the least one so far.
+        is abandoned at its first row above the least one so far.  The key
+        is computed once per graph and kept as ``_index`` is; the
+        ``ValueError`` of a disconnected graph is raised on every call.
         """
+        return self._canonical_key
+
+    @cached_property
+    def _canonical_key(self) -> tuple:
         if not self.vertices:
             return ()
         table = self._slot_table()
@@ -403,25 +415,139 @@ class LabeledGraph:
         return False
 
 
-def pullback(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
-    """Fiber product over the rose; folded when both inputs are folded.
+def _arc(incident, feedback, l: str, s: int, t: int) -> list[tuple[str, int, int]] | None:
+    """The (label, sign, vertex) steps from a feedback vertex out along slot
+    (l, s) to t and on through the degree-2 vertices to the next feedback
+    vertex; None at a dead end."""
+    steps = [(l, s, t)]
+    while t not in feedback:
+        for t2, l2, s2 in incident[t]:
+            if l2 != l or s2 != -s:
+                break
+        else:
+            return None
+        t, l, s = t2, l2, s2
+        steps.append((l, s, t))
+    return steps
 
-    Only vertex pairs incident to an edge are kept (isolated pairs are
-    contractible anyway).
+
+def _first_use(pair: tuple[int, int], incident1, out2, inn2) -> tuple:
+    """Least (g2 edge, g1 edge, 0 at the origin or 1 at the terminus) over
+    the product edges at a pair."""
+    x1, x2 = pair
+    best = None
+    for t1, l, s in incident1[x1]:
+        t2 = (out2 if s > 0 else inn2).get((x2, l))
+        if t2 is not None:
+            key = ((x2, l, t2), (x1, l, t1), 0) if s > 0 else ((t2, l, x2), (t1, l, x1), 1)
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def pullback(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
+    """Core of the fiber product over the rose of two folded graphs.
+
+    g1 must be connected; basepoints are ignored and the result is
+    basepoint-free.  Only the core is built, never the product's hair.
+    Every reduced cycle of the product projects to a reduced cycle of
+    g1, and that meets the feedback set F1: the vertices of degree >= 3,
+    or the least vertex when g1 is a circle.  Off F1, g1 has degree 2,
+    so from a seed -- a pair (b, v2), b in F1, sharing at least two
+    (label, direction) slots -- each shared slot starts a forced walk
+    along the arc of g1 it leaves by.  A walk is live when it ends at a
+    seed.  Seeds with at most one live walk are peeled on a worklist;
+    the core is the surviving seeds and the live walks between them.
+
+    The pairs are numbered in the order in which the full product, read
+    off sorted(g2.edges) against the same-label edges of sorted(g1.edges),
+    first uses them: by the least (g2 edge, g1 edge, 0 at the origin or 1
+    at the terminus) over the pair's product edges.  Edge tuples compare
+    as their sorted positions do, so nothing is sorted for this.  The
+    core's numbers keep the relative order of the full product's.
     """
-    pair_id: dict[tuple[int, int], int] = {}  # numbered in order of first use
+    incident1 = g1._index.incident
+    _, out2, inn2, _ = g2._index
+    # F1; a circle has no vertex of degree >= 3 and takes its least vertex
+    feedback = {v for v, inc in incident1.items() if len(inc) >= 3} or set(sorted(g1.vertices)[:1])
+
+    # g2 vertices filling each (label, sign) slot, then the seeds
+    filled: dict[tuple[str, int], set[int]] = {}
+    for v, l in out2:
+        filled.setdefault((l, 1), set()).add(v)
+    for v, l in inn2:
+        filled.setdefault((l, -1), set()).add(v)
+    degree = {}  # seed -> live walks at it
+    for b in feedback:
+        once, twice = set(), set()
+        for _, l, s in incident1[b]:
+            there = filled.get((l, s))
+            if there:
+                twice |= once & there
+                once |= there
+        for v2 in twice:
+            degree[(b, v2)] = 0
+
+    # walk each shared slot of each seed; a live walk is found from one
+    # end and filed under both
+    walks = []  # (seed, far seed, steps, g2 vertices along the steps)
+    ends: dict[tuple[int, int], list[tuple[int, int]]] = {}  # seed -> far seed of each live walk
+    walked = set()  # (seed, label, sign) of live walks already found from the far end
+    arcs = {}
+    for seed in degree:
+        b, v2 = seed
+        for t, l, s in incident1[b]:
+            if (v2, l) not in (out2 if s > 0 else inn2) or (seed, l, s) in walked:
+                continue
+            if (b, l, s) not in arcs:
+                arcs[(b, l, s)] = _arc(incident1, feedback, l, s, t)
+            steps = arcs[(b, l, s)]
+            if steps is None:
+                continue
+            v = v2
+            trail = []
+            for l2, s2, _ in steps:
+                v = (out2 if s2 > 0 else inn2).get((v, l2))
+                if v is None:
+                    break
+                trail.append(v)
+            else:
+                l2, s2, x1 = steps[-1]
+                far = (x1, v)
+                if far in degree:
+                    walked.add((far, l2, -s2))
+                    walks.append((seed, far, steps, trail))
+                    for x, y in ((seed, far), (far, seed)):
+                        ends.setdefault(x, []).append(y)
+                        degree[x] += 1
+
+    # peel the seeds left with at most one live walk
+    gone = set()
+    stack = [seed for seed, d in degree.items() if d <= 1]
+    while stack:
+        seed = stack.pop()
+        if seed not in gone:
+            gone.add(seed)
+            for far in ends.get(seed, ()):
+                if far not in gone:
+                    degree[far] -= 1
+                    if degree[far] <= 1:
+                        stack.append(far)
+
+    pairs = [seed for seed in degree if seed not in gone]
     edges = []
-    by_label1: dict[str, list[Edge]] = {}
-    for e in sorted(g1.edges):
-        by_label1.setdefault(e[1], []).append(e)
-    for u2, l, v2 in sorted(g2.edges):
-        for u1, _, v1 in by_label1.get(l, []):
-            u = pair_id.setdefault((u1, u2), len(pair_id))
-            edges.append((u, l, pair_id.setdefault((v1, v2), len(pair_id))))
-    bp = None
-    if g1.basepoint is not None and g2.basepoint is not None:
-        bp = pair_id.setdefault((g1.basepoint, g2.basepoint), len(pair_id))
-    return LabeledGraph(frozenset(pair_id.values()), frozenset(edges), bp)
+    for seed, far, steps, trail in walks:
+        if seed in gone or far in gone:
+            continue
+        prev = seed
+        for (l, s, x1), x2 in zip(steps, trail):
+            cur = (x1, x2)
+            edges.append((prev, l, cur) if s > 0 else (cur, l, prev))
+            prev = cur
+        pairs.extend(zip([x1 for _, _, x1 in steps[:-1]], trail))
+    pairs.sort(key=lambda pair: _first_use(pair, incident1, out2, inn2))
+    number = {pair: i for i, pair in enumerate(pairs)}
+    return LabeledGraph(frozenset(number.values()), frozenset((number[u], l, number[t]) for u, l, t in edges), None)
 
 
 def subgroup_graph(generators: Iterable[Word]) -> LabeledGraph:
@@ -443,7 +569,9 @@ class FreeFactorSystem:
         comps = []
         for g in graphs:
             g = g.fold()
-            g = LabeledGraph(g.vertices, g.edges, None).core()
+            if g.basepoint is not None:
+                g = LabeledGraph(g.vertices, g.edges, None)
+            g = g.core()
             if g.is_empty():
                 continue
             for c in g.components():
@@ -476,7 +604,12 @@ class FreeFactorSystem:
 
 
 def intersect_ffs(f1: FreeFactorSystem, f2: FreeFactorSystem) -> FreeFactorSystem:
-    """Pairwise pullbacks with contractible components discarded."""
+    """The system of the pullback cores of each pair of components.
+
+    Each ``pullback`` is already a core, seeded from the feedback set of
+    the f1 component, so ``from_graphs`` only splits it into components
+    and sorts them; contractible pieces come back empty and are dropped.
+    """
     pieces = []
     for c1 in f1.components:
         for c2 in f2.components:

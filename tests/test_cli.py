@@ -343,3 +343,22 @@ def test_realize_only_flags_rejected_elsewhere(tmp_path, capsys, flag):
         cli.main(["classify", str(x), str(x), flag, "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """The one parser of the process gives each call its own options."""
+    f1, f2 = tmp_path / "ab.ffs", tmp_path / "acbc.ffs"
+    f1.write_text(FFS_AB)
+    f2.write_text(FFS_A_CBC)
+    out = tmp_path / "reports"
+    code, first = run(capsys, "intersect", str(f1), str(f2), "--out", str(out))
+    assert code == 0 and (out / "intersect.json").exists()
+    (out / "intersect.json").unlink()
+    code, second = run(capsys, "intersect", str(f1), str(f2))
+    assert code == 0 and second == first
+    assert not (out / "intersect.json").exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["intersect", str(f1)])
+    assert exc.value.code == 2
+    code, third = run(capsys, "intersect", str(f1), str(f2))
+    assert code == 0 and third == first

@@ -247,3 +247,13 @@ def test_parse_rejects_garbage():
 def test_truncation_dot(cantor_tree):
     dot = gm.truncation_to_dot(gm.unfold(cantor_tree, 2))
     assert dot.startswith("digraph") and dot.count("->") >= 6
+
+
+def test_unfold_frontier_states_match_state_of(core_with_rays, cantor_tree):
+    mixed = gm.UnfoldingAutomaton.make("r", {"r": ["s", "d", "r"], "s": ["s", "d"], "d": ["d"]}, {"s": 1})
+    for a in (core_with_rays, cantor_tree, mixed):
+        for depth in range(4):
+            t = gm.unfold(a, depth)
+            assert set(t.frontier) == {v for v in t.vertices if len(v) == depth}
+            assert all(t.frontier[v] == a.state_of(v) for v in t.frontier)
+            assert sorted(t.loop_edges) == sorted((v, k) for v in t.vertices for k in range(a.loops[a.state_of(v)]))

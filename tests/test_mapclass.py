@@ -42,6 +42,15 @@ def test_make_validates_frontier(loop_ray):
         mc.ProperMapRep.make(loop_ray, 2, vmap={(): (0,)})
 
 
+def test_make_names_the_frontier_state_checks(core_with_rays):
+    # depth-2 frontier: (0, 0) in the loop state s, (0, 1) and (1, 0) in the ray state d
+    with pytest.raises(ValueError, match="frontier vertex 0/0 must map to an equivalent frontier vertex"):
+        mc.ProperMapRep.make(core_with_rays, 2, vmap={(0, 0): (1, 0)})
+    swap = {(0, 0): (0, 1), (0, 1): (0, 0), (1, 0): (1, 0)}
+    with pytest.raises(ValueError, match="end action must preserve the genus end set"):
+        mc.ProperMapRep.make(core_with_rays, 2, end_action=swap)
+
+
 def test_end_action_of(loop_ray, cantor_tree):
     ident = mc.ProperMapRep.identity(loop_ray, 3)
     assert mc.end_action_of(ident) == {(0, 0, 0): (0, 0, 0)}

@@ -6,6 +6,11 @@ The ``ref_*`` functions are verbatim copies of the scan-based
 functions of the graph.  They rescan the whole edge set at every step, so
 they are slow but obviously right; the indexed versions must agree with
 them exactly, on folded and unfolded graphs alike.
+
+``ref_pullback`` is the full fiber product that ``pullback`` built before
+it built only the core; folded and cored, it is the reference for the
+product core, and ``from_graphs`` over its pieces is the reference for
+``intersect_ffs``.
 """
 
 import random
@@ -187,6 +192,31 @@ def ref_immersions_into(self, other):
                 yield dict(fmap)
 
 
+def ref_pullback(g1: LabeledGraph, g2: LabeledGraph) -> LabeledGraph:
+    """Fiber product over the rose; folded when both inputs are folded.
+
+    Only vertex pairs incident to an edge are kept (isolated pairs are
+    contractible anyway).
+    """
+    pair_id: dict[tuple[int, int], int] = {}  # numbered in order of first use
+    edges = []
+    by_label1: dict[str, list[st.Edge]] = {}
+    for e in sorted(g1.edges):
+        by_label1.setdefault(e[1], []).append(e)
+    for u2, l, v2 in sorted(g2.edges):
+        for u1, _, v1 in by_label1.get(l, []):
+            u = pair_id.setdefault((u1, u2), len(pair_id))
+            edges.append((u, l, pair_id.setdefault((v1, v2), len(pair_id))))
+    bp = None
+    if g1.basepoint is not None and g2.basepoint is not None:
+        bp = pair_id.setdefault((g1.basepoint, g2.basepoint), len(pair_id))
+    return LabeledGraph(frozenset(pair_id.values()), frozenset(edges), bp)
+
+
+def ref_intersect_ffs(f1, f2):
+    return st.FreeFactorSystem.from_graphs([ref_pullback(c1, c2) for c1 in f1.components for c2 in f2.components])
+
+
 # -- graphs ------------------------------------------------------------------------------------
 
 
@@ -284,7 +314,7 @@ def test_ffs_pullbacks_match_reference(nletters, length):
     rng = random.Random(f"oracle/{nletters}/{length}")
     for _ in range(3):
         g1, g2 = ffs_pair(rng, "abcd"[:nletters], length)
-        pb = st.pullback(ref_core(g1), ref_core(g2))
+        pb = ref_pullback(ref_core(g1), ref_core(g2))
         folded = pb.fold()
         assert folded == ref_fold(pb)
         cored = folded.core()
@@ -292,3 +322,81 @@ def test_ffs_pullbacks_match_reference(nletters, length):
         for comp in cored.components():
             assert comp.canonical_key() == ref_canonical_key(comp)
             assert list(comp.immersions_into(ref_core(g1))) == list(ref_immersions_into(comp, ref_core(g1)))
+
+
+# -- the product core against the full product ----------------------------------------------------
+
+
+def by_rank(g: LabeledGraph) -> LabeledGraph:
+    """g with its vertices renumbered 0, 1, ... in their order."""
+    rank = {v: i for i, v in enumerate(sorted(g.vertices))}
+    return LabeledGraph(frozenset(rank.values()), frozenset((rank[u], l, rank[t]) for u, l, t in g.edges), None)
+
+
+def assert_product_core_matches(f1, f2):
+    """Pullbacks and intersections of two systems agree with the full-product reference."""
+    for c1 in f1.components:
+        for c2 in f2.components:
+            assert by_rank(st.pullback(c1, c2)) == by_rank(ref_pullback(c1, c2).fold().core())
+    inter, ref = st.intersect_ffs(f1, f2), ref_intersect_ffs(f1, f2)
+    assert inter.keys() == ref.keys()
+    assert st.format_ffs(inter) == st.format_ffs(ref)
+
+
+def ffs_systems(rng, letters, length):
+    """Two-component system and a partner built from its words, as the ffs benchmark draws them."""
+    first = [[random_word(rng, letters, length) for _ in range(2)] for _ in range(2)]
+    partner = []
+    for a, b in first:
+        by = random_word(rng, letters, 3)
+        partner.append([W.mul(a, b), W.mul(by, a, W.inv(by)), b])
+    partner.append([rng.choice([w for comp in first for w in comp])])
+    return st.FreeFactorSystem.from_generator_lists(first), st.FreeFactorSystem.from_generator_lists(partner)
+
+
+@pytest.mark.parametrize("nletters", [3, 4])
+@pytest.mark.parametrize("length", [8, 16, 24, 36, 48])
+def test_product_core_matches_full_product(nletters, length):
+    rng = random.Random(f"product-core/{nletters}/{length}")
+    for _ in range(2):
+        f1, f2 = ffs_systems(rng, "abcd"[:nletters], length)
+        for a, b in ((f1, f2), (f2, f1), (f1, f1)):
+            assert_product_core_matches(a, b)
+
+
+def words_over(alphabet):
+    letters = st_h.tuples(st_h.sampled_from(alphabet), st_h.sampled_from((1, -1)))
+    return st_h.lists(letters, min_size=1, max_size=10).map(W.reduce_word).filter(bool)
+
+
+@st_h.composite
+def systems(draw):
+    """Systems of one to three components over a drawn alphabet.
+
+    A one-letter word gives a single-vertex loop and a lone word a circle;
+    the alphabets "ab" and "cd" are disjoint, so some pairs intersect
+    trivially.
+    """
+    alphabet = draw(st_h.sampled_from(["a", "ab", "abc", "cd", "abcd"]))
+    comps = draw(st_h.lists(st_h.lists(words_over(alphabet), min_size=1, max_size=3), min_size=1, max_size=3))
+    return st.FreeFactorSystem.from_generator_lists(comps)
+
+
+@given(systems(), systems())
+@settings(max_examples=300, deadline=None)
+def test_product_core_matches_full_product_on_drawn_systems(f1, f2):
+    assert_product_core_matches(f1, f2)
+    assert_product_core_matches(f2, f1)
+
+
+def test_product_core_on_circles_loops_and_disjoint_alphabets():
+    """The fixed cases the drawn systems are meant to cover, checked by name."""
+    circle = st.FreeFactorSystem.from_generator_lists([[W.word_from_str("abAc")]])
+    loop = st.FreeFactorSystem.from_generator_lists([[W.word_from_str("a")]])
+    rose = st.FreeFactorSystem.from_generator_lists([[W.word_from_str("a"), W.word_from_str("b"), W.word_from_str("c")]])
+    other = st.FreeFactorSystem.from_generator_lists([[W.word_from_str("cd"), W.word_from_str("dcD")]])
+    assert circle.ranks() == loop.ranks() == (1,)
+    for f1, f2 in ((circle, rose), (loop, rose), (circle, circle), (loop, circle), (rose, other)):
+        assert_product_core_matches(f1, f2)
+        assert_product_core_matches(f2, f1)
+    assert st.intersect_ffs(loop, st.FreeFactorSystem.from_generator_lists([[W.word_from_str("b")]])).is_empty()

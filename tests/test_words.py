@@ -50,3 +50,18 @@ def test_root_of():
 def test_bracketed_names_roundtrip():
     w = ((".:0", 1), ("0/1:2", -1))
     assert W.word_from_str(W.word_to_str(w)) == w
+
+
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "x1"]), st.sampled_from([1, -1])), max_size=12), st.integers(1, 3))
+@settings(max_examples=400)
+def test_cyclic_normal_form_is_least_rotation(letters, repeats):
+    """Booth's rotation against the minimum of all rotations; repeats make periodic words."""
+    core, _ = W.cyclic_reduce(W.reduce_word(letters * repeats))
+    expect = min((core[i:] + core[:i] for i in range(len(core))), default=())
+    assert W.cyclic_normal_form(letters * repeats) == expect
+
+
+def test_cyclic_normal_form_of_periodic_words():
+    for text in ["abab", "BaBaBa", "aaaa", "abcabcabc", "aBaaBa", "cbacba"]:
+        core = W.word_from_str(text)
+        assert W.cyclic_normal_form(core) == min(core[i:] + core[:i] for i in range(len(core)))

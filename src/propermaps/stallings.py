@@ -284,14 +284,8 @@ class LabeledGraph:
         subgroups (based) or conjugate subgroups (basepoint-free).  The key
         spells each row entry as (label, direction, number).
         Connected encodings all have one row per vertex, so an encoding
-        is abandoned at its first row above the least one so far.  The key
-        is computed once per graph and kept as ``_index`` is; the
-        ``ValueError`` of a disconnected graph is raised on every call.
+        is abandoned at its first row above the least one so far.
         """
-        return self._canonical_key
-
-    @cached_property
-    def _canonical_key(self) -> tuple:
         if not self.vertices:
             return ()
         table = self._slot_table()
@@ -606,9 +600,11 @@ class FreeFactorSystem:
 def intersect_ffs(f1: FreeFactorSystem, f2: FreeFactorSystem) -> FreeFactorSystem:
     """The system of the pullback cores of each pair of components.
 
-    Each ``pullback`` is already a core, seeded from the feedback set of
-    the f1 component, so ``from_graphs`` only splits it into components
-    and sorts them; contractible pieces come back empty and are dropped.
+    Each ``pullback`` is already a folded core, seeded from the feedback
+    set of the f1 component, so the ``fold`` and ``core`` of
+    ``from_graphs`` still run over it but change nothing and return it as
+    it is; ``from_graphs`` then splits it into components and sorts them.
+    Contractible pieces come back empty and are dropped.
     """
     pieces = []
     for c1 in f1.components:

@@ -77,31 +77,13 @@ def cyclic_reduce(word: Sequence[Letter]) -> tuple[Word, Word]:
 def cyclic_normal_form(word: Sequence[Letter]) -> Word:
     """Lexicographically least rotation of the cyclic reduction.
 
-    Two words are conjugate iff their normal forms agree.  The rotation is
-    found by Booth's algorithm in O(n) comparisons: a failure function over
-    the doubled word, as in Knuth-Morris-Pratt, whose mismatches move the
-    candidate start k to a smaller rotation.
+    Two words are conjugate iff their normal forms agree.
     """
     core, _ = cyclic_reduce(word)
     if not core:
         return EMPTY
-    s = core + core
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        c = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c == s[k + i + 1]:
-            fail[j - k] = i + 1
-        else:  # i == -1
-            if c < s[k]:
-                k = j
-            fail[j - k] = -1
-    return s[k : k + len(core)]
+    rotations = [core[i:] + core[:i] for i in range(len(core))]
+    return min(rotations)
 
 
 def is_conjugate(w1: Sequence[Letter], w2: Sequence[Letter]) -> bool:

@@ -98,18 +98,6 @@ def test_fold_confluent_under_relabeling():
         assert g1.canonical_key() == g2.canonical_key()
 
 
-def test_canonical_key_computed_once_and_errors_every_time():
-    g = st.subgroup_graph([w("ab"), w("bA")])
-    key = g.canonical_key()
-    assert g.__dict__["_canonical_key"] is key
-    assert g.canonical_key() is key
-    two_loops = st.LabeledGraph.make([0, 1], [(0, "a", 0), (1, "b", 1)])
-    for _ in range(2):
-        with pytest.raises(ValueError, match="connected"):
-            two_loops.canonical_key()
-    assert "_canonical_key" not in two_loops.__dict__
-
-
 # -- core ---------------------------------------------------------------------
 
 

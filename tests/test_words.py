@@ -55,7 +55,7 @@ def test_bracketed_names_roundtrip():
 @given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "x1"]), st.sampled_from([1, -1])), max_size=12), st.integers(1, 3))
 @settings(max_examples=400)
 def test_cyclic_normal_form_is_least_rotation(letters, repeats):
-    """Booth's rotation against the minimum of all rotations; repeats make periodic words."""
+    """The least rotation of the cyclic reduction, periodic words (repeats) included."""
     core, _ = W.cyclic_reduce(W.reduce_word(letters * repeats))
     expect = min((core[i:] + core[:i] for i in range(len(core))), default=())
     assert W.cyclic_normal_form(letters * repeats) == expect

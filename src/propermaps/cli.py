@@ -163,7 +163,7 @@ def cmd_realize(args) -> int:
         elif args.kind == "core":
             real = nz.realize_core_case(action, e_max=args.max_edges, rank_bound=args.rank_bound)
             report.update({"stage": "done", **real.report})
-            _write_dot(args.out, "realized", _symgraph_dot(real.graph, real.action))
+            _write_dot(args.out, "realized", _symgraph_dot(real.graph))
         else:
             out = nz.realize_general_case(action, levels=args.depth or 3, e_max=args.max_edges, rank_bound=args.rank_bound)
             if isinstance(out, nz.TreeRealization):
@@ -171,10 +171,10 @@ def cmd_realize(args) -> int:
                 _write_dot(args.out, "telescope", es.telescope_to_dot(out.telescope))
             elif isinstance(out, nz.CoreRealization):
                 report.update({"stage": "core-case", **out.report})
-                _write_dot(args.out, "realized", _symgraph_dot(out.graph, out.action))
+                _write_dot(args.out, "realized", _symgraph_dot(out.graph))
             else:
                 report.update({"stage": "general", **out.report})
-                _write_dot(args.out, "realized", _symgraph_dot(out.graph, out.action))
+                _write_dot(args.out, "realized", _symgraph_dot(out.graph))
     except nz.NotFoundWithinBoundError as exc:
         report.update({"stage": "search", "error": str(exc)})
         _emit(report, args.out, "realize")
@@ -191,7 +191,7 @@ def cmd_realize(args) -> int:
     return EXIT_OK
 
 
-def _symgraph_dot(g: nz.SymGraph, action=None) -> str:
+def _symgraph_dot(g: nz.SymGraph) -> str:
     lines = ["graph realized {"]
     for v in range(g.n_vertices):
         lines.append(f'  "v{v}";')

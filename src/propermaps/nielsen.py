@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -211,14 +210,21 @@ class IntervalCover:
         return cls(r, ivs)
 
     @classmethod
-    def default(cls, depth: int, length: int = 24, step: int = 2) -> "IntervalCover":
-        """Chain [0,L], [s,L+s], ... with overlap L - s."""
-        r = tuple(range(depth + 1))
+    def default(cls, depth: int) -> "IntervalCover":
+        """Chain [0,24], [14,38], [28,52], ..., the last cut at depth.
+
+        Adjacent intervals overlap by 10, the ``min_overlap`` asked of them.
+        An interval is longer than twice that, so it ends before the
+        next-but-one starts, and non-adjacent intervals are disjoint at every
+        depth.  Every interval after the first is longer than 10, which
+        gives ``minus`` and ``plus`` the |J| >= 4 they need.
+        """
+        length, overlap = 24, 10
         ivs = [(0, min(length, depth))]
         while ivs[-1][1] < depth:
-            a = ivs[-1][1] - (length - step)
+            a = ivs[-1][1] - overlap
             ivs.append((a, min(a + length, depth)))
-        return cls.make(r, ivs, min_overlap=min(22, length - step))
+        return cls.make(range(depth + 1), ivs, min_overlap=overlap)
 
     def overlap(self, i: int) -> tuple[int, int]:
         a = max(self.intervals[i][0], self.intervals[i + 1][0])
@@ -1125,58 +1131,12 @@ def _embedded_classes_match(piece: RelativePiece, g: SymGraph, petal_words: Sequ
     return True
 
 
-STRUCTURED_SEARCH_CAP = 6000
-"""Generator assignments the structured wedge search examines before it
-stops, counted by position in the unscreened product."""
-
-
-def _wedge_images(vperm: tuple[int, ...], base_emap: tuple[tuple[int, int], ...], wedge_petals: Sequence[int]):
-    """One generator's image, extended by each signed permutation of the wedge
-    petals in turn (permutations outermost, then flips)."""
-    k = len(wedge_petals)
-    for perm in itertools.permutations(range(k)):
-        for flips in itertools.product((0, 1), repeat=k):
-            yield GraphAutomorphism(vperm, base_emap + tuple((wedge_petals[p], f) for p, f in zip(perm, flips)))
-
-
-class _Screened:
-    """The items of a stream that pass ``keep``, with their stream positions.
-
-    Items are drawn and screened lazily, each at most once, so the survivors
-    can be run through again and again at the cost of one pass."""
-
-    def __init__(self, stream, keep):
-        self._items = enumerate(stream)
-        self._keep = keep
-        self._found: list[tuple[int, object]] = []
-        self._drawn = 0  # positions screened so far
-
-    def below(self, limit: int):
-        """(position, item) for the survivors at positions < limit, in order."""
-        i = 0
-        while True:
-            if i < len(self._found):
-                if self._found[i][0] >= limit:
-                    return
-                yield self._found[i]
-                i += 1
-                continue
-            if self._drawn >= limit:
-                return
-            drawn = next(self._items, None)
-            if drawn is None:  # the stream has ended
-                return
-            self._drawn = drawn[0] + 1
-            if self._keep(drawn[1]):
-                self._found.append(drawn)
-
-
 def _structured_wedge(group: FiniteGroup, piece: RelativePiece, n: int):
     """Wedge extra petals at an action-fixed vertex (single piece), or wedge
     the pieces at a fresh base vertex.  Returns the wedge graph, the piece's
-    embedding, each generator's fixed part of the action (vertex permutation,
-    edge map of the old edges) and the number k of fresh petals, or None when
-    no such wedge carries the action."""
+    embedding and each generator's fixed part of the action (vertex
+    permutation, edge map of the old edges; the fresh petals are the edges
+    after those), or None when no such wedge carries the action."""
     g0 = piece.graph
     comps = piece.component_vertex_sets()
     gens = _generating_subset(group)
@@ -1208,48 +1168,7 @@ def _structured_wedge(group: FiniteGroup, piece: RelativePiece, n: int):
                 comp_img.append(j)
             bases[s] = (tuple(a0.vperm) + (base,), tuple(a0.emap) + tuple((len(g0.edges) + j, 0) for j in comp_img))
     emb = Embedding({v: v for v in range(g0.n_vertices)}, {e: (e, 0) for e in range(len(g0.edges))})
-    return g, emb, bases, k
-
-
-def _structured_extensions(group: FiniteGroup, g: SymGraph, bases: Mapping[str, tuple], k: int, admits):
-    """Actions on the wedge graph g whose generator s acts by bases[s] on the
-    old edges and by a signed permutation on the k fresh petals, in product
-    order (generators in order, each through ``_wedge_images``).
-
-    Only generator images with ``admits(s, image)`` enter an assignment; each
-    is screened at most once, when first needed.  An assignment's position is
-    its place in the unscreened product.  Nothing at or past
-    STRUCTURED_SEARCH_CAP is screened or extended, and when the product is
-    longer than the cap the stream ends with NotFoundWithinBoundError."""
-    gens = list(bases)
-    expr = _element_expressions(group, gens)
-    wedge_petals = range(len(g.edges) - k, len(g.edges))
-    per_gen = math.factorial(k) * 2**k
-    cap = STRUCTURED_SEARCH_CAP
-    screens = [_Screened(_wedge_images(*bases[s], wedge_petals), functools.partial(admits, s)) for s in gens]
-
-    def assignments(j: int, pos: int):
-        """Admitted images of generators j, j+1, ... below the cap; the
-        assignments of this subtree start at position pos."""
-        if j == len(gens):
-            if pos < cap:
-                yield ()
-            return
-        stride = per_gen ** (len(gens) - 1 - j)
-        for i, img in screens[j].below(-(-(cap - pos) // stride)):  # pos + i·stride < cap
-            for tail in assignments(j + 1, pos + i * stride):
-                yield (img,) + tail
-
-    for images in assignments(0, 0):
-        act = _extend_to_action(group, expr, g, dict(zip(gens, images)))
-        if act is not None:
-            yield act
-    total = per_gen ** len(gens)
-    if total > cap:
-        raise NotFoundWithinBoundError(
-            f"the structured wedge search stopped at its cap (STRUCTURED_SEARCH_CAP = {cap}) "
-            f"after examining {cap} of {total} signed-permutation assignments"
-        )
+    return g, emb, bases
 
 
 def _aligned_marking(piece: RelativePiece, g: SymGraph, emb: Embedding, basis) -> tuple[Word, ...] | None:
@@ -1297,6 +1216,44 @@ class _Marking:
     def outer(self, g: SymGraph, alpha: GraphAutomorphism) -> st.FreeGroupAutomorphism:
         """Outer action of alpha under this marking: ν ∘ ρ ∘ ν⁻¹."""
         return self.nu.compose(induced_outer(g, alpha, self.nu.basis)).compose(self.nu_inv)
+
+
+def _read_off_images(
+    g: SymGraph, base: tuple, basis: Sequence[str], marks: Sequence[_Marking], target: st.FreeGroupAutomorphism
+) -> list[GraphAutomorphism]:
+    """The images on the wedge g of a generator that acts by ``base`` (vertex
+    permutation, edge map of the old edges) and by a signed permutation of
+    the fresh petals after them, and that induce ``target`` under one of
+    ``marks``.
+
+    Such an image sends fresh petal letter x_j to a conjugate of x_π(j)^±1 in
+    the petal basis, and it induces the target under a marking ν only if
+    ν⁻¹∘T∘ν does the same up to an inner automorphism.  So the cyclic
+    reduction of ν⁻¹(T(ν(x_j))) names π(j) and the flip, and each marking
+    gives at most one image; each is then screened in full.  The images come
+    in signed-permutation order: permutations lexicographically, then flips
+    read as a binary number, first petal most significant.
+    """
+    vperm, base_emap = base
+    fresh = range(len(base_emap), len(g.edges))
+    letters = [basis[g._petal_index[e]] for e in fresh]
+    slot = {x: j for j, x in enumerate(letters)}
+    read = set()
+    for m in marks:
+        perm, flips = [], []
+        for x in letters:
+            cyc, _ = W.cyclic_reduce(m.nu_inv(target(m.nu.images[x])))
+            if len(cyc) != 1 or cyc[0][0] not in slot:
+                break
+            perm.append(slot[cyc[0][0]])
+            flips.append(int(cyc[0][1] < 0))
+        else:
+            if len(set(perm)) == len(fresh):
+                read.add((tuple(perm), tuple(flips)))
+    images = (
+        GraphAutomorphism(vperm, base_emap + tuple((fresh[p], f) for p, f in zip(perm, flips))) for perm, flips in sorted(read)
+    )
+    return [img for img in images if any(st.outer_equal(m.outer(g, img), target) for m in marks)]
 
 
 def realize_relative(
@@ -1357,25 +1314,20 @@ def realize_relative(
                     return m.words
         return None
 
-    cut_off = ""
     wedge = _structured_wedge(group, piece, n)
-    if wedge is not None:
-        g, emb, bases, k = wedge
-        # g and emb are fixed for the whole wedge search: mark once, and let
-        # a generator image in only if it induces its own target under some
-        # marking (verify asks that of every element, the generators included)
-        marks = markings(g, emb) if usable(g) else []
-
-        def admits(s, img):
-            return any(st.outer_equal(m.outer(g, img), targets[s]) for m in marks)
-
-        try:
-            for act in _structured_extensions(group, g, bases, k, admits):
-                pw = verify(g, act, emb, marks)
-                if pw is not None:
-                    return RelativeRealization(g, act, tuple(basis), emb, pw)
-        except NotFoundWithinBoundError as exc:
-            cut_off = f"; {exc}"
+    if wedge is not None and usable(wedge[0]):
+        g, emb, bases = wedge
+        # g and emb are fixed for the whole wedge search: mark once
+        marks = markings(g, emb)
+        expr = _element_expressions(group, list(bases))
+        per_gen = [_read_off_images(g, bases[s], basis, marks, targets[s]) for s in bases]
+        for images in itertools.product(*per_gen):
+            act = _extend_to_action(group, expr, g, dict(zip(bases, images)))
+            if act is None:
+                continue
+            pw = verify(g, act, emb, marks)
+            if pw is not None:
+                return RelativeRealization(g, act, tuple(basis), emb, pw)
 
     if n <= rank_bound:
         for g, act in _small_graph_actions(group, n, e_max):
@@ -1385,7 +1337,7 @@ def realize_relative(
                 pw = verify(g, act, emb)
                 if pw is not None:
                     return RelativeRealization(g, act, tuple(basis), emb, pw)
-    raise NotFoundWithinBoundError(f"no equivariant extension within the bounds{cut_off}")
+    raise NotFoundWithinBoundError("no equivariant extension within the bounds")
 
 
 def _enumerate_embeddings(small: SymGraph, big: SymGraph):

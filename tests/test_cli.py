@@ -184,6 +184,16 @@ def test_realize_core_default_one_interval_cover(tmp_path, capsys):
     assert rep["verdicts"] == {"e": "certified_yes", "f": "certified_yes"}
 
 
+@pytest.mark.parametrize("depth, intervals", [(27, 2), (40, 3), (60, 4)])
+def test_realize_core_default_cover_past_one_interval(tmp_path, capsys, depth, intervals):
+    """Past support 24 the default chain keeps non-adjacent intervals disjoint."""
+    g, act = _write_flip_action(tmp_path, depth)
+    code, rep = run(capsys, "realize", "core", str(g), str(act))
+    assert code == 0
+    assert len(rep["intervals"]) == intervals
+    assert rep["verdicts"] == {"e": "certified_yes", "f": "certified_yes"}
+
+
 def test_realize_reports_bound_exhaustion(tmp_path, capsys):
     # Z/5 on the rose of rank 2 cannot be realized within small bounds
     g = tmp_path / "g.aut"

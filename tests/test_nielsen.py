@@ -763,14 +763,25 @@ def test_certify_rejects_wrong_non_generator_element():
         nz.FiniteGroupAction.make(nz.FiniteGroup.cyclic(3), reps)
 
 
-def test_structured_search_cut_off_is_named(two_loop_ray, monkeypatch):
-    # the order-8 vertex search needs 3,968 assignments; rank 28 is past the
-    # small-graph bound, so the cut-off is the reason nothing was found
-    monkeypatch.setattr(nz, "STRUCTURED_SEARCH_CAP", 100)
-    _, act = _order8_action(two_loop_ray, 14)
-    cov = nz.IntervalCover.make(range(15), [(0, 12), (2, 14)], min_overlap=10)
-    with pytest.raises(nz.NotFoundWithinBoundError, match=r"STRUCTURED_SEARCH_CAP = 100\) after examining 100 of \d+"):
-        nz.realize_core_case(act, cov)
+@pytest.mark.parametrize(
+    "case, depth, intervals",
+    [
+        ("flip", 60, [(0, 16), (4, 30), (18, 44), (32, 60)]),
+        ("flip", 80, [(0, 16), (4, 30), (18, 44), (32, 58), (46, 80)]),
+        ("order8", 40, [(0, 16), (4, 30), (18, 40)]),
+    ],
+)
+def test_realize_core_many_fresh_wedge_petals(loop_ray, two_loop_ray, case, depth, intervals):
+    """Pieces whose wedges need 8 to 22 fresh petals, k!·2^k signed
+    permutations each; the one that realizes the target is read off it."""
+    if case == "flip":
+        act, rank = make_flip_action(loop_ray, depth), depth + 1
+    else:
+        act, rank = _order8_action(two_loop_ray, depth)[1], 2 * (depth + 1)
+    real = nz.realize_core_case(act, nz.IntervalCover.make(range(depth + 1), intervals, min_overlap=10))
+    assert [h for h, _ in real.report["t_star_shape"]] == list(range(len(intervals)))
+    assert real.graph.rank() == rank
+    assert all(v.kind == "certified_yes" for v in real.verdicts.values())
 
 
 def test_structured_search_extends_only_admitted_assignments(two_loop_ray, monkeypatch):

@@ -1,18 +1,20 @@
-"""The screened structured wedge search against the unscreened one.
+"""The read-off wedge search against the blind one.
 
 The reference below is a verbatim copy of the earlier blind search (module
-names qualified with ``nz.``): ``_lazy_product``, ``_structured_extensions``,
-``marked_outer`` and ``realize_relative`` with its ``verify`` loop, plus the
-scan-based ``SymGraph.spanning_tree`` / ``petal_edges`` and ``induced_outer``
-they rested on.  The screened search must find the same first realization
-(graph, action, embedding and petal words) and stop at the cap with the same
-message.
+names qualified with ``nz.``): ``_lazy_product``, ``_structured_extensions``
+with ``_wedge_images`` and its cap, ``marked_outer`` and ``realize_relative``
+with its ``verify`` loop, plus the scan-based ``SymGraph.spanning_tree`` /
+``petal_edges`` and ``induced_outer`` they rested on.  The read-off search
+must find the same first realization (graph, action, embedding and petal
+words), and read off exactly the images that the blind enumeration admits,
+in the same order.
 """
 
 import functools
 import itertools
 import math
 import random
+from typing import Sequence
 
 import pytest
 
@@ -25,6 +27,19 @@ from tests.conftest import make_flip_action
 from tests.test_nielsen import _branch_permutation_action, _order8_action
 
 # -- reference: the unscreened search -------------------------------------------------------
+
+STRUCTURED_SEARCH_CAP = 6000
+"""Generator assignments the structured wedge search examines before it
+stops, counted by position in the unscreened product."""
+
+
+def _wedge_images(vperm: tuple[int, ...], base_emap: tuple[tuple[int, int], ...], wedge_petals: Sequence[int]):
+    """One generator's image, extended by each signed permutation of the wedge
+    petals in turn (permutations outermost, then flips)."""
+    k = len(wedge_petals)
+    for perm in itertools.permutations(range(k)):
+        for flips in itertools.product((0, 1), repeat=k):
+            yield nz.GraphAutomorphism(vperm, base_emap + tuple((wedge_petals[p], f) for p, f in zip(perm, flips)))
 
 
 def ref_spanning_tree(self):
@@ -130,12 +145,12 @@ def ref_structured_extensions(group, piece, n):
     emb = nz.Embedding({v: v for v in range(g0.n_vertices)}, {e: (e, 0) for e in range(len(g0.edges))})
     wedge_petals = range(len(g.edges) - k, len(g.edges))
     expr = nz._element_expressions(group, gens)
-    factors = [functools.partial(nz._wedge_images, *bases[s], wedge_petals) for s in gens]
+    factors = [functools.partial(_wedge_images, *bases[s], wedge_petals) for s in gens]
     for examined, images in enumerate(ref_lazy_product(factors)):
-        if examined == nz.STRUCTURED_SEARCH_CAP:
+        if examined == STRUCTURED_SEARCH_CAP:
             total = (math.factorial(k) * 2**k) ** len(gens)
             raise nz.NotFoundWithinBoundError(
-                f"the structured wedge search stopped at its cap (STRUCTURED_SEARCH_CAP = {nz.STRUCTURED_SEARCH_CAP}) "
+                f"the structured wedge search stopped at its cap (STRUCTURED_SEARCH_CAP = {STRUCTURED_SEARCH_CAP}) "
                 f"after examining {examined} of {total} signed-permutation assignments"
             )
         act = nz._extend_to_action(group, expr, g, dict(zip(gens, images)))
@@ -288,105 +303,6 @@ def test_first_realization_matches_unscreened_search(case, monkeypatch):
     assert all(v.kind == "certified_yes" for v in real.verdicts.values())
 
 
-def test_cap_boundary_matches_unscreened_search(monkeypatch):
-    # the first survivor of the first order-8 vertex search sits at position 3967
-    action, cover = _order8_case()
-    real, calls = _recorded_calls(monkeypatch, action, cover)
-    args, kwargs, first = next(c for c in calls if c[0][2] is not None)
-
-    monkeypatch.setattr(nz, "STRUCTURED_SEARCH_CAP", 3967)
-    with pytest.raises(nz.NotFoundWithinBoundError) as screened:
-        nz.realize_core_case(action, cover)
-    with pytest.raises(nz.NotFoundWithinBoundError) as unscreened:
-        ref_realize_relative(*args, **kwargs)
-    assert str(screened.value) == str(unscreened.value)
-    assert "(STRUCTURED_SEARCH_CAP = 3967) after examining 3967 of 147456 signed-permutation assignments" in str(
-        screened.value
-    )
-
-    monkeypatch.setattr(nz, "STRUCTURED_SEARCH_CAP", 3968)
-    assert nz.realize_relative(*args, **kwargs) == first
-    assert nz.realize_core_case(action, cover).graph == real.graph
-
-
-@pytest.fixture(scope="module")
-def order8_wedge():
-    """The first order-8 vertex search: its group, piece and wedge."""
-    action, cover = _order8_case()
-    calls = []
-    screened = nz.realize_relative
-
-    def recording(*args, **kwargs):
-        calls.append((args, kwargs))
-        return screened(*args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nz, "realize_relative", recording)
-        nz.realize_core_case(action, cover)
-    (group, targets, piece, *_), _ = next(c for c in calls if c[0][2] is not None)
-    return group, piece, nz._structured_wedge(group, piece, len(targets[group.identity].basis))
-
-
-@pytest.mark.parametrize("cap", [0, 1, 383, 384, 385, 1000])
-def test_screened_product_keeps_positions_and_cap(cap, order8_wedge, monkeypatch):
-    """With an arbitrary screen, the screened stream is the unscreened one
-    restricted to assignments whose every image passes, below the cap."""
-    group, piece, (g, emb, bases, k) = order8_wedge
-    gens = list(bases)
-
-    def admits(s, img):
-        return (gens.index(s) + sum(i * e + f for i, (e, f) in enumerate(img.emap))) % 3 != 0
-
-    screened_calls = []
-
-    def counting(s, img):
-        screened_calls.append((s, img.emap))
-        return admits(s, img)
-
-    monkeypatch.setattr(nz, "STRUCTURED_SEARCH_CAP", cap)
-    got, got_err = [], None
-    try:
-        for act in nz._structured_extensions(group, g, bases, k, counting):
-            got.append(act)
-    except nz.NotFoundWithinBoundError as exc:
-        got_err = str(exc)
-    want, want_err = [], None
-    n = g.rank()
-    try:
-        for _, act, _ in ref_structured_extensions(group, piece, n):
-            if all(admits(s, act[s]) for s in gens):
-                want.append(act)
-    except nz.NotFoundWithinBoundError as exc:
-        want_err = str(exc)
-    assert got == want
-    assert got_err == want_err
-    assert len(screened_calls) == len(set(screened_calls)), "an image was screened twice"
-    per_gen = math.factorial(k) * 2**k
-    # the first generator's image i opens the assignments at i * per_gen
-    assert all(
-        i * per_gen < cap
-        for i, img in enumerate(nz._wedge_images(*bases[gens[0]], range(len(g.edges) - k, len(g.edges))))
-        if (gens[0], img.emap) in screened_calls
-    )
-
-
-def test_screened_stream_draws_each_item_once_and_never_past_the_limit():
-    drawn = []
-
-    def keep(x):
-        drawn.append(x)
-        return x % 3 == 1
-
-    s = nz._Screened(iter(range(20)), keep)
-    assert list(s.below(5)) == [(1, 1), (4, 4)]
-    assert drawn == [0, 1, 2, 3, 4]
-    assert list(s.below(3)) == [(1, 1)]
-    assert list(s.below(11)) == [(1, 1), (4, 4), (7, 7), (10, 10)]
-    assert list(s.below(100)) == [(i, i) for i in range(20) if i % 3 == 1]
-    assert list(s.below(0)) == []
-    assert drawn == list(range(20))
-
-
 def test_symgraph_marking_structure_matches_scan():
     graphs = list(nz._enumerate_graphs(2, 4)) + list(nz._enumerate_graphs(3, 4))
     graphs.append(nz.SymGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 0), (2, 2), (1, 3))))
@@ -467,3 +383,47 @@ def test_small_pieces_match_unscreened_search(case, small_cases):
     group = nz.FiniteGroup.cyclic(2)
     want = ref_realize_relative(group, targets, piece, e_max=4)
     assert nz.realize_relative(group, targets, piece, e_max=4) == want
+
+
+def _read_off_calls(monkeypatch, run):
+    """run(), with every _read_off_images call's arguments and result."""
+    calls = []
+    read_off = nz._read_off_images
+
+    def recording(*args):
+        out = read_off(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(nz, "_read_off_images", recording)
+    run()
+    monkeypatch.setattr(nz, "_read_off_images", read_off)
+    return calls
+
+
+def _assert_read_off_is_admitted_enumeration(calls):
+    """Each read-off list is the blind enumeration of the generator's wedge
+    images, screened as before (the target induced under some marking)."""
+    assert calls and any(out for _, out in calls), "no image was read off"
+    for (g, base, _, marks, target), out in calls:
+        wedge_petals = range(len(base[1]), len(g.edges))
+        admitted = [
+            img for img in _wedge_images(*base, wedge_petals) if any(st.outer_equal(m.outer(g, img), target) for m in marks)
+        ]
+        assert out == admitted
+
+
+@pytest.mark.parametrize("case", ["order8-d14", "branch2-d14", "branch3-d14"])
+def test_read_off_matches_admitted_enumeration(case, monkeypatch):
+    action, cover = CASES[case]()
+    _assert_read_off_is_admitted_enumeration(_read_off_calls(monkeypatch, lambda: nz.realize_core_case(action, cover)))
+
+
+def test_small_pieces_read_off_matches_admitted_enumeration(small_cases, monkeypatch):
+    group = nz.FiniteGroup.cyclic(2)
+
+    def run():
+        for targets, piece in small_cases:
+            nz.realize_relative(group, targets, piece, e_max=4)
+
+    _assert_read_off_is_admitted_enumeration(_read_off_calls(monkeypatch, run))

@@ -179,7 +179,7 @@ def cmd_realize(args) -> int:
         report.update({"stage": "search", "error": str(exc)})
         _emit(report, args.out, "realize")
         return EXIT_BOUND
-    except (nz.FinalCheckFailedError, nz.StructureViolationError, nz.InvarianceFailedError, nz.NoScriptFoundError, nz.NoGoodLevelError, nz.RadiusTooSmallError) as exc:
+    except (nz.FinalCheckFailedError, nz.StructureViolationError, nz.InvarianceFailedError, nz.NoScriptFoundError, nz.NoGoodLevelError) as exc:
         report.update({"stage": "verification", "error": str(exc)})
         _emit(report, args.out, "realize")
         return EXIT_VERIFICATION

@@ -60,10 +60,6 @@ class FinalCheckFailedError(ValueError):
     pass
 
 
-class RadiusTooSmallError(ValueError):
-    pass
-
-
 class NoGoodLevelError(ValueError):
     pass
 
@@ -328,27 +324,30 @@ def f_star(
     J: tuple[int, int],
     action: FiniteGroupAction,
     depth: int,
-    require_invariance: bool = True,
 ) -> st.FreeFactorSystem:
-    """Factors of F'(J) that contain a factor of F(J-); H-invariant for |J| >= 8."""
-    fj = ffs_of_interval(a, cover, J, depth)
-    fminus = ffs_of_interval(a, cover, cover.minus(J), depth)
-    fplus = ffs_of_interval(a, cover, cover.plus(J), depth)
-    fp = f_prime(fj, action)
-    keep = []
-    for comp in fp.components:
-        target = st.FreeFactorSystem((comp,))
-        if any(st.contained_in(st.FreeFactorSystem((b,)), target) for b in fminus.components):
-            keep.append(comp)
-    result = st.FreeFactorSystem(tuple(keep))
-    if not st.contained_in(fminus, result) or not st.contained_in(result, fplus):
-        raise InvarianceFailedError("sandwich F(J-) < F*(J) < F(J+) fails")
-    if require_invariance:
+    """Factors of F'(J) that contain a factor of F(J-); H-invariant for |J| >= 8.
+
+    When J spans every depth up to ``depth``, F(J) is the ambient free
+    group, so F*(J) = F(J) at any |J|.
+    """
+    result = ffs_of_interval(a, cover, J, depth)
+    if cover.depth_range(J) != (0, depth):
+        fminus = ffs_of_interval(a, cover, cover.minus(J), depth)
+        fplus = ffs_of_interval(a, cover, cover.plus(J), depth)
+        fp = f_prime(result, action)
+        keep = []
+        for comp in fp.components:
+            target = st.FreeFactorSystem((comp,))
+            if any(st.contained_in(st.FreeFactorSystem((b,)), target) for b in fminus.components):
+                keep.append(comp)
+        result = st.FreeFactorSystem(tuple(keep))
+        if not st.contained_in(fminus, result) or not st.contained_in(result, fplus):
+            raise InvarianceFailedError("sandwich F(J-) < F*(J) < F(J+) fails")
         if J[1] - J[0] < 8:
             raise ValueError("invariance guarantee needs |J| >= 8")
-        for g in action.group.elements:
-            if st.apply_automorphism(action.outer(g), result) != result:
-                raise InvarianceFailedError(f"F*({J}) moved by {g}")
+    for g in action.group.elements:
+        if st.apply_automorphism(action.outer(g), result) != result:
+            raise InvarianceFailedError(f"F*({J}) moved by {g}")
     return result
 
 
@@ -1951,12 +1950,15 @@ def _beta_anchored_lift(action: FiniteGroupAction, h: str, anchor: Path):
     return lift
 
 
-def nielsen_ray(action: FiniteGroupAction, beta: Path, radius: int = 8, stabilizer: Iterable[str] | None = None) -> NielsenRay:
+def nielsen_ray(action: FiniteGroupAction, beta: Path, stabilizer: Iterable[str] | None = None) -> NielsenRay:
     """Fixed point of the end stabilizer, computed in the core universal cover.
 
-    Lifts the stabilizer to the cover by anchoring at the given end, takes
-    the convex hull of the orbit of the attachment point inside a radius-R
-    ball, and prunes to the center.
+    Lifts the stabilizer to the cover by anchoring at the given end and
+    prunes the convex hull of the orbit of the attachment point to its
+    center, which a finite group acting on a tree fixes (Serre, *Trees*).
+    A cover point is (g, v), g a reduced word in the loop letters and v a
+    core vertex.  The hull is the union of the geodesics from the
+    attachment point to its orbit, so it is built exactly.
     """
     a = action.automaton
     depth = action.depth
@@ -1975,94 +1977,36 @@ def nielsen_ray(action: FiniteGroupAction, beta: Path, radius: int = 8, stabiliz
     if stabilizer is None:
         stabilizer = [h for h in action.group.elements if action.reps[h].end_action[beta] == beta]
     stab = tuple(sorted(set(stabilizer)))
+    loop_vertex = {mc.loop_id(v, k): v for v, k in unfold(a, depth).loop_edges}
 
-    t = unfold(a, depth)
-    core_children: dict[Path, list[Path]] = {v: [] for v in corev}
-    for u, v in t.tree_edges:
-        if u in corev and v in corev:
-            core_children[u].append(v)
-    core_parent = {v: u for u, cs in core_children.items() for v in cs}
-    loops_at: dict[Path, list[str]] = {v: [] for v in corev}
-    for v, k in t.loop_edges:
-        if v in corev:
-            loops_at[v].append(mc.loop_id(v, k))
-
-    def neighbors(point):
-        g, v = point
-        out = []
-        for w_ in core_children.get(v, ()):
-            out.append((g, w_))
-        if v in core_parent:
-            out.append((g, core_parent[v]))
-        for lid in loops_at.get(v, ()):
-            out.append((W.mul(g, W.gen(lid)), v))
-            out.append((W.mul(g, W.gen(lid, -1)), v))
-        return out
+    def tree_path(u: Path, w_: Path) -> list[Path]:
+        """Core vertices from u to w_ (both included), through their common prefix."""
+        k = es.common_prefix_len(u, w_)
+        return [u[:i] for i in range(len(u), k, -1)] + [w_[:i] for i in range(k, len(w_) + 1)]
 
     z0 = (W.EMPTY, attach)
-    dist = {z0: 0}
-    prev = {z0: z0}
-    queue = [z0]
-    while queue:
-        x = queue.pop(0)
-        if dist[x] >= radius:
-            continue
-        for y in neighbors(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                prev[y] = x
-                queue.append(y)
-
     lifts = {h: _beta_anchored_lift(action, h, beta) for h in stab}
-    orbit = []
+    parent: dict = {}  # hull point -> its neighbour towards z0
     for h in stab:
-        p = lifts[h](z0)
-        if p not in dist:
-            raise RadiusTooSmallError("orbit of the attachment leaves the cover ball")
-        orbit.append(p)
-
-    def path_to_base(x):
-        out = [x]
-        while prev[x] != x:
-            x = prev[x]
-            out.append(x)
-        return out
-
-    hull_v: set = set()
-    for p in orbit:
-        hull_v.update(path_to_base(p))
-    # close up: the BFS tree paths between orbit points pass through z0, which
-    # may overshoot the geodesic; prune hanging branches not needed for connectivity
-    changed = True
-    while changed:
-        changed = False
-        deg = {v: 0 for v in hull_v}
-        hull_e = []
-        for v in hull_v:
-            p = prev[v]
-            if p != v and p in hull_v:
-                hull_e.append((p, v))
-                deg[p] += 1
-                deg[v] += 1
-        for v in list(hull_v):
-            if deg.get(v, 0) <= 1 and v not in orbit and v != z0:
-                hull_v.discard(v)
-                changed = True
-    hull_e = []
-    for v in hull_v:
-        p = prev[v]
-        if p != v and p in hull_v:
-            hull_e.append((p, v))
+        g, v = lifts[h](z0)
+        # the geodesic to (g, v) walks to the vertex of each letter of g in
+        # turn, crosses that loop, and ends with the walk to v
+        path = [z0]
+        for i in range(len(g) + 1):
+            stop = loop_vertex[g[i][0]] if i < len(g) else v
+            path += [(g[:i], x) for x in tree_path(path[-1][1], stop)[1:]]
+            if i < len(g):
+                path.append((g[: i + 1], stop))
+        parent.update(zip(path[1:], path))
+    hull_v = {z0, *parent}
 
     sigmas = []
     for h in stab:
-        sigma = {}
-        for v in hull_v:
-            img = lifts[h](v)
-            if img not in hull_v:
-                raise RadiusTooSmallError("hull is not invariant inside the ball")
-            sigma[v] = img
+        sigma = {x: lifts[h](x) for x in hull_v}
+        if not hull_v.issuperset(sigma.values()):
+            raise InvarianceFailedError(f"the lift of {h} does not map the orbit hull into itself")
         sigmas.append(sigma)
+    hull_e = [(p, x) for x, p in parent.items()]
     center = fixed_point_in_finite_tree(sorted(hull_v, key=repr), hull_e, sigmas)
     return NielsenRay(beta, attach, center, stab)
 
@@ -2081,7 +2025,7 @@ class GoodCover:
         return len(self.blocks)
 
 
-def _block_stabilizer(action: FiniteGroupAction, block_cyls: frozenset, depth: int) -> list[str]:
+def _block_stabilizer(action: FiniteGroupAction, block_cyls: frozenset) -> list[str]:
     out = []
     for h in action.group.elements:
         img = frozenset(action.reps[h].end_action[c] for c in block_cyls)
@@ -2094,7 +2038,6 @@ def good_filter(
     partitions: Sequence[es.Partition],
     action: FiniteGroupAction,
     exhaustion_depths: Sequence[int] | None = None,
-    radius: int = 8,
 ) -> GoodCover:
     """Select good orbits of partition elements, with attachment points.
 
@@ -2146,15 +2089,15 @@ def good_filter(
                 if len(attaches) != 1:
                     return False
                 att = next(iter(attaches))
-                stab = _block_stabilizer(action, bc, depth)
+                stab = _block_stabilizer(action, bc)
                 for h in stab:
                     accs = {action.reps[h].accumulated_wrap(c) for c in bc}
                     if len(accs) != 1:
                         return False
                 anchor = min(bc)
                 try:
-                    ray = nielsen_ray(action, anchor, radius=radius, stabilizer=stab)
-                except RadiusTooSmallError:
+                    ray = nielsen_ray(action, anchor, stabilizer=stab)
+                except InvarianceFailedError:
                     return False
                 pt = ray.core_point()
                 if pt[0] != "vertex":
@@ -2287,7 +2230,6 @@ def _check_core_simplicial(action: FiniteGroupAction):
 def realize_general_case(
     action: FiniteGroupAction,
     levels: int = 3,
-    radius: int = 8,
     e_max: int = 6,
     rank_bound: int = 3,
 ):
@@ -2313,7 +2255,7 @@ def realize_general_case(
     seq = [es.Partition.trivial(a, depth, level=0)]
     for n in range(1, levels + 1):
         seq.append(es.epsilon_partition(avg, Fraction(2) ** (1 - n), depth, level=n))
-    cover = good_filter(seq, action, radius=radius)
+    cover = good_filter(seq, action)
 
     corev = sorted(core_vertices(a, depth))
     vindex = {v: i for i, v in enumerate(corev)}

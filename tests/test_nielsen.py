@@ -433,7 +433,7 @@ def test_realize_core_flip_height_two(loop_ray):
     assert all(v.kind == "certified_yes" for v in real.verdicts.values())
 
 
-@pytest.mark.parametrize("depth", [8, 14, 20])
+@pytest.mark.parametrize("depth", [1, 4, 7, 8, 14, 20])
 def test_realize_core_one_interval_cover(loop_ray, depth):
     """The default cover at supports up to 24 is one interval: a one-vertex tree of groups."""
     act = make_flip_action(loop_ray, depth)
@@ -527,14 +527,14 @@ def test_fixed_point_in_orbit_hull():
 
 def test_nielsen_ray_trivial_stabilizer(core_with_rays):
     act = nz.FiniteGroupAction.make(nz.FiniteGroup.trivial(), {"e": mc.ProperMapRep.identity(core_with_rays, 4)})
-    ray = nz.nielsen_ray(act, (0, 0, 1, 0), radius=6)
+    ray = nz.nielsen_ray(act, (0, 0, 1, 0))
     assert ray.attachment == (0, 0)
     assert ray.core_point() == ("vertex", (0, 0))
 
 
 def test_nielsen_ray_flip_stabilizer(core_with_rays):
     act = make_flip_action(core_with_rays, 4)
-    ray = nz.nielsen_ray(act, (0, 1, 0, 0), radius=6)
+    ray = nz.nielsen_ray(act, (0, 1, 0, 0))
     assert ray.core_point() == ("vertex", (0,))
     assert set(ray.stabilizer) == {"e", "g1"}
 
@@ -549,24 +549,39 @@ def test_nielsen_ray_displaced_by_drag():
     li = {lid(v, k): W.gen(lid(v, k), -1) for v, k in t.loop_edges}
     h = mc.ProperMapRep.make(a, depth, loop_images=li, edge_wraps={(1,): W.gen(x0)})
     act = nz.FiniteGroupAction.make(nz.FiniteGroup.cyclic(2), {"e": mc.ProperMapRep.identity(a, depth), "g1": h})
-    ray = nz.nielsen_ray(act, (1, 0, 0, 0), radius=6)
+    ray = nz.nielsen_ray(act, (1, 0, 0, 0))
     kind, pt = ray.rho
     assert kind == "edge"
     ends = {p[1] for p in pt}
     assert ends == {()}  # both cover endpoints sit over the root: the x0 axis
 
 
-def test_nielsen_ray_radius_too_small():
+def test_nielsen_ray_far_drag():
+    # the x0^5 drag puts the orbit point five loop crossings from the
+    # attachment; the center of their geodesic is its middle edge
     a = gm.UnfoldingAutomaton.make("r", {"r": ["c", "d"], "c": ["c"], "d": ["d"]}, {"r": 1, "c": 1})
     depth = 4
     t = gm.unfold(a, depth)
+    x0 = lid(())
     li = {lid(v, k): W.gen(lid(v, k), -1) for v, k in t.loop_edges}
     h = mc.ProperMapRep.make(
-        a, depth, loop_images=li, edge_wraps={(1,): W.power(W.gen(lid(())), 5)}
+        a, depth, loop_images=li, edge_wraps={(1,): W.power(W.gen(x0), 5)}
     )
     act = nz.FiniteGroupAction.make(nz.FiniteGroup.cyclic(2), {"e": mc.ProperMapRep.identity(a, depth), "g1": h})
-    with pytest.raises(nz.RadiusTooSmallError):
-        nz.nielsen_ray(act, (1, 0, 0, 0), radius=2)
+    kind, pt = nz.nielsen_ray(act, (1, 0, 0, 0)).rho
+    assert kind == "edge"
+    assert set(pt) == {(W.power(W.gen(x0), -2), ()), (W.power(W.gen(x0), -3), ())}
+
+
+def test_nielsen_ray_rejects_non_invariant_hull():
+    # dragging the free ray by x0 without inverting the loops has infinite
+    # order: the lift moves the orbit hull off itself
+    a = gm.UnfoldingAutomaton.make("r", {"r": ["c", "d"], "c": ["c"], "d": ["d"]}, {"r": 1, "c": 1})
+    depth = 4
+    h = mc.ProperMapRep.make(a, depth, edge_wraps={(1,): W.gen(lid(()))})
+    act = nz.FiniteGroupAction(nz.FiniteGroup.cyclic(2), a, depth, {"e": mc.ProperMapRep.identity(a, depth), "g1": h})
+    with pytest.raises(nz.InvarianceFailedError):
+        nz.nielsen_ray(act, (1, 0, 0, 0))
 
 
 # -- good covers and the general case -----------------------------------------------------------
@@ -596,7 +611,7 @@ def test_good_filter_selects_branch():
     seq = [es.Partition.trivial(model, 4)] + [
         es.epsilon_partition(avg, Fraction(2) ** (1 - n), 4) for n in range(1, 4)
     ]
-    cover = nz.good_filter(seq, act, radius=6)
+    cover = nz.good_filter(seq, act)
     assert cover.block_count() >= 1
     levels = [n for n, _ in cover.blocks]
     assert min(levels) >= 1
@@ -612,7 +627,7 @@ def test_good_filter_rejects_straddling_block(core_with_rays):
     p = es.Partition.make(core_with_rays, 3, [straddle, rest])
     seq = [es.Partition.trivial(core_with_rays, 3), p]
     with pytest.raises(nz.NoGoodLevelError):
-        nz.good_filter(seq, act, radius=6)
+        nz.good_filter(seq, act)
 
 
 def test_realize_general_reduces_to_tree(cantor_tree):
@@ -632,7 +647,7 @@ def test_realize_general_reduces_to_core(loop_ray):
 
 def test_realize_general_mixed():
     model, act = _swap_branch_action()
-    out = nz.realize_general_case(act, levels=3, radius=6)
+    out = nz.realize_general_case(act, levels=3)
     assert isinstance(out, nz.GeneralRealization)
     g1 = out.action["g1"]
     assert g1.compose(g1) == nz.identity_automorphism(out.graph)
@@ -651,7 +666,7 @@ def test_general_requires_simplicial_core():
     # order 2 fails; build the action uncertified to hit the simplicial check
     act = nz.FiniteGroupAction(nz.FiniteGroup.cyclic(2), model, depth, {"e": mc.ProperMapRep.identity(model, depth), "g1": conj})
     with pytest.raises(ValueError):
-        nz.realize_general_case(act, levels=2, radius=4)
+        nz.realize_general_case(act, levels=2)
 
 
 # -- action files -------------------------------------------------------------------------------
@@ -888,7 +903,7 @@ def test_general_deep_mixing_is_honest():
         nz.FiniteGroup.cyclic(2), {"e": mc.ProperMapRep.identity(model, depth), "g1": swap}
     )
     with pytest.raises(nz.NoGoodLevelError):
-        nz.realize_general_case(act, levels=3, radius=8)
+        nz.realize_general_case(act, levels=3)
 
 
 def test_general_swapping_core_with_rays():
@@ -914,7 +929,7 @@ def test_general_swapping_core_with_rays():
     act = nz.FiniteGroupAction.make(
         nz.FiniteGroup.cyclic(2), {"e": mc.ProperMapRep.identity(model, depth), "g1": swap}
     )
-    out = nz.realize_general_case(act, levels=3, radius=8)
+    out = nz.realize_general_case(act, levels=3)
     # the two free-ray blocks form one orbit attached at swapped core vertices
     rho_points = sorted(out.report["rho"].values())
     assert rho_points == ["0", "1"]

@@ -120,12 +120,23 @@ class Partition:
         return Partition(self.automaton, self.depth, self.blocks, n)
 
     def block_of(self, cyl: Path) -> int:
-        """The lowest-index block listing cyl or one of its ancestors."""
-        index = self._block_index
-        hits = [index[cyl[:n]] for n in range(len(cyl) + 1) if cyl[:n] in index]
-        if not hits:
-            raise KeyError(f"cylinder {path_str(cyl)} not covered")
-        return min(hits)
+        """The lowest-index block listing cyl or one of its ancestors.
+
+        Each answer is kept, so a repeated query is one lookup.
+        """
+        block = self._block_of.get(cyl)
+        if block is None:
+            index = self._block_index
+            hits = [index[cyl[:n]] for n in range(len(cyl) + 1) if cyl[:n] in index]
+            if not hits:
+                raise KeyError(f"cylinder {path_str(cyl)} not covered")
+            block = self._block_of[cyl] = min(hits)
+        return block
+
+    @cached_property
+    def _block_of(self) -> dict[Path, int]:
+        """The answers of ``block_of`` so far."""
+        return {}
 
     @cached_property
     def _block_index(self) -> dict[Path, int]:

@@ -1821,8 +1821,7 @@ def _certify_against_ambient(
 
     if len(qnames) != len(loop_alphabet):
         raise FinalCheckFailedError("realized graph has the wrong rank")
-    folded = st.subgroup_graph(list(mu_images.values()))
-    if folded.canonical_key() != st.LabeledGraph.rose(sorted(loop_alphabet)).canonical_key():
+    if not st.generates_free_group(mu_images.values(), loop_alphabet):
         raise FinalCheckFailedError("label marking is not an isomorphism onto the ambient group")
     rename = dict(zip(qnames, loop_alphabet))
     nu = st.FreeGroupAutomorphism(
@@ -1892,30 +1891,6 @@ def fixed_point_in_finite_tree(
             if {sigma[u], sigma[w_]} != {u, w_}:
                 raise AssertionError("center edge moved by the action")
     return center
-
-
-def tree_geodesic(vertices: Sequence, edges: Sequence[tuple], a, b) -> list:
-    """Vertex path between two vertices of a finite tree."""
-    adj: dict = {v: [] for v in vertices}
-    for u, w_ in edges:
-        adj[u].append(w_)
-        adj[w_].append(u)
-    prev = {a: a}
-    queue = [a]
-    while queue:
-        x = queue.pop(0)
-        if x == b:
-            break
-        for y in adj[x]:
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-    if b not in prev:
-        raise ValueError("vertices not connected")
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    return list(reversed(path))
 
 
 # -- Nielsen rays ---------------------------------------------------------------------

@@ -31,6 +31,12 @@ class _Index(NamedTuple):
     incident: dict[int, list[tuple[int, str, int]]]  # v -> (neighbour, label, sign) in sorted(edges) order
 
 
+def _first_row(v: int, slots: list[int | None]) -> tuple[int, ...]:
+    """Row 0 of the key encoding from v: its slot row renumbered, v first."""
+    order = {v: 0}
+    return tuple([-1 if t is None else order.setdefault(t, len(order)) for t in slots])
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     vertices: frozenset[int]
@@ -233,16 +239,27 @@ class LabeledGraph:
 
     # -- canonical form ---------------------------------------------------
 
-    def _slot_table(self) -> dict[int, tuple[int | None, ...]]:
+    def _slot_table(self) -> dict[int, list[int | None]]:
         """Each vertex's neighbour in every (label, direction) slot of a key row.
 
         Slots run over the sorted labels, "+" (out) before "-" (in) for
-        each; None marks an empty slot.
+        each; None marks an empty slot.  One pass over ``self.edges``: the
+        first edge met fills a slot, as in ``_index``.
         """
-        labels, out, inn, _ = self._index
-        return {v: tuple(adj.get((v, lab)) for lab in labels for adj in (out, inn)) for v in self.vertices}
+        labels = self._index.labels
+        slot = {lab: 2 * i for i, lab in enumerate(labels)}
+        table = {v: [None] * (2 * len(labels)) for v in self.vertices}
+        for u, l, t in self.edges:
+            i = slot[l]
+            row = table[u]
+            if row[i] is None:
+                row[i] = t
+            row = table[t]
+            if row[i + 1] is None:
+                row[i + 1] = u
+        return table
 
-    def _encode_from(self, start: int, table: dict[int, tuple[int | None, ...]], best: tuple | None = None) -> tuple | None:
+    def _encode_from(self, start: int, table: dict[int, list[int | None]], best: tuple | None = None) -> tuple | None:
         """BFS encoding from a start vertex; deterministic on folded graphs.
 
         One row per vertex in BFS order: the BFS number of the neighbour in
@@ -283,8 +300,16 @@ class LabeledGraph:
         encoding over all start vertices is taken.  Equal keys mean equal
         subgroups (based) or conjugate subgroups (basepoint-free).  The key
         spells each row entry as (label, direction, number).
-        Connected encodings all have one row per vertex, so an encoding
-        is abandoned at its first row above the least one so far.
+
+        Row 0 of the encoding from v is v's own slot row renumbered (v is
+        0, its other neighbours 1, 2, ... in order of first occurrence), so
+        starts are tried in order of that first row.  Connected encodings
+        all have one row per vertex: an encoding is abandoned at its first
+        row above the least one so far, and the search stops at the first
+        start whose first row is above that of the least connected
+        encoding.  On an unfolded graph a walk can miss vertices, so a
+        start with a larger first row can still be the first connected
+        one; the search goes on until one is found.
         """
         if not self.vertices:
             return ()
@@ -293,14 +318,18 @@ class LabeledGraph:
             rows = self._encode_from(self.basepoint, table)
         else:
             rows = None
-            for v in sorted(self.vertices):
+            for first, v in sorted((_first_row(v, slots), v) for v, slots in table.items()):
+                if rows is not None and first > rows[0]:
+                    break
                 enc = self._encode_from(v, table, rows)
                 if enc is not None:
                     rows = enc
         if rows is None:
             raise ValueError("canonical_key requires a connected graph")
-        heads = [(lab, d) for lab in self._index.labels for d in "+-"]
-        return tuple(tuple((lab, d, i) for (lab, d), i in zip(heads, row)) for row in rows)
+        labels = self._index.labels
+        heads = tuple(lab for lab in labels for _ in "+-")
+        directions = "+-" * len(labels)
+        return tuple(tuple(zip(heads, directions, row)) for row in rows)
 
     # -- paths and membership ----------------------------------------------
 
@@ -549,6 +578,17 @@ def subgroup_graph(generators: Iterable[Word]) -> LabeledGraph:
     return LabeledGraph.from_words(generators).fold().core()
 
 
+def generates_free_group(generators: Iterable[Word], basis: Iterable[str]) -> bool:
+    """Whether the words generate the free group on `basis`.
+
+    That is, whether their Stallings graph is the rose on the basis: one
+    vertex whose loop labels are exactly the basis (a folded graph has at
+    most one loop per label).
+    """
+    g = subgroup_graph(generators)
+    return len(g.vertices) == 1 and {l for _, l, _ in g.edges} == set(basis)
+
+
 # -- free factor systems ----------------------------------------------------
 
 
@@ -661,10 +701,7 @@ class FreeGroupAutomorphism:
 
     def is_automorphism(self) -> bool:
         """Surjectivity check: the images generate the whole group."""
-        if not self.basis:
-            return True
-        g = subgroup_graph(self.tuple_images())
-        return g.canonical_key() == LabeledGraph.rose(sorted(self.basis)).canonical_key()
+        return generates_free_group(self.tuple_images(), self.basis)
 
     def inverse(self) -> "FreeGroupAutomorphism":
         """Invert by Nielsen reduction with Whitehead moves at plateaus."""

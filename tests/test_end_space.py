@@ -291,7 +291,7 @@ def test_block_of_index_matches_scan(arity, depth):
     parts += [es.epsilon_partition(avg, Fr(2) ** (1 - n), depth) for n in range(1, depth + 2)]
     queries = list(gm.unfold(a, depth + 1).vertices)
     for p in parts:
-        for cyl in queries:
+        for cyl in queries * 2:  # the second round is answered from the memo
             try:
                 want = _scan_block_of(p, cyl)
             except KeyError:

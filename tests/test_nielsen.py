@@ -507,6 +507,25 @@ def _random_tree_automorphism(n, edges, rng):
 def test_fixed_point_in_orbit_hull():
     # pruning the convex hull of any orbit yields a fixed point inside it
     edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]
+
+    def tree_geodesic(a, b):
+        """Vertex path from a to b in the tree, by breadth-first search."""
+        adj = {v: [] for v in range(7)}
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        prev = {a: a}
+        queue = [a]
+        for x in queue:  # the queue grows while it is walked
+            for y in adj[x]:
+                if y not in prev:
+                    prev[y] = x
+                    queue.append(y)
+        path = [b]
+        while path[-1] != a:
+            path.append(prev[path[-1]])
+        return path
+
     sigma = {0: 0, 1: 2, 2: 1, 3: 5, 4: 6, 5: 3, 6: 4}
     center = nz.fixed_point_in_finite_tree(list(range(7)), edges, [sigma])
     assert center == ("vertex", 0)
@@ -515,7 +534,7 @@ def test_fixed_point_in_orbit_hull():
         hull = set()
         for x in orbit:
             for y in orbit:
-                hull.update(nz.tree_geodesic(list(range(7)), edges, x, y))
+                hull.update(tree_geodesic(x, y))
         hull_edges = [e for e in edges if e[0] in hull and e[1] in hull]
         sub = nz.fixed_point_in_finite_tree(sorted(hull), hull_edges, [{x: sigma[x] for x in hull}])
         pts = {sub[1]} if sub[0] == "vertex" else set(sub[1])

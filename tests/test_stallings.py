@@ -253,6 +253,53 @@ def test_inverse_of_random_automorphism(moves):
     assert inv.compose(phi).is_identity()
 
 
+def _rose_by_key(images, basis):
+    """The key comparison that generates_free_group replaced."""
+    g = st.subgroup_graph(images)
+    return g.canonical_key() == st.LabeledGraph.rose(sorted(basis)).canonical_key()
+
+
+def _nielsen_images(rng, basis, moves):
+    """The basis images of a random automorphism, by random Nielsen moves."""
+    imgs = [W.gen(x) for x in basis]
+    for _ in range(moves):
+        i, j = rng.randrange(len(imgs)), rng.randrange(len(imgs))
+        if i == j:
+            imgs[i] = W.inv(imgs[i])
+            continue
+        other = imgs[j] if rng.random() < 0.5 else W.inv(imgs[j])
+        imgs[i] = W.mul(imgs[i], other) if rng.random() < 0.5 else W.mul(other, imgs[i])
+    return imgs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_generates_free_group_matches_key_comparison(seed):
+    rng = random.Random(seed)
+    for n in (1, 2, 3):
+        basis = ("a", "b", "c")[:n]
+        for _ in range(25):
+            aut = _nielsen_images(rng, basis, rng.randrange(12))
+            by = tuple(rng.choice([(x, 1), (x, -1)]) for x in rng.choices(basis, k=rng.randrange(1, 4)))
+            i = rng.randrange(n)
+            proper = aut[:i] + [W.power(aut[i], 2)] + aut[i + 1 :]
+            cases = [
+                (aut, True),
+                ([W.conjugate(x, by) for x in aut], True),  # the whole group, conjugated
+                (proper, False),
+                ([W.conjugate(x, by) for x in proper], False),  # a hair to the basepoint
+                (aut + [W.gen("z")], False),  # a letter outside the basis
+                (aut[:i] + [W.mul(aut[i], W.gen("z"))] + aut[i + 1 :], False),
+            ]
+            for images, want in cases:
+                assert _rose_by_key(images, basis) == want
+                assert st.generates_free_group(images, basis) == want
+                if len(images) == n:
+                    assert st.FreeGroupAutomorphism(basis, dict(zip(basis, images))).is_automorphism() == want
+    assert _rose_by_key([], ()) and st.generates_free_group([], ())
+    assert st.FreeGroupAutomorphism((), {}).is_automorphism()
+    assert not _rose_by_key([W.gen("a")], ()) and not st.generates_free_group([W.gen("a")], ())
+
+
 def test_restriction_outer_on_invariant_component():
     comp = st.FreeFactorSystem.from_generator_lists([[w("a"), w("b")]]).components[0]
     phi = st.FreeGroupAutomorphism.from_images(("a", "b", "c"), {"a": w("b"), "b": w("a"), "c": w("c")})

@@ -286,6 +286,64 @@ def test_disconnected_graphs_raise_in_both():
             g.canonical_key()
 
 
+# -- start order of the basepoint-free key ------------------------------------------------------
+
+
+def ref_first_row(self, v):
+    """Row 0 of the reference encoding from v, whether or not the walk is connected."""
+    order = {v: 0}
+    row = []
+    for lab in sorted({l for _, l, _ in self.edges}):
+        nxt_out = [t for (u, l, t) in self.edges if u == v and l == lab]
+        nxt_in = [u for (u, l, t) in self.edges if t == v and l == lab]
+        for targets in (nxt_out, nxt_in):
+            row.append(order.setdefault(targets[0], len(order)) if targets else -1)
+    return tuple(row)
+
+
+def least_first_row_starts(g):
+    rows = {v: ref_first_row(g, v) for v in g.vertices}
+    least = min(rows.values())
+    return sorted(v for v in g.vertices if rows[v] == least), sorted(v for v in g.vertices if rows[v] > least)
+
+
+@pytest.mark.parametrize("word", ["a", "ab", "aab", "abAB", "abaB"])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_key_of_periodic_circle(word, k):
+    """The circle spelling w^k: k automorphic starts tie in every row."""
+    circle = LabeledGraph.from_words([W.power(W.word_from_str(word), k)])
+    circle = LabeledGraph(circle.vertices, circle.edges, None)
+    assert circle.is_folded() and len(circle.vertices) == k * len(word)
+    key = ref_canonical_key(circle)
+    assert sum(ref_encode_from(circle, v) == key for v in circle.vertices) == k
+    assert circle.canonical_key() == key
+
+
+def test_key_replaces_the_first_least_first_row_start():
+    """A b-triangle with an a-loop: the key starts at the second of two least-first-row starts."""
+    g = LabeledGraph.make(range(3), [(0, "a", 0), (0, "b", 2), (1, "b", 0), (2, "b", 1)])
+    lows, _ = least_first_row_starts(g)
+    encs = [ref_encode_from(g, v) for v in lows]
+    assert len(lows) == 2 and encs[0] != min(encs)
+    assert g.canonical_key() == ref_canonical_key(g)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, "a", 2), (1, "a", 2)],
+        [(0, "a", 2), (2, "b", 1), (3, "a", 3), (3, "b", 1)],
+    ],
+)
+def test_key_of_unfolded_graph_past_the_least_first_row(edges):
+    """Every least-first-row start misses a vertex; a start with a larger first row reaches all."""
+    g = LabeledGraph.make([], edges)
+    lows, highs = least_first_row_starts(g)
+    assert all(ref_encode_from(g, v) is None for v in lows)
+    assert any(ref_encode_from(g, v) is not None for v in highs)
+    assert g.canonical_key() == ref_canonical_key(g)
+
+
 # -- ffs-style pullbacks ------------------------------------------------------------------------
 
 

@@ -173,6 +173,10 @@ class ProperMapRep:
         return acc[v]
 
     def substitution(self) -> st.FreeGroupAutomorphism:
+        return self._substitution
+
+    @cached_property
+    def _substitution(self) -> st.FreeGroupAutomorphism:
         basis = self.loop_ids()
         return st.FreeGroupAutomorphism.from_images(basis, {lid: self.loop_word(lid) for lid in basis})
 
@@ -270,18 +274,27 @@ def compose(f: ProperMapRep, g: ProperMapRep) -> ProperMapRep:
     return ProperMapRep.make(f.automaton, depth, vm, li, ew, ea, outside)
 
 
-def rigid_inverse(f: ProperMapRep) -> ProperMapRep | None:
-    """Inverse representative when vmap is bijective and the substitution inverts."""
-    if not f.is_identity_outside():
+def _rigid_inverse_substitution(f: ProperMapRep) -> st.FreeGroupAutomorphism | None:
+    """sigma^-1 when f is IDENTITY_OUTSIDE, vmap is bijective and sigma inverts."""
+    if not f.is_identity_outside() or set(f.vmap.values()) != set(f.vmap):
         return None
-    verts = set(f.vmap)
-    if set(f.vmap.values()) != verts:
-        return None
-    inv_vmap = {w: v for v, w in f.vmap.items()}
     try:
-        sigma_inv = f.substitution().inverse()
+        return f.substitution().inverse()
     except st.NotAnAutomorphismError:
         return None
+
+
+def has_rigid_inverse(f: ProperMapRep) -> bool:
+    """Whether ``rigid_inverse(f)`` exists, without building it."""
+    return _rigid_inverse_substitution(f) is not None
+
+
+def rigid_inverse(f: ProperMapRep) -> ProperMapRep | None:
+    """Inverse representative when vmap is bijective and the substitution inverts."""
+    sigma_inv = _rigid_inverse_substitution(f)
+    if sigma_inv is None:
+        return None
+    inv_vmap = {w: v for v, w in f.vmap.items()}
     li = {}
     for lid in f.loop_ids():
         img = sigma_inv.images[lid]
@@ -299,6 +312,47 @@ def rigid_inverse(f: ProperMapRep) -> ProperMapRep | None:
             ew[child] = delta
     ea = {w: v for v, w in f.end_action.items()}
     return ProperMapRep.make(f.automaton, f.depth, inv_vmap, li, ew, ea, IDENTITY_OUTSIDE)
+
+
+def composes_to(f: ProperMapRep, g: ProperMapRep, k: ProperMapRep) -> bool:
+    """Whether g∘f ≃ k, for IDENTITY_OUTSIDE maps with rigid inverses.
+
+    Decides ``is_properly_homotopic_to_identity(compose(compose(f, g),
+    rigid_inverse(k)))`` from the data the criterion reads, without building
+    either composite.  With F = g∘f, sigma(F) = sigma_g∘sigma_f and, by the
+    telescoped edge deltas of ``compose``, A_F(c) = sigma_g(A_f(c)) A_g(f(c));
+    ``rigid_inverse`` gives A of k^-1 at k(c') as sigma_k^-1(A_k(c'))^-1.  So
+    the difference map has substitution sigma_k^-1∘sigma_F and wraps
+    sigma_k^-1(D(c)), where D(c) = A_F(c) A_k(c')^-1 and c' = k^-1(F(c)); its
+    end action is the identity iff ea_F = ea_k.  Genus 0 reads the end action
+    only; genus 1 asks sigma_F = sigma_k and D constant on the DX frontier;
+    higher genus asks for u with sigma_F(x) = u sigma_k(x) u^-1 on every
+    loop and D = u on the genus and DX frontier.
+    """
+    if not f.automaton == g.automaton == k.automaton:
+        raise ValueError("maps on different ambient graphs")
+    depth = max(f.depth, g.depth, k.depth)
+    f, g, k = extend(f, depth), extend(g, depth), extend(k, depth)
+    if any(g.end_action[f.end_action[c]] != k.end_action[c] for c in f.end_action):
+        return False
+    rank = genus(f.automaton)
+    if rank == 0:
+        return True
+    gs = g.substitution()
+    sigma = {lid: gs(f.loop_word(lid)) for lid in f.loop_ids()}
+    k_inv = {w: v for v, w in k.vmap.items()}
+
+    def d(c: Path) -> Word:
+        fc = f.vmap[c]
+        a_f = W.mul(gs(f.accumulated_wrap(c)), g.accumulated_wrap(fc))
+        return W.mul(a_f, W.inv(k.accumulated_wrap(k_inv[g.vmap[fc]])))
+
+    if rank == 1:
+        if any(sigma[lid] != k.loop_word(lid) for lid in sigma):
+            return False
+        return len({d(c) for c in f.dx_frontier()}) <= 1
+    u = st.outer_conjugator(st.FreeGroupAutomorphism(f.loop_ids(), sigma), k.substitution())
+    return u is not None and all(d(c) == u for c in f.genus_frontier() + f.dx_frontier())
 
 
 # -- end and outer actions ---------------------------------------------------------

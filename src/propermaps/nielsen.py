@@ -146,18 +146,13 @@ class FiniteGroupAction:
         ident = self.reps[self.group.identity]
         if not mc.is_properly_homotopic_to_identity(ident):
             raise ValueError("identity element representative is not certified trivial")
-        inverses = {}
         for g in self.group.elements:
-            inv = mc.rigid_inverse(self.reps[g])
-            if inv is None:
+            if not mc.has_rigid_inverse(self.reps[g]):
                 raise ValueError(f"representative of {g} has no rigid inverse")
-            inverses[g] = inv
         for g in _generating_subset(self.group):
             for h in self.group.elements:
                 k = self.group.mult[(g, h)]
-                comp = mc.compose(self.reps[h], self.reps[g])  # h first, then g
-                diff = mc.compose(comp, inverses[k])
-                if not mc.is_properly_homotopic_to_identity(diff):
+                if not mc.composes_to(self.reps[h], self.reps[g], self.reps[k]):  # h first, then g
                     raise ValueError(f"relation {g}*{h}={k} fails certification")
 
     def outer(self, g: str) -> st.FreeGroupAutomorphism:

@@ -824,50 +824,25 @@ def _invert_tuple(basis: Sequence[str], images: Sequence[Word]) -> tuple[Word, .
     return inv.tuple_images()
 
 
-def is_inner(rho: FreeGroupAutomorphism) -> Word | None:
-    """Witness w with rho(x) = w x w^-1 for all basis x, or None.
+def outer_conjugator(phi: FreeGroupAutomorphism, psi: FreeGroupAutomorphism) -> Word | None:
+    """Witness w with phi(x) = w psi(x) w^-1 for all basis x, or None.
 
-    The candidate conjugators form a coset u<x1>; the exponent is bounded
-    because excess x1-powers only lengthen the other images.
-    """
-    basis = rho.basis
-    if not basis:
-        return W.EMPTY
-    if len(basis) == 1:
-        x = basis[0]
-        return W.EMPTY if rho.images[x] == W.gen(x) else None
-    x1 = basis[0]
-    u = W.conjugator(rho.images[x1], W.gen(x1))
-    if u is None:
-        return None
-    maxlen = max(len(rho.images[x]) for x in basis)
-    bound = len(u) + maxlen + 2
-    for k in range(-bound, bound + 1):
-        w = W.mul(u, W.power(W.gen(x1), k))
-        if all(rho.images[x] == W.conjugate(W.gen(x), w) for x in basis):
-            return w
-    return None
-
-
-def outer_equal(phi: FreeGroupAutomorphism, psi: FreeGroupAutomorphism) -> bool:
-    """Whether phi and psi agree in Out, i.e. is_inner(phi ∘ psi^-1).
-
-    Solved directly as "exists w with phi(x) = w psi(x) w^-1 for all x",
-    which avoids materializing psi^-1.
+    The candidates form the coset u C(psi(x1)).  As an automorphism image,
+    psi(x1) is no proper power, so C(psi(x1)) = <c> with c its root; the
+    exponent is bounded because excess c-powers only lengthen the other
+    images, and the least exponent from -bound up is returned.
     """
     basis = phi.basis
     if set(basis) != set(psi.basis):
         raise ValueError("automorphisms over different bases")
     if not basis:
-        return True
+        return W.EMPTY
     if len(basis) == 1:
-        return phi.images[basis[0]] == psi.images[basis[0]]
+        return W.EMPTY if phi.images[basis[0]] == psi.images[basis[0]] else None
     x1 = basis[0]
     u = W.conjugator(phi.images[x1], psi.images[x1])
     if u is None:
-        return False
-    # solution coset u * C(psi(x1)); psi(x1) may be a proper power in theory,
-    # but as an automorphism image it is not, so C = <psi(x1)>.
+        return None
     c1, p = W.cyclic_reduce(psi.images[x1])
     root, _ = W.root_of(c1)
     gen_c = W.conjugate(root, p)
@@ -875,9 +850,20 @@ def outer_equal(phi: FreeGroupAutomorphism, psi: FreeGroupAutomorphism) -> bool:
     bound = len(u) + maxlen + 2
     for k in range(-bound, bound + 1):
         w = W.mul(u, W.power(gen_c, k))
-        if all(phi.images[x] == W.mul(w, psi.images[x], W.inv(w)) for x in basis):
-            return True
-    return False
+        w_inv = W.inv(w)
+        if all(phi.images[x] == W.mul(w, psi.images[x], w_inv) for x in basis):
+            return w
+    return None
+
+
+def is_inner(rho: FreeGroupAutomorphism) -> Word | None:
+    """Witness w with rho(x) = w x w^-1 for all basis x, or None."""
+    return outer_conjugator(rho, FreeGroupAutomorphism.identity(rho.basis))
+
+
+def outer_equal(phi: FreeGroupAutomorphism, psi: FreeGroupAutomorphism) -> bool:
+    """Whether phi and psi agree in Out, i.e. is_inner(phi ∘ psi^-1)."""
+    return outer_conjugator(phi, psi) is not None
 
 
 def apply_automorphism(phi: FreeGroupAutomorphism, f: FreeFactorSystem) -> FreeFactorSystem:

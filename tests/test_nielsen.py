@@ -771,18 +771,25 @@ def test_realize_core_order8_two_loop_ray(two_loop_ray):
     assert len({tuple(a.emap) for a in real.action.values()}) == 8
 
 
-def test_certify_composes_generator_rows_only(two_loop_ray, monkeypatch):
-    # the full table made 2 * 8^2 = 128 compositions; two generator rows make 32
+def test_certify_checks_generator_rows_without_composites(two_loop_ray, monkeypatch):
+    # two generator rows of the order-8 table are 16 relations, each read off
+    # the representatives without building a composite or an inverse
     _, act = _order8_action(two_loop_ray, 4)
-    compose, calls = mc.compose, [0]
+    composes_to, relations = mc.composes_to, []
 
-    def counting_compose(*args):
-        calls[0] += 1
-        return compose(*args)
+    def counting_composes_to(*args):
+        relations.append(args)
+        return composes_to(*args)
 
-    monkeypatch.setattr(mc, "compose", counting_compose)
+    def forbidden(*args):
+        raise AssertionError("certify built a composite or an inverse")
+
+    monkeypatch.setattr(mc, "composes_to", counting_composes_to)
+    monkeypatch.setattr(mc, "compose", forbidden)
+    monkeypatch.setattr(mc, "rigid_inverse", forbidden)
     act.certify()
-    assert 0 < calls[0] <= 32
+    assert len(nz._generating_subset(act.group)) == 2
+    assert len(relations) == 16
 
 
 def test_certify_rejects_wrong_non_generator_element():

@@ -233,6 +233,89 @@ def test_outer_equal_examples():
     assert st.outer_equal(phi, conj.compose(phi))
 
 
+def ref_is_inner(rho):
+    """``is_inner`` before it became ``outer_conjugator(rho, identity)``, verbatim."""
+    basis = rho.basis
+    if not basis:
+        return W.EMPTY
+    if len(basis) == 1:
+        x = basis[0]
+        return W.EMPTY if rho.images[x] == W.gen(x) else None
+    x1 = basis[0]
+    u = W.conjugator(rho.images[x1], W.gen(x1))
+    if u is None:
+        return None
+    maxlen = max(len(rho.images[x]) for x in basis)
+    bound = len(u) + maxlen + 2
+    for k in range(-bound, bound + 1):
+        w = W.mul(u, W.power(W.gen(x1), k))
+        if all(rho.images[x] == W.conjugate(W.gen(x), w) for x in basis):
+            return w
+    return None
+
+
+def ref_outer_equal(phi, psi):
+    """``outer_equal`` before it became a test of ``outer_conjugator``, verbatim."""
+    basis = phi.basis
+    if set(basis) != set(psi.basis):
+        raise ValueError("automorphisms over different bases")
+    if not basis:
+        return True
+    if len(basis) == 1:
+        return phi.images[basis[0]] == psi.images[basis[0]]
+    x1 = basis[0]
+    u = W.conjugator(phi.images[x1], psi.images[x1])
+    if u is None:
+        return False
+    c1, p = W.cyclic_reduce(psi.images[x1])
+    root, _ = W.root_of(c1)
+    gen_c = W.conjugate(root, p)
+    maxlen = max(max(len(phi.images[x]), len(psi.images[x])) for x in basis)
+    bound = len(u) + maxlen + 2
+    for k in range(-bound, bound + 1):
+        w = W.mul(u, W.power(gen_c, k))
+        if all(phi.images[x] == W.mul(w, psi.images[x], W.inv(w)) for x in basis):
+            return True
+    return False
+
+
+def _nielsen_automorphism(rng, basis, moves):
+    """A product of random Nielsen moves: x_i -> x_i x_j^±1 or x_j^±1 x_i,
+    x_i -> x_i^-1, and transpositions of two letters."""
+    phi = st.FreeGroupAutomorphism.identity(basis)
+    for _ in range(moves):
+        imgs = {x: W.gen(x) for x in basis}
+        i, j = rng.sample(basis, 2) if len(basis) > 1 else (basis[0], None)
+        kind = rng.choice(["right", "left", "invert", "swap"] if j else ["invert"])
+        if kind == "right":
+            imgs[i] = W.mul(W.gen(i), W.gen(j, rng.choice((1, -1))))
+        elif kind == "left":
+            imgs[i] = W.mul(W.gen(j, rng.choice((1, -1))), W.gen(i))
+        elif kind == "invert":
+            imgs[i] = W.gen(i, -1)
+        else:
+            imgs[i], imgs[j] = W.gen(j), W.gen(i)
+        phi = st.FreeGroupAutomorphism(basis, imgs).compose(phi)
+    return phi
+
+
+def test_outer_conjugator_matches_old_is_inner_and_outer_equal():
+    rng = random.Random(31)
+    for basis in (("a",), ("a", "b"), ("a", "b", "c")):
+        for _ in range(40):
+            phi = _nielsen_automorphism(rng, basis, rng.randint(0, 5))
+            psi = _nielsen_automorphism(rng, basis, rng.randint(0, 3))
+            w = W.reduce_word([(rng.choice(basis), rng.choice((1, -1))) for _ in range(rng.randint(0, 4))])
+            conj = st.FreeGroupAutomorphism.inner(basis, w)
+            for rho in (phi, conj, conj.compose(phi), phi.compose(conj)):
+                assert st.is_inner(rho) == ref_is_inner(rho)
+            for a, b in ((phi, psi), (conj.compose(phi), phi), (phi, conj.compose(psi)), (phi, phi)):
+                assert st.outer_equal(a, b) == ref_outer_equal(a, b)
+            if len(basis) > 1:  # the centre is trivial: the witness is w itself
+                assert st.outer_conjugator(conj.compose(phi), phi) == w
+    assert st.outer_conjugator(_swap(), st.FreeGroupAutomorphism.identity(("a", "b"))) is None
+
+
 @given(st_h.lists(st_h.sampled_from(["ra", "rb", "la", "lb", "swap", "inva"]), max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_inverse_of_random_automorphism(moves):

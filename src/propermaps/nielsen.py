@@ -22,6 +22,7 @@ from . import mapclass as mc
 from .graph_model import (
     Path,
     UnfoldingAutomaton,
+    _once_per_automaton,
     core,
     core_vertices,
     cylinders,
@@ -278,8 +279,13 @@ def is_core_automaton(a: UnfoldingAutomaton) -> bool:
     return core(a) == a
 
 
+@_once_per_automaton
 def ffs_of_interval(a: UnfoldingAutomaton, cover: IntervalCover, J: tuple[int, int] | int, depth: int) -> st.FreeFactorSystem:
-    """Free factor system carried by the annulus D^-1(J) of a core graph."""
+    """Free factor system carried by the annulus D^-1(J) of a core graph.
+
+    Computed once per automaton and (cover, J, depth), so T and T* share
+    F(J), F(J-) and F(J+).
+    """
     if not is_core_automaton(a):
         raise NotCoreGraphError("interval factors require a core ambient graph")
     if isinstance(J, int):
@@ -340,8 +346,9 @@ def f_star(
             raise InvarianceFailedError("sandwich F(J-) < F*(J) < F(J+) fails")
         if J[1] - J[0] < 8:
             raise ValueError("invariance guarantee needs |J| >= 8")
+    keys = result.keys()
     for g in action.group.elements:
-        if st.apply_automorphism(action.outer(g), result) != result:
+        if st.apply_automorphism(action.outer(g), result).keys() != keys:
             raise InvarianceFailedError(f"F*({J}) moved by {g}")
     return result
 
@@ -535,31 +542,21 @@ def apply_script(t: TreeOfGroups, script: Sequence[tuple]) -> TreeOfGroups:
     return cur
 
 
-def _tog_equal(t1: TreeOfGroups, t2: TreeOfGroups) -> bool:
-    """Structural equality up to renaming, componentwise by canonical keys."""
-    v1 = sorted((h, g.canonical_key()) for (v, g), h in zip(t1.vertex_groups.items(), [t1.vertex_heights[v] for v in t1.vertex_groups]))
-    v2 = sorted((h, g.canonical_key()) for (v, g), h in zip(t2.vertex_groups.items(), [t2.vertex_heights[v] for v in t2.vertex_groups]))
-    if v1 != v2:
-        return False
-    def edge_sig(t: TreeOfGroups):
-        out = []
-        for e, (lo, hi) in t.edge_ends.items():
-            out.append(
-                (
-                    t.vertex_heights[lo],
-                    t.edge_groups[e].canonical_key(),
-                    t.vertex_groups[lo].canonical_key(),
-                    t.vertex_groups[hi].canonical_key(),
-                )
-            )
-        return sorted(out)
-    return edge_sig(t1) == edge_sig(t2)
+def _tog_shape(t: TreeOfGroups) -> tuple[list, list]:
+    """The tree up to renaming: the sorted (height, key) of its vertices and
+    (low height, edge key, low key, high key) of its edges."""
+    vk, ek = t.keys()
+    return (
+        sorted((t.vertex_heights[v], k) for v, k in vk.items()),
+        sorted((t.vertex_heights[lo], ek[e], vk[lo], vk[hi]) for e, (lo, hi) in t.edge_ends.items()),
+    )
 
 
 def fold_to_t(tstar: TreeOfGroups, t: TreeOfGroups, max_rounds: int = 8) -> list[tuple]:
     """Script of IA folds then IIA promotions carrying T* to T; replay-validated."""
     script: list[tuple] = []
     cur = tstar.copy()
+    _, t_edge_keys = t.keys()
 
     # match T* edges to T edges by height and containment
     def t_edge_of(comp: st.LabeledGraph, lo_height: int) -> str:
@@ -597,7 +594,7 @@ def fold_to_t(tstar: TreeOfGroups, t: TreeOfGroups, max_rounds: int = 8) -> list
         for e, (lo, hi) in sorted(cur.edge_ends.items()):
             img = t_edge_of(cur.edge_groups[e], cur.vertex_heights[lo])
             target_group = t.edge_groups[img]
-            if cur.edge_groups[e].canonical_key() == target_group.canonical_key():
+            if cur.edge_groups[e].canonical_key() == t_edge_keys[img]:
                 continue
             for w in (lo, hi):
                 inter = st.intersect_ffs(_single(cur.vertex_groups[w]), _single(target_group))
@@ -614,11 +611,12 @@ def fold_to_t(tstar: TreeOfGroups, t: TreeOfGroups, max_rounds: int = 8) -> list
     # phase 3: promote vertex groups by pulling edge groups across
     for _ in range(max_rounds):
         pending = []
+        vertex_keys, _ = cur.keys()
         for e, (lo, hi) in sorted(cur.edge_ends.items()):
             for w, far in ((lo, hi), (hi, lo)):
                 sub = st.FreeFactorSystem((cur.edge_groups[e],))
                 joined = _join(cur.vertex_groups[far], *sub.components)
-                if joined.canonical_key() != cur.vertex_groups[far].canonical_key():
+                if joined.canonical_key() != vertex_keys[far]:
                     pending.append(("IIA", w, e, sub))
         if not pending:
             break
@@ -629,10 +627,11 @@ def fold_to_t(tstar: TreeOfGroups, t: TreeOfGroups, max_rounds: int = 8) -> list
             except IllegalMoveError:
                 continue
 
-    if not _tog_equal(cur, t):
+    t_shape = _tog_shape(t)
+    if _tog_shape(cur) != t_shape:
         raise NoScriptFoundError("move script does not reach T")
     replay = apply_script(tstar, script)
-    if not _tog_equal(replay, t):
+    if _tog_shape(replay) != t_shape:
         raise NoScriptFoundError("script replay validation failed")
     return script
 
@@ -1461,21 +1460,20 @@ class CoreRealization:
 def _tog_action(ts: TreeOfGroups, action: FiniteGroupAction) -> dict[str, dict[str, str]]:
     """Permutation of T* vertices and edges induced by each group element."""
     out: dict[str, dict[str, str]] = {}
-    vkeys = {v: g.canonical_key() for v, g in ts.vertex_groups.items()}
-    ekeys = {e: g.canonical_key() for e, g in ts.edge_groups.items()}
+    vkeys, ekeys = ts.keys()
     for h in action.group.elements:
         phi = action.outer(h)
         m: dict[str, str] = {}
         for v, g in ts.vertex_groups.items():
-            img = st.apply_automorphism(phi, _single(g))
-            key = img.components[0].canonical_key() if len(img.components) == 1 else None
+            pushed = st.apply_automorphism(phi, _single(g)).keys()
+            key = pushed[0] if len(pushed) == 1 else None
             hits = [v2 for v2 in ts.vertex_groups if ts.vertex_heights[v2] == ts.vertex_heights[v] and vkeys[v2] == key]
             if len(hits) != 1:
                 raise InvarianceFailedError(f"element {h} does not permute the T* vertices")
             m[v] = hits[0]
         for e, g in ts.edge_groups.items():
-            img = st.apply_automorphism(phi, _single(g))
-            key = img.components[0].canonical_key() if len(img.components) == 1 else None
+            pushed = st.apply_automorphism(phi, _single(g)).keys()
+            key = pushed[0] if len(pushed) == 1 else None
             lo = ts.edge_ends[e][0]
             hits = [
                 e2

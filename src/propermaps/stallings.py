@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import words as W
 from .words import Word
@@ -383,8 +383,15 @@ class LabeledGraph:
         """Non-tree edges with their ambient petal words.
 
         Returns (tree, [(edge, name, ambient_word), ...]) with deterministic
-        petal names p0, p1, ...
+        petal names p0, p1, ...  Computed once per base and kept in the
+        instance ``__dict__`` (as ``_index`` is); callers must not mutate it.
         """
+        memo = self.__dict__.setdefault("_petals", {})
+        if base not in memo:
+            memo[base] = self._petals_at(base)
+        return memo[base]
+
+    def _petals_at(self, base: int):
         tree = self.spanning_tree(base)
         tree_edges = set()
         for v, (p, l, s, _) in tree.items():
@@ -600,18 +607,16 @@ class FreeFactorSystem:
 
     @classmethod
     def from_graphs(cls, graphs: Iterable[LabeledGraph]) -> "FreeFactorSystem":
-        comps = []
-        for g in graphs:
-            g = g.fold()
-            if g.basepoint is not None:
-                g = LabeledGraph(g.vertices, g.edges, None)
-            g = g.core()
-            if g.is_empty():
-                continue
-            for c in g.components():
-                comps.append(c)
+        comps = [c for g in graphs for c in _core_pieces(g)]
         comps.sort(key=lambda c: c.canonical_key())
         return cls(tuple(comps))
+
+    @classmethod
+    def _keyed(cls, pieces: list[tuple[tuple, LabeledGraph]]) -> "FreeFactorSystem":
+        """The system of (key, component) pairs sorted by key; it keeps the keys."""
+        f = cls(tuple(c for _, c in pieces))
+        f.__dict__["_keys"] = tuple(k for k, _ in pieces)
+        return f
 
     @classmethod
     def from_generator_lists(cls, lists: Iterable[Iterable[Word]]) -> "FreeFactorSystem":
@@ -625,7 +630,8 @@ class FreeFactorSystem:
         return tuple(c.rank() for c in self.components)
 
     def keys(self) -> tuple[tuple, ...]:
-        return tuple(c.canonical_key() for c in self.components)
+        keys = self.__dict__.get("_keys")
+        return keys if keys is not None else tuple(c.canonical_key() for c in self.components)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FreeFactorSystem) and self.keys() == other.keys()
@@ -635,6 +641,15 @@ class FreeFactorSystem:
 
     def is_empty(self) -> bool:
         return not self.components
+
+
+def _core_pieces(g: LabeledGraph) -> list[LabeledGraph]:
+    """Components of the basepoint-free folded core of g; none for a tree."""
+    g = g.fold()
+    if g.basepoint is not None:
+        g = LabeledGraph(g.vertices, g.edges, None)
+    g = g.core()
+    return [] if g.is_empty() else g.components()
 
 
 def intersect_ffs(f1: FreeFactorSystem, f2: FreeFactorSystem) -> FreeFactorSystem:
@@ -700,12 +715,23 @@ class FreeGroupAutomorphism:
         return all(self.images[x] == W.gen(x) for x in self.basis)
 
     def is_automorphism(self) -> bool:
-        """Surjectivity check: the images generate the whole group."""
+        """Surjectivity check: the images generate the whole group.
+
+        Folded once per instance (``_is_automorphism``).
+        """
+        return self._is_automorphism
+
+    @cached_property
+    def _is_automorphism(self) -> bool:
         return generates_free_group(self.tuple_images(), self.basis)
 
     def inverse(self) -> "FreeGroupAutomorphism":
-        """Invert by Nielsen reduction with Whitehead moves at plateaus."""
-        inv_images = _invert_tuple(self.basis, self.tuple_images())
+        """Invert by Nielsen reduction with Whitehead moves at plateaus.
+
+        A non-automorphism is refused at its first plateau by the fold of
+        ``is_automorphism``, before any Whitehead move is tried.
+        """
+        inv_images = _invert_tuple(self.basis, self.tuple_images(), self.is_automorphism)
         cand = FreeGroupAutomorphism(self.basis, dict(zip(self.basis, inv_images)))
         check = self.compose(cand)
         if not check.is_identity():
@@ -748,11 +774,13 @@ def _whitehead_moves(basis):
                 yield FreeGroupAutomorphism(tuple(basis), imgs)
 
 
-def _invert_tuple(basis: Sequence[str], images: Sequence[Word]) -> tuple[Word, ...]:
+def _invert_tuple(basis: Sequence[str], images: Sequence[Word], is_basis: Callable[[], bool]) -> tuple[Word, ...]:
     """Carry (images) to a signed permutation of the basis by elementary moves.
 
     Tracks pre-moves nu and post-moves alpha so that
     alpha_total ∘ phi ∘ nu_total = pi, whence phi^-1 = nu_total ∘ pi^-1 ∘ alpha_total.
+    The moves are automorphisms, so at a plateau ``is_basis()`` (whether the
+    original images generate) decides whether a reducing move can exist.
     """
     basis = tuple(basis)
     n = len(basis)
@@ -793,6 +821,8 @@ def _invert_tuple(basis: Sequence[str], images: Sequence[Word]) -> tuple[Word, .
             nu_total = nu_total.compose(_elementary_right_multiply(basis, i, j, side, sign))
             continue
         # plateau: look for a strictly reducing Whitehead move applied to all coords
+        if not is_basis():
+            raise NotAnAutomorphismError("tuple is not a basis (it does not generate)")
         found = False
         for alpha in _whitehead_moves(basis):
             new_t = [alpha(w) for w in t]
@@ -867,16 +897,29 @@ def outer_equal(phi: FreeGroupAutomorphism, psi: FreeGroupAutomorphism) -> bool:
 
 
 def apply_automorphism(phi: FreeGroupAutomorphism, f: FreeFactorSystem) -> FreeFactorSystem:
-    """Pushforward of a free factor system: map generators, refold, re-core."""
+    """Pushforward of a free factor system: map generators, refold, re-core.
+
+    Each component is pushed and keyed once per automorphism instance: its
+    (key, piece) pairs are kept in ``phi.__dict__``, and the pushed system
+    carries the keys into ``keys()`` and ``==``.
+    """
     if not phi.is_automorphism():
         raise NotAnAutomorphismError(f"{phi.images} is not an automorphism")
+    pushed = phi.__dict__.setdefault("_pushed", {})
     pieces = []
     for comp in f.components:
-        base = min(comp.vertices)
-        _, petals = comp.petals(base)
-        imgs = [phi(word) for _, _, word in petals]
-        pieces.append(LabeledGraph.from_words(imgs))
-    return FreeFactorSystem.from_graphs(pieces)
+        if comp not in pushed:
+            pushed[comp] = _push_component(phi, comp)
+        pieces.extend(pushed[comp])
+    pieces.sort(key=lambda piece: piece[0])  # stable, as in from_graphs
+    return FreeFactorSystem._keyed(pieces)
+
+
+def _push_component(phi: FreeGroupAutomorphism, comp: LabeledGraph) -> tuple[tuple[tuple, LabeledGraph], ...]:
+    """(key, piece) for each core piece of phi_*(comp), in ``from_graphs`` order."""
+    _, petals = comp.petals(min(comp.vertices))
+    image = LabeledGraph.from_words([phi(word) for _, _, word in petals])
+    return tuple((c.canonical_key(), c) for c in _core_pieces(image))
 
 
 def rewrite_in_component(comp: LabeledGraph, words: Sequence[Word], onto: bool = False) -> tuple[Word, ...]:

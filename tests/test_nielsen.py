@@ -771,6 +771,32 @@ def test_realize_core_order8_two_loop_ray(two_loop_ray):
     assert len({tuple(a.emap) for a in real.action.values()}) == 8
 
 
+def test_core_realization_builds_each_system_and_pushforward_once(two_loop_ray, monkeypatch):
+    # T and T* ask for F(J), F(J-) and F(J+) again and again, and f_prime,
+    # the invariance checks of F* and the action on T* push the same
+    # components by the same elements: each must be built once per op
+    group, act = _order8_action(two_loop_ray, 14)
+    cov = nz.IntervalCover.make(range(15), [(0, 12), (2, 14)], min_overlap=10)
+    rose, push = st.LabeledGraph.rose, st._push_component
+    roses, pushes = [], []
+
+    def counting_rose(cls, labels, basepoint=0):
+        roses.append(tuple(labels))  # one rose per component of an interval system
+        return rose(labels, basepoint)
+
+    def counting_push(phi, comp):
+        pushes.append((phi.tuple_images(), comp))
+        return push(phi, comp)
+
+    monkeypatch.setattr(st.LabeledGraph, "rose", classmethod(counting_rose))
+    monkeypatch.setattr(st, "_push_component", counting_push)
+    real = nz.realize_core_case(act, cov)
+    assert all(v.kind == "certified_yes" for v in real.verdicts.values())
+    assert roses and len(roses) == len(set(roses))
+    assert pushes and len(pushes) == len(set(pushes))
+    assert {images for images, _ in pushes} == {act.outer(g).tuple_images() for g in group.elements}
+
+
 def test_certify_checks_generator_rows_without_composites(two_loop_ray, monkeypatch):
     # two generator rows of the order-8 table are 16 relations, each read off
     # the representatives without building a composite or an inverse

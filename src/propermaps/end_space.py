@@ -233,24 +233,6 @@ def average_metric(d: EndMetric, action: FiniteCylinderGroup) -> EndMetric:
 # -- epsilon partitions -------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-
 def epsilon_partition(m: EndMetric, eps: Fraction | int, depth: int, level: int | None = None) -> Partition:
     """Blocks are the eps-path-connected components (strict `< eps` joins).
 

@@ -294,17 +294,11 @@ def ffs_of_interval(a: UnfoldingAutomaton, cover: IntervalCover, J: tuple[int, i
         lo, hi = cover.depth_range(J)
     if hi > depth:
         raise ValueError("interval exceeds the truncation depth")
-    t = unfold(a, depth)
-    verts = [v for v in t.vertices if lo <= len(v) <= hi]
-    vset = set(verts)
-    uf = es._UnionFind(verts)
-    for u, v in t.tree_edges:
-        if u in vset and v in vset:
-            uf.union(u, v)
+    # in the rooted tree, the band's components are the classes of v[:lo]
     comps: dict[Path, list[str]] = {}
-    for v, k in t.loop_edges:
-        if v in vset:
-            comps.setdefault(uf.find(v), []).append(mc.loop_id(v, k))
+    for v, k in unfold(a, depth).loop_edges:
+        if lo <= len(v) <= hi:
+            comps.setdefault(v[:lo], []).append(mc.loop_id(v, k))
     graphs = [st.LabeledGraph.rose(sorted(lids)) for _, lids in sorted(comps.items())]
     return st.FreeFactorSystem.from_graphs(graphs)
 
@@ -646,30 +640,41 @@ class SymGraph:
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
 
+    @functools.cached_property
+    def _incidence(self) -> dict[int, list[tuple[int, int, int]]]:
+        """Per vertex, its (far end, edge, side) in edge order; an edge (a, b)
+        leaves a (side 1) before it leaves b (side 0), so a loop appears twice."""
+        incident: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(self.n_vertices)}
+        for e, (a, b) in enumerate(self.edges):
+            incident[a].append((b, e, 1))
+            incident[b].append((a, e, 0))
+        return incident
+
     def degree(self, v: int) -> int:
-        d = 0
-        for a, b in self.edges:
-            d += (a == v) + (b == v)
-        return d
+        return len(self._incidence[v])
 
     def rank(self) -> int:
         return len(self.edges) - self.n_vertices + 1
 
-    def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return False
-        adj = {v: set() for v in range(self.n_vertices)}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen, stack = set(), [0]
-        while stack:
-            v = stack.pop()
+    def components(self) -> list[frozenset[int]]:
+        """Vertex sets of the connected components, ordered by least vertex."""
+        seen: set[int] = set()
+        out = []
+        for v in range(self.n_vertices):
             if v in seen:
                 continue
-            seen.add(v)
-            stack.extend(adj[v] - seen)
-        return len(seen) == self.n_vertices
+            comp, stack = {v}, [v]
+            while stack:
+                for dst, _, _ in self._incidence[stack.pop()]:
+                    if dst not in comp:
+                        comp.add(dst)
+                        stack.append(dst)
+            seen |= comp
+            out.append(frozenset(comp))
+        return out
+
+    def is_connected(self) -> bool:
+        return len(self.components()) == 1
 
     def spanning_tree(self) -> dict[int, tuple[int, int, int]]:
         """{vertex: (parent, edge, side_in)} reaching each vertex from 0."""
@@ -677,17 +682,12 @@ class SymGraph:
 
     @functools.cached_property
     def _tree(self) -> dict[int, tuple[int, int, int]]:
-        # breadth first from 0; each vertex scans its edges in index order,
-        # an edge (a, b) leaving a before it leaves b
-        incident: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(self.n_vertices)}
-        for e, (a, b) in enumerate(self.edges):
-            incident[a].append((b, e, 1))
-            incident[b].append((a, e, 0))
+        # breadth first from 0, each vertex scanning its incidences in order
         tree = {0: (0, -1, 0)}
         queue = deque([0])
         while queue:
             v = queue.popleft()
-            for dst, e, side in incident.get(v, ()):
+            for dst, e, side in self._incidence.get(v, ()):
                 if dst not in tree:
                     tree[dst] = (v, e, side)
                     queue.append(dst)
@@ -833,21 +833,6 @@ def induced_outer(g: SymGraph, alpha: GraphAutomorphism, basis: Sequence[str]) -
     return st.FreeGroupAutomorphism(tuple(basis), images)
 
 
-@dataclass(frozen=True)
-class RealizedAction:
-    graph: SymGraph
-    action: Mapping[str, GraphAutomorphism]
-    basis: tuple[str, ...]
-
-    def check_homomorphism(self, group: FiniteGroup):
-        for gname in group.elements:
-            for hname in group.elements:
-                k = group.mult[(gname, hname)]
-                lhs = self.action[gname].compose(self.action[hname])
-                if lhs != self.action[k]:
-                    raise FinalCheckFailedError(f"action table fails at {gname}*{hname}")
-
-
 def _generating_subset(group: FiniteGroup) -> list[str]:
     elems = [e for e in group.elements if e != group.identity]
     for size in range(0 if not elems else 1, len(elems) + 1):
@@ -883,14 +868,37 @@ def _element_expressions(group: FiniteGroup, gens: Sequence[str]) -> dict[str, l
     return expr
 
 
+def _broken_relation(
+    group: FiniteGroup, gens: Iterable[str], g: SymGraph, act: Mapping[str, GraphAutomorphism]
+) -> str | None:
+    """The first relation the action table breaks, as "s*h", or None for a homomorphism.
+
+    With act[e] the identity, act[s*h] == act[s]∘act[h] for the generators s
+    and every h gives the whole multiplication table, by induction on the
+    length of an element as a product of generators.
+    """
+    if act[group.identity] != identity_automorphism(g):
+        return f"{group.identity}*{group.identity}"
+    for s in gens:
+        for h in group.elements:
+            if act[group.mult[(s, h)]] != act[s].compose(act[h]):
+                return f"{s}*{h}"
+    return None
+
+
+def _check_action(group: FiniteGroup, g: SymGraph, act: Mapping[str, GraphAutomorphism]):
+    broken = _broken_relation(group, _generating_subset(group), g, act)
+    if broken is not None:
+        raise FinalCheckFailedError(f"action table fails at {broken}")
+
+
 def _extend_to_action(
     group: FiniteGroup, expr: Mapping[str, list[str]], g: SymGraph, gen_img: Mapping[str, GraphAutomorphism]
 ) -> dict[str, GraphAutomorphism] | None:
     """The action extending the generator images, or None if they violate a relation.
 
-    Each element acts by the composite along its expression. By induction on
-    expression length, act[s*h] == act[s]∘act[h] for the generators s and
-    every h already gives the whole multiplication table.
+    Each element acts by the composite along its expression, so act[e] is
+    the identity and ``_broken_relation`` checks the generator rows.
     """
     along: dict[tuple[str, ...], GraphAutomorphism] = {(): identity_automorphism(g)}
     act = {}
@@ -898,11 +906,7 @@ def _extend_to_action(
         if word:
             along[tuple(word)] = gen_img[word[0]].compose(along[tuple(word[1:])])
         act[elem] = along[tuple(word)]
-    for s in gen_img:
-        for h in group.elements:
-            if act[group.mult[(s, h)]] != act[s].compose(act[h]):
-                return None
-    return act
+    return None if _broken_relation(group, gen_img, g, act) is not None else act
 
 
 def _small_graph_actions(group: FiniteGroup, n: int, e_max: int):
@@ -916,36 +920,6 @@ def _small_graph_actions(group: FiniteGroup, n: int, e_max: int):
             act = _extend_to_action(group, expr, g, dict(zip(gens, images)))
             if act is not None:
                 yield g, act
-
-
-def _signed_permutation_candidate(group: FiniteGroup, targets: Mapping[str, st.FreeGroupAutomorphism], basis) -> RealizedAction | None:
-    """Rose realization when every target is a signed permutation up to conjugacy."""
-    n = len(basis)
-    rose = SymGraph(1, tuple((0, 0) for _ in range(n)))
-    action = {}
-    for gname, phi in targets.items():
-        emap = []
-        for i, x in enumerate(basis):
-            nf = W.cyclic_normal_form(phi.images[x])
-            if len(nf) != 1:
-                return None
-            tgt, sign = nf[0]
-            emap.append((basis.index(tgt), 0 if sign > 0 else 1))
-        imgs = {e for e, _ in emap}
-        if len(imgs) != n:
-            return None
-        action[gname] = GraphAutomorphism((0,), tuple(emap))
-    if len({a.emap for a in action.values()}) != len(group.elements):
-        return None  # not a faithful action
-    cand = RealizedAction(rose, action, tuple(basis))
-    try:
-        cand.check_homomorphism(group)
-    except FinalCheckFailedError:
-        return None
-    for gname, phi in targets.items():
-        if not st.outer_equal(induced_outer(rose, action[gname], basis), phi):
-            return None
-    return cand
 
 
 def _enumerate_graphs(n: int, e_max: int):
@@ -964,33 +938,6 @@ def _enumerate_graphs(n: int, e_max: int):
             yield g
 
 
-def realize_finite_out(
-    group: FiniteGroup,
-    targets: Mapping[str, st.FreeGroupAutomorphism],
-    e_max: int = 6,
-    rank_bound: int = 3,
-) -> RealizedAction:
-    """Finite graph with simplicial action inducing the target outer action.
-
-    Signed-permutation targets are realized directly on the rose; otherwise
-    an exhaustive search over small graphs and injections of the group into
-    their automorphism groups runs, in canonical enumeration order.
-    """
-    basis = list(targets[group.identity].basis)
-    n = len(basis)
-    fast = _signed_permutation_candidate(group, targets, basis)
-    if fast is not None:
-        return fast
-    if n > rank_bound:
-        raise NotFoundWithinBoundError(f"rank {n} exceeds the search bound {rank_bound}")
-    for g, act in _small_graph_actions(group, n, e_max):
-        if len({tuple(a.vperm) + tuple(a.emap) for a in act.values()}) != len(group.elements):
-            continue  # not injective
-        if all(st.outer_equal(induced_outer(g, act[h], basis), targets[h]) for h in group.elements):
-            return RealizedAction(g, act, tuple(basis))
-    raise NotFoundWithinBoundError("no realization within the edge bound")
-
-
 # -- relative realization ------------------------------------------------------------
 
 
@@ -1005,26 +952,6 @@ class RelativePiece:
     graph: SymGraph
     action: Mapping[str, GraphAutomorphism]
     factor_words: tuple[tuple[Word, ...], ...]
-
-    def component_vertex_sets(self) -> list[set[int]]:
-        adj = {v: set() for v in range(self.graph.n_vertices)}
-        for a, b in self.graph.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen, out = set(), []
-        for v in range(self.graph.n_vertices):
-            if v in seen:
-                continue
-            comp, stack = set(), [v]
-            while stack:
-                x = stack.pop()
-                if x in comp:
-                    continue
-                comp.add(x)
-                stack.extend(adj[x] - comp)
-            seen |= comp
-            out.append(comp)
-        return out
 
 
 @dataclass(frozen=True)
@@ -1112,7 +1039,7 @@ def _apply_embedding_action_check(piece: RelativePiece, g: SymGraph, act, emb: E
 
 
 def _embedded_classes_match(piece: RelativePiece, g: SymGraph, petal_words: Sequence[Word], emb: Embedding) -> bool:
-    comps = piece.component_vertex_sets()
+    comps = piece.graph.components()
     for comp, words in zip(comps, piece.factor_words):
         edge_set = {emb.emap[e][0] for e in range(len(piece.graph.edges)) if set(piece.graph.edges[e]) <= comp}
         vset = {emb.vmap[v] for v in comp}
@@ -1126,12 +1053,13 @@ def _embedded_classes_match(piece: RelativePiece, g: SymGraph, petal_words: Sequ
 
 def _structured_wedge(group: FiniteGroup, piece: RelativePiece, n: int):
     """Wedge extra petals at an action-fixed vertex (single piece), or wedge
-    the pieces at a fresh base vertex.  Returns the wedge graph, the piece's
-    embedding and each generator's fixed part of the action (vertex
-    permutation, edge map of the old edges; the fresh petals are the edges
-    after those), or None when no such wedge carries the action."""
+    the pieces at a fresh base vertex (no piece: the rose of rank n).
+    Returns the wedge graph, the piece's embedding and each generator's
+    fixed part of the action (vertex permutation, edge map of the old edges;
+    the fresh petals are the edges after those), or None when no such wedge
+    carries the action."""
     g0 = piece.graph
-    comps = piece.component_vertex_sets()
+    comps = piece.graph.components()
     gens = _generating_subset(group)
     k = n - g0.rank() if len(comps) == 1 else n - sum(
         len({e for e in range(len(g0.edges)) if set(g0.edges[e]) <= comp}) - len(comp) + 1 for comp in comps
@@ -1166,7 +1094,7 @@ def _structured_wedge(group: FiniteGroup, piece: RelativePiece, n: int):
 
 def _aligned_marking(piece: RelativePiece, g: SymGraph, emb: Embedding, basis) -> tuple[Word, ...] | None:
     """Marking handing embedded petals their prescribed factor letters."""
-    comps = piece.component_vertex_sets()
+    comps = piece.graph.components()
     piece_petals = piece.graph.petal_edges()
     assign: dict[int, tuple[str, int]] = {}
     used: set[str] = set()
@@ -1256,30 +1184,35 @@ def realize_relative(
     e_max: int = 6,
     rank_bound: int = 3,
 ) -> RelativeRealization:
-    """Equivariant extension of realized subgraphs to a full realization.
+    """Finite graph with a simplicial action that induces the target outer
+    action and extends the realized piece (Culler's realization of finite
+    subgroups of Out(F_n), relative to the piece).
 
     Candidates are structured wedges first, then the exhaustive stream of
     small graphs with equivariant embeddings of the piece; every candidate
     is verified by outer equality and embedded-class comparison, under the
     factor-aligned petal marking when one exists and the positional one
-    otherwise.
+    otherwise.  With no piece the piece is empty: the wedge is the rose of
+    rank n, the positional marking is the only one, a candidate must act
+    faithfully, and the result has no embedding.
     """
     basis = list(targets[group.identity].basis)
     n = len(basis)
-    if piece is None or piece.graph.n_vertices == 0:
-        out = realize_finite_out(group, targets, e_max, rank_bound)
-        return RelativeRealization(out.graph, out.action, out.basis, None, tuple(W.gen(x) for x in out.basis))
+    absolute = piece is None or piece.graph.n_vertices == 0
+    if absolute:
+        empty = SymGraph(0, ())
+        piece = RelativePiece(empty, dict.fromkeys(group.elements, identity_automorphism(empty)), ())
+    positional = tuple(W.gen(x) for x in basis)
 
     def markings(g, emb) -> list[_Marking]:
-        """The factor-aligned marking, the positional one and, at rank <= 3,
-        every signed permutation, in that order; markings that are no basis
-        are left out."""
-        words = []
+        """The factor-aligned marking, the positional one and, at rank <= 3
+        with a piece, every signed permutation, in that order and each once;
+        markings that are no basis are left out."""
+        words = [positional]
         aligned = _aligned_marking(piece, g, emb, basis)
-        if aligned is not None:
-            words.append(aligned)
-        words.append(tuple(W.gen(x) for x in basis))
-        if n <= 3:
+        if aligned is not None and aligned != positional:
+            words.insert(0, aligned)
+        if n <= 3 and not absolute:
             for perm in itertools.permutations(basis):
                 for signs in itertools.product((1, -1), repeat=n):
                     cand = tuple(W.gen(x, s) for x, s in zip(perm, signs))
@@ -1293,12 +1226,11 @@ def realize_relative(
                 continue
         return out
 
-    def usable(g) -> bool:
-        return g.is_connected() and g.rank() == n
-
     def verify(g, act, emb, marks=None):
         """The first marking under which act induces every target and the
         piece's factors embed as prescribed, or None."""
+        if absolute and len({(a.vperm, a.emap) for a in act.values()}) != len(group.elements):
+            return None  # not faithful
         if not _apply_embedding_action_check(piece, g, act, emb, group.elements):
             return None
         for m in markings(g, emb) if marks is None else marks:
@@ -1307,8 +1239,11 @@ def realize_relative(
                     return m.words
         return None
 
+    def realized(g, act, emb, pw) -> RelativeRealization:
+        return RelativeRealization(g, act, tuple(basis), None if absolute else emb, pw)
+
     wedge = _structured_wedge(group, piece, n)
-    if wedge is not None and usable(wedge[0]):
+    if wedge is not None:
         g, emb, bases = wedge
         # g and emb are fixed for the whole wedge search: mark once
         marks = markings(g, emb)
@@ -1320,17 +1255,23 @@ def realize_relative(
                 continue
             pw = verify(g, act, emb, marks)
             if pw is not None:
-                return RelativeRealization(g, act, tuple(basis), emb, pw)
+                return realized(g, act, emb, pw)
 
-    if n <= rank_bound:
-        for g, act in _small_graph_actions(group, n, e_max):
-            if not usable(g):
-                continue
-            for emb in _enumerate_embeddings(piece.graph, g):
-                pw = verify(g, act, emb)
-                if pw is not None:
-                    return RelativeRealization(g, act, tuple(basis), emb, pw)
-    raise NotFoundWithinBoundError("no equivariant extension within the bounds")
+    if n > rank_bound:
+        raise NotFoundWithinBoundError(f"rank {n} exceeds the search bound rank_bound = {rank_bound}")
+    graphs = actions = 0
+    last = None
+    for g, act in _small_graph_actions(group, n, e_max):
+        graphs += g is not last  # a graph's actions come together, its trivial one among them
+        last = g
+        actions += 1
+        for emb in _enumerate_embeddings(piece.graph, g):
+            pw = verify(g, act, emb)
+            if pw is not None:
+                return realized(g, act, emb, pw)
+    raise NotFoundWithinBoundError(
+        f"no realization within e_max = {e_max} edges; examined {graphs} graphs and {actions} actions"
+    )
 
 
 def _enumerate_embeddings(small: SymGraph, big: SymGraph):
@@ -1543,13 +1484,13 @@ def realize_core_case(
     vertex_orbit_of = {v: rep for rep, tr in vertex_orbits.items() for v in tr}
 
     # realize edge graphs on orbit representatives
-    edge_real: dict[str, RealizedAction] = {}
+    edge_real: dict[str, RelativeRealization] = {}
     for e0 in edge_orbits:
         stab = [h for h in group.elements if taus[h][e0] == e0]
         sgroup = sub_group(group, stab)
         comp = t_star.edge_groups[e0]
         targets = {h: st.restriction_outer(comp, action.outer(h)) for h in sgroup.elements}
-        edge_real[e0] = realize_finite_out(sgroup, targets, e_max=e_max, rank_bound=max(rank_bound, 1))
+        edge_real[e0] = realize_relative(sgroup, targets, None, e_max=e_max, rank_bound=max(rank_bound, 1))
 
     # realize vertex graphs relative to their incident edge graphs
     @dataclass
@@ -1733,8 +1674,7 @@ def realize_core_case(
                 emap[src] = val
         y_action[h] = GraphAutomorphism(tuple(vperm), tuple(emap))
 
-    ra = RealizedAction(y, y_action, ())
-    ra.check_homomorphism(group)
+    _check_action(group, y, y_action)
 
     verdicts = _certify_against_ambient(action, y, y_action, labels)
     interval_ranks = {
@@ -1761,7 +1701,7 @@ def _realize_compact_core(action: FiniteGroupAction, e_max: int, rank_bound: int
     a = action.automaton
     lids = mc.ProperMapRep.identity(a, action.depth).loop_ids()
     targets = {h: action.outer(h) for h in action.group.elements}
-    out = realize_finite_out(action.group, targets, e_max=e_max, rank_bound=rank_bound)
+    out = realize_relative(action.group, targets, None, e_max=e_max, rank_bound=rank_bound)
     labels: dict[int, Word] = {}
     for j, e in enumerate(out.graph.petal_edges()):
         labels[e] = W.gen(lids[j])
@@ -2286,7 +2226,7 @@ def realize_general_case(
                 emap[ei] = (edge_key[("tele", lev, img)], 0)
         y_action[h] = GraphAutomorphism(tuple(vperm), tuple(emap))
 
-    RealizedAction(y, y_action, ()).check_homomorphism(action.group)
+    _check_action(action.group, y, y_action)
     # simplicial sanity: every edge maps onto an edge with matching endpoints
     for h, alpha in y_action.items():
         for e, (u, v) in enumerate(y.edges):

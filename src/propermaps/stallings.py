@@ -9,7 +9,7 @@ Free factor systems are finite lists of such core graphs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -682,7 +682,7 @@ def contained_in(f: FreeFactorSystem, fprime: FreeFactorSystem) -> bool:
 @dataclass(frozen=True)
 class FreeGroupAutomorphism:
     basis: tuple[str, ...]
-    images: dict[str, Word] = field(compare=False)
+    images: dict[str, Word]
 
     @classmethod
     def from_images(cls, basis: Sequence[str], images: dict[str, Word]) -> "FreeGroupAutomorphism":
@@ -710,6 +710,14 @@ class FreeGroupAutomorphism:
 
     def tuple_images(self) -> tuple[Word, ...]:
         return tuple(self.images[x] for x in self.basis)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FreeGroupAutomorphism):
+            return NotImplemented
+        return self.basis == other.basis and self.tuple_images() == other.tuple_images()
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.tuple_images()))
 
     def is_identity(self) -> bool:
         return all(self.images[x] == W.gen(x) for x in self.basis)

@@ -19,6 +19,7 @@ from propermaps import stallings as st
 from propermaps import words as W
 from propermaps.end_space import ClopenSet
 from tests.conftest import make_flip_action
+from tests.test_nielsen import assert_action_table
 
 
 def w(s):
@@ -226,18 +227,18 @@ def test_criterion_7_realize_finite_out():
         z2 = nz.FiniteGroup.cyclic(2)
         ident = st.FreeGroupAutomorphism.identity(("a", "b"))
         swap = st.FreeGroupAutomorphism.from_images(("a", "b"), {"a": w("b"), "b": w("a")})
-        out = nz.realize_finite_out(z2, {"e": ident, "g1": swap}, e_max=6)
+        out = nz.realize_relative(z2, {"e": ident, "g1": swap}, None, e_max=6)
         assert out.graph.n_vertices == 1 and len(out.graph.edges) == 2
         assert st.outer_equal(nz.induced_outer(out.graph, out.action["g1"], out.basis), swap)
-        nz.RealizedAction(out.graph, out.action, out.basis).check_homomorphism(z2)
+        assert_action_table(z2, out.action)
 
         inv = st.FreeGroupAutomorphism.from_images(("a", "b"), {"a": w("A"), "b": w("B")})
-        out2 = nz.realize_finite_out(z2, {"e": ident, "g1": inv}, e_max=6)
+        out2 = nz.realize_relative(z2, {"e": ident, "g1": inv}, None, e_max=6)
         assert out2.graph.n_vertices == 1 and len(out2.graph.edges) == 2
         assert all(flip for _, flip in out2.action["g1"].emap)
         assert st.outer_equal(nz.induced_outer(out2.graph, out2.action["g1"], out2.basis), inv)
 
-        triv = nz.realize_finite_out(nz.FiniteGroup.trivial(), {"e": ident}, e_max=6)
+        triv = nz.realize_relative(nz.FiniteGroup.trivial(), {"e": ident}, None, e_max=6)
         assert triv.graph.n_vertices == 1 and len(triv.graph.edges) == 2
 
 

@@ -212,6 +212,11 @@ def test_realize_reports_bound_exhaustion(tmp_path, capsys):
     act.write_text("\n".join(lines) + "\n")
     code, rep = run(capsys, "realize", "core", str(g), str(act), "--max-edges", "4")
     assert code == 3
+    assert rep["stage"] == "search"
+    assert rep["error"] == "no realization within e_max = 4 edges; examined 23 graphs and 23 actions"
+    code, rep = run(capsys, "realize", "core", str(g), str(act), "--rank-bound", "1")
+    assert code == 3
+    assert rep["error"] == "rank 2 exceeds the search bound rank_bound = 1"
 
 
 def test_cli_deterministic(tmp_path, capsys):

@@ -10,6 +10,7 @@ from propermaps import nielsen as nz
 from propermaps import stallings as st
 from propermaps import words as W
 from tests.conftest import make_flip_action
+from tests.test_classification_fuzz import random_automaton
 
 
 def lid(path, k=0):
@@ -83,6 +84,69 @@ def test_ffs_of_interval_two_branch_core():
     cov = nz.IntervalCover.make(range(7), [(0, 6)], min_overlap=0)
     missing_root = nz.ffs_of_interval(two, cov, (2, 6), 6)
     assert len(missing_root.components) == 2
+
+
+class RefUnionFind:
+    """Reference: the union-find the interval systems were built on."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            if ry < rx:
+                rx, ry = ry, rx
+            self.parent[ry] = rx
+
+
+def ref_ffs_of_interval(a, cover, J, depth):
+    """Reference: the band's components joined along tree edges by union-find."""
+    if isinstance(J, int):
+        lo = hi = cover.r[J]
+    else:
+        lo, hi = cover.depth_range(J)
+    t = gm.unfold(a, depth)
+    verts = [v for v in t.vertices if lo <= len(v) <= hi]
+    vset = set(verts)
+    uf = RefUnionFind(verts)
+    for u, v in t.tree_edges:
+        if u in vset and v in vset:
+            uf.union(u, v)
+    comps = {}
+    for v, k in t.loop_edges:
+        if v in vset:
+            comps.setdefault(uf.find(v), []).append(mc.loop_id(v, k))
+    graphs = [st.LabeledGraph.rose(sorted(lids)) for _, lids in sorted(comps.items())]
+    return st.FreeFactorSystem.from_graphs(graphs)
+
+
+def test_ffs_of_interval_matches_union_find_on_random_cores():
+    rng = random.Random(17)
+    checked = split = 0
+    while checked < 80:
+        a = gm.core(random_automaton(rng, max_states=rng.choice((2, 3, 4))))
+        if a is None:
+            continue
+        depth = rng.randint(0, 4)
+        if len(gm.unfold(a, depth).vertices) > 400:
+            continue
+        cover = nz.IntervalCover(tuple(range(depth + 1)), ((0, depth),))
+        lo = rng.randint(0, depth)
+        for J in ((lo, rng.randint(lo, depth)), lo):
+            got = nz.ffs_of_interval(a, cover, J, depth)
+            want = ref_ffs_of_interval(a, cover, J, depth)
+            assert got.keys() == want.keys()
+            assert [c.edges for c in got.components] == [c.edges for c in want.components]
+            split += len(got.components) > 1
+        checked += 1
+    assert split >= 10, "too few bands with several components"
 
 
 def test_ffs_requires_core(cantor_tree):
@@ -258,8 +322,15 @@ def _z2():
     return nz.FiniteGroup.cyclic(2)
 
 
+def assert_action_table(group, action):
+    """The whole |G|^2 multiplication table of a graph action, entry by entry."""
+    for g in group.elements:
+        for h in group.elements:
+            assert action[group.mult[(g, h)]] == action[g].compose(action[h]), f"action table fails at {g}*{h}"
+
+
 def test_realize_trivial_is_rose():
-    out = nz.realize_finite_out(nz.FiniteGroup.trivial(), {"e": st.FreeGroupAutomorphism.identity(("a", "b", "c"))})
+    out = nz.realize_relative(nz.FiniteGroup.trivial(), {"e": st.FreeGroupAutomorphism.identity(("a", "b", "c"))}, None)
     assert out.graph.n_vertices == 1 and len(out.graph.edges) == 3
 
 
@@ -268,7 +339,7 @@ def test_realize_swap_on_rose():
         "e": st.FreeGroupAutomorphism.identity(("a", "b")),
         "g1": st.FreeGroupAutomorphism.from_images(("a", "b"), {"a": w("b"), "b": w("a")}),
     }
-    out = nz.realize_finite_out(_z2(), targets)
+    out = nz.realize_relative(_z2(), targets, None)
     assert out.graph.n_vertices == 1 and len(out.graph.edges) == 2
     assert out.action["g1"].emap in (((1, 0), (0, 0)),)
     out_check = nz.induced_outer(out.graph, out.action["g1"], out.basis)
@@ -280,9 +351,9 @@ def test_realize_double_inversion():
         "e": st.FreeGroupAutomorphism.identity(("a", "b")),
         "g1": st.FreeGroupAutomorphism.from_images(("a", "b"), {"a": w("A"), "b": w("B")}),
     }
-    out = nz.realize_finite_out(_z2(), targets)
+    out = nz.realize_relative(_z2(), targets, None)
     assert all(flip for _, flip in out.action["g1"].emap)
-    nz.RealizedAction(out.graph, out.action, out.basis).check_homomorphism(_z2())
+    assert_action_table(_z2(), out.action)
 
 
 def test_realize_conjugated_swap_needs_search():
@@ -290,7 +361,7 @@ def test_realize_conjugated_swap_needs_search():
     conj = st.FreeGroupAutomorphism.inner(("a", "b"), w("a"))
     swap = st.FreeGroupAutomorphism.from_images(("a", "b"), {"a": w("b"), "b": w("a")})
     targets = {"e": st.FreeGroupAutomorphism.identity(("a", "b")), "g1": conj.compose(swap)}
-    out = nz.realize_finite_out(_z2(), targets)
+    out = nz.realize_relative(_z2(), targets, None)
     got = nz.induced_outer(out.graph, out.action["g1"], out.basis)
     assert st.outer_equal(got, targets["g1"])
 
@@ -299,8 +370,12 @@ def test_realize_not_found_within_bound():
     # Z/5 cannot act faithfully realizing the identity on F_2 (injectivity fails)
     z5 = nz.FiniteGroup.cyclic(5)
     targets = {g: st.FreeGroupAutomorphism.identity(("a", "b")) for g in z5.elements}
-    with pytest.raises(nz.NotFoundWithinBoundError):
-        nz.realize_finite_out(z5, targets, e_max=4)
+    with pytest.raises(nz.NotFoundWithinBoundError) as exc:
+        nz.realize_relative(z5, targets, None, e_max=4)
+    assert str(exc.value) == "no realization within e_max = 4 edges; examined 23 graphs and 23 actions"
+    with pytest.raises(nz.NotFoundWithinBoundError) as exc:
+        nz.realize_relative(z5, targets, None, rank_bound=1)
+    assert str(exc.value) == "rank 2 exceeds the search bound rank_bound = 1"
 
 
 def _full_table_action(group, gens, g, images):
@@ -358,6 +433,32 @@ def test_extend_to_action_matches_full_table_on_small_graphs():
 
 
 # -- relative realization ------------------------------------------------------------------
+
+
+def test_generator_rows_catch_every_broken_table():
+    """A table that fails the full |G|^2 check fails the generator rows, with
+    act[e] the identity (the trivial group has no generator rows): tables of
+    small-graph actions with two entries swapped or one replaced by another
+    automorphism."""
+    rng = random.Random(9)
+    for group in (nz.FiniteGroup.trivial(), nz.FiniteGroup.cyclic(3), nz.FiniteGroup.cyclic(4), _order8_wedge_group()[0]):
+        for g, act in itertools.islice(nz._small_graph_actions(group, 2, 4), 40):
+            nz._check_action(group, g, act)
+            auts = nz.automorphisms(g)
+            for _ in range(5):
+                broken = dict(act)
+                x, y = rng.choice(group.elements), rng.choice(group.elements)
+                if rng.random() < 0.5:
+                    broken[x], broken[y] = act[y], act[x]
+                else:
+                    broken[x] = rng.choice(auts)
+                try:
+                    assert_action_table(group, broken)
+                except AssertionError:
+                    with pytest.raises(nz.FinalCheckFailedError):
+                        nz._check_action(group, g, broken)
+                else:
+                    nz._check_action(group, g, broken)
 
 
 def test_realize_relative_empty_delegates():
@@ -767,7 +868,7 @@ def test_realize_core_order8_two_loop_ray(two_loop_ray):
     assert real.graph.rank() == 2 * (depth + 1)
     assert all(v.kind == "certified_yes" for v in real.verdicts.values())
     # simplicial action table of order 8
-    nz.RealizedAction(real.graph, real.action, ()).check_homomorphism(group)
+    assert_action_table(group, real.action)
     assert len({tuple(a.emap) for a in real.action.values()}) == 8
 
 

@@ -195,6 +195,16 @@ def _swap():
     return st.FreeGroupAutomorphism.from_images(("a", "b"), {"a": w("b"), "b": w("a")})
 
 
+def test_automorphisms_compare_and_hash_by_value():
+    ident = st.FreeGroupAutomorphism.identity(("a", "b"))
+    assert ident != _swap()
+    assert len({ident, _swap()}) == 2
+    same = st.FreeGroupAutomorphism.from_images(("a", "b"), {"b": w("a"), "a": w("b")})
+    assert same == _swap() and hash(same) == hash(_swap())
+    assert len({ident, _swap(), same, st.FreeGroupAutomorphism.identity(("a", "b"))}) == 2
+    assert ident != st.FreeGroupAutomorphism.identity(("b", "a"))
+
+
 def test_apply_automorphism_examples():
     ident = st.FreeGroupAutomorphism.identity(("a", "b"))
     f = ffs(["a"])

@@ -1,20 +1,28 @@
-"""The read-off wedge search against the blind one.
+"""The read-off wedge search against the blind one and the rose search.
 
 The reference below is a verbatim copy of the earlier blind search (module
 names qualified with ``nz.``): ``_lazy_product``, ``_structured_extensions``
 with ``_wedge_images`` and its cap, ``marked_outer`` and ``realize_relative``
 with its ``verify`` loop, plus the scan-based ``SymGraph.spanning_tree`` /
-``petal_edges`` and ``induced_outer`` they rested on.  The read-off search
-must find the same first realization (graph, action, embedding and petal
-words), and read off exactly the images that the blind enumeration admits,
-in the same order.
+``petal_edges`` and ``induced_outer`` they rested on.  For a call without a
+piece it ran the separate absolute search, copied verbatim too:
+``realize_finite_out`` with ``_signed_permutation_candidate`` (the rose) and
+``RealizedAction`` with its full-table ``check_homomorphism``.  The
+adjacency scans of ``RelativePiece.component_vertex_sets``,
+``SymGraph.degree`` and ``is_connected`` are the reference for the
+incidence index.  The search must find the same first realization (graph, action, embedding and petal
+words), read off on a piece's wedge exactly the images that the blind
+enumeration admits, in the same order, and read off on the rose the signed
+permutation that the rose search reads.
 """
 
 import functools
 import itertools
 import math
 import random
-from typing import Sequence
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Mapping, Sequence
 
 import pytest
 
@@ -113,7 +121,7 @@ def ref_structured_extensions(group, piece, n):
     on the fresh petals.  Raises NotFoundWithinBoundError once
     STRUCTURED_SEARCH_CAP generator assignments have been examined."""
     g0 = piece.graph
-    comps = piece.component_vertex_sets()
+    comps = ref_component_vertex_sets(piece)
     gens = nz._generating_subset(group)
     k = n - g0.rank() if len(comps) == 1 else n - sum(
         len({e for e in range(len(g0.edges)) if set(g0.edges[e]) <= comp}) - len(comp) + 1 for comp in comps
@@ -172,11 +180,123 @@ def ref_marked_outer(g, alpha, petal_words, basis):
     return nu.compose(rho_x).compose(nu_inv)
 
 
+def ref_component_vertex_sets(self):
+    adj = {v: set() for v in range(self.graph.n_vertices)}
+    for a, b in self.graph.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, out = set(), []
+    for v in range(self.graph.n_vertices):
+        if v in seen:
+            continue
+        comp, stack = set(), [v]
+        while stack:
+            x = stack.pop()
+            if x in comp:
+                continue
+            comp.add(x)
+            stack.extend(adj[x] - comp)
+        seen |= comp
+        out.append(comp)
+    return out
+
+
+def ref_degree(self, v):
+    d = 0
+    for a, b in self.edges:
+        d += (a == v) + (b == v)
+    return d
+
+
+def ref_is_connected(self):
+    if self.n_vertices == 0:
+        return False
+    adj = {v: set() for v in range(self.n_vertices)}
+    for a, b in self.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, stack = set(), [0]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        stack.extend(adj[v] - seen)
+    return len(seen) == self.n_vertices
+
+
+@dataclass(frozen=True)
+class RefRealizedAction:
+    graph: nz.SymGraph
+    action: Mapping[str, nz.GraphAutomorphism]
+    basis: tuple[str, ...]
+
+    def check_homomorphism(self, group):
+        for gname in group.elements:
+            for hname in group.elements:
+                k = group.mult[(gname, hname)]
+                lhs = self.action[gname].compose(self.action[hname])
+                if lhs != self.action[k]:
+                    raise nz.FinalCheckFailedError(f"action table fails at {gname}*{hname}")
+
+
+def ref_signed_permutation_candidate(group, targets, basis):
+    """Rose realization when every target is a signed permutation up to conjugacy."""
+    n = len(basis)
+    rose = nz.SymGraph(1, tuple((0, 0) for _ in range(n)))
+    action = {}
+    for gname, phi in targets.items():
+        emap = []
+        for i, x in enumerate(basis):
+            nf = W.cyclic_normal_form(phi.images[x])
+            if len(nf) != 1:
+                return None
+            tgt, sign = nf[0]
+            emap.append((basis.index(tgt), 0 if sign > 0 else 1))
+        imgs = {e for e, _ in emap}
+        if len(imgs) != n:
+            return None
+        action[gname] = nz.GraphAutomorphism((0,), tuple(emap))
+    if len({a.emap for a in action.values()}) != len(group.elements):
+        return None  # not a faithful action
+    cand = RefRealizedAction(rose, action, tuple(basis))
+    try:
+        cand.check_homomorphism(group)
+    except nz.FinalCheckFailedError:
+        return None
+    for gname, phi in targets.items():
+        if not st.outer_equal(nz.induced_outer(rose, action[gname], basis), phi):
+            return None
+    return cand
+
+
+def ref_realize_finite_out(group, targets, e_max=6, rank_bound=3):
+    """Finite graph with simplicial action inducing the target outer action.
+
+    Signed-permutation targets are realized directly on the rose; otherwise
+    an exhaustive search over small graphs and injections of the group into
+    their automorphism groups runs, in canonical enumeration order.
+    """
+    basis = list(targets[group.identity].basis)
+    n = len(basis)
+    fast = ref_signed_permutation_candidate(group, targets, basis)
+    if fast is not None:
+        return fast
+    if n > rank_bound:
+        raise nz.NotFoundWithinBoundError(f"rank {n} exceeds the search bound {rank_bound}")
+    for g, act in nz._small_graph_actions(group, n, e_max):
+        if len({tuple(a.vperm) + tuple(a.emap) for a in act.values()}) != len(group.elements):
+            continue  # not injective
+        if all(st.outer_equal(nz.induced_outer(g, act[h], basis), targets[h]) for h in group.elements):
+            return RefRealizedAction(g, act, tuple(basis))
+    raise nz.NotFoundWithinBoundError("no realization within the edge bound")
+
+
 def ref_realize_relative(group, targets, piece, e_max=6, rank_bound=3):
     basis = list(targets[group.identity].basis)
     n = len(basis)
     if piece is None or piece.graph.n_vertices == 0:
-        out = nz.realize_finite_out(group, targets, e_max, rank_bound)
+        out = ref_realize_finite_out(group, targets, e_max, rank_bound)
         return nz.RelativeRealization(out.graph, out.action, out.basis, None, tuple(W.gen(x) for x in out.basis))
 
     def marking_candidates(g, emb):
@@ -290,6 +410,7 @@ def test_first_realization_matches_unscreened_search(case, monkeypatch):
     action, cover = CASES[case]()
     real, calls = _recorded_calls(monkeypatch, action, cover)
     assert any(args[2] is not None for args, _, _ in calls), "no relative piece was realized"
+    assert any(args[2] is None for args, _, _ in calls), "no edge group was realized"
     for args, kwargs, out in calls:
         ref = ref_realize_relative(*args, **kwargs)
         assert out.graph == ref.graph
@@ -303,16 +424,104 @@ def test_first_realization_matches_unscreened_search(case, monkeypatch):
     assert all(v.kind == "certified_yes" for v in real.verdicts.values())
 
 
+def _absolute_targets(basis, images, order):
+    """Targets of Z/order generated by the automorphism with these images,
+    an outer automorphism of that order."""
+    group = nz.FiniteGroup.cyclic(order)
+    phi = st.FreeGroupAutomorphism.from_images(basis, {x: W.word_from_str(img) for x, img in images.items()})
+    targets, power = {}, st.FreeGroupAutomorphism.identity(basis)
+    for elem in group.elements:
+        targets[elem] = power
+        power = phi.compose(power)
+    assert st.outer_equal(power, targets["e"])
+    return group, targets
+
+
+ABSOLUTE_CASES = {
+    "trivial-rank3": lambda: _absolute_targets(("a", "b", "c"), {}, 1),
+    "swap": lambda: _absolute_targets(("a", "b"), {"a": "b", "b": "a"}, 2),
+    "double-inversion": lambda: _absolute_targets(("a", "b"), {"a": "A", "b": "B"}, 2),
+    "rank3-cycle": lambda: _absolute_targets(("a", "b", "c"), {"a": "b", "b": "C", "c": "a"}, 6),
+    # the swap conjugated by a: no letter image, found by the small-graph stream
+    "conjugated-swap": lambda: _absolute_targets(("a", "b"), {"a": "abA", "b": "a"}, 2),
+    # no rose carries a -> b, b -> (ab)^-1; the stream finds a 5-vertex, 6-edge graph
+    "z3-rotation": lambda: _absolute_targets(("a", "b"), {"a": "b", "b": "BA"}, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(ABSOLUTE_CASES))
+def test_absolute_realization_matches_rose_search(case):
+    group, targets = ABSOLUTE_CASES[case]()
+    out = nz.realize_relative(group, targets, None)
+    ref = ref_realize_finite_out(group, targets)
+    assert (out.graph, out.action, out.basis) == (ref.graph, ref.action, ref.basis)
+    assert out.embedding is None
+    assert out.petal_words == tuple(W.gen(x) for x in ref.basis)
+    if case == "z3-rotation":
+        assert (out.graph.n_vertices, len(out.graph.edges)) == (5, 6)
+
+
+def test_absolute_bound_matches_rose_search():
+    z5 = nz.FiniteGroup.cyclic(5)
+    targets = {g: st.FreeGroupAutomorphism.identity(("a", "b")) for g in z5.elements}
+    for bounds in ({"e_max": 4}, {"rank_bound": 1}):
+        with pytest.raises(nz.NotFoundWithinBoundError):
+            ref_realize_finite_out(z5, targets, **bounds)
+        with pytest.raises(nz.NotFoundWithinBoundError):
+            nz.realize_relative(z5, targets, None, **bounds)
+
+
+def _compact_case(name):
+    rose = gm.UnfoldingAutomaton.make("s", {"s": []}, {"s": 2})
+    if name == "order8-rose":
+        return _order8_action(rose, 0)[1]
+    return make_flip_action(rose, 0)
+
+
+@pytest.mark.parametrize("case", ["order8-rose", "flip-rose"])
+def test_compact_core_matches_rose_search(case, monkeypatch):
+    action = _compact_case(case)
+    real, calls = _recorded_calls(monkeypatch, action, None)
+    assert [args[2] for args, _, _ in calls] == [None]
+    (args, kwargs, out), = calls
+    ref = ref_realize_finite_out(*args[:2], **kwargs)
+    assert (out.graph, out.action, out.embedding) == (ref.graph, ref.action, None)
+    assert all(v.kind == "certified_yes" for v in real.verdicts.values())
+    _assert_read_off_matches_reference(_read_off_calls(monkeypatch, lambda: nz.realize_core_case(action)))
+
+
 def test_symgraph_marking_structure_matches_scan():
     graphs = list(nz._enumerate_graphs(2, 4)) + list(nz._enumerate_graphs(3, 4))
     graphs.append(nz.SymGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 0), (2, 2), (1, 3))))
     for g in graphs:
         assert g.spanning_tree() == ref_spanning_tree(g)
+        assert g.is_connected() and ref_is_connected(g)
+        assert [g.degree(v) for v in range(g.n_vertices)] == [ref_degree(g, v) for v in range(g.n_vertices)]
         assert g.petal_edges() == ref_petal_edges(g)
         basis = [f"x{i}" for i in range(g.rank())]
         for alpha in nz.automorphisms(g):
             got = nz.induced_outer(g, alpha, basis)
             assert got.images == ref_induced_outer(g, alpha, basis).images
+
+
+def _random_edge(rng, n):
+    """An edge (a, b) with a <= b, or a loop, on n vertices."""
+    if n > 1 and rng.random() < 0.8:
+        return tuple(sorted(rng.sample(range(n), 2)))
+    v = rng.randrange(n)
+    return (v, v)
+
+
+def test_symgraph_components_match_scan():
+    rng = random.Random(3)
+    graphs = [nz.SymGraph(0, ()), nz.SymGraph(3, ((1, 1),)), nz.SymGraph(5, ((0, 1), (2, 2), (3, 4), (4, 3)))]
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        graphs.append(nz.SymGraph(n, tuple(_random_edge(rng, n) for _ in range(rng.randint(0, 8)))))
+    for g in graphs:
+        assert g.components() == ref_component_vertex_sets(SimpleNamespace(graph=g))
+        assert g.is_connected() == ref_is_connected(g)
+        assert [g.degree(v) for v in range(g.n_vertices)] == [ref_degree(g, v) for v in range(g.n_vertices)]
 
 
 def _small_cases(count):
@@ -401,11 +610,37 @@ def _read_off_calls(monkeypatch, run):
     return calls
 
 
-def _assert_read_off_is_admitted_enumeration(calls):
-    """Each read-off list is the blind enumeration of the generator's wedge
-    images, screened as before (the target induced under some marking)."""
+def ref_rose_image(target, basis):
+    """The rose image that ``ref_signed_permutation_candidate`` reads off one
+    target (its per-element loop), if it induces the target; else None."""
+    emap = []
+    for x in basis:
+        nf = W.cyclic_normal_form(target.images[x])
+        if len(nf) != 1:
+            return None
+        tgt, sign = nf[0]
+        emap.append((basis.index(tgt), 0 if sign > 0 else 1))
+    if len({e for e, _ in emap}) != len(basis):
+        return None
+    img = nz.GraphAutomorphism((0,), tuple(emap))
+    rose = nz.SymGraph(1, ((0, 0),) * len(basis))
+    return img if st.outer_equal(nz.induced_outer(rose, img, basis), target) else None
+
+
+def _assert_read_off_matches_reference(calls):
+    """Each read-off list on a piece's wedge is the blind enumeration of the
+    generator's wedge images, screened as before (the target induced under
+    some marking).  Without a piece (no old edges) the wedge is the rose, the
+    positional marking is the only one, and the list holds the image that the
+    rose search reads, if any: the blind enumeration of k!·2^k images would
+    not end on the rank-8 roses of the order-8 case."""
     assert calls and any(out for _, out in calls), "no image was read off"
-    for (g, base, _, marks, target), out in calls:
+    for (g, base, basis, marks, target), out in calls:
+        if not base[1]:
+            assert [m.words for m in marks] == [tuple(W.gen(x) for x in basis)]
+            img = ref_rose_image(target, list(basis))
+            assert out == ([] if img is None else [img])
+            continue
         wedge_petals = range(len(base[1]), len(g.edges))
         admitted = [
             img for img in _wedge_images(*base, wedge_petals) if any(st.outer_equal(m.outer(g, img), target) for m in marks)
@@ -416,7 +651,7 @@ def _assert_read_off_is_admitted_enumeration(calls):
 @pytest.mark.parametrize("case", ["order8-d14", "branch2-d14", "branch3-d14"])
 def test_read_off_matches_admitted_enumeration(case, monkeypatch):
     action, cover = CASES[case]()
-    _assert_read_off_is_admitted_enumeration(_read_off_calls(monkeypatch, lambda: nz.realize_core_case(action, cover)))
+    _assert_read_off_matches_reference(_read_off_calls(monkeypatch, lambda: nz.realize_core_case(action, cover)))
 
 
 def test_small_pieces_read_off_matches_admitted_enumeration(small_cases, monkeypatch):
@@ -426,4 +661,4 @@ def test_small_pieces_read_off_matches_admitted_enumeration(small_cases, monkeyp
         for targets, piece in small_cases:
             nz.realize_relative(group, targets, piece, e_max=4)
 
-    _assert_read_off_is_admitted_enumeration(_read_off_calls(monkeypatch, run))
+    _assert_read_off_matches_reference(_read_off_calls(monkeypatch, run))

@@ -8,10 +8,9 @@ Free factor systems are finite lists of such core graphs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import words as W
 from .words import Word
@@ -585,17 +584,6 @@ def subgroup_graph(generators: Iterable[Word]) -> LabeledGraph:
     return LabeledGraph.from_words(generators).fold().core()
 
 
-def generates_free_group(generators: Iterable[Word], basis: Iterable[str]) -> bool:
-    """Whether the words generate the free group on `basis`.
-
-    That is, whether their Stallings graph is the rose on the basis: one
-    vertex whose loop labels are exactly the basis (a folded graph has at
-    most one loop per label).
-    """
-    g = subgroup_graph(generators)
-    return len(g.vertices) == 1 and {l for _, l, _ in g.edges} == set(basis)
-
-
 # -- free factor systems ----------------------------------------------------
 
 
@@ -723,23 +711,19 @@ class FreeGroupAutomorphism:
         return all(self.images[x] == W.gen(x) for x in self.basis)
 
     def is_automorphism(self) -> bool:
-        """Surjectivity check: the images generate the whole group.
-
-        Folded once per instance (``_is_automorphism``).
-        """
-        return self._is_automorphism
+        """Whether the images form a basis; folded once per instance
+        (``_inverse_images``)."""
+        return self._inverse_images is not None
 
     @cached_property
-    def _is_automorphism(self) -> bool:
-        return generates_free_group(self.tuple_images(), self.basis)
+    def _inverse_images(self) -> tuple[Word, ...] | None:
+        return _fold_inverse(self.basis, self.tuple_images())
 
     def inverse(self) -> "FreeGroupAutomorphism":
-        """Invert by Nielsen reduction with Whitehead moves at plateaus.
-
-        A non-automorphism is refused at its first plateau by the fold of
-        ``is_automorphism``, before any Whitehead move is tried.
-        """
-        inv_images = _invert_tuple(self.basis, self.tuple_images(), self.is_automorphism)
+        """The inverse read off the tracked fold of the images (``_fold_inverse``)."""
+        inv_images = self._inverse_images
+        if inv_images is None:
+            raise NotAnAutomorphismError(f"{self.images} is not an automorphism")
         cand = FreeGroupAutomorphism(self.basis, dict(zip(self.basis, inv_images)))
         check = self.compose(cand)
         if not check.is_identity():
@@ -747,119 +731,81 @@ class FreeGroupAutomorphism:
         return cand
 
 
-def _elementary_right_multiply(basis, i, j, side, sign):
-    """Automorphism x_i -> x_i x_j^sign (side='R') or x_j^sign x_i (side='L')."""
-    imgs = {x: W.gen(x) for x in basis}
-    xi, xj = basis[i], basis[j]
-    if side == "R":
-        imgs[xi] = W.mul(W.gen(xi), W.gen(xj, sign))
-    else:
-        imgs[xi] = W.mul(W.gen(xj, sign), W.gen(xi))
-    return FreeGroupAutomorphism(tuple(basis), imgs)
+def _fold_inverse(basis: Sequence[str], images: Sequence[Word]) -> tuple[Word, ...] | None:
+    """phi^-1 on the basis, for phi: basis[i] -> images[i], or None when the
+    images are no basis.
 
-
-def _whitehead_moves(basis):
-    """Type-II Whitehead automorphisms for a small basis."""
-    n = len(basis)
-    for a_idx in range(n):
-        for a_sign in (1, -1):
-            a = (basis[a_idx], a_sign)
-            others = [x for x in basis if x != basis[a_idx]]
-            for choice in itertools.product(range(4), repeat=len(others)):
-                if all(c == 0 for c in choice):
-                    continue
-                imgs = {basis[a_idx]: W.gen(*a)}
-                aw = (a,)
-                for x, c in zip(others, choice):
-                    if c == 0:
-                        imgs[x] = W.gen(x)
-                    elif c == 1:
-                        imgs[x] = W.mul(W.gen(x), aw)
-                    elif c == 2:
-                        imgs[x] = W.mul(W.inv(aw), W.gen(x))
-                    else:
-                        imgs[x] = W.mul(W.inv(aw), W.gen(x), aw)
-                yield FreeGroupAutomorphism(tuple(basis), imgs)
-
-
-def _invert_tuple(basis: Sequence[str], images: Sequence[Word], is_basis: Callable[[], bool]) -> tuple[Word, ...]:
-    """Carry (images) to a signed permutation of the basis by elementary moves.
-
-    Tracks pre-moves nu and post-moves alpha so that
-    alpha_total ∘ phi ∘ nu_total = pi, whence phi^-1 = nu_total ∘ pi^-1 ∘ alpha_total.
-    The moves are automorphisms, so at a plateau ``is_basis()`` (whether the
-    original images generate) decides whether a reducing move can exist.
+    Folds the wedge of the images based at 0, each edge carrying a word over
+    the basis such that every loop at 0 spells the phi-image of its word:
+    the closing edge of image i carries basis[i], every other edge nothing.
+    Two edges at u with one label and direction fold into the first; its far
+    end is kept and the other far end d is dropped, re-gauged by
+    c = a_keep^-1 a_drop (a: the word read from u): edges leaving d get c on
+    the left and edges entering d get c^-1 on the right, so every loop at 0
+    keeps its word.  0 is never dropped.  A fold whose far ends coincide
+    lowers the rank, which no basis allows.  The images are a basis exactly
+    when the folded graph is the rose on the basis, and its loop x then
+    carries phi^-1(x) (Stallings 1983; Kapovich-Myasnikov 2002).
     """
-    basis = tuple(basis)
-    n = len(basis)
-    t = [W.reduce_word(w) for w in images]
-    nu_total = FreeGroupAutomorphism.identity(basis)
-    alpha_total = FreeGroupAutomorphism.identity(basis)
+    edges: dict[int, list] = {}  # edge -> [origin, label, terminus, word]
+    incident: dict[int, set[int]] = {0: set()}
+    for x, image in zip(basis, images):
+        image = W.reduce_word(image)
+        if not image:
+            return None
+        prev = 0
+        for k, (label, sign) in enumerate(image):
+            nxt, word = (0, W.gen(x)) if k == len(image) - 1 else (len(incident), W.EMPTY)
+            incident.setdefault(nxt, set())
+            e = len(edges)
+            edges[e] = [prev, label, nxt, word] if sign > 0 else [nxt, label, prev, W.inv(word)]
+            incident[prev].add(e)
+            incident[nxt].add(e)
+            prev = nxt
 
-    def total_len():
-        return sum(len(w) for w in t)
-
-    if any(not w for w in t):
-        raise NotAnAutomorphismError("image of a generator is trivial")
-
-    while total_len() > n:
-        best = None
-        # Nielsen pair moves
-        for i in range(n):
-            for j in range(n):
-                if i == j:
+    def twin_darts(u):
+        """Two edges leaving u by one label and direction, as (edge, far end, word read from u)."""
+        first = {}
+        for e in incident[u]:
+            origin, label, terminus, word = edges[e]
+            darts = ((origin, (label, 1), terminus, word), (terminus, (label, -1), origin, W.inv(word)))
+            for start, key, far, a in darts:
+                if start != u:
                     continue
-                for side, sign in (("R", 1), ("R", -1), ("L", 1), ("L", -1)):
-                    if side == "R":
-                        cand = W.mul(t[i], t[j] if sign > 0 else W.inv(t[j]))
-                    else:
-                        cand = W.mul(t[j] if sign > 0 else W.inv(t[j]), t[i])
-                    if len(cand) < len(t[i]):
-                        best = ("pair", i, j, side, sign, cand)
-                        break
-                if best:
-                    break
-            if best:
-                break
-        if best and best[0] == "pair":
-            _, i, j, side, sign, cand = best
-            if not cand:
-                raise NotAnAutomorphismError("tuple degenerated, not a basis")
-            t[i] = cand
-            nu_total = nu_total.compose(_elementary_right_multiply(basis, i, j, side, sign))
-            continue
-        # plateau: look for a strictly reducing Whitehead move applied to all coords
-        if not is_basis():
-            raise NotAnAutomorphismError("tuple is not a basis (it does not generate)")
-        found = False
-        for alpha in _whitehead_moves(basis):
-            new_t = [alpha(w) for w in t]
-            if sum(len(w) for w in new_t) < total_len():
-                t = new_t
-                alpha_total = alpha.compose(alpha_total)
-                found = True
-                break
-        if not found:
-            raise NotAnAutomorphismError("tuple is not a basis (no reducing move)")
+                if key in first:
+                    return first[key], (e, far, a)
+                first[key] = (e, far, a)
+        return None
 
-    # t must now be a signed permutation of the basis
-    seen = {}
-    for i, w in enumerate(t):
-        if len(w) != 1:
-            raise NotAnAutomorphismError("reduced tuple is not a signed permutation")
-        g, s = w[0]
-        if g in seen:
-            raise NotAnAutomorphismError("repeated generator in reduced tuple")
-        seen[g] = (i, s)
-    if set(seen) != set(basis):
-        raise NotAnAutomorphismError("reduced tuple misses generators")
-    # pi: x_i -> t_i ; build pi^-1 directly
-    pi_inv_images = {}
-    for g, (i, s) in seen.items():
-        pi_inv_images[g] = W.gen(basis[i], s)
-    pi_inv = FreeGroupAutomorphism(basis, pi_inv_images)
-    inv = nu_total.compose(pi_inv).compose(alpha_total)
-    return inv.tuple_images()
+    todo = list(incident)
+    while todo:
+        u = todo[-1]
+        twins = twin_darts(u) if u in incident else None
+        if twins is None:
+            todo.pop()
+            continue
+        if twins[1][1] == 0:
+            twins = twins[::-1]
+        (_, keep, a_keep), (e_drop, drop, a_drop) = twins
+        if keep == drop:
+            return None
+        c = W.mul(W.inv(a_keep), a_drop)
+        c_inv = W.inv(c)
+        del edges[e_drop]
+        incident[u].discard(e_drop)
+        incident[drop].discard(e_drop)
+        for e in incident.pop(drop):
+            edge = edges[e]
+            if edge[0] == drop:
+                edge[0], edge[3] = keep, W.mul(c, edge[3])
+            if edge[2] == drop:
+                edge[2], edge[3] = keep, W.mul(edge[3], c_inv)
+            incident[keep].add(e)
+        todo.append(keep)
+    loops = {label: word for _, label, _, word in edges.values()}
+    if len(incident) != 1 or len(edges) != len(basis) or set(loops) != set(basis):
+        return None
+    return tuple(loops[x] for x in basis)
 
 
 def outer_conjugator(phi: FreeGroupAutomorphism, psi: FreeGroupAutomorphism) -> Word | None:

@@ -219,6 +219,34 @@ def test_realize_reports_bound_exhaustion(tmp_path, capsys):
     assert rep["error"] == "rank 2 exceeds the search bound rank_bound = 1"
 
 
+def test_realize_core_accepts_an_involution_with_a_long_inverse(tmp_path, capsys):
+    # g1 is an automorphism of order 2 whose inverse (itself) Nielsen
+    # reduction with Whitehead moves did not find; certification must accept
+    # it, so the search runs and reports its bound
+    rose = "root r\nstate r loops=3 children=\n"
+    g = tmp_path / "g.aut"
+    g.write_text(rose)
+    a = gm.parse_automaton(rose)
+    images = {
+        ".:0": "[.:2]^-1[.:1][.:2][.:1][.:2]",
+        ".:1": "[.:2]^-1[.:1][.:2][.:0][.:2]^-1[.:1]^-1[.:2][.:0]^-1[.:2]^-1[.:1]^-1[.:2]",
+        ".:2": "[.:2]^-1[.:1][.:2][.:0][.:2]^-1[.:1][.:2]",
+    }
+    g1 = mc.ProperMapRep.make(a, 0, loop_images={x: W.word_from_str(w) for x, w in images.items()})
+    (tmp_path / "e.map").write_text(mc.format_map_file(mc.ProperMapRep.identity(a, 0)))
+    (tmp_path / "g1.map").write_text(mc.format_map_file(g1))
+    act = tmp_path / "z2.act"
+    act.write_text(
+        "group z2 order 2\n"
+        "elem e: mapfile=e.map\n"
+        "elem g1: mapfile=g1.map\n"
+        "mult e e = e\nmult e g1 = g1\nmult g1 e = g1\nmult g1 g1 = e\n"
+    )
+    code, rep = run(capsys, "realize", "core", str(g), str(act), "--max-edges", "3")
+    assert code == 3
+    assert rep["error"] == "no realization within e_max = 3 edges; examined 1 graphs and 20 actions"
+
+
 def test_cli_deterministic(tmp_path, capsys):
     x = tmp_path / "x.aut"
     y = tmp_path / "y.aut"

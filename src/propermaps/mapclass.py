@@ -6,7 +6,8 @@ A representative stores, on a depth-D truncation of the ambient graph:
 * ``loop_images`` -- the induced root-based class of every loop generator,
 * ``edge_wraps``  -- for each tree edge (keyed by the child endpoint) the
                      root-based class ``geod(root->f(u)) f(e) geod(f(v)->root)``,
-* ``end_action``  -- a bijection of the live depth-D cylinders,
+* ``end_action``  -- a bijection of the live depth-D cylinders: vmap there
+                     for IDENTITY_OUTSIDE maps, given only for BANDED ones,
 * ``outside``     -- IDENTITY_OUTSIDE or BANDED(b).
 
 For IDENTITY_OUTSIDE maps everything beyond the support is carried
@@ -125,15 +126,20 @@ class ProperMapRep:
                 if g not in lids:
                     raise ValueError(f"word uses unknown loop generator {g}")
         live = frozenset(cylinders(automaton, depth))
-        ea = dict(end_action) if end_action is not None else {c: vm[c] for c in live}
+        ea = {c: vm[c] for c in live}  # the subtree below c is carried onto the subtree below vmap[c]
+        if outside == IDENTITY_OUTSIDE:
+            if end_action is not None and dict(end_action) != ea:
+                bad = min(c for c in set(ea) | set(end_action) if ea.get(c) != end_action.get(c))
+                raise InconsistentFrontierError(f"end action disagrees with vmap at {path_str(bad)}")
+        elif not (isinstance(outside, tuple) and outside[0] == "banded"):
+            raise ValueError(f"bad outside flag {outside!r}")
+        elif end_action is not None:
+            ea = dict(end_action)
         if set(ea) != live or set(ea.values()) != live:
             raise ValueError("end action must be a bijection of the live frontier cylinders")
         reach = loop_reaching_states(automaton)
-        for c, d in ea.items():
-            if (t.frontier[c] in reach) != (t.frontier[d] in reach):
-                raise ValueError("end action must preserve the genus end set")
-        if outside != IDENTITY_OUTSIDE and not (isinstance(outside, tuple) and outside[0] == "banded"):
-            raise ValueError(f"bad outside flag {outside!r}")
+        if outside != IDENTITY_OUTSIDE and any((t.frontier[c] in reach) != (t.frontier[d] in reach) for c, d in ea.items()):
+            raise ValueError("end action must preserve the genus end set")
         return cls(automaton, depth, vm, li, ew, ea, outside)
 
     @classmethod
@@ -264,14 +270,12 @@ def compose(f: ProperMapRep, g: ProperMapRep) -> ProperMapRep:
         delta = W.mul(W.inv(acc_u), gs(f.wrap(child)), acc_v)
         if delta:
             ew[child] = delta
-    ea = {c: g.end_action[f.end_action[c]] for c in f.end_action}
     if f.is_identity_outside() and g.is_identity_outside():
-        outside = IDENTITY_OUTSIDE
-    else:
-        bf = 0 if f.is_identity_outside() else f.outside[1]
-        bg = 0 if g.is_identity_outside() else g.outside[1]
-        outside = banded(bf + bg)
-    return ProperMapRep.make(f.automaton, depth, vm, li, ew, ea, outside)
+        return ProperMapRep.make(f.automaton, depth, vm, li, ew)
+    bf = 0 if f.is_identity_outside() else f.outside[1]
+    bg = 0 if g.is_identity_outside() else g.outside[1]
+    ea = {c: g.end_action[f.end_action[c]] for c in f.end_action}
+    return ProperMapRep.make(f.automaton, depth, vm, li, ew, ea, banded(bf + bg))
 
 
 def _rigid_inverse_substitution(f: ProperMapRep) -> st.FreeGroupAutomorphism | None:
@@ -310,8 +314,7 @@ def rigid_inverse(f: ProperMapRep) -> ProperMapRep | None:
         delta = W.mul(W.inv(acc[parent]), acc[child])
         if delta:
             ew[child] = delta
-    ea = {w: v for v, w in f.end_action.items()}
-    return ProperMapRep.make(f.automaton, f.depth, inv_vmap, li, ew, ea, IDENTITY_OUTSIDE)
+    return ProperMapRep.make(f.automaton, f.depth, inv_vmap, li, ew)
 
 
 def composes_to(f: ProperMapRep, g: ProperMapRep, k: ProperMapRep) -> bool:
@@ -321,13 +324,13 @@ def composes_to(f: ProperMapRep, g: ProperMapRep, k: ProperMapRep) -> bool:
     rigid_inverse(k)))`` from the data the criterion reads, without building
     either composite.  With F = g∘f, sigma(F) = sigma_g∘sigma_f and, by the
     telescoped edge deltas of ``compose``, A_F(c) = sigma_g(A_f(c)) A_g(f(c));
-    ``rigid_inverse`` gives A of k^-1 at k(c') as sigma_k^-1(A_k(c'))^-1.  So
-    the difference map has substitution sigma_k^-1∘sigma_F and wraps
-    sigma_k^-1(D(c)), where D(c) = A_F(c) A_k(c')^-1 and c' = k^-1(F(c)); its
-    end action is the identity iff ea_F = ea_k.  Genus 0 reads the end action
-    only; genus 1 asks sigma_F = sigma_k and D constant on the DX frontier;
-    higher genus asks for u with sigma_F(x) = u sigma_k(x) u^-1 on every
-    loop and D = u on the genus and DX frontier.
+    ``rigid_inverse`` gives A of k^-1 at k(c) as sigma_k^-1(A_k(c))^-1.  Where
+    F(c) = k(c) the difference map wraps c by sigma_k^-1(D(c)), with D(c) =
+    A_F(c) A_k(c)^-1, and its substitution is sigma_k^-1∘sigma_F.  Genus 0
+    asks ea_F = ea_k only; genus 1 also sigma_F = sigma_k and D constant on
+    the DX frontier; higher genus asks F = k on the genus frontier too, and u
+    with sigma_F(x) = u sigma_k(x) u^-1 on every loop and D = u on the genus
+    and DX frontier.
     """
     if not f.automaton == g.automaton == k.automaton:
         raise ValueError("maps on different ambient graphs")
@@ -340,30 +343,23 @@ def composes_to(f: ProperMapRep, g: ProperMapRep, k: ProperMapRep) -> bool:
         return True
     gs = g.substitution()
     sigma = {lid: gs(f.loop_word(lid)) for lid in f.loop_ids()}
-    k_inv = {w: v for v, w in k.vmap.items()}
 
     def d(c: Path) -> Word:
-        fc = f.vmap[c]
-        a_f = W.mul(gs(f.accumulated_wrap(c)), g.accumulated_wrap(fc))
-        return W.mul(a_f, W.inv(k.accumulated_wrap(k_inv[g.vmap[fc]])))
+        a_f = W.mul(gs(f.accumulated_wrap(c)), g.accumulated_wrap(f.vmap[c]))
+        return W.mul(a_f, W.inv(k.accumulated_wrap(c)))
 
     if rank == 1:
         if any(sigma[lid] != k.loop_word(lid) for lid in sigma):
             return False
         return len({d(c) for c in f.dx_frontier()}) <= 1
+    genus_front = f.genus_frontier()
+    if any(g.vmap[f.vmap[c]] != k.vmap[c] for c in genus_front):
+        return False
     u = st.outer_conjugator(st.FreeGroupAutomorphism(f.loop_ids(), sigma), k.substitution())
-    return u is not None and all(d(c) == u for c in f.genus_frontier() + f.dx_frontier())
+    return u is not None and all(d(c) == u for c in genus_front + f.dx_frontier())
 
 
-# -- end and outer actions ---------------------------------------------------------
-
-
-def end_action_of(f: ProperMapRep) -> dict[Path, Path]:
-    """The cylinder bijection, validated against vmap on the frontier."""
-    for c in f.end_action:
-        if f.end_action[c] != f.vmap[c]:
-            raise InconsistentFrontierError(f"end action disagrees with the truncation map at {path_str(c)}")
-    return dict(f.end_action)
+# -- outer actions -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -457,8 +453,8 @@ def is_properly_homotopic_to_identity(f: ProperMapRep) -> IdentityVerdict:
                 if w is None:
                     witness = _moved_class_witness(f)
                     return IdentityVerdict("no", f.depth, witness or ("curve", None))
-            for c in genus_front:
-                if f.accumulated_wrap(c) != w:
+            for c in genus_front:  # a moved piece of genus beyond c moves its curves too
+                if f.vmap[c] != c or f.accumulated_wrap(c) != w:
                     return IdentityVerdict("no", f.depth, ("curve", c))
             for c in dx_front:
                 if f.accumulated_wrap(c) != w:
@@ -823,12 +819,13 @@ def extend_over_trees(
 
 
 def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
-    """`support <D>` then vmap/loop/wrap/endmap/outside records."""
+    """`support <D>` then vmap/loop/wrap/endmap/outside records, each source once.
+
+    A vmap source lies in the truncation and an endmap source is a live frontier
+    cylinder; ``make`` refuses endmap records that disagree with an IDENTITY_OUTSIDE vmap.
+    """
     depth = None
-    vmap: dict[Path, Path] = {}
-    loops: dict[str, Word] = {}
-    wraps: dict[Path, Word] = {}
-    endmap: dict[Path, Path] = {}
+    records: dict[str, dict] = {"vmap": {}, "loop": {}, "wrap": {}, "endmap": {}}
     outside: object = IDENTITY_OUTSIDE
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -840,18 +837,12 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: support needs one depth")
             depth = int(parts[1])
-        elif kind == "vmap":
-            src, _, dst = line[len("vmap") :].partition("->")
-            vmap[parse_path(src)] = parse_path(dst)
-        elif kind == "loop":
-            src, _, dst = line[len("loop") :].partition("->")
-            loops[src.strip()] = W.word_from_str(dst)
-        elif kind == "wrap":
-            src, _, dst = line[len("wrap") :].partition("->")
-            wraps[parse_path(src)] = W.word_from_str(dst)
-        elif kind == "endmap":
-            src, _, dst = line[len("endmap") :].partition("->")
-            endmap[parse_path(src)] = parse_path(dst)
+        elif kind in records:
+            src, _, dst = line[len(kind) :].partition("->")
+            key = src.strip() if kind == "loop" else parse_path(src)
+            if key in records[kind]:
+                raise ValueError(f"line {lineno}: repeated {kind} source {src.strip()}")
+            records[kind][key] = W.word_from_str(dst) if kind in ("loop", "wrap") else parse_path(dst)
         elif kind == "outside":
             flag = parts[1:2]
             if flag == ["identity"]:
@@ -864,13 +855,16 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
             raise ValueError(f"line {lineno}: unknown record {kind!r}")
     if depth is None:
         raise ValueError("missing support line")
-    t = unfold(a, depth)
-    full_vmap = {v: vmap.get(v, v) for v in t.vertices}
-    ea = None
-    if endmap:
-        live = live_states(a)
-        ea = {c: endmap.get(c, full_vmap[c]) for c, s in t.frontier.items() if s in live}
-    return ProperMapRep.make(a, depth, full_vmap, loops, wraps, ea, outside)
+    vmap, endmap = records["vmap"], records["endmap"]
+    stray = min(set(vmap).difference(unfold(a, depth).vertices), default=None)
+    if stray is not None:
+        raise ValueError(f"vmap source {path_str(stray)} lies outside the support-{depth} truncation")
+    live = cylinders(a, depth)
+    stray = min(set(endmap).difference(live), default=None)
+    if stray is not None:
+        raise ValueError(f"endmap source {path_str(stray)} is not a live frontier cylinder")
+    ea = {c: endmap.get(c, vmap.get(c, c)) for c in live} if endmap else None
+    return ProperMapRep.make(a, depth, vmap, records["loop"], records["wrap"], ea, outside)
 
 
 def format_map_file(f: ProperMapRep) -> str:

@@ -1450,6 +1450,9 @@ def realize_core_case(
     if not live_states(a):
         return _realize_compact_core(action, e_max, rank_bound)
     if cover is None:
+        if depth == 0:  # the default cover needs radius 1; extending keeps every class
+            reps = {g: mc.extend(f, max(f.depth, 1)) for g, f in action.reps.items()}
+            action, depth = FiniteGroupAction.make(action.group, reps, certify=False), 1
         cover = IntervalCover.default(depth)
     if cover.r[-1] > depth:
         raise ValueError("cover exceeds the support depth")

@@ -8,7 +8,8 @@ result.  ``FiniteGroupAction.certify`` reads each relation off the end
 actions, substitutions and frontier wraps with ``mapclass.composes_to``;
 both must accept the same actions and reject the others with the same
 error.  Every case also runs with its representatives shuffled over the
-group elements, which breaks most relations.
+group elements, which breaks most relations, and with its representatives
+extended one and two levels deeper, which must not change the outcome.
 """
 
 import random
@@ -65,6 +66,10 @@ GENUS_1 = gm.UnfoldingAutomaton.make("r", {"r": ["b", "b"], "b": ["b", "b"]}, {"
 GENUS_2 = gm.UnfoldingAutomaton.make("r", {"r": ["b", "b"], "b": ["b", "b"]}, {"r": 2, "b": 0})
 # four branches whose loops start at depth 2; the whole genus lies beyond depth 1
 LATE_LOOPS = gm.UnfoldingAutomaton.make("r", {"r": ["a"] * 4, "a": ["b"], "b": ["b"]}, {"r": 0, "a": 0, "b": 1})
+# the same with finite branches: one loop at depth 2 each, and no ends
+LATE_GENUS = gm.UnfoldingAutomaton.make("r", {"r": ["a"] * 4, "a": ["b"], "b": []}, {"r": 0, "a": 0, "b": 1})
+# construction refused: an IDENTITY_OUTSIDE map's end action is vmap on the live frontier
+REFUSED = "end action disagrees with vmap"
 
 
 def _cyclic(reps):
@@ -143,27 +148,35 @@ def _swap(a, depth, sigma, wraps, ea=None):
     return _cyclic([mc.ProperMapRep.identity(a, depth), g1])
 
 
+def _turn(v, by):
+    """Turn the first step of a path among four branches."""
+    return ((v[0] + by) % 4,) + v[1:] if v else v
+
+
 def _late_loops_rotation():
-    """Z/4 on LATE_LOOPS at depth 2 whose identity rep turns the branches by
-    two while keeping the end action and the loops: the criterion reads only
-    the latter, so it is certified trivial, and each relation compares wraps
-    at c' = k^-1(F(c)) != c."""
+    """Z/4 turning the four branches of LATE_LOOPS at depth 2.  Each element's
+    end action is its vmap on the frontier (an end action or endmap record
+    that disagrees is refused; only banded maps carry one of their own), so
+    each relation k = g∘f meets F(c) = k(c) at every frontier vertex whose
+    wraps it compares."""
     a, depth = LATE_LOOPS, 2
     t = gm.unfold(a, depth)
-
-    def turn(v, by):
-        return ((v[0] + by) % 4,) + v[1:] if v else v
-
     x = [lid((i, 0)) for i in range(4)]
-    cyls = gm.cylinders(a, depth)
-    e = mc.ProperMapRep.make(a, depth, vmap={v: turn(v, 2) for v in t.vertices}, end_action={c: c for c in cyls})
     # wraps sigma(t(c))^-1 t(s(c)) for t = x0 at (0,0), a coboundary, so s^4 drags nothing
     s = mc.ProperMapRep.make(
-        a, depth, vmap={v: turn(v, 1) for v in t.vertices}, loop_images={x[i]: W.gen(x[(i + 1) % 4]) for i in range(4)},
+        a, depth, vmap={v: _turn(v, 1) for v in t.vertices}, loop_images={x[i]: W.gen(x[(i + 1) % 4]) for i in range(4)},
         edge_wraps={(0, 0): W.gen(x[1], -1), (3, 0): W.gen(x[0])},
     )
     s2 = mc.compose(s, s)
-    return _cyclic([e, s, s2, mc.compose(s2, s)])
+    return _cyclic([mc.ProperMapRep.identity(a, depth), s, s2, mc.compose(s2, s)])
+
+
+def _late_genus_rotation(turns=(0, 1, 2, 3)):
+    """Z/4 on LATE_GENUS at depth 1, element i turning the finite branches by
+    turns[i].  Every loop lies beyond the support and no frontier vertex is
+    live, so only vmap on the genus frontier tells the turns apart."""
+    t = gm.unfold(LATE_GENUS, 1)
+    return _cyclic([mc.ProperMapRep.make(LATE_GENUS, 1, vmap={v: _turn(v, by) for v in t.vertices}) for by in turns])
 
 
 def _cases():
@@ -172,6 +185,7 @@ def _cases():
     ok = None
     bad_relation = "fails certification"
     no_inverse = "has no rigid inverse"
+    not_trivial = "identity element representative is not certified trivial"
     cases = []
     for depth in range(14, 27, 2):
         cases.append((f"flip-d{depth}", *_flip(LOOP_RAY, depth), ok))
@@ -227,10 +241,9 @@ def _cases():
     # representatives without a rigid inverse
     t = gm.unfold(CANTOR, 3)
     cyls = gm.cylinders(CANTOR, 3)
-    squash = {v: ((0,) + v[1:]) if v else v for v in t.vertices}
-    swap_ea = {c: (1 - c[0],) + c[1:] for c in cyls}
     group, reps = _swap(CANTOR, 3, {}, {})
-    cases.append(("cantor-d3-non-bijective", group, _with(reps, "g1", vmap=squash, end_action=swap_ea), no_inverse))
+    collapse = {**reps["g1"].vmap, (1,): (1,)}  # both children of the root onto one; the ends still swap
+    cases.append(("cantor-d3-non-bijective", group, _with(reps, "g1", vmap=collapse), no_inverse))
     group, reps = _flip(LOOP_RAY, 2)
     cases.append(("flip-d2-banded", group, _with(reps, "g1", outside=mc.banded(1)), no_inverse))
     cases.append(("flip-d2-square", group, _with(reps, "g1", loop_images={lid(()): W.power(xr, 2)}), no_inverse))
@@ -240,24 +253,29 @@ def _cases():
     cases.append(("one-loop-truncation-square", group, _with(reps, "g1", loop_images={lid(()): W.power(xr, 2)}),
                   no_inverse))
 
-    # end actions that disagree with the vertex maps, and relations at c' != c
-    cases.append(("cantor-d3-swap-fixing-ends", *_swap(CANTOR, 3, {}, {}, {c: c for c in cyls}), ok))
-    group, reps = _swap(CANTOR, 3, {}, {})
-    cases.append(("cantor-d3-ends-swapped-alone", group, _with(reps, "g1", vmap={v: v for v in t.vertices}), ok))
+    # end actions that disagree with the vertex maps: the representatives are refused
+    cases.append(("cantor-d3-swap-fixing-ends", None, lambda: _swap(CANTOR, 3, {}, {}, {c: c for c in cyls}), REFUSED))
+    cases.append(("cantor-d3-ends-swapped-alone", None,
+                  lambda: _with(_swap(CANTOR, 3, {}, {})[1], "g1", vmap={v: v for v in t.vertices}), REFUSED))
+    # relations read vmap where the end action is silent: on a genus frontier without ends
     cases.append(("late-loops-rotation", *_late_loops_rotation(), ok))
+    cases.append(("late-genus-rotation", *_late_genus_rotation(), ok))
+    cases.append(("late-genus-square-fixing", *_late_genus_rotation((0, 1, 0, 3)), bad_relation))
+    cases.append(("late-genus-identity-turned", *_late_genus_rotation((2, 1, 0, 3)), not_trivial))
 
     # representatives at different depths, extended to the deepest of each relation
     cases.append(("flip-e-d10-g1-d14", *_at_depths(*_flip(LOOP_RAY, 10), {"g1": 14}), ok))
     cases.append(("order8-generators-d6", *_at_depths(*_order8(4), {"p01smp": 6, "p10smm": 6}), ok))
     cases.append(("tree2-e-d3-g1-d5", *_at_depths(*_tree_rotation(rng, 2, 3), {"g1": 5}), ok))
-    group, reps = _swap(CANTOR, 3, {}, {}, {c: c for c in cyls})
-    cases.append(("cantor-swap-fixing-ends-e-d5", *_at_depths(group, reps, {"e": 5}), ok))
+    cases.append(("cantor-swap-fixing-ends-e-d5", None,
+                  lambda: _at_depths(*_swap(CANTOR, 3, {}, {}, {c: c for c in cyls}), {"e": 5}), REFUSED))
     group, reps = _swap(GENUS_1, 3, {}, {(0,): x})
     cases.append(("genus1-one-wrap-e-d5", *_at_depths(group, reps, {"e": 5}), ok))
     return cases
 
 
 CASES = _cases()
+BUILT = [case for case in CASES if case[3] != REFUSED]
 
 
 def _permuted(group, reps, rng):
@@ -277,6 +295,10 @@ def _outcome(certify, group, reps):
 
 @pytest.mark.parametrize("name, group, reps, expected", CASES, ids=[c[0] for c in CASES])
 def test_certify_matches_compose_and_invert(name, group, reps, expected):
+    if expected == REFUSED:  # ``reps`` builds the representatives
+        with pytest.raises(mc.InconsistentFrontierError, match=REFUSED):
+            reps()
+        return
     want = _outcome(ref_certify, group, reps)
     assert _outcome(nz.FiniteGroupAction.certify, group, reps) == want
     assert (want is None) == (expected is None) and (want is None or expected in want[1]), want
@@ -286,7 +308,29 @@ def test_certify_matches_compose_and_invert(name, group, reps, expected):
         assert _outcome(nz.FiniteGroupAction.certify, group, table) == _outcome(ref_certify, group, table)
 
 
+DEEPENABLE = [case for case in BUILT if all(f.is_identity_outside() for f in case[2].values())]
+
+
+@pytest.mark.parametrize("name, group, reps, expected", DEEPENABLE, ids=[c[0] for c in DEEPENABLE])
+def test_certify_outcome_does_not_depend_on_depth(name, group, reps, expected):
+    want = _outcome(nz.FiniteGroupAction.certify, group, reps)
+    for more in (1, 2):
+        deeper = _at_depths(group, reps, {g: f.depth + more for g, f in reps.items()})[1]
+        assert _outcome(nz.FiniteGroupAction.certify, group, deeper) == want, more
+
+
+def test_identity_verdicts_do_not_depend_on_depth():
+    for name, _, reps, _ in DEEPENABLE:
+        for g, f in reps.items():
+            kinds = {mc.is_properly_homotopic_to_identity(mc.extend(f, f.depth + more)).kind for more in (0, 1, 2)}
+            assert len(kinds) == 1, (name, g, kinds)
+
+
 def test_cases_reach_every_genus_and_verdict():
-    ranks = {min(gm.genus(reps[group.identity].automaton), 2) for _, group, reps, _ in CASES}
+    ranks = {min(gm.genus(reps[group.identity].automaton), 2) for _, group, reps, _ in BUILT}
     assert ranks == {0, 1, 2}
-    assert {expected for *_, expected in CASES} == {None, "fails certification", "has no rigid inverse"}
+    assert {expected for *_, expected in CASES} == {
+        None, "fails certification", "has no rigid inverse", "identity element representative is not certified trivial",
+        REFUSED,
+    }
+    assert len(DEEPENABLE) == len(BUILT) - 1  # all but the banded flip

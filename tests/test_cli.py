@@ -112,6 +112,62 @@ def test_check_id_banded_unknown(tmp_path, capsys):
     assert code == 0 and rep["verdict"] == "unknown"
 
 
+def test_check_id_refuses_an_end_action_that_disagrees_with_vmap(tmp_path, capsys):
+    """The root swap with every end fixed by endmap records: the ends follow vmap, so
+    the file contradicts itself.  Without the endmap records the swap is not the identity."""
+    g = tmp_path / "g.aut"
+    g.write_text(CANTOR)
+    a = gm.parse_automaton(CANTOR)
+    swap = mc.ProperMapRep.make(a, 3, vmap={v: ((1 - v[0],) + v[1:] if v else ()) for v in gm.unfold(a, 3).vertices})
+    vmap_lines = [line for line in mc.format_map_file(swap).splitlines() if line.startswith("vmap")]
+    fixing = [f"endmap {gm.path_str(c)} -> {gm.path_str(c)}" for c in gm.cylinders(a, 3)]
+    m = tmp_path / "swap.map"
+    m.write_text("\n".join(["support 3", *vmap_lines, *fixing, "outside identity"]) + "\n")
+    code, err = run_err(capsys, "check-id", str(g), str(m))
+    assert code == 4
+    assert "end action disagrees with vmap at 0/0/0" in err
+    m.write_text(mc.format_map_file(swap))  # the endmap records it writes agree with vmap
+    assert "endmap 0/0/0 -> 1/0/0" in m.read_text()
+    code, rep = run(capsys, "check-id", str(g), str(m))
+    assert code == 2 and rep["verdict"] == "no" and rep["witness"] == "('end', (0, 0, 0))"
+
+
+def test_check_id_sees_finite_genus_turned_beyond_the_support(tmp_path, capsys):
+    """Turning four finite branches, each with one loop below the support, permutes
+    the loops: the verdict is no at support 1 as at support 2."""
+    g = tmp_path / "g.aut"
+    g.write_text("root r\nstate r loops=0 children=a,a,a,a\nstate a loops=0 children=b\nstate b loops=1 children=\n")
+    m = tmp_path / "turn.map"
+    m.write_text("support 1\nvmap 0 -> 2\nvmap 1 -> 3\nvmap 2 -> 0\nvmap 3 -> 1\n")
+    code, rep = run(capsys, "check-id", str(g), str(m))
+    assert code == 2 and rep["verdict"] == "no" and rep["witness"] == "('curve', (0,))"
+
+
+@pytest.mark.parametrize(
+    "graph, records, message",
+    [
+        (CANTOR, "vmap 0/0/0/0 -> 1/1/1/1", "vmap source 0/0/0/0 lies outside the support-2 truncation"),
+        (CANTOR, "endmap 0/1/1/1 -> 0/0", "endmap source 0/1/1/1 is not a live frontier cylinder"),
+        (CANTOR, "endmap 7/7 -> 0/0", "endmap source 7/7 is not a live frontier cylinder"),
+        (CANTOR, "endmap 0 -> 0", "endmap source 0 is not a live frontier cylinder"),
+        (CANTOR, "vmap 0 -> 1\nvmap 0 -> 0", "line 3: repeated vmap source 0"),
+        (CANTOR, "endmap 0/0 -> 0/0\nendmap 0/0 -> 0/0", "line 3: repeated endmap source 0/0"),
+        (LOOP_RAY, "wrap 0 -> [.:0]\nwrap 0 -> [0:0]", "line 3: repeated wrap source 0"),
+        (LOOP_RAY, "loop 0:0 -> [0:0]^-1\nloop 0:0 -> [0:0]", "line 3: repeated loop source 0:0"),
+    ],
+    ids=["vmap-outside", "endmap-below-frontier", "endmap-off-tree", "endmap-above-frontier", "repeated-vmap",
+         "repeated-endmap", "repeated-wrap", "repeated-loop"],
+)
+def test_check_id_refuses_records_it_cannot_use(tmp_path, capsys, graph, records, message):
+    g = tmp_path / "g.aut"
+    g.write_text(graph)
+    m = tmp_path / "bad.map"
+    m.write_text(f"support 2\n{records}\n")
+    code, err = run_err(capsys, "check-id", str(g), str(m))
+    assert code == 4
+    assert message in err
+
+
 def _write_tree_action(tmp_path):
     g = tmp_path / "g.aut"
     g.write_text(CANTOR)
@@ -177,11 +233,13 @@ def test_realize_core(tmp_path, capsys):
 
 
 def test_realize_core_default_one_interval_cover(tmp_path, capsys):
-    g, act = _write_flip_action(tmp_path, 14)
-    code, rep = run(capsys, "realize", "core", str(g), str(act))
-    assert code == 0
-    assert rep["intervals"] == [[0, 14]]
-    assert rep["verdicts"] == {"e": "certified_yes", "f": "certified_yes"}
+    """At support 0 the cover is built for the action extended to support 1."""
+    for depth, interval in ((14, [0, 14]), (0, [0, 1])):
+        g, act = _write_flip_action(tmp_path, depth)
+        code, rep = run(capsys, "realize", "core", str(g), str(act))
+        assert code == 0, depth
+        assert rep["intervals"] == [interval]
+        assert rep["verdicts"] == {"e": "certified_yes", "f": "certified_yes"}
 
 
 @pytest.mark.parametrize("depth, intervals", [(27, 2), (40, 3), (60, 4)])

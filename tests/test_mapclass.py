@@ -45,30 +45,39 @@ def test_make_names_the_frontier_state_checks(core_with_rays):
     # depth-2 frontier: (0, 0) in the loop state s, (0, 1) and (1, 0) in the ray state d
     with pytest.raises(ValueError, match="frontier vertex 0/0 must map to an equivalent frontier vertex"):
         mc.ProperMapRep.make(core_with_rays, 2, vmap={(0, 0): (1, 0)})
+    # only a banded map carries an end action of its own, so only there is the genus end set checked
     swap = {(0, 0): (0, 1), (0, 1): (0, 0), (1, 0): (1, 0)}
     with pytest.raises(ValueError, match="end action must preserve the genus end set"):
-        mc.ProperMapRep.make(core_with_rays, 2, end_action=swap)
+        mc.ProperMapRep.make(core_with_rays, 2, end_action=swap, outside=mc.banded(1))
 
 
 def test_end_action_of(loop_ray, cantor_tree):
     ident = mc.ProperMapRep.identity(loop_ray, 3)
-    assert mc.end_action_of(ident) == {(0, 0, 0): (0, 0, 0)}
+    assert ident.end_action == {(0, 0, 0): (0, 0, 0)}
     s = shift_map(loop_ray, 4)
-    assert mc.end_action_of(s) == {(0, 0, 0, 0): (0, 0, 0, 0)}
+    assert s.end_action == {(0, 0, 0, 0): (0, 0, 0, 0)}
     t = gm.unfold(cantor_tree, 2)
     vmap = {v: ((1 - v[0],) + v[1:] if v else ()) for v in t.vertices}
     swap = mc.ProperMapRep.make(cantor_tree, 2, vmap=vmap)
-    ea = mc.end_action_of(swap)
-    assert ea[(0, 0)] == (1, 0) and ea[(1, 1)] == (0, 1)
+    assert swap.end_action == {c: vmap[c] for c in t.frontier}
+    assert swap.end_action[(0, 0)] == (1, 0) and swap.end_action[(1, 1)] == (0, 1)
+    # a banded map keeps the end action it is given
+    banded = mc.ProperMapRep.make(cantor_tree, 2, end_action=swap.end_action, outside=mc.banded(1))
+    assert banded.end_action == swap.end_action and all(banded.vmap[v] == v for v in t.vertices)
 
 
 def test_end_action_inconsistent_frontier(cantor_tree):
     t = gm.unfold(cantor_tree, 2)
     cyls = list(t.frontier)
     ea = {c: ((1 - c[0],) + c[1:]) for c in cyls}
-    f = mc.ProperMapRep.make(cantor_tree, 2, end_action=ea)
-    with pytest.raises(mc.InconsistentFrontierError):
-        mc.end_action_of(f)
+    with pytest.raises(mc.InconsistentFrontierError, match="end action disagrees with vmap at 0/0"):
+        mc.ProperMapRep.make(cantor_tree, 2, end_action=ea)
+    vmap = {v: ((1 - v[0],) + v[1:] if v else ()) for v in t.vertices}
+    with pytest.raises(mc.InconsistentFrontierError, match="end action disagrees with vmap at 1/1"):
+        mc.ProperMapRep.make(cantor_tree, 2, vmap=vmap, end_action={**ea, (1, 1): (1, 1)})
+    with pytest.raises(mc.InconsistentFrontierError, match="end action disagrees with vmap at 0/0/0"):
+        mc.ProperMapRep.make(cantor_tree, 2, end_action={**{c: c for c in cyls}, (0, 0, 0): (0, 0, 0)})
+    assert mc.ProperMapRep.make(cantor_tree, 2, vmap=vmap, end_action=ea).end_action == ea
 
 
 def test_outer_action_examples(loop_ray):
@@ -88,7 +97,7 @@ def test_outer_action_functorial(loop_ray):
     rhs = mc.outer_action_of(g).automorphism.compose(mc.outer_action_of(f).automorphism)
     assert all(lhs.images[x] == rhs.images[x] for x in lhs.basis)
     # end actions compose as well
-    assert mc.end_action_of(comp) == {c: g.end_action[f.end_action[c]] for c in f.end_action}
+    assert comp.end_action == {c: g.end_action[f.end_action[c]] for c in f.end_action}
 
 
 # -- identity criterion ------------------------------------------------------------------

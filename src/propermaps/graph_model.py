@@ -127,12 +127,16 @@ def bisimulation_classes(a: UnfoldingAutomaton) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class GraphTruncation:
-    automaton: UnfoldingAutomaton
+    """A depth-``depth`` truncation, made by ``unfold`` and kept in its automaton's memo."""
+
     depth: int
     vertices: tuple[Path, ...]
     tree_edges: tuple[tuple[Path, Path], ...]
     loop_edges: tuple[tuple[Path, int], ...]
     frontier: Mapping[Path, str]
+    loop_ids: tuple[str, ...]  # "<path>:<k>" per loop edge, in sorted loop-edge order
+    loop_at: Mapping[str, tuple[Path, int]]  # loop id -> (vertex, k)
+    loop_name: Mapping[tuple[Path, int], str]  # (vertex, k) -> loop id
 
 
 @_once_per_automaton
@@ -144,6 +148,7 @@ def unfold(a: UnfoldingAutomaton, depth: int) -> GraphTruncation:
     tree_edges: list[tuple[Path, Path]] = []
     loop_edges: list[tuple[Path, int]] = []
     frontier: dict[Path, str] = {}
+    names: dict[Path, str] = {(): "."}  # path_str of each vertex, from its parent's name
     level: list[tuple[Path, str]] = [((), a.root)]
     for d in range(depth + 1):
         nxt: list[tuple[Path, str]] = []
@@ -154,12 +159,18 @@ def unfold(a: UnfoldingAutomaton, depth: int) -> GraphTruncation:
             if d == depth:
                 frontier[v] = s
             else:
+                prefix = names[v] + "/" if v else ""
                 for i, c in enumerate(a.children[s]):
                     w = v + (i,)
+                    names[w] = f"{prefix}{i}"
                     tree_edges.append((v, w))
                     nxt.append((w, c))
         level = nxt
-    return GraphTruncation(a, depth, tuple(vertices), tuple(tree_edges), tuple(loop_edges), frontier)
+    loop_name = {(v, k): f"{names[v]}:{k}" for v, k in sorted(loop_edges)}
+    loop_at = {lid: vk for vk, lid in loop_name.items()}
+    return GraphTruncation(
+        depth, tuple(vertices), tuple(tree_edges), tuple(loop_edges), frontier, tuple(loop_at), loop_at, loop_name
+    )
 
 
 # -- state analysis -----------------------------------------------------------

@@ -65,11 +65,8 @@ class R2ViolationError(ValueError):
 
 
 def loop_id(path: Path, k: int) -> str:
+    """The name of loop k at ``path``; a truncation names its own loops in ``loop_ids``."""
     return f"{path_str(path)}:{k}"
-
-
-def loop_id_vertex(lid: str) -> Path:
-    return parse_path(lid.rsplit(":", 1)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +105,7 @@ class ProperMapRep:
             w = vm[v]
             if w not in t.frontier or bis[t.frontier[w]] != bis[s]:
                 raise ValueError(f"frontier vertex {path_str(v)} must map to an equivalent frontier vertex")
-        lids = {loop_id(v, k) for v, k in t.loop_edges}
+        lids = t.loop_at
         li = {}
         for lid, word in (loop_images or {}).items():
             if lid not in lids:
@@ -152,11 +149,7 @@ class ProperMapRep:
         return unfold(self.automaton, self.depth)
 
     def loop_ids(self) -> tuple[str, ...]:
-        return self._loop_ids
-
-    @cached_property
-    def _loop_ids(self) -> tuple[str, ...]:
-        return tuple(loop_id(v, k) for v, k in sorted(self.truncation().loop_edges))
+        return self.truncation().loop_ids
 
     def loop_word(self, lid: str) -> Word:
         return self.loop_images.get(lid, W.gen(lid))
@@ -183,8 +176,8 @@ class ProperMapRep:
 
     @cached_property
     def _substitution(self) -> st.FreeGroupAutomorphism:
-        basis = self.loop_ids()
-        return st.FreeGroupAutomorphism.from_images(basis, {lid: self.loop_word(lid) for lid in basis})
+        basis = self.loop_ids()  # make has reduced every loop image
+        return st.FreeGroupAutomorphism(basis, {lid: self.loop_word(lid) for lid in basis})
 
     def live_frontier(self) -> tuple[Path, ...]:
         return cylinders(self.automaton, self.depth)
@@ -234,15 +227,15 @@ def extend(f: ProperMapRep, depth: int) -> ProperMapRep:
             anc, suffix = v[: f.depth], v[f.depth :]
             vm[v] = f.vmap[anc] + suffix
     li: dict[str, Word] = dict(f.loop_images)
-    for v, k in t_new.loop_edges:
+    for lid, (v, k) in t_new.loop_at.items():
         if len(v) <= f.depth:
             continue
         anc, suffix = v[: f.depth], v[f.depth :]
         acc = f.accumulated_wrap(anc)
-        transported = loop_id(f.vmap[anc] + suffix, k)
+        transported = t_new.loop_name[f.vmap[anc] + suffix, k]
         img = W.mul(acc, W.gen(transported), W.inv(acc))
-        if img != W.gen(loop_id(v, k)):
-            li[loop_id(v, k)] = img
+        if img != W.gen(lid):
+            li[lid] = img
     return ProperMapRep.make(a, depth, vm, li, f.edge_wraps)
 
 
@@ -402,19 +395,23 @@ class IdentityVerdict:
 
 
 def _moved_class_witness(f: ProperMapRep) -> tuple | None:
-    """A short curve whose free homotopy class moves, if one is found."""
-    for lid in f.loop_ids():
-        if not W.is_conjugate(f.loop_word(lid), W.gen(lid)):
-            return ("loop", lid)
-    sub = f.substitution()
+    """A short curve whose free homotopy class moves, if one is found.
+
+    Scans the loops, then the curves x^sx y for ids x < y with sx = 1, -1.
+    """
     lids = f.loop_ids()
+    images = f.substitution().images
+    for lid in lids:
+        if not W.is_conjugate(images[lid], W.gen(lid)):
+            return ("loop", lid)
+    inverses = {x: W.inv(images[x]) for x in lids}
     for x in lids:
         for y in lids:
             if x >= y:
                 continue
             for sx in (1, -1):
-                wd = W.mul(W.gen(x, sx), W.gen(y))
-                if not W.is_conjugate(sub(wd), wd):
+                wd = ((x, sx), (y, 1))
+                if not W.is_conjugate(W.mul(images[x] if sx > 0 else inverses[x], images[y]), wd):
                     return ("curve", wd)
     return None
 
@@ -728,8 +725,8 @@ def uk_membership(f: ProperMapRep, k_vertices: frozenset[Path]) -> bool:
         for c, d in g.end_action.items():
             if _component_of(k_vertices, c) != _component_of(k_vertices, d):
                 return False
-        for lid in g.loop_ids():
-            v = loop_id_vertex(lid)
+        t = g.truncation()
+        for lid, (v, _) in t.loop_at.items():
             img = g.loop_word(lid)
             if v in k_vertices:
                 if img != W.gen(lid):
@@ -737,10 +734,9 @@ def uk_membership(f: ProperMapRep, k_vertices: frozenset[Path]) -> bool:
             else:
                 comp = _component_of(k_vertices, v)
                 for gname, _ in img:
-                    gv = loop_id_vertex(gname)
+                    gv = t.loop_at[gname][0]
                     if gv in k_vertices or _component_of(k_vertices, gv) != comp:
                         return False
-        t = g.truncation()
         checkpoints = set(t.frontier) | {v for v, _ in t.loop_edges}
         for c in checkpoints:
             acc = g.accumulated_wrap(c)
@@ -750,7 +746,7 @@ def uk_membership(f: ProperMapRep, k_vertices: frozenset[Path]) -> bool:
             else:
                 comp = _component_of(k_vertices, c)
                 for gname, _ in acc:
-                    gv = loop_id_vertex(gname)
+                    gv = t.loop_at[gname][0]
                     if gv in k_vertices or _component_of(k_vertices, gv) != comp:
                         return False
         return True
@@ -819,7 +815,8 @@ def extend_over_trees(
 
 
 def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
-    """`support <D>` then vmap/loop/wrap/endmap/outside records, each source once.
+    """`support <D>` then vmap/loop/wrap/endmap/outside records: one support line,
+    at most one outside line, and each record source once.
 
     A vmap source lies in the truncation and an endmap source is a live frontier
     cylinder; ``make`` refuses endmap records that disagree with an IDENTITY_OUTSIDE vmap.
@@ -827,12 +824,17 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
     depth = None
     records: dict[str, dict] = {"vmap": {}, "loop": {}, "wrap": {}, "endmap": {}}
     outside: object = IDENTITY_OUTSIDE
+    seen: set[str] = set()
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         kind = parts[0]
+        if kind in ("support", "outside"):
+            if kind in seen:
+                raise ValueError(f"line {lineno}: repeated {kind}")
+            seen.add(kind)
         if kind == "support":
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: support needs one depth")

@@ -263,14 +263,14 @@ def verify_displacement_bound(action: FiniteGroupAction, r: Sequence[int], n: in
         for v, img in f.vmap.items():
             if not allowed(len(v), len(img)):
                 return False
-        for lid in f.loop_ids():
-            d = len(mc.loop_id_vertex(lid))
+        loop_at = f.truncation().loop_at
+        for lid, (v, _) in loop_at.items():
             for name, _ in f.loop_word(lid):
-                if not allowed(d, len(mc.loop_id_vertex(name))):
+                if not allowed(len(v), len(loop_at[name][0])):
                     return False
         for child, word in f.edge_wraps.items():
             for name, _ in word:
-                if not allowed(len(child), len(mc.loop_id_vertex(name))):
+                if not allowed(len(child), len(loop_at[name][0])):
                     return False
     return True
 
@@ -296,9 +296,9 @@ def ffs_of_interval(a: UnfoldingAutomaton, cover: IntervalCover, J: tuple[int, i
         raise ValueError("interval exceeds the truncation depth")
     # in the rooted tree, the band's components are the classes of v[:lo]
     comps: dict[Path, list[str]] = {}
-    for v, k in unfold(a, depth).loop_edges:
+    for lid, (v, _) in unfold(a, depth).loop_at.items():
         if lo <= len(v) <= hi:
-            comps.setdefault(v[:lo], []).append(mc.loop_id(v, k))
+            comps.setdefault(v[:lo], []).append(lid)
     graphs = [st.LabeledGraph.rose(sorted(lids)) for _, lids in sorted(comps.items())]
     return st.FreeFactorSystem.from_graphs(graphs)
 
@@ -1686,7 +1686,7 @@ def realize_core_case(
 def _realize_compact_core(action: FiniteGroupAction, e_max: int, rank_bound: int) -> CoreRealization:
     """Compact ambient graph: the absolute realization, no covers needed."""
     a = action.automaton
-    lids = mc.ProperMapRep.identity(a, action.depth).loop_ids()
+    lids = unfold(a, action.depth).loop_ids
     targets = {h: action.outer(h) for h in action.group.elements}
     out = realize_relative(action.group, targets, None, e_max=e_max, rank_bound=rank_bound)
     labels: dict[int, Word] = {}
@@ -1721,7 +1721,7 @@ def _certify_against_ambient(
     to its being inner.
     """
     depth = action.depth
-    loop_alphabet = mc.ProperMapRep.identity(action.automaton, depth).loop_ids()
+    loop_alphabet = unfold(action.automaton, depth).loop_ids
     if len(y.petal_edges()) != len(loop_alphabet):
         raise FinalCheckFailedError("realized graph has the wrong rank")
 
@@ -1850,7 +1850,7 @@ def nielsen_ray(action: FiniteGroupAction, beta: Path, stabilizer: Iterable[str]
     if stabilizer is None:
         stabilizer = [h for h in action.group.elements if action.reps[h].end_action[beta] == beta]
     stab = tuple(sorted(set(stabilizer)))
-    loop_vertex = {mc.loop_id(v, k): v for v, k in unfold(a, depth).loop_edges}
+    loop_at = unfold(a, depth).loop_at
 
     def tree_path(u: Path, w_: Path) -> list[Path]:
         """Core vertices from u to w_ (both included), through their common prefix."""
@@ -1866,7 +1866,7 @@ def nielsen_ray(action: FiniteGroupAction, beta: Path, stabilizer: Iterable[str]
         # turn, crosses that loop, and ends with the walk to v
         path = [z0]
         for i in range(len(g) + 1):
-            stop = loop_vertex[g[i][0]] if i < len(g) else v
+            stop = loop_at[g[i][0]][0] if i < len(g) else v
             path += [(g[:i], x) for x in tree_path(path[-1][1], stop)[1:]]
             if i < len(g):
                 path.append((g[: i + 1], stop))
@@ -2091,12 +2091,12 @@ def _check_core_simplicial(action: FiniteGroupAction):
         for child in f.edge_wraps:
             if child in corev:
                 raise ValueError(f"element {h} drags a core edge")
-        for lid in f.loop_ids():
-            v = mc.loop_id_vertex(lid)
+        loop_at = f.truncation().loop_at
+        for lid, (v, _) in loop_at.items():
             if v not in corev:
                 continue
             w_ = f.loop_word(lid)
-            if len(w_) != 1 or mc.loop_id_vertex(w_[0][0]) != f.vmap[v]:
+            if len(w_) != 1 or loop_at[w_[0][0]][0] != f.vmap[v]:
                 raise ValueError(f"element {h} is not simplicial on the loops")
 
 
@@ -2180,11 +2180,8 @@ def realize_general_case(
                 emap[ei] = (edge_key[("tree", img_child)], 0)
             elif key[0] == "loop":
                 _, v, k = key
-                w_ = f.loop_word(mc.loop_id(v, k))
-                name, sign = w_[0]
-                iv = mc.loop_id_vertex(name)
-                ik = int(name.rsplit(":", 1)[1])
-                emap[ei] = (edge_key[("loop", iv, ik)], 0 if sign > 0 else 1)
+                name, sign = f.loop_word(t.loop_name[v, k])[0]
+                emap[ei] = (edge_key[("loop", *t.loop_at[name])], 0 if sign > 0 else 1)
             else:
                 _, lev, cyl = key
                 img = frozenset(f.end_action[c] for c in cyl)

@@ -67,11 +67,10 @@ def cyclic_reduce(word: Sequence[Letter]) -> tuple[Word, Word]:
     Returns ``(c, p)``.
     """
     w = reduce_word(word)
-    prefix: list[Letter] = []
-    while len(w) >= 2 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
-        prefix.append(w[0])
-        w = w[1:-1]
-    return w, tuple(prefix)
+    i, j = 0, len(w) - 1
+    while i < j and w[i][0] == w[j][0] and w[i][1] == -w[j][1]:
+        i, j = i + 1, j - 1
+    return w[i : j + 1], w[:i]
 
 
 def cyclic_normal_form(word: Sequence[Letter]) -> Word:
@@ -87,7 +86,13 @@ def cyclic_normal_form(word: Sequence[Letter]) -> Word:
 
 
 def is_conjugate(w1: Sequence[Letter], w2: Sequence[Letter]) -> bool:
-    return cyclic_normal_form(w1) == cyclic_normal_form(w2)
+    """Whether the cyclic reductions are rotations of each other, which is
+    ``cyclic_normal_form(w1) == cyclic_normal_form(w2)``."""
+    c1, _ = cyclic_reduce(w1)
+    c2, _ = cyclic_reduce(w2)
+    if len(c1) != len(c2):
+        return False
+    return not c1 or any(c1[i] == c2[0] and c1[i:] + c1[:i] == c2 for i in range(len(c1)))
 
 
 def conjugator(w1: Sequence[Letter], w2: Sequence[Letter]) -> Word | None:

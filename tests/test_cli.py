@@ -154,9 +154,11 @@ def test_check_id_sees_finite_genus_turned_beyond_the_support(tmp_path, capsys):
         (CANTOR, "endmap 0/0 -> 0/0\nendmap 0/0 -> 0/0", "line 3: repeated endmap source 0/0"),
         (LOOP_RAY, "wrap 0 -> [.:0]\nwrap 0 -> [0:0]", "line 3: repeated wrap source 0"),
         (LOOP_RAY, "loop 0:0 -> [0:0]^-1\nloop 0:0 -> [0:0]", "line 3: repeated loop source 0:0"),
+        (TWO_LOOP_RAY, "support 3\noutside banded 1\noutside identity", "line 2: repeated support"),
+        (TWO_LOOP_RAY, "outside banded 1\noutside identity", "line 3: repeated outside"),
     ],
     ids=["vmap-outside", "endmap-below-frontier", "endmap-off-tree", "endmap-above-frontier", "repeated-vmap",
-         "repeated-endmap", "repeated-wrap", "repeated-loop"],
+         "repeated-endmap", "repeated-wrap", "repeated-loop", "repeated-support", "repeated-outside"],
 )
 def test_check_id_refuses_records_it_cannot_use(tmp_path, capsys, graph, records, message):
     g = tmp_path / "g.aut"

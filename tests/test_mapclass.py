@@ -514,6 +514,19 @@ def test_map_file_roundtrip(core_with_rays):
     assert g.outside == f.outside
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("support 2\nsupport 3\noutside identity\n", "line 2: repeated support"),
+        ("support 2\noutside banded 1\n# the flag again\noutside identity\n", "line 4: repeated outside"),
+    ],
+    ids=["support", "outside"],
+)
+def test_map_file_refuses_a_repeated_support_or_outside_line(loop_ray, text, message):
+    with pytest.raises(ValueError, match=message):
+        mc.parse_map_file(loop_ray, text)
+
+
 def test_extend_across_bisimilar_branches():
     two_branch = gm.UnfoldingAutomaton.make(
         "r", {"r": ["p", "q"], "p": ["p"], "q": ["q"]}, {"r": 1, "p": 1, "q": 1}

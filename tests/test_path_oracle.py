@@ -22,6 +22,11 @@ def lid(path, k=0):
     return mc.loop_id(tuple(path), k)
 
 
+def _loop_vertex(name):
+    """The vertex of a loop, parsed from its ``<path>:<k>`` name."""
+    return gm.parse_path(name.rsplit(":", 1)[0])
+
+
 def _tree_path(src, dst):
     """Edge letters of the tree geodesic between two vertices."""
     n = 0
@@ -108,7 +113,7 @@ def _oracle_at(a, depth, detours, a0, b):
     def detour_path(base, word):
         out = []
         for name, sign in word:
-            v = mc.loop_id_vertex(name)
+            v = _loop_vertex(name)
             out.extend(_tree_path(base, v))
             out.append(("l", name, sign))
             out.extend(_tree_path(v, base))

@@ -65,3 +65,41 @@ def test_cyclic_normal_form_of_periodic_words():
     for text in ["abab", "BaBaBa", "aaaa", "abcabcabc", "aBaaBa", "cbacba"]:
         core = W.word_from_str(text)
         assert W.cyclic_normal_form(core) == min(core[i:] + core[:i] for i in range(len(core)))
+
+
+@st.composite
+def word_pairs(draw):
+    """Raw word pairs, many of them conjugate: a word against an unreduced
+    conjugate of itself, of its inverse or of a power of it, or against an
+    unrelated word."""
+    u, c = draw(raw_words), draw(raw_words)
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    other = draw(st.sampled_from(["unrelated", "conjugate", "inverse", "powers"]))
+    if other == "unrelated":
+        return u, c
+    if other == "conjugate":
+        return u, c + u + W.inv(c)
+    if other == "inverse":
+        return u, c + W.inv(u) + W.inv(c)
+    return u * n, c + u * m + W.inv(c)
+
+
+@given(word_pairs())
+@settings(max_examples=400)
+def test_is_conjugate_matches_normal_forms(pair):
+    w1, w2 = pair
+    assert W.is_conjugate(w1, w2) == (W.cyclic_normal_form(w1) == W.cyclic_normal_form(w2))
+    assert W.is_conjugate(w2, w1) == W.is_conjugate(w1, w2)
+
+
+def test_is_conjugate_edge_cases():
+    a, b = W.gen("a"), W.gen("b")
+    assert W.is_conjugate((), ())
+    assert W.is_conjugate(a + W.inv(a), ())
+    assert not W.is_conjugate(a, ())
+    assert not W.is_conjugate(a + b, a)  # unequal lengths
+    assert W.is_conjugate(b + a + a + b + W.inv(b), a + b + a)  # aab against aba
+    assert not W.is_conjugate(a + a + b + b, a + b + a + b)  # equal letters, no rotation
+    assert W.is_conjugate((a + b) * 3, (b + a) * 3)  # proper powers
+    assert not W.is_conjugate((a + b) * 2, (a + b) * 3)
+    assert not W.is_conjugate(a + b, W.inv(a + b))

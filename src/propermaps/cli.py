@@ -155,9 +155,10 @@ def cmd_realize(args) -> int:
         return EXIT_PARSE
     _write_truncation(args.out, a, action.depth)
     report = _base_report(f"realize-{args.kind}")
+    levels = {} if args.depth is None else {"levels": args.depth}  # absent: the pipeline's default
     try:
         if args.kind == "tree":
-            tr = nz.realize_tree_case(a, action.end_group(), levels=args.depth or 4, eps_base=_rational(args.eps_base))
+            tr = nz.realize_tree_case(a, action.end_group(), **levels, eps_base=_rational(args.eps_base))
             report.update({"stage": "done", **tr.report})
             _write_dot(args.out, "telescope", es.telescope_to_dot(tr.telescope))
         elif args.kind == "core":
@@ -165,7 +166,7 @@ def cmd_realize(args) -> int:
             report.update({"stage": "done", **real.report})
             _write_dot(args.out, "realized", _symgraph_dot(real.graph))
         else:
-            out = nz.realize_general_case(action, levels=args.depth or 3, e_max=args.max_edges, rank_bound=args.rank_bound)
+            out = nz.realize_general_case(action, **levels, e_max=args.max_edges, rank_bound=args.rank_bound)
             if isinstance(out, nz.TreeRealization):
                 report.update({"stage": "tree-case", **out.report})
                 _write_dot(args.out, "telescope", es.telescope_to_dot(out.telescope))

@@ -8,12 +8,12 @@ matter, the joining relation is strictly `< eps`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .graph_model import Path, UnfoldingAutomaton, cylinders, live_states, path_str
+from .graph_model import Path, UnfoldingAutomaton, cylinders, cylinders_below, path_str, unfold
 
 
 class DepthTooShallowError(ValueError):
@@ -66,22 +66,14 @@ class ClopenSet:
 
 def expand_to_depth(a: UnfoldingAutomaton, cyls: Iterable[Path], depth: int) -> frozenset[Path]:
     """Live descendants at exactly `depth` of each (shallower) cylinder."""
-    live = live_states(a)
+    vertices = unfold(a, depth).state
     out: set[Path] = set()
-
-    def walk(path: Path, s: str, d: int):
-        if s not in live:
-            return
-        if d == depth:
-            out.add(path)
-            return
-        for i, c in enumerate(a.children[s]):
-            walk(path + (i,), c, d + 1)
-
     for v in cyls:
         if len(v) > depth:
             raise DepthTooShallowError(f"cylinder {path_str(v)} deeper than {depth}")
-        walk(v, a.state_of(v), len(v))
+        if v not in vertices:
+            raise KeyError(f"{path_str(v)} is not a vertex of the tree")
+        out.update(cylinders_below(a, depth, v))
     return frozenset(out)
 
 
@@ -92,32 +84,40 @@ def clopen_subset(a: UnfoldingAutomaton, c1: ClopenSet, c2: ClopenSet) -> bool:
 
 @dataclass(frozen=True)
 class Partition:
+    """Blocks covering the live depth-D cylinders once each.
+
+    ``cells[i]`` is block i's set of live depth-D cylinders, and ``index``
+    names the block of each live depth-D cylinder; ``make`` computes both.
+    """
+
     automaton: UnfoldingAutomaton
     depth: int
     blocks: tuple[ClopenSet, ...]
     level: int | None = None
+    cells: tuple[frozenset[Path], ...] = field(kw_only=True, compare=False, repr=False)
+    index: Mapping[Path, int] = field(kw_only=True, compare=False, repr=False)
 
     @classmethod
     def make(cls, a: UnfoldingAutomaton, depth: int, blocks: Iterable[ClopenSet], level: int | None = None) -> "Partition":
         blocks = tuple(sorted(blocks, key=lambda b: b.min_cylinder()))
-        seen: set[Path] = set()
-        total: set[Path] = set()
-        for b in blocks:
-            ex = expand_to_depth(a, b.cylinders, depth)
-            if ex & seen:
+        cells = []
+        index: dict[Path, int] = {}
+        for i, b in enumerate(blocks):
+            cell = expand_to_depth(a, b.cylinders, depth)
+            if not index.keys().isdisjoint(cell):
                 raise ValueError("partition blocks overlap")
-            seen |= ex
-            total |= ex
-        if total != set(cylinders(a, depth)):
+            index.update(dict.fromkeys(cell, i))
+            cells.append(cell)
+        if len(index) != len(cylinders(a, depth)):
             raise ValueError("partition blocks do not cover the end space")
-        return cls(a, depth, blocks, level)
+        return cls(a, depth, blocks, level, cells=tuple(cells), index=index)
 
     @classmethod
     def trivial(cls, a: UnfoldingAutomaton, depth: int, level: int | None = 0) -> "Partition":
         return cls.make(a, depth, [ClopenSet.make([()], 0)], level)
 
     def with_level(self, n: int) -> "Partition":
-        return Partition(self.automaton, self.depth, self.blocks, n)
+        return self if self.level == n else replace(self, level=n)
 
     def block_of(self, cyl: Path) -> int:
         """The lowest-index block listing cyl or one of its ancestors.
@@ -258,14 +258,15 @@ def _parents(fine: Partition, coarse: Partition) -> list[list[int]]:
     """For each block of fine, the indices of the blocks of coarse containing it.
 
     Coarse blocks are disjoint: a nonempty block lies in the one block that
-    block_of names for all of its cylinders, or in none.
+    the index names for all of its cylinders, or in none.
     """
     if fine.automaton != coarse.automaton:
         raise ValueError("partitions of different end spaces")
-    depth = max(fine.depth, coarse.depth)
+    if fine.depth != coarse.depth:
+        raise ValueError(f"partitions of different depths ({fine.depth} and {coarse.depth})")
     out = []
-    for b in fine.blocks:
-        js = {coarse.block_of(c) for c in expand_to_depth(fine.automaton, b.cylinders, depth)}
+    for cell in fine.cells:
+        js = {coarse.index[c] for c in cell}
         # a block of dead cylinders is empty and lies in every block
         out.append(list(js) if len(js) == 1 else [] if js else list(range(len(coarse.blocks))))
     return out
@@ -304,11 +305,14 @@ class TelescopeTree:
         vs = self.vertices()
         if len(self.edges) != len(vs) - 1:
             raise AssertionError("telescope is not a tree: wrong edge count")
+        parents_of: dict[Vertex, list[Vertex]] = {}
+        for child, parent in self.edges:
+            parents_of.setdefault(child, []).append(parent)
         for n, p in enumerate(self.partitions):
             if n == 0:
                 continue
             for i in range(len(p.blocks)):
-                parents = [e[1] for e in self.edges if e[0] == (n, i)]
+                parents = parents_of.get((n, i), [])
                 if len(parents) != 1 or parents[0][0] != n - 1:
                     raise AssertionError(f"vertex {(n, i)} does not have exactly one parent one level down")
 
@@ -353,16 +357,15 @@ class BoundaryCorrespondence:
 
     def check_bijective(self):
         for n, p in enumerate(self.tree.partitions):
-            seen = {self.vertex_of(n, c) for c in cylinders(p.automaton, p.depth)}
-            if seen != {(n, i) for i in range(len(p.blocks))}:
+            if set(p.index.values()) != set(range(len(p.blocks))):
                 raise AssertionError(f"level {n} correspondence is not onto")
 
     def check_equivariant(self, action: FiniteCylinderGroup, tele_action: "TelescopeAction"):
         for h in action.names():
             for n, p in enumerate(self.tree.partitions):
-                for c in cylinders(p.automaton, p.depth):
-                    lhs = tele_action.apply(h, self.vertex_of(n, c))
-                    rhs = self.vertex_of(n, action.apply(h, c))
+                for c, i in p.index.items():
+                    lhs = tele_action.apply(h, (n, i))
+                    rhs = (n, p.index[action.apply(h, c)])
                     if lhs != rhs:
                         raise AssertionError(f"boundary correspondence not equivariant at {h}, level {n}")
 
@@ -387,18 +390,16 @@ class TelescopeAction:
 
 def induced_telescope_action(t: TelescopeTree, action: FiniteCylinderGroup) -> TelescopeAction:
     """Permute level-n vertices by permuting blocks; verified simplicial."""
-    a = t.automaton
-    levels = []  # per level: the expanded blocks, and each expansion's first block index
-    for p in t.partitions:
-        expanded = [expand_to_depth(a, b.cylinders, action.depth) for b in p.blocks]
-        levels.append((expanded, {e: j for j, e in reversed(list(enumerate(expanded)))}))
+    if any(p.depth != action.depth for p in t.partitions):
+        raise ValueError(f"telescope and action at different depths (the action is at depth {action.depth})")
+    first = [{cell: j for j, cell in reversed(list(enumerate(p.cells)))} for p in t.partitions]  # cell -> its first block
     maps: dict[str, dict[Vertex, Vertex]] = {}
     for h in action.names():
         perm = action.elements[h]
         vmap: dict[Vertex, Vertex] = {}
-        for n, (expanded, index) in enumerate(levels):
-            for i, e in enumerate(expanded):
-                j = index.get(frozenset(perm[c] for c in e))
+        for n, p in enumerate(t.partitions):
+            for i, cell in enumerate(p.cells):
+                j = first[n].get(frozenset(perm[c] for c in cell))
                 if j is None:
                     raise NotInvariantError(f"element {h} does not preserve partition level {n}")
                 vmap[(n, i)] = (n, j)

@@ -10,6 +10,7 @@ pairs) is computed from the finite automaton.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -127,12 +128,18 @@ def bisimulation_classes(a: UnfoldingAutomaton) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class GraphTruncation:
-    """A depth-``depth`` truncation, made by ``unfold`` and kept in its automaton's memo."""
+    """A depth-``depth`` truncation, made by ``unfold`` and kept in its automaton's memo.
+
+    It is the one index of the rooted tree: ``state`` names every vertex's
+    state, and ``frontier`` is its depth-``depth`` part.  Both list their
+    vertices level by level, each level in path order.
+    """
 
     depth: int
     vertices: tuple[Path, ...]
     tree_edges: tuple[tuple[Path, Path], ...]
     loop_edges: tuple[tuple[Path, int], ...]
+    state: Mapping[Path, str]
     frontier: Mapping[Path, str]
     loop_ids: tuple[str, ...]  # "<path>:<k>" per loop edge, in sorted loop-edge order
     loop_at: Mapping[str, tuple[Path, int]]  # loop id -> (vertex, k)
@@ -144,7 +151,7 @@ def unfold(a: UnfoldingAutomaton, depth: int) -> GraphTruncation:
     """Materialize the generated graph down to the given depth."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    vertices: list[Path] = []
+    state: dict[Path, str] = {}
     tree_edges: list[tuple[Path, Path]] = []
     loop_edges: list[tuple[Path, int]] = []
     frontier: dict[Path, str] = {}
@@ -153,7 +160,7 @@ def unfold(a: UnfoldingAutomaton, depth: int) -> GraphTruncation:
     for d in range(depth + 1):
         nxt: list[tuple[Path, str]] = []
         for v, s in level:
-            vertices.append(v)
+            state[v] = s
             for k in range(a.loops[s]):
                 loop_edges.append((v, k))
             if d == depth:
@@ -169,7 +176,7 @@ def unfold(a: UnfoldingAutomaton, depth: int) -> GraphTruncation:
     loop_name = {(v, k): f"{names[v]}:{k}" for v, k in sorted(loop_edges)}
     loop_at = {lid: vk for vk, lid in loop_name.items()}
     return GraphTruncation(
-        depth, tuple(vertices), tuple(tree_edges), tuple(loop_edges), frontier, tuple(loop_at), loop_at, loop_name
+        depth, tuple(state), tuple(tree_edges), tuple(loop_edges), state, frontier, tuple(loop_at), loop_at, loop_name
     )
 
 
@@ -211,22 +218,21 @@ def _reaching(children: Mapping[str, tuple[str, ...]], targets: Iterable[str]) -
 def _instance_counts(children: Mapping[str, tuple[str, ...]], root: str) -> dict[str, int]:
     """Instances of each state in the unfolding of an acyclic children relation
     (its root-to-state paths), by counting along a topological order."""
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def visit(s):
-        seen.add(s)
+    reach = _reachable_from(children, [root])
+    waiting = dict.fromkeys(reach, 0)  # child-index entries not yet counted
+    for s in reach:
         for c in children[s]:
-            if c not in seen:
-                visit(c)
-        order.append(s)
-
-    visit(root)
+            waiting[c] += 1
     inst = dict.fromkeys(children, 0)
     inst[root] = 1
-    for s in reversed(order):
+    ready = [root]
+    while ready:
+        s = ready.pop()
         for c in children[s]:
             inst[c] += inst[s]
+            waiting[c] -= 1
+            if not waiting[c]:
+                ready.append(c)
     return inst
 
 
@@ -255,28 +261,35 @@ def restrict(a: UnfoldingAutomaton, keep: frozenset[str]) -> UnfoldingAutomaton 
 # -- core, genus, genus ends ---------------------------------------------------
 
 
-def core(a: UnfoldingAutomaton) -> UnfoldingAutomaton | None:
-    """Generator of the smallest subgraph containing all loops (None if a tree).
+@_once_per_automaton
+def _core_top(a: UnfoldingAutomaton) -> tuple[Path, str] | None:
+    """The core's top vertex and its state (None if a tree).
 
     A vertex lies in the core iff it carries a loop or has at least two
-    loop-bearing directions; the walk from the root to the first such vertex
-    stays loop-free, so the core automaton is the loop-reaching restriction
-    rooted there.
+    loop-bearing directions.  The walk from the root to the first such
+    vertex follows the one loop-bearing direction of each loop-free vertex,
+    so it meets each state at most once; the core is then the set of
+    loop-reaching vertices at or below the top vertex.
     """
     reach = loop_reaching_states(a)
     if a.root not in reach:
         return None
-    s = a.root
-    seen_guard = 0
+    path, s = (), a.root
     while True:
-        loopy_children = [c for c in a.children[s] if c in reach]
-        if a.loops[s] > 0 or len(loopy_children) >= 2:
-            break
-        s = loopy_children[0]
-        seen_guard += 1
-        if seen_guard > len(a.children) + 1:
-            raise AssertionError("core root walk failed to terminate")
-    sub = _restricted(a, reach)
+        loopy = [i for i, c in enumerate(a.children[s]) if c in reach]
+        if a.loops[s] > 0 or len(loopy) >= 2:
+            return path, s
+        path, s = path + (loopy[0],), a.children[s][loopy[0]]
+
+
+def core(a: UnfoldingAutomaton) -> UnfoldingAutomaton | None:
+    """Generator of the smallest subgraph containing all loops (None if a tree):
+    the loop-reaching restriction rooted at the core's top vertex."""
+    top = _core_top(a)
+    if top is None:
+        return None
+    s = top[1]
+    sub = _restricted(a, loop_reaching_states(a))
     below = _reachable_from(sub, [s])
     ch = {t: cs for t, cs in sub.items() if t in below}
     return UnfoldingAutomaton(s, ch, {t: a.loops[t] for t in ch})
@@ -342,19 +355,14 @@ def _end_family(a: UnfoldingAutomaton) -> EndFamily:
     can_reach_branch = _reaching(ch, branch)
 
     if not (branch & after_cycle):
-        # finitely many branch instances: count the ends
-        memo: dict[str, int] = {}
-
-        def ends_from(s) -> int:
-            if s in memo:
-                return memo[s]
-            if s not in can_reach_branch:
-                memo[s] = 1
-                return 1
-            memo[s] = sum(ends_from(c) for c in ch[s])
-            return memo[s]
-
-        return EndFamily("finite", ends_from(sub.root))
+        # finitely many branch instances (no state reaching a branch lies on
+        # a cycle): each end leaves the branch-reaching states by one entry
+        # edge, counted once per instance of its source
+        if sub.root not in can_reach_branch:
+            return EndFamily("finite", 1)
+        above = {s: tuple(c for c in ch[s] if c in can_reach_branch) for s in ch if s in can_reach_branch}
+        inst = _instance_counts(above, sub.root)
+        return EndFamily("finite", sum(inst[s] * (len(ch[s]) - len(above[s])) for s in above))
 
     rays = {s for s in ch if s not in can_reach_branch}
     if not rays:
@@ -563,46 +571,28 @@ def dx_compact(a: UnfoldingAutomaton) -> bool:
 
 @_once_per_automaton
 def core_vertices(a: UnfoldingAutomaton, depth: int) -> frozenset[Path]:
-    """Truncation vertices lying in the core (hull of all loops)."""
+    """Truncation vertices lying in the core (hull of all loops): the
+    loop-reaching vertices at or below the core's top vertex."""
+    top = _core_top(a)
+    if top is None:
+        return frozenset()
+    path, n = top[0], len(top[0])
     reach = loop_reaching_states(a)
-    out: set[Path] = set()
-
-    def walk(path: Path, s: str, outside: bool, d: int):
-        if s not in reach:
-            return
-        loopy = [c for c in a.children[s] if c in reach]
-        directions = len(loopy) + (1 if outside else 0)
-        if a.loops[s] > 0 or directions >= 2:
-            out.add(path)
-        if d == depth:
-            return
-        for i, c in enumerate(a.children[s]):
-            if c not in reach:
-                continue
-            side_loops = a.loops[s] > 0 or any(cc in reach for j, cc in enumerate(a.children[s]) if j != i)
-            walk(path + (i,), c, outside or side_loops, d + 1)
-
-    walk((), a.root, False, 0)
-    return frozenset(out)
+    return frozenset(v for v, s in unfold(a, depth).state.items() if s in reach and v[:n] == path)
 
 
 @_once_per_automaton
 def cylinders(a: UnfoldingAutomaton, depth: int) -> tuple[Path, ...]:
-    """Live depth-D vertices; their shadows partition the end space."""
+    """Live depth-D vertices, sorted; their shadows partition the end space."""
     live = live_states(a)
-    out = []
+    return tuple(sorted(v for v, s in unfold(a, depth).frontier.items() if s in live))
 
-    def walk(path: Path, s: str, d: int):
-        if s not in live:
-            return
-        if d == depth:
-            out.append(path)
-            return
-        for i, c in enumerate(a.children[s]):
-            walk(path + (i,), c, d + 1)
 
-    walk((), a.root, 0)
-    return tuple(sorted(out))
+def cylinders_below(a: UnfoldingAutomaton, depth: int, v: Path) -> tuple[Path, ...]:
+    """The depth-D cylinders at or below v: one run of the sorted ``cylinders``."""
+    cyls = cylinders(a, depth)
+    hi = bisect_left(cyls, v[:-1] + (v[-1] + 1,)) if v else len(cyls)
+    return cyls[bisect_left(cyls, v) : hi]
 
 
 # -- text format and DOT export -----------------------------------------------------

@@ -34,6 +34,7 @@ from .graph_model import (
     bisimulation_classes,
     core_vertices,
     cylinders,
+    cylinders_below,
     deep_mixed_states,
     dx_compact,
     dx_states,
@@ -183,9 +184,7 @@ class ProperMapRep:
         return cylinders(self.automaton, self.depth)
 
     def dx_frontier(self) -> tuple[Path, ...]:
-        dx = dx_states(self.automaton)
-        frontier = self.truncation().frontier
-        return tuple(c for c in self.live_frontier() if frontier[c] in dx)
+        return _dx_cylinders(self.automaton, self.depth)
 
     def genus_frontier(self) -> tuple[Path, ...]:
         """Frontier vertices with loops strictly beyond the support."""
@@ -491,19 +490,19 @@ class RFunction:
     @classmethod
     def make(cls, automaton, depth, alpha0, assignments) -> "RFunction":
         dx = dx_states(automaton)
+        state = unfold(automaton, depth).state
         blocks = tuple(sorted(((b, W.reduce_word(w)) for b, w in assignments), key=lambda p: p[0].min_cylinder()))
         covered: set[Path] = set()
         for b, _ in blocks:
+            ex = expand_to_depth(automaton, b.cylinders, depth)  # refuses cylinders deeper than depth
             for cyl in b.cylinders:
-                if automaton.state_of(cyl) not in dx:
+                if state[cyl] not in dx:
                     raise ValueError(f"block cylinder {path_str(cyl)} carries no DX ends")
-            ex = expand_to_depth(automaton, b.cylinders, depth)
-            ex = {c for c in ex if automaton.state_of(c) in dx}
+            ex = {c for c in ex if state[c] in dx}
             if ex & covered:
                 raise ValueError("assignment blocks overlap")
             covered |= ex
-        want = {c for c in cylinders(automaton, depth) if automaton.state_of(c) in dx}
-        if covered != want:
+        if covered != set(_dx_cylinders(automaton, depth)):
             raise ValueError("assignments do not cover DX")
         h = cls(automaton, depth, alpha0, blocks)
         if h.value_at(alpha0):
@@ -517,17 +516,16 @@ class RFunction:
         raise KeyError(f"cylinder {path_str(cyl)} not covered")
 
     def dx_cylinders(self, depth: int | None = None) -> tuple[Path, ...]:
-        depth = self.depth if depth is None else depth
-        dx = dx_states(self.automaton)
-        return tuple(c for c in cylinders(self.automaton, depth) if self.automaton.state_of(c) in dx)
+        return _dx_cylinders(self.automaton, self.depth if depth is None else depth)
 
     def r2_certified(self) -> bool:
         deep = deep_mixed_states(self.automaton)
+        frontier = unfold(self.automaton, self.depth).frontier
         for b, w in self.assignments:
             if not w:
                 continue
             ex = expand_to_depth(self.automaton, b.cylinders, self.depth)
-            if any(self.automaton.state_of(c) in deep for c in ex):
+            if any(frontier[c] in deep for c in ex):
                 return False
         return True
 
@@ -543,6 +541,13 @@ class RFunction:
 
     def __hash__(self):
         return hash((self.automaton, self.alpha0))
+
+
+def _dx_cylinders(a: UnfoldingAutomaton, depth: int) -> tuple[Path, ...]:
+    """The depth-D cylinders with DX ends below them."""
+    dx = dx_states(a)
+    frontier = unfold(a, depth).frontier
+    return tuple(c for c in cylinders(a, depth) if frontier[c] in dx)
 
 
 def default_base_end(a: UnfoldingAutomaton, depth: int) -> Path:
@@ -641,31 +646,29 @@ def realize_r_function(h: RFunction) -> ProperMapRep:
     reach = loop_reaching_states(a)
     dx = dx_states(a)
     guard = h.depth + len(a.states) + 2
-
-    def pure_entries(c: Path) -> list[Path]:
-        s = a.state_of(c)
-        if s not in live or s not in dx:
-            return []
-        if s not in reach:
-            return [c]
-        if len(c) > guard:
-            raise AssertionError("descent through mixed cylinders failed to terminate")
-        out = []
-        for i in range(len(a.children[s])):
-            out.extend(pure_entries(c + (i,)))
-        return out
+    state = unfold(a, h.depth).state
 
     wraps: dict[Path, Word] = {}
     support = h.depth
     for b, val in h.assignments:
         if not val:
             continue
-        for cyl in sorted(b.cylinders):
-            for entry in pure_entries(cyl):
-                if not entry:
-                    raise R2ViolationError("cannot realize a nontrivial value on the whole end space")
-                wraps[entry] = W.inv(val)
-                support = max(support, len(entry))
+        # descend from each block cylinder through the mixed states to the
+        # entries of the pure-DX branches, in path order
+        stack = [(cyl, state[cyl]) for cyl in sorted(b.cylinders, reverse=True)]
+        while stack:
+            c, s = stack.pop()
+            if s not in live or s not in dx:
+                continue
+            if s in reach:
+                if len(c) > guard:
+                    raise AssertionError("descent through mixed cylinders failed to terminate")
+                stack.extend((c + (i,), cs) for i, cs in reversed(list(enumerate(a.children[s]))))
+                continue
+            if not c:
+                raise R2ViolationError("cannot realize a nontrivial value on the whole end space")
+            wraps[c] = W.inv(val)
+            support = max(support, len(c))
     return ProperMapRep.make(a, support, edge_wraps=wraps)
 
 
@@ -785,20 +788,20 @@ def extend_over_trees(
     if set(end_extension) != set(cyls) or set(end_extension.values()) != set(cyls):
         raise ValueError("end extension must be a bijection of the depth-D cylinders")
     bis = bisimulation_classes(a)
+    t = unfold(a, depth)
     for c, d in end_extension.items():
-        if bis[a.state_of(c)] != bis[a.state_of(d)]:
+        if bis[t.frontier[c]] != bis[t.frontier[d]]:
             raise PreconditionFailedError(f"end extension must preserve state classes at depth {depth}")
     corev = core_vertices(a, depth)
     for v in core_vmap:
         if v not in corev:
             raise ValueError(f"{path_str(v)} is not a core vertex")
-    t = unfold(a, depth)
     vm: dict[Path, Path] = {}
     for v in t.vertices:
         if v in corev:
             vm[v] = core_vmap.get(v, v)
             continue
-        shadow = [end_extension[c] for c in cyls if is_ancestor(v, c)]
+        shadow = [end_extension[c] for c in cylinders_below(a, depth, v)]
         sup = shadow[0]
         for s in shadow[1:]:
             n = 0

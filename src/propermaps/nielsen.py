@@ -12,6 +12,7 @@ import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import words as W
@@ -26,6 +27,7 @@ from .graph_model import (
     core,
     core_vertices,
     cylinders,
+    genus,
     live_states,
     loop_reaching_states,
     path_str,
@@ -1435,6 +1437,16 @@ def _orbits(names: Iterable[str], taus: dict[str, dict[str, str]], group: Finite
     return out
 
 
+@dataclass
+class _Piece:
+    """A realized vertex group of T*, with where its incident edge graphs sit."""
+
+    real: RelativeRealization
+    stab_group: FiniteGroup
+    marking: dict[str, Word]
+    slots: list[tuple[str, int, int]]  # (incident edge name at rep, v_off, e_off)
+
+
 def realize_core_case(
     action: FiniteGroupAction,
     cover: IntervalCover | None = None,
@@ -1480,13 +1492,6 @@ def realize_core_case(
         edge_real[e0] = realize_relative(sgroup, targets, None, e_max=e_max, rank_bound=max(rank_bound, 1))
 
     # realize vertex graphs relative to their incident edge graphs
-    @dataclass
-    class _Piece:
-        real: RelativeRealization
-        stab_group: FiniteGroup
-        marking: dict[str, Word]
-        slots: list[tuple[str, int, int]]  # (incident edge name at rep, v_off, e_off)
-
     vertex_real: dict[str, _Piece] = {}
     for w0 in vertex_orbits:
         stab = [h for h in group.elements if taus[h][w0] == w0]
@@ -1809,6 +1814,11 @@ class NielsenRay:
         return ("edge", tuple(sorted((v1, v2))))
 
 
+def _attachment(corev: frozenset[Path], c: Path) -> Path:
+    """The deepest core vertex on the path from the root to c (the root if none)."""
+    return next((c[:i] for i in range(len(c), -1, -1) if c[:i] in corev), ())
+
+
 def _beta_anchored_lift(action: FiniteGroupAction, h: str, anchor: Path):
     """The lift of h to the core universal cover fixing the anchored end."""
     f = action.reps[h]
@@ -1843,10 +1853,7 @@ def nielsen_ray(action: FiniteGroupAction, beta: Path, stabilizer: Iterable[str]
     corev = core_vertices(a, depth)
     if not corev:
         raise ValueError("ambient graph has no core")
-    attach = ()
-    for i in range(len(beta) + 1):
-        if beta[:i] in corev:
-            attach = beta[:i]
+    attach = _attachment(corev, beta)
     if stabilizer is None:
         stabilizer = [h for h in action.group.elements if action.reps[h].end_action[beta] == beta]
     stab = tuple(sorted(set(stabilizer)))
@@ -1921,24 +1928,17 @@ def good_filter(
     """
     a = action.automaton
     depth = action.depth
+    if any(p.depth != depth for p in partitions):
+        raise ValueError(f"partitions and action at different depths (the action is at depth {depth})")
     reach = loop_reaching_states(a)
     live = live_states(a)
+    frontier = unfold(a, depth).frontier
     corev = core_vertices(a, depth)
     if exhaustion_depths is None:
         exhaustion_depths = list(range(depth + 1))
 
-    def attach_of(c: Path) -> Path:
-        out = ()
-        for i in range(len(c) + 1):
-            if c[:i] in corev:
-                out = c[:i]
-        return out
-
-    def expand(block: es.ClopenSet) -> frozenset:
-        return es.expand_to_depth(a, block.cylinders, depth)
-
     good_orbits_per_level: list[list[frozenset]] = [[]]
-    selected: list[tuple[int, es.ClopenSet]] = []
+    selected: list[tuple[int, frozenset]] = []  # (level, cell) of each selected good element
     rho: dict[tuple[int, frozenset], Path] = {}
 
     end_perms = {h: action.reps[h].end_action for h in action.group.elements}
@@ -1946,8 +1946,7 @@ def good_filter(
     for n in range(1, len(partitions)):
         level_good: list[frozenset] = []
         seen: set[frozenset] = set()
-        for block in partitions[n].blocks:
-            cyls = expand(block)
+        for cyls in partitions[n].cells:
             if cyls in seen:
                 continue
             orbit = {frozenset(end_perms[h][c] for c in cyls) for h in action.group.elements}
@@ -1955,10 +1954,10 @@ def good_filter(
             # goodness of the orbit (checked on all members)
             def is_good(bc: frozenset) -> bool:
                 for c in bc:
-                    s = a.state_of(c)
+                    s = frontier[c]
                     if s in reach or s not in live:
                         return False
-                attaches = {attach_of(c) for c in bc}
+                attaches = {_attachment(corev, c) for c in bc}
                 if len(attaches) != 1:
                     return False
                 att = next(iter(attaches))
@@ -1996,31 +1995,32 @@ def good_filter(
             prev_goods = good_orbits_per_level[n - 1]
             if any(bc <= prev for prev in prev_goods):
                 continue
-            block = es.ClopenSet.make(bc, depth)
-            selected.append((n, block))
+            selected.append((n, bc))
 
     covered: set[Path] = set()
-    for n, block in selected:
-        cyls = expand(block)
-        if cyls & covered:
+    for n, bc in selected:
+        if bc & covered:
             raise StructureViolationError("selected good orbits overlap")
-        covered |= cyls
-    dx_wanted = {
-        c
-        for c in cylinders(a, depth)
-        if a.state_of(c) not in reach and a.state_of(c) in live
-    }
+        covered |= bc
+    dx_wanted = {c for c in cylinders(a, depth) if frontier[c] not in reach and frontier[c] in live}
     if not dx_wanted <= covered:
         raise NoGoodLevelError("some DX end is never covered by a good element")
-    # equivariant rho on the selection
-    rho_out: dict[tuple[int, frozenset], Path] = {}
-    for n, block in selected:
-        bc = es.expand_to_depth(a, block.cylinders, depth)
-        rho_out[(n, bc)] = rho[(n, bc)]
-    return GoodCover(tuple(selected), rho_out)
+    # the selected elements are sets of depth-D cylinders, so each is its own block
+    blocks = tuple((n, es.ClopenSet.make(bc, depth)) for n, bc in selected)
+    return GoodCover(blocks, {key: rho[key] for key in selected})
 
 
 # -- tree pipeline --------------------------------------------------------------------
+
+
+def _epsilon_sequence(avg: es.EndMetric, eps0: Fraction, levels: int) -> list[es.Partition]:
+    """The trivial partition, then the epsilon-partitions at eps0^(1-n) for n = 1..levels."""
+    if levels < 0:
+        raise ValueError(f"levels must be nonnegative, got {levels}")
+    a, depth = avg.automaton, avg.depth
+    seq = [es.Partition.trivial(a, depth, level=0)]
+    seq += [es.epsilon_partition(avg, eps0 ** (1 - n), depth, level=n) for n in range(1, levels + 1)]
+    return seq
 
 
 @dataclass
@@ -2038,22 +2038,13 @@ def realize_tree_case(
     eps_base=None,
 ) -> TreeRealization:
     """Invariant metric, refining partitions, mapping telescope, action."""
-    from fractions import Fraction
-
-    from .graph_model import genus
-
     if genus(a) != 0:
         raise ValueError("tree pipeline needs a loop-free ambient graph")
-    depth = action.depth
-    base = es.EndMetric.base(a, depth)
-    avg = es.average_metric(base, action)
+    avg = es.average_metric(es.EndMetric.base(a, action.depth), action)
     eps0 = Fraction(2) if eps_base is None else Fraction(eps_base)
     if eps0 <= 0:
         raise ValueError(f"eps base must be positive, got {eps0}")
-    seq = [es.Partition.trivial(a, depth, level=0)]
-    for n in range(1, levels + 1):
-        seq.append(es.epsilon_partition(avg, eps0 ** (1 - n), depth, level=n))
-    tele = es.telescope(seq)
+    tele = es.telescope(_epsilon_sequence(avg, eps0, levels))
     tact = es.induced_telescope_action(tele, action)
     bnd = es.boundary_map(tele)
     bnd.check_equivariant(action, tact)
@@ -2112,10 +2103,6 @@ def realize_general_case(
     be simplicial; the attached trees are replaced by mapping telescopes of
     good partition elements hung at equivariant fixed points.
     """
-    from fractions import Fraction
-
-    from .graph_model import genus
-
     a = action.automaton
     if genus(a) == 0:
         return realize_tree_case(a, action.end_group(), levels=levels)
@@ -2123,11 +2110,7 @@ def realize_general_case(
         return realize_core_case(action, e_max=e_max, rank_bound=rank_bound)
     _check_core_simplicial(action)
     depth = action.depth
-    base = es.EndMetric.base(a, depth)
-    avg = es.average_metric(base, action.end_group())
-    seq = [es.Partition.trivial(a, depth, level=0)]
-    for n in range(1, levels + 1):
-        seq.append(es.epsilon_partition(avg, Fraction(2) ** (1 - n), depth, level=n))
+    seq = _epsilon_sequence(es.average_metric(es.EndMetric.base(a, depth), action.end_group()), Fraction(2), levels)
     cover = good_filter(seq, action)
 
     corev = sorted(core_vertices(a, depth))
@@ -2144,18 +2127,18 @@ def realize_general_case(
             edge_key[("loop", v, k)] = len(edges)
             edges.append((vindex[v], vindex[v]))
 
-    # telescope vertices: (level, block-cylinder-set) below each good block
-    # (a level-n block); the good block itself attaches at rho
-    expanded = [[es.expand_to_depth(a, blk.cylinders, depth) for blk in p.blocks] for p in seq]
+    # telescope vertices: (level, cell) below each good block (a level-n
+    # cell of depth-D cylinders); the good block itself attaches at rho
     tindex: dict[tuple, int] = {}
     for n, block in cover.blocks:
-        bc = es.expand_to_depth(a, block.cylinders, depth)
+        bc = block.cylinders
         for lev in range(n + 1, levels + 1):
-            for cyl in expanded[lev]:
+            for cyl in seq[lev].cells:
                 if not cyl <= bc:
                     continue
                 tindex[(lev, cyl)] = len(corev) + len(tindex)
-                parent = (lev - 1, expanded[lev - 1][seq[lev - 1].block_of(min(cyl))])
+                coarse = seq[lev - 1]
+                parent = (lev - 1, coarse.cells[coarse.index[min(cyl)]])
                 lo = vindex[cover.rho[(n, bc)]] if parent == (n, bc) else tindex[parent]
                 edge_key[("tele", lev, cyl)] = len(edges)
                 edges.append((lo, tindex[(lev, cyl)]))

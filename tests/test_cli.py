@@ -207,6 +207,23 @@ def test_realize_tree_nonpositive_eps_base_is_input_error(tmp_path, capsys, base
     assert rep["stage"] == "input" and rep["error"].startswith("eps base must be positive")
 
 
+@pytest.mark.parametrize("flag, levels", [([], 4), (["--depth", "0"], 0), (["--depth", "2"], 2)])
+def test_realize_tree_runs_the_levels_it_is_given(tmp_path, capsys, flag, levels):
+    """--depth 0 is the trivial partition alone; only an absent flag means the default."""
+    g, act = _write_tree_action(tmp_path)
+    code, rep = run(capsys, "realize", "tree", str(g), str(act), *flag)
+    assert code == 0
+    assert rep["levels"] == levels and len(rep["block_counts"]) == levels + 1
+
+
+@pytest.mark.parametrize("kind", ["tree", "general"])
+def test_realize_negative_depth_is_input_error(tmp_path, capsys, kind):
+    g, act = _write_tree_action(tmp_path)
+    code, rep = run(capsys, "realize", kind, str(g), str(act), "--depth", "-1")
+    assert code == 4
+    assert rep["stage"] == "input" and rep["error"] == "levels must be nonnegative, got -1"
+
+
 def _write_flip_action(tmp_path, depth):
     """The loop-ray flip at the given support, as graph and action files."""
     g = tmp_path / "g.aut"
@@ -317,7 +334,8 @@ def test_cli_deterministic(tmp_path, capsys):
     assert rep1 == rep2
 
 
-def test_realize_general_via_cli(tmp_path, capsys):
+def _write_mixed_action(tmp_path):
+    """The swap of two Cantor branches on a graph with both genus and free ends."""
     model_text = (
         "root r\n"
         "state r loops=1 children=c,b\n"
@@ -344,11 +362,31 @@ def test_realize_general_via_cli(tmp_path, capsys):
         "elem h: mapfile=h.map\n"
         "mult e e = e\nmult e h = h\nmult h e = h\nmult h h = e\n"
     )
+    return g, act
+
+
+def test_realize_general_via_cli(tmp_path, capsys):
+    g, act = _write_mixed_action(tmp_path)
     out = tmp_path / "out"
     code, rep = run(capsys, "realize", "general", str(g), str(act), "--depth", "3", "--out", str(out))
     assert code == 0
     assert rep["stage"] == "general"
     assert (out / "realized.dot").exists()
+
+
+def test_realize_general_depth_flag(tmp_path, capsys):
+    """Absent, --depth means 3 levels; with 0 levels no good element covers the free ends."""
+    g, act = _write_mixed_action(tmp_path)
+    reps = {}
+    for flag in ([], ["--depth", "3"], ["--depth", "0"], ["--depth", "-1"]):
+        code, rep = run(capsys, "realize", "general", str(g), str(act), *flag)
+        reps[tuple(flag)] = (code, rep)
+    assert reps[()] == reps[("--depth", "3")] and reps[()][0] == 0
+    code, rep = reps[("--depth", "0")]
+    assert code == 2 and rep["stage"] == "verification"
+    assert rep["error"] == "some DX end is never covered by a good element"
+    code, rep = reps[("--depth", "-1")]
+    assert code == 4 and rep["error"] == "levels must be nonnegative, got -1"
 
 
 def _stdout(capsys, *argv):

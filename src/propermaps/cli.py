@@ -12,6 +12,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path as FsPath
+from typing import Callable
 
 from . import end_space as es
 from . import graph_model as gm
@@ -35,16 +36,16 @@ def _emit(report: dict, out_dir: str | None, name: str) -> None:
     print(text)
 
 
-def _write_dot(out_dir: str | None, name: str, dot: str) -> None:
+def _write_dot(out_dir: str | None, name: str, dot: Callable[[], str]) -> None:
+    """``name``.dot with the text ``dot()``, built only when there is somewhere to write it."""
     if out_dir:
         FsPath(out_dir).mkdir(parents=True, exist_ok=True)
-        (FsPath(out_dir) / f"{name}.dot").write_text(dot)
+        (FsPath(out_dir) / f"{name}.dot").write_text(dot())
 
 
 def _write_truncation(out_dir: str | None, a: gm.UnfoldingAutomaton, depth: int) -> None:
-    """truncation.dot, the depth-``depth`` truncation; built only when there is somewhere to write it."""
-    if out_dir:
-        _write_dot(out_dir, "truncation", gm.truncation_to_dot(gm.unfold(a, depth)))
+    """truncation.dot, the depth-``depth`` truncation."""
+    _write_dot(out_dir, "truncation", lambda: gm.truncation_to_dot(gm.unfold(a, depth)))
 
 
 def _base_report(command: str) -> dict:
@@ -160,22 +161,22 @@ def cmd_realize(args) -> int:
         if args.kind == "tree":
             tr = nz.realize_tree_case(a, action.end_group(), **levels, eps_base=_rational(args.eps_base))
             report.update({"stage": "done", **tr.report})
-            _write_dot(args.out, "telescope", es.telescope_to_dot(tr.telescope))
+            _write_dot(args.out, "telescope", lambda: es.telescope_to_dot(tr.telescope))
         elif args.kind == "core":
             real = nz.realize_core_case(action, e_max=args.max_edges, rank_bound=args.rank_bound)
             report.update({"stage": "done", **real.report})
-            _write_dot(args.out, "realized", _symgraph_dot(real.graph))
+            _write_dot(args.out, "realized", lambda: _symgraph_dot(real.graph))
         else:
             out = nz.realize_general_case(action, **levels, e_max=args.max_edges, rank_bound=args.rank_bound)
             if isinstance(out, nz.TreeRealization):
                 report.update({"stage": "tree-case", **out.report})
-                _write_dot(args.out, "telescope", es.telescope_to_dot(out.telescope))
+                _write_dot(args.out, "telescope", lambda: es.telescope_to_dot(out.telescope))
             elif isinstance(out, nz.CoreRealization):
                 report.update({"stage": "core-case", **out.report})
-                _write_dot(args.out, "realized", _symgraph_dot(out.graph))
+                _write_dot(args.out, "realized", lambda: _symgraph_dot(out.graph))
             else:
                 report.update({"stage": "general", **out.report})
-                _write_dot(args.out, "realized", _symgraph_dot(out.graph))
+                _write_dot(args.out, "realized", lambda: _symgraph_dot(out.graph))
     except nz.NotFoundWithinBoundError as exc:
         report.update({"stage": "search", "error": str(exc)})
         _emit(report, args.out, "realize")

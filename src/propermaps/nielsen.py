@@ -81,6 +81,8 @@ class FiniteGroup:
     @classmethod
     def make(cls, elements: Sequence[str], mult: Mapping[tuple[str, str], str]) -> "FiniteGroup":
         elems = tuple(elements)
+        if len(set(elems)) != len(elems):
+            raise ValueError(f"repeated element names in {list(elems)}")
         for g in elems:
             for h in elems:
                 if (g, h) not in mult:
@@ -733,6 +735,12 @@ class SymGraph:
             loops.append(tuple(self.tree_path_darts(self._tree, 0, a) + [(e, 1)] + self.tree_path_darts(self._tree, b, 0)))
         return tuple(loops)
 
+    def edge_words(self, petal_words: Sequence[Word]) -> list[Word]:
+        """What each edge reads under a petal marking: petal j reads
+        ``petal_words[j]`` and a tree edge reads nothing."""
+        index = self._petal_index
+        return [petal_words[index[e]] if e in index else W.EMPTY for e in range(len(self.edges))]
+
 
 @dataclass(frozen=True)
 class GraphAutomorphism:
@@ -823,16 +831,11 @@ def induced_outer(g: SymGraph, alpha: GraphAutomorphism, basis: Sequence[str]) -
     petal_index = g._petal_index
     if len(petal_index) != len(basis):
         raise ValueError("marking size mismatch")
-    images = {}
-    for x, loop in zip(basis, g._petal_loops):
-        word = []
-        for e, direction in loop:
-            img, flip = alpha.emap[e]
-            i = petal_index.get(img)
-            if i is not None:
-                word.append((basis[i], -direction if flip else direction))
-        images[x] = W.reduce_word(word)
-    return st.FreeGroupAutomorphism(tuple(basis), images)
+    after = []  # what each edge reads once alpha has moved it
+    for img, flip in alpha.emap:
+        i = petal_index.get(img)
+        after.append(W.EMPTY if i is None else W.gen(basis[i], -1 if flip else 1))
+    return st.FreeGroupAutomorphism(tuple(basis), {x: W.substitute(loop, after) for x, loop in zip(basis, g._petal_loops)})
 
 
 def _generating_subset(group: FiniteGroup) -> list[str]:
@@ -973,54 +976,15 @@ class RelativeRealization:
 
 
 def _subgraph_class_words(g: SymGraph, petal_words: Sequence[Word], vertex_set: set[int], edge_set: set[int]) -> list[Word]:
-    """Cycle-basis words (through the marking) of an embedded subgraph."""
-    tree = g.spanning_tree()
-    petals = g.petal_edges()
-    petal_index = {e: i for i, e in enumerate(petals)}
-
-    def expand(path):
-        out: list = []
-        for e, direction in path:
-            if e in petal_index:
-                wd = petal_words[petal_index[e]]
-                out.extend(wd if direction > 0 else W.inv(wd))
-        return W.reduce_word(out)
-
-    # spanning tree of the subgraph
-    sub_adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in vertex_set}
-    for e in edge_set:
-        a, b = g.edges[e]
-        sub_adj[a].append((b, e, 1))
-        sub_adj[b].append((a, e, -1))
-    base = min(vertex_set)
-    sub_tree: dict[int, tuple[int, int, int]] = {base: (base, -1, 0)}
-    queue = [base]
-    while queue:
-        v = queue.pop(0)
-        for w_, e, d in sorted(sub_adj[v]):
-            if w_ not in sub_tree:
-                sub_tree[w_] = (v, e, d)
-                queue.append(w_)
-
-    def sub_path_to_base(x):
-        out = []
-        while sub_tree[x][1] != -1:
-            p, e, d = sub_tree[x]
-            out.append((e, -d))
-            x = p
-        return out
-
-    tree_edges = {e for (_, e, _) in sub_tree.values() if e != -1}
-    words = []
-    for e in sorted(edge_set - tree_edges):
-        a, b = g.edges[e]
-        down = [(ed, -d) for ed, d in reversed(sub_path_to_base(a))]
-        up = sub_path_to_base(b)
-        cycle = down + [(e, 1)] + up
-        conn = g.tree_path_darts(tree, 0, base)
-        full = conn + cycle + [(ed, -d) for ed, d in reversed(conn)]
-        words.append(expand(full))
-    return words
+    """Cycle-basis words (through the marking) of an embedded connected
+    subgraph: its own petal loops, with its vertices renumbered from the
+    least one, read through the words of its edges in g."""
+    at = {v: i for i, v in enumerate(sorted(vertex_set))}
+    edges = sorted(edge_set)
+    sub = SymGraph(len(at), tuple((at[a], at[b]) for a, b in (g.edges[e] for e in edges)))
+    reads = g.edge_words(petal_words)
+    sub_reads = [reads[e] for e in edges]
+    return [W.substitute(loop, sub_reads) for loop in sub._petal_loops]
 
 
 def _apply_embedding_action_check(piece: RelativePiece, g: SymGraph, act, emb: Embedding, elements) -> bool:
@@ -1379,7 +1343,7 @@ class CoreRealization:
     script: list
     graph: SymGraph
     action: dict[str, GraphAutomorphism]
-    labels: dict[int, Word]
+    labels: list[Word]
     verdicts: dict[str, mc.IdentityVerdict]
     report: dict
 
@@ -1600,14 +1564,12 @@ def realize_core_case(
             v_class.setdefault(root, len(v_class))
     edges_out: list[tuple[int, int]] = []
     e_class: dict = {}
-    labels: dict[int, Word] = {}
+    labels: list[Word] = []  # per glued edge, its ambient word
     for w in sorted(t_star.vertex_groups):
         pr = vertex_real[vertex_orbit_of[w]]
         tw = vertex_orbits[vertex_orbit_of[w]][w]
         g = pr.real.graph
-        tree = g.spanning_tree()
-        petals = g.petal_edges()
-        petal_index = {e: i for i, e in enumerate(petals)}
+        reads = g.edge_words(pr.real.petal_words)
         for e in range(len(g.edges)):
             root, f = uf_e.find(("e", w, e))
             if root in e_class:
@@ -1619,17 +1581,8 @@ def realize_core_case(
                 ra, rb = rb, ra
             e_class[root] = len(edges_out)
             edges_out.append((v_class[ra], v_class[rb]))
-            if e in petal_index:
-                pword = pr.real.petal_words[petal_index[e]]
-                word = W.reduce_word([
-                    letter
-                    for name, sign in pword
-                    for letter in (pr.marking[name] if sign > 0 else W.inv(pr.marking[name]))
-                ])
-                word = action.outer(tw)(word)
-            else:
-                word = W.EMPTY
-            labels[e_class[root]] = W.inv(word) if f else word
+            word = action.outer(tw)(W.substitute(reads[e], pr.marking))
+            labels.append(W.inv(word) if f else word)
     y = SymGraph(len(v_class), tuple(edges_out))
 
     def y_vertex(w: str, v: int) -> int:
@@ -1694,9 +1647,7 @@ def _realize_compact_core(action: FiniteGroupAction, e_max: int, rank_bound: int
     lids = unfold(a, action.depth).loop_ids
     targets = {h: action.outer(h) for h in action.group.elements}
     out = realize_relative(action.group, targets, None, e_max=e_max, rank_bound=rank_bound)
-    labels: dict[int, Word] = {}
-    for j, e in enumerate(out.graph.petal_edges()):
-        labels[e] = W.gen(lids[j])
+    labels = out.graph.edge_words([W.gen(x) for x in lids])
     verdicts = _certify_against_ambient(action, out.graph, dict(out.action), labels)
     if not all(bool(v) for v in verdicts.values()):
         raise FinalCheckFailedError("final equivariance check failed")
@@ -1715,7 +1666,7 @@ def _certify_against_ambient(
     action: FiniteGroupAction,
     y: SymGraph,
     y_action: Mapping[str, GraphAutomorphism],
-    labels: Mapping[int, Word],
+    labels: Sequence[Word],
 ) -> dict[str, mc.IdentityVerdict]:
     """Certify g∘h∘f∘h^-1 trivial for every h, through the label marking.
 
@@ -1730,15 +1681,8 @@ def _certify_against_ambient(
     if len(y.petal_edges()) != len(loop_alphabet):
         raise FinalCheckFailedError("realized graph has the wrong rank")
 
-    def label_of_path(path) -> Word:
-        out: Word = W.EMPTY
-        for e, direction in path:
-            w_ = labels.get(e, W.EMPTY)
-            out = W.mul(out, w_ if direction > 0 else W.inv(w_))
-        return out
-
     try:
-        marking = _Marking.make([label_of_path(loop) for loop in y._petal_loops], loop_alphabet)
+        marking = _Marking.make([W.substitute(loop, labels) for loop in y._petal_loops], loop_alphabet)
     except st.NotAnAutomorphismError:
         raise FinalCheckFailedError("label marking is not an isomorphism onto the ambient group") from None
     verdicts = {}
@@ -2208,6 +2152,7 @@ def parse_action_file(a: UnfoldingAutomaton, text: str, read_map_file) -> Finite
     elems: list[str] = []
     files: dict[str, str] = {}
     mult: dict[tuple[str, str], str] = {}
+    mult_lines: list[tuple[int, tuple[str, ...]]] = []
     order = None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -2222,18 +2167,30 @@ def parse_action_file(a: UnfoldingAutomaton, text: str, read_map_file) -> Finite
         if line.startswith("elem"):
             rest = line[len("elem") :].strip()
             name, _, kv = rest.partition(":")
+            name = name.strip()
             key, _, val = kv.strip().partition("=")
             if key.strip() != "mapfile":
                 raise ValueError(f"line {lineno}: expected mapfile=")
-            elems.append(name.strip())
-            files[name.strip()] = val.strip()
+            if name in files:
+                raise ValueError(f"line {lineno}: repeated elem {name}")
+            elems.append(name)
+            files[name] = val.strip()
         elif line.startswith("mult"):
             rest = line[len("mult") :].strip()
             lhs, _, rhs = rest.partition("=")
+            if len(lhs.split()) != 2 or len(rhs.split()) != 1:
+                raise ValueError(f"line {lineno}: expected mult <g> <h> = <k>")
             g, h = lhs.split()
-            mult[(g.strip(), h.strip())] = rhs.strip()
+            if (g, h) in mult:
+                raise ValueError(f"line {lineno}: repeated mult {g} {h}")
+            mult[(g, h)] = rhs.strip()
+            mult_lines.append((lineno, (g, h, mult[(g, h)])))
         else:
             raise ValueError(f"line {lineno}: unknown record")
+    for lineno, names in mult_lines:  # elem lines may follow the mult lines
+        for x in names:
+            if x not in files:
+                raise ValueError(f"line {lineno}: unknown element {x}")
     if order is not None and order != len(elems):
         raise ValueError(f"group order {order} does not match the {len(elems)} elem lines")
     group = FiniteGroup.make(elems, mult)

@@ -686,11 +686,7 @@ class FreeGroupAutomorphism:
         return cls(tuple(basis), {x: W.conjugate(W.gen(x), w) for x in basis})
 
     def __call__(self, word: Sequence[tuple[str, int]]) -> Word:
-        out: list[tuple[str, int]] = []
-        for g, s in word:
-            img = self.images[g]
-            out.extend(img if s > 0 else W.inv(img))
-        return W.reduce_word(out)
+        return W.substitute(word, self.images)
 
     def compose(self, other: "FreeGroupAutomorphism") -> "FreeGroupAutomorphism":
         """self after other (self ∘ other)."""

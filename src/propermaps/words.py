@@ -9,7 +9,7 @@ generators of an unfolded graph (``0/1:0``, ...).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 Letter = Tuple[str, int]
 Word = Tuple[Letter, ...]
@@ -37,6 +37,21 @@ def mul(*words: Iterable[Letter]) -> Word:
 
 def inv(word: Sequence[Letter]) -> Word:
     return tuple((gen, -sign) for gen, sign in reversed(word))
+
+
+def substitute(word: Iterable[tuple], images: Mapping[str, Word] | Sequence[Word]) -> Word:
+    """The reduced word read off ``word`` with each letter ``(g, s)``
+    replaced by ``images[g]`` (inverted when ``s`` is -1).
+
+    Letters need only be ``(key, sign)`` pairs, so a dart path ``(edge,
+    direction)`` reads through a list of edge words the same way a word
+    reads through a dict of generator images.
+    """
+    out: list[Letter] = []
+    for g, s in word:
+        img = images[g]
+        out.extend(img if s > 0 else inv(img))
+    return reduce_word(out)
 
 
 def power(word: Sequence[Letter], n: int) -> Word:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from propermaps import cli
+from propermaps import end_space as es
 from propermaps import graph_model as gm
 from propermaps import mapclass as mc
 from propermaps import words as W
@@ -474,6 +475,58 @@ def test_realize_group_order_mismatch_is_parse_error(tmp_path, capsys, group_lin
     code, err = run_err(capsys, "realize", "tree", str(g), str(act))
     assert code == 4
     assert "group" in err and "Traceback" not in err
+
+
+Z2_SWAP_ELEMS = "group z2 order 2\nelem e: mapfile=e.map\nelem s: mapfile=s.map\n"
+Z2_SWAP_MULT = "mult e e = e\nmult e s = s\nmult s e = s\nmult s s = e\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (Z2_SWAP_ELEMS.replace("order 2", "order 3") + "elem s: mapfile=s.map\n" + Z2_SWAP_MULT, "line 4: repeated elem s"),
+        ("group z2 order 2\nelem e: mapfile=e.map\nelem e: mapfile=e.map\nmult e e = e\n", "line 3: repeated elem e"),
+        (Z2_SWAP_ELEMS + "mult s s = s\n" + Z2_SWAP_MULT, "line 8: repeated mult s s"),
+        (Z2_SWAP_ELEMS + Z2_SWAP_MULT + "mult x e = e\n", "line 8: unknown element x"),
+        (Z2_SWAP_ELEMS + Z2_SWAP_MULT + "mult s = e\n", "line 8: expected mult <g> <h> = <k>"),
+        (Z2_SWAP_ELEMS + Z2_SWAP_MULT + "mult s s\n", "line 8: expected mult <g> <h> = <k>"),
+    ],
+    ids=["repeated-elem-counted-in-order", "repeated-identity", "repeated-mult", "mult-of-undeclared-element",
+         "mult-missing-factor", "mult-missing-product"],
+)
+def test_realize_malformed_action_records_are_parse_errors(tmp_path, capsys, text, message):
+    g, act = _write_tree_action(tmp_path)
+    act.write_text(text)
+    code, err = run_err(capsys, "realize", "tree", str(g), str(act))
+    assert code == 4
+    assert message in err and "Traceback" not in err
+
+
+def test_dot_text_is_built_only_for_out(tmp_path, capsys, monkeypatch):
+    """Without --out no DOT text is built, and every exit code stays as it is."""
+    g, act = _write_flip_action(tmp_path, 14)
+    (tmp_path / "tree").mkdir()
+    tg, tact = _write_tree_action(tmp_path / "tree")
+    (tmp_path / "mixed").mkdir()
+    mg, mact = _write_mixed_action(tmp_path / "mixed")
+    runs = [
+        (["check-id", str(g), str(tmp_path / "e.map")], 0),
+        (["check-id", str(g), str(tmp_path / "f.map")], 2),
+        (["realize", "core", str(g), str(act)], 0),
+        (["realize", "tree", str(tg), str(tact)], 0),
+        (["realize", "general", str(mg), str(mact)], 0),
+        (["realize", "general", str(mg), str(mact), "--depth", "0"], 2),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("DOT text built without --out")
+
+    monkeypatch.setattr(es, "telescope_to_dot", refuse)
+    monkeypatch.setattr(cli, "_symgraph_dot", refuse)
+    monkeypatch.setattr(gm, "truncation_to_dot", refuse)
+    for argv, code in runs:
+        assert cli.main(argv) == code, argv
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("flag", ["--depth", "--eps-base", "--max-edges", "--rank-bound"])

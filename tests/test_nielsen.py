@@ -29,6 +29,8 @@ def test_finite_group_construction():
     with pytest.raises(ValueError):
         # g has no inverse
         nz.FiniteGroup.make(["e", "g"], {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "g"})
+    with pytest.raises(ValueError, match="repeated element names"):
+        nz.FiniteGroup.make(["e", "e"], {("e", "e"): "e"})
 
 
 def test_action_certification_rejects_fake(loop_ray):

@@ -180,9 +180,6 @@ class ProperMapRep:
         basis = self.loop_ids()  # make has reduced every loop image
         return st.FreeGroupAutomorphism(basis, {lid: self.loop_word(lid) for lid in basis})
 
-    def live_frontier(self) -> tuple[Path, ...]:
-        return cylinders(self.automaton, self.depth)
-
     def dx_frontier(self) -> tuple[Path, ...]:
         return _dx_cylinders(self.automaton, self.depth)
 

@@ -229,14 +229,14 @@ def test_criterion_7_realize_finite_out():
         swap = st.FreeGroupAutomorphism.from_images(("a", "b"), {"a": w("b"), "b": w("a")})
         out = nz.realize_relative(z2, {"e": ident, "g1": swap}, None, e_max=6)
         assert out.graph.n_vertices == 1 and len(out.graph.edges) == 2
-        assert st.outer_equal(nz.induced_outer(out.graph, out.action["g1"], out.basis), swap)
+        assert st.outer_equal(out.marked.outer(out.basis, out.action["g1"]), swap)
         assert_action_table(z2, out.action)
 
         inv = st.FreeGroupAutomorphism.from_images(("a", "b"), {"a": w("A"), "b": w("B")})
         out2 = nz.realize_relative(z2, {"e": ident, "g1": inv}, None, e_max=6)
         assert out2.graph.n_vertices == 1 and len(out2.graph.edges) == 2
         assert all(flip for _, flip in out2.action["g1"].emap)
-        assert st.outer_equal(nz.induced_outer(out2.graph, out2.action["g1"], out2.basis), inv)
+        assert st.outer_equal(out2.marked.outer(out2.basis, out2.action["g1"]), inv)
 
         triv = nz.realize_relative(nz.FiniteGroup.trivial(), {"e": ident}, None, e_max=6)
         assert triv.graph.n_vertices == 1 and len(triv.graph.edges) == 2

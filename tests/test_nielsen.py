@@ -344,7 +344,7 @@ def test_realize_swap_on_rose():
     out = nz.realize_relative(_z2(), targets, None)
     assert out.graph.n_vertices == 1 and len(out.graph.edges) == 2
     assert out.action["g1"].emap in (((1, 0), (0, 0)),)
-    out_check = nz.induced_outer(out.graph, out.action["g1"], out.basis)
+    out_check = out.marked.outer(out.basis, out.action["g1"])
     assert st.outer_equal(out_check, targets["g1"])
 
 
@@ -364,7 +364,7 @@ def test_realize_conjugated_swap_needs_search():
     swap = st.FreeGroupAutomorphism.from_images(("a", "b"), {"a": w("b"), "b": w("a")})
     targets = {"e": st.FreeGroupAutomorphism.identity(("a", "b")), "g1": conj.compose(swap)}
     out = nz.realize_relative(_z2(), targets, None)
-    got = nz.induced_outer(out.graph, out.action["g1"], out.basis)
+    got = out.marked.outer(out.basis, out.action["g1"])
     assert st.outer_equal(got, targets["g1"])
 
 
@@ -502,7 +502,7 @@ def test_realize_relative_invariant_loop_in_swap():
     assert out.embedding is not None
     assert out.graph.rank() == 2
     # the embedded circle really carries the invariant factor
-    assert nz._embedded_classes_match(piece, out.graph, out.petal_words, out.embedding)
+    assert nz._embedded_classes_match(piece, out.marked, out.embedding)
 
 
 # -- core pipeline ----------------------------------------------------------------------------
@@ -734,7 +734,7 @@ def test_good_filter_selects_branch():
         es.epsilon_partition(avg, Fraction(2) ** (1 - n), 4) for n in range(1, 4)
     ]
     cover = nz.good_filter(seq, act)
-    assert cover.block_count() >= 1
+    assert len(cover.blocks) >= 1
     levels = [n for n, _ in cover.blocks]
     assert min(levels) >= 1
 

@@ -8,7 +8,10 @@ BFS tree and ``conn`` path, ``label_of_path`` of
 (one piece, each edge its own glued class with a given flip).  Each must
 read the same words as the one substitution, except
 ``_subgraph_class_words``, whose cycle basis changed: there the two word
-lists must generate the same free factor system.
+lists must generate the same free factor system.  The dart paths those loops
+read (``_petal_loops``, ``tree_path_darts``, ``spanning_tree``) are the
+references of ``tests/test_marked_graph_oracle.py``, and the code under test
+reads through ``MarkedGraph``.
 """
 
 import random
@@ -20,6 +23,7 @@ from propermaps import nielsen as nz
 from propermaps import stallings as st
 from propermaps import words as W
 from tests.conftest import make_flip_action
+from tests.test_marked_graph_oracle import positional_outer, ref_petal_loops, ref_spanning_tree, ref_tree_path_darts
 from tests.test_nielsen import _order8_action
 
 # -- references: the loops before words.substitute ------------------------------------------
@@ -38,7 +42,7 @@ def ref_induced_outer(g, alpha, basis):
     if len(petal_index) != len(basis):
         raise ValueError("marking size mismatch")
     images = {}
-    for x, loop in zip(basis, g._petal_loops):
+    for x, loop in zip(basis, ref_petal_loops(g)):
         word = []
         for e, direction in loop:
             img, flip = alpha.emap[e]
@@ -51,7 +55,7 @@ def ref_induced_outer(g, alpha, basis):
 
 def ref_subgraph_class_words(g, petal_words, vertex_set, edge_set):
     """Cycle-basis words (through the marking) of an embedded subgraph."""
-    tree = g.spanning_tree()
+    tree = ref_spanning_tree(g)
     petals = g.petal_edges()
     petal_index = {e: i for i, e in enumerate(petals)}
 
@@ -94,7 +98,7 @@ def ref_subgraph_class_words(g, petal_words, vertex_set, edge_set):
         down = [(ed, -d) for ed, d in reversed(sub_path_to_base(a))]
         up = sub_path_to_base(b)
         cycle = down + [(e, 1)] + up
-        conn = g.tree_path_darts(tree, 0, base)
+        conn = ref_tree_path_darts(tree, 0, base)
         full = conn + cycle + [(ed, -d) for ed, d in reversed(conn)]
         words.append(expand(full))
     return words
@@ -174,13 +178,14 @@ def test_induced_outer_matches_on_every_automorphism(seed):
     for g in random_graphs(seed, 30):
         basis = [f"x{i}" for i in range(g.rank())]
         for alpha in nz.automorphisms(g):
-            assert nz.induced_outer(g, alpha, basis).images == ref_induced_outer(g, alpha, basis).images
+            assert positional_outer(g, alpha, basis).images == ref_induced_outer(g, alpha, basis).images
 
 
 def test_induced_outer_refuses_a_wrong_marking_size():
     g = GRAPHS[0]
+    marked = nz.MarkedGraph.on_petals(g, [W.gen("x")] * g.rank())
     with pytest.raises(ValueError, match="marking size mismatch"):
-        nz.induced_outer(g, nz.identity_automorphism(g), ["x"] * (g.rank() + 1))
+        marked.outer(["x"] * (g.rank() + 1), nz.identity_automorphism(g))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -192,7 +197,7 @@ def test_core_labels_match_on_random_labellings(seed):
         marking = {x: random_word(rng, "abc", 4) for x in names}
         outer = st.FreeGroupAutomorphism(tuple("abc"), {x: random_word(rng, "abc", 3) for x in "abc"})
         flips = [rng.randrange(2) for _ in g.edges]
-        reads = g.edge_words(petal_words)
+        reads = nz.MarkedGraph.on_petals(g, petal_words).labels
         got = []
         for e, f in enumerate(flips):
             word = outer(W.substitute(reads[e], marking))
@@ -209,8 +214,8 @@ def test_certification_marking_matches_on_random_labellings(seed):
     for g in random_graphs(seed, 40):
         labels = {e: random_word(rng, "abc", 3) for e in range(len(g.edges)) if rng.random() < 0.7}
         full = [labels.get(e, W.EMPTY) for e in range(len(g.edges))]
-        assert [W.substitute(loop, full) for loop in g._petal_loops] == [
-            ref_label_of_path(labels, loop) for loop in g._petal_loops
+        assert list(nz.MarkedGraph(g, tuple(full)).read()) == [
+            ref_label_of_path(labels, loop) for loop in ref_petal_loops(g)
         ]
 
 
@@ -230,7 +235,7 @@ def _realized(case):
 
 @pytest.mark.parametrize("case", ["flip-loop-ray", "order8-two-loop-ray", "flip-rose", "order8-rose"])
 def test_certify_against_ambient_reads_the_reference_marking(monkeypatch, case):
-    """The marking handed to ``_Marking.make`` is the reference's, on a
+    """The marking the certification reads (once) is the reference's, on a
     realized graph under its own labels and under random labellings."""
     action, real = _realized(case)
     y = real.graph
@@ -239,13 +244,15 @@ def test_certify_against_ambient_reads_the_reference_marking(monkeypatch, case):
         old = {e: W.gen(alphabet[j]) for j, e in enumerate(y.petal_edges())}
         assert real.labels == [old.get(e, W.EMPTY) for e in range(len(y.edges))]
     seen = []
-    make = nz._Marking.make
+    read = nz.MarkedGraph.read
 
-    def spy(words, basis):
-        seen.append(list(words))
-        return make(words, basis)
+    def spy(marked, alpha=None):
+        out = read(marked, alpha)
+        if alpha is None:
+            seen.append(list(out))
+        return out
 
-    monkeypatch.setattr(nz._Marking, "make", spy)
+    monkeypatch.setattr(nz.MarkedGraph, "read", spy)
     rng = random.Random(case)
     for labels in [real.labels] + [[random_word(rng, alphabet, 2) for _ in y.edges] for _ in range(5)]:
         seen.clear()
@@ -253,7 +260,7 @@ def test_certify_against_ambient_reads_the_reference_marking(monkeypatch, case):
             nz._certify_against_ambient(action, y, real.action, labels)
         except nz.FinalCheckFailedError:
             pass
-        assert seen == [[ref_label_of_path(dict(enumerate(labels)), loop) for loop in y._petal_loops]]
+        assert seen == [[ref_label_of_path(dict(enumerate(labels)), loop) for loop in ref_petal_loops(y)]]
 
 
 def _random_connected_subgraph(rng, g):
@@ -280,7 +287,7 @@ def test_subgraph_class_words_generate_the_reference_system(seed):
         petal_words = [random_word(rng, "abc", 3) for _ in range(g.rank())]
         for _ in range(3):
             vertex_set, edge_set = _random_connected_subgraph(rng, g)
-            got = nz._subgraph_class_words(g, petal_words, vertex_set, edge_set)
+            got = nz._subgraph_class_words(nz.MarkedGraph.on_petals(g, petal_words), vertex_set, edge_set)
             ref = ref_subgraph_class_words(g, petal_words, vertex_set, edge_set)
             assert len(got) == len(ref)
             lhs = st.FreeFactorSystem.from_graphs([st.LabeledGraph.from_words(got)])

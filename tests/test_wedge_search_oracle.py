@@ -13,7 +13,10 @@ adjacency scans of ``RelativePiece.component_vertex_sets``,
 incidence index.  The search must find the same first realization (graph, action, embedding and petal
 words), read off on a piece's wedge exactly the images that the blind
 enumeration admits, in the same order, and read off on the rose the signed
-permutation that the rose search reads.
+permutation that the rose search reads.  ``GraphAutomorphism.apply_edge_dir``
+is copied verbatim below; ``tree_path_darts``, ``edge_words`` and
+``_embedded_classes_match`` as they were are the references of
+``tests/test_marked_graph_oracle.py``.
 """
 
 import functools
@@ -32,6 +35,12 @@ from propermaps import nielsen as nz
 from propermaps import stallings as st
 from propermaps import words as W
 from tests.conftest import make_flip_action
+from tests.test_marked_graph_oracle import (
+    positional_outer,
+    ref_embedded_classes_match,
+    ref_realization,
+    ref_tree_path_darts,
+)
 from tests.test_nielsen import _branch_permutation_action, _order8_action
 
 # -- reference: the unscreened search -------------------------------------------------------
@@ -70,6 +79,11 @@ def ref_petal_edges(self):
     return [e for e in range(len(self.edges)) if e not in tree_e]
 
 
+def ref_apply_edge_dir(self, e, direction):
+    img, flip = self.emap[e]
+    return (img, -direction if flip else direction)
+
+
 def ref_induced_outer(g, alpha, basis):
     """Outer action of a graph automorphism in the petal marking.
 
@@ -90,14 +104,14 @@ def ref_induced_outer(g, alpha, basis):
 
     images = {}
     v0 = 0
-    prefix = g.tree_path_darts(tree, v0, alpha.apply_vertex(v0))
+    prefix = ref_tree_path_darts(tree, v0, alpha.apply_vertex(v0))
     for i, e in enumerate(petals):
         a, b = g.edges[e]
-        loop_path = g.tree_path_darts(tree, v0, a) + [(e, 1)] + g.tree_path_darts(tree, b, v0)
+        loop_path = ref_tree_path_darts(tree, v0, a) + [(e, 1)] + ref_tree_path_darts(tree, b, v0)
         img_path = []
         cur = alpha.apply_vertex(v0)
         for ed, direction in loop_path:
-            ie, idir = alpha.apply_edge_dir(ed, direction)
+            ie, idir = ref_apply_edge_dir(alpha, ed, direction)
             img_path.append((ie, idir))
         full = prefix + img_path + [(e2, -d2) for (e2, d2) in reversed(prefix)]
         images[basis[i]] = expand(full)
@@ -265,7 +279,7 @@ def ref_signed_permutation_candidate(group, targets, basis):
     except nz.FinalCheckFailedError:
         return None
     for gname, phi in targets.items():
-        if not st.outer_equal(nz.induced_outer(rose, action[gname], basis), phi):
+        if not st.outer_equal(ref_induced_outer(rose, action[gname], basis), phi):
             return None
     return cand
 
@@ -287,7 +301,7 @@ def ref_realize_finite_out(group, targets, e_max=6, rank_bound=3):
     for g, act in nz._small_graph_actions(group, n, e_max):
         if len({tuple(a.vperm) + tuple(a.emap) for a in act.values()}) != len(group.elements):
             continue  # not injective
-        if all(st.outer_equal(nz.induced_outer(g, act[h], basis), targets[h]) for h in group.elements):
+        if all(st.outer_equal(ref_induced_outer(g, act[h], basis), targets[h]) for h in group.elements):
             return RefRealizedAction(g, act, tuple(basis))
     raise nz.NotFoundWithinBoundError("no realization within the edge bound")
 
@@ -297,7 +311,7 @@ def ref_realize_relative(group, targets, piece, e_max=6, rank_bound=3):
     n = len(basis)
     if piece is None or piece.graph.n_vertices == 0:
         out = ref_realize_finite_out(group, targets, e_max, rank_bound)
-        return nz.RelativeRealization(out.graph, out.action, out.basis, None, tuple(W.gen(x) for x in out.basis))
+        return ref_realization(out.graph, out.action, out.basis, None, tuple(W.gen(x) for x in out.basis))
 
     def marking_candidates(g, emb):
         out = []
@@ -324,7 +338,7 @@ def ref_realize_relative(group, targets, piece, e_max=6, rank_bound=3):
                     continue
             except st.NotAnAutomorphismError:
                 continue
-            if nz._embedded_classes_match(piece, g, pw, emb):
+            if ref_embedded_classes_match(piece, g, pw, emb):
                 return pw
         return None
 
@@ -333,7 +347,7 @@ def ref_realize_relative(group, targets, piece, e_max=6, rank_bound=3):
         for g, act, emb in ref_structured_extensions(group, piece, n):
             pw = verify(g, act, emb)
             if pw is not None:
-                return nz.RelativeRealization(g, act, tuple(basis), emb, pw)
+                return ref_realization(g, act, tuple(basis), emb, pw)
     except nz.NotFoundWithinBoundError as exc:
         cut_off = f"; {exc}"
 
@@ -342,7 +356,7 @@ def ref_realize_relative(group, targets, piece, e_max=6, rank_bound=3):
             for emb in nz._enumerate_embeddings(piece.graph, g):
                 pw = verify(g, act, emb)
                 if pw is not None:
-                    return nz.RelativeRealization(g, act, tuple(basis), emb, pw)
+                    return ref_realization(g, act, tuple(basis), emb, pw)
     raise nz.NotFoundWithinBoundError(f"no equivariant extension within the bounds{cut_off}")
 
 
@@ -416,11 +430,11 @@ def test_first_realization_matches_unscreened_search(case, monkeypatch):
         assert out.graph == ref.graph
         assert out.action == ref.action
         assert out.embedding == ref.embedding
-        assert out.petal_words == ref.petal_words
+        assert out.marked == ref.marked
         assert out == ref
         for h, alpha in out.action.items():
             basis = [f"x{i}" for i in range(out.graph.rank())]
-            assert nz.induced_outer(out.graph, alpha, basis).images == ref_induced_outer(out.graph, alpha, basis).images
+            assert positional_outer(out.graph, alpha, basis).images == ref_induced_outer(out.graph, alpha, basis).images
     assert all(v.kind == "certified_yes" for v in real.verdicts.values())
 
 
@@ -456,7 +470,7 @@ def test_absolute_realization_matches_rose_search(case):
     ref = ref_realize_finite_out(group, targets)
     assert (out.graph, out.action, out.basis) == (ref.graph, ref.action, ref.basis)
     assert out.embedding is None
-    assert out.petal_words == tuple(W.gen(x) for x in ref.basis)
+    assert out.marked.read() == tuple(W.gen(x) for x in ref.basis)
     if case == "z3-rotation":
         assert (out.graph.n_vertices, len(out.graph.edges)) == (5, 6)
 
@@ -494,13 +508,13 @@ def test_symgraph_marking_structure_matches_scan():
     graphs = list(nz._enumerate_graphs(2, 4)) + list(nz._enumerate_graphs(3, 4))
     graphs.append(nz.SymGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 0), (2, 2), (1, 3))))
     for g in graphs:
-        assert g.spanning_tree() == ref_spanning_tree(g)
+        assert g._tree == ref_spanning_tree(g)
         assert g.is_connected() and ref_is_connected(g)
         assert [g.degree(v) for v in range(g.n_vertices)] == [ref_degree(g, v) for v in range(g.n_vertices)]
         assert g.petal_edges() == ref_petal_edges(g)
         basis = [f"x{i}" for i in range(g.rank())]
         for alpha in nz.automorphisms(g):
-            got = nz.induced_outer(g, alpha, basis)
+            got = positional_outer(g, alpha, basis)
             assert got.images == ref_induced_outer(g, alpha, basis).images
 
 
@@ -547,7 +561,7 @@ def _small_cases(count):
         rng.shuffle(images)
         nu = st.FreeGroupAutomorphism(basis, {x: W.gen(y, rng.choice((1, -1))) for x, y in zip(basis, images)})
         nu_inv = nu.inverse()
-        targets = {h: nu.compose(nz.induced_outer(g, act[h], basis)).compose(nu_inv) for h in group.elements}
+        targets = {h: nu.compose(positional_outer(g, act[h], basis)).compose(nu_inv) for h in group.elements}
         e = rng.choice(loops)
         rose = nz.SymGraph(1, ((0, 0),))
         flip = nz.GraphAutomorphism((0,), ((0, act["g1"].emap[e][1]),))
@@ -624,7 +638,7 @@ def ref_rose_image(target, basis):
         return None
     img = nz.GraphAutomorphism((0,), tuple(emap))
     rose = nz.SymGraph(1, ((0, 0),) * len(basis))
-    return img if st.outer_equal(nz.induced_outer(rose, img, basis), target) else None
+    return img if st.outer_equal(ref_induced_outer(rose, img, basis), target) else None
 
 
 def _assert_read_off_matches_reference(calls):
@@ -635,15 +649,18 @@ def _assert_read_off_matches_reference(calls):
     rose search reads, if any: the blind enumeration of k!·2^k images would
     not end on the rank-8 roses of the order-8 case."""
     assert calls and any(out for _, out in calls), "no image was read off"
-    for (g, base, basis, marks, target), out in calls:
+    for (base, basis, marks, target), out in calls:
+        g = marks[0].graph
         if not base[1]:
-            assert [m.words for m in marks] == [tuple(W.gen(x) for x in basis)]
+            assert [m.read() for m in marks] == [tuple(W.gen(x) for x in basis)]
             img = ref_rose_image(target, list(basis))
             assert out == ([] if img is None else [img])
             continue
         wedge_petals = range(len(base[1]), len(g.edges))
         admitted = [
-            img for img in _wedge_images(*base, wedge_petals) if any(st.outer_equal(m.outer(g, img), target) for m in marks)
+            img
+            for img in _wedge_images(*base, wedge_petals)
+            if any(st.outer_equal(ref_marked_outer(g, img, m.read(), basis), target) for m in marks)
         ]
         assert out == admitted
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .graph_model import Path, UnfoldingAutomaton, cylinders, cylinders_below, path_str, unfold
+from .graph_model import Path, UnfoldingAutomaton, cylinders, cylinders_below, live_states, parse_path, path_str, unfold
 
 
 class DepthTooShallowError(ValueError):
@@ -67,27 +66,23 @@ class ClopenSet:
 def expand_to_depth(a: UnfoldingAutomaton, cyls: Iterable[Path], depth: int) -> frozenset[Path]:
     """Live descendants at exactly `depth` of each (shallower) cylinder."""
     vertices = unfold(a, depth).state
-    out: set[Path] = set()
+    out: list[Path] = []
     for v in cyls:
         if len(v) > depth:
             raise DepthTooShallowError(f"cylinder {path_str(v)} deeper than {depth}")
         if v not in vertices:
             raise KeyError(f"{path_str(v)} is not a vertex of the tree")
-        out.update(cylinders_below(a, depth, v))
+        out += cylinders_below(a, depth, v)
     return frozenset(out)
-
-
-def clopen_subset(a: UnfoldingAutomaton, c1: ClopenSet, c2: ClopenSet) -> bool:
-    d = max(c1.reference_depth, c2.reference_depth, max((len(v) for v in c1.cylinders | c2.cylinders), default=0))
-    return expand_to_depth(a, c1.cylinders, d) <= expand_to_depth(a, c2.cylinders, d)
 
 
 @dataclass(frozen=True)
 class Partition:
     """Blocks covering the live depth-D cylinders once each.
 
-    ``cells[i]`` is block i's set of live depth-D cylinders, and ``index``
-    names the block of each live depth-D cylinder; ``make`` computes both.
+    A block lists truncation vertices (an epsilon block, its one prefix).  ``make`` computes
+    ``cells[i]``, block i's live expansion (its live depth-D cylinders), ``index``, the block
+    of each live depth-D cylinder, and ``listed``, the lowest block listing each listed vertex.
     """
 
     automaton: UnfoldingAutomaton
@@ -96,21 +91,22 @@ class Partition:
     level: int | None = None
     cells: tuple[frozenset[Path], ...] = field(kw_only=True, compare=False, repr=False)
     index: Mapping[Path, int] = field(kw_only=True, compare=False, repr=False)
+    listed: Mapping[Path, int] = field(kw_only=True, compare=False, repr=False)
+    meeting: dict[Path, frozenset[int]] = field(kw_only=True, compare=False, repr=False)
 
     @classmethod
     def make(cls, a: UnfoldingAutomaton, depth: int, blocks: Iterable[ClopenSet], level: int | None = None) -> "Partition":
         blocks = tuple(sorted(blocks, key=lambda b: b.min_cylinder()))
-        cells = []
-        index: dict[Path, int] = {}
-        for i, b in enumerate(blocks):
-            cell = expand_to_depth(a, b.cylinders, depth)
-            if not index.keys().isdisjoint(cell):
-                raise ValueError("partition blocks overlap")
-            index.update(dict.fromkeys(cell, i))
-            cells.append(cell)
+        cells = tuple(expand_to_depth(a, b.cylinders, depth) for b in blocks)
+        index = {c: i for i, cell in enumerate(cells) for c in cell}
+        if sum(map(len, cells)) != len(index):
+            raise ValueError("partition blocks overlap")
         if len(index) != len(cylinders(a, depth)):
             raise ValueError("partition blocks do not cover the end space")
-        return cls(a, depth, blocks, level, cells=tuple(cells), index=index)
+        listed = {u: i for i, b in reversed(tuple(enumerate(blocks))) for u in b.cylinders}
+        state, live = unfold(a, depth).state, live_states(a)
+        meeting = {u: frozenset((i,)) for u, i in listed.items() if state[u] in live}
+        return cls(a, depth, blocks, level, cells=cells, index=index, listed=listed, meeting=meeting)
 
     @classmethod
     def trivial(cls, a: UnfoldingAutomaton, depth: int, level: int | None = 0) -> "Partition":
@@ -120,32 +116,46 @@ class Partition:
         return self if self.level == n else replace(self, level=n)
 
     def block_of(self, cyl: Path) -> int:
-        """The lowest-index block listing cyl or one of its ancestors.
+        """The lowest-index block listing cyl or one of its ancestors."""
+        hits = [self.listed[cyl[:n]] for n in range(len(cyl) + 1) if cyl[:n] in self.listed]
+        if not hits:
+            raise KeyError(f"cylinder {path_str(cyl)} not covered")
+        return min(hits)
 
-        Each answer is kept, so a repeated query is one lookup.
+    def blocks_meeting(self, vs: Iterable[Path]) -> set[int]:
+        """The blocks whose cells meet the shadow of some live truncation vertex in vs.
+
+        ``meeting`` keeps each answer, seeded by ``make`` with the live listed
+        vertices.  A vertex below one of those lies in its block alone; above
+        them, it meets its live children's blocks, kept too, so a kept ancestor
+        is always of the first kind.
         """
-        block = self._block_of.get(cyl)
-        if block is None:
-            index = self._block_index
-            hits = [index[cyl[:n]] for n in range(len(cyl) + 1) if cyl[:n] in index]
-            if not hits:
-                raise KeyError(f"cylinder {path_str(cyl)} not covered")
-            block = self._block_of[cyl] = min(hits)
-        return block
+        memo, out = self.meeting, set()
+        for v in vs:
+            got = memo.get(v)
+            if got is None:
+                n = len(v) - 1
+                while n >= 0 and v[:n] not in memo:
+                    n -= 1
+                if n >= 0:
+                    got = memo[v[:n]]
+                else:
+                    a, state = self.automaton, unfold(self.automaton, self.depth).state
+                    kids = (v + (k,) for k in range(len(a.children[state[v]])))
+                    got = frozenset(self.blocks_meeting(w for w in kids if state[w] in live_states(a)))
+                memo[v] = got
+            out |= got
+        return out
 
-    @cached_property
-    def _block_of(self) -> dict[Path, int]:
-        """The answers of ``block_of`` so far."""
-        return {}
-
-    @cached_property
-    def _block_index(self) -> dict[Path, int]:
-        """Cylinder -> the lowest index of a block listing it."""
-        index: dict[Path, int] = {}
-        for i, b in enumerate(self.blocks):
-            for u in b.cylinders:
-                index.setdefault(u, i)
-        return index
+    def image_blocks(self, levels: Sequence[Mapping[Path, Path]] | None, into: "Partition") -> list[set[int]]:
+        """For each block, the blocks of ``into`` meeting its cell's image under
+        an element with these level maps (None: the identity)."""
+        memo, out = into.meeting, [set() for _ in self.blocks]
+        for u, i in self.listed.items():
+            if u in self.meeting:  # u is live
+                x = u if levels is None else levels[len(u)][u]
+                out[i] |= memo.get(x) or into.blocks_meeting((x,))
+        return out
 
 
 # -- metrics -----------------------------------------------------------------
@@ -169,42 +179,48 @@ class EndMetric:
 
 
 class FiniteCylinderGroup:
-    """Finite group acting by tree-compatible bijections of depth-D cylinders."""
+    """Finite group acting by tree-compatible bijections of depth-D cylinders.
+
+    ``level_maps[name][k]`` sends each live depth-k prefix to its image, k = 0..D.
+    """
 
     def __init__(self, automaton: UnfoldingAutomaton, depth: int, elements: Mapping[str, Mapping[Path, Path]]):
         self.automaton = automaton
         self.depth = depth
         self.elements = {name: dict(perm) for name, perm in elements.items()}
-        self._validate()
+        self.level_maps = self._validate()
 
     @classmethod
     def trivial(cls, a: UnfoldingAutomaton, depth: int) -> "FiniteCylinderGroup":
-        cyls = cylinders(a, depth)
-        return cls(a, depth, {"e": {c: c for c in cyls}})
+        return cls(a, depth, {"e": {c: c for c in cylinders(a, depth)}})
 
-    def _validate(self):
-        cyls = set(cylinders(self.automaton, self.depth))
-        perms = list(self.elements.items())
-        for name, perm in perms:
-            if set(perm) != cyls or set(perm.values()) != cyls:
+    def _validate(self) -> dict[str, tuple[dict[Path, Path], ...]]:
+        """Check the group and return each element's level maps."""
+        cyls = cylinders(self.automaton, self.depth)
+        live = set(cyls)
+        level_maps = {}
+        for name, perm in self.elements.items():
+            if perm.keys() != live or set(perm.values()) != live:
                 raise NotAnActionError(f"element {name} is not a bijection of the depth-{self.depth} cylinders")
-            # tree compatibility: same prefix at depth k maps to same prefix
-            for k in range(self.depth):
-                images: dict[Path, Path] = {}
-                for c, d in perm.items():
-                    pre, img = c[:k], d[:k]
-                    if pre in images and images[pre] != img:
-                        raise NotAnActionError(f"element {name} is incompatible with the cylinder tree at depth {k}")
-                    images[pre] = img
+            # tree compatibility: each depth's (prefix, image prefix) pairs, made from the next one's, form a map
+            pairs, levels, bad = perm.items(), [perm], None
+            for k in reversed(range(self.depth)):
+                pairs = {(c[:k], d[:k]) for c, d in pairs}
+                levels.append(dict(pairs))
+                if len(levels[-1]) != len(pairs):
+                    bad = k
+            if bad is not None:
+                raise NotAnActionError(f"element {name} is incompatible with the cylinder tree at depth {bad}")
+            level_maps[name] = tuple(reversed(levels))
         # closure under composition (finite closed sets of bijections are groups)
-        keyed = {tuple(sorted(p.items())): n for n, p in self.elements.items()}
-        for n1, p1 in perms:
-            for n2, p2 in perms:
-                comp = {c: p2[p1[c]] for c in p1}
-                if tuple(sorted(comp.items())) not in keyed:
+        keyed = {tuple(map(p.__getitem__, cyls)) for p in self.elements.values()}
+        for n1, p1 in self.elements.items():
+            for n2, p2 in self.elements.items():
+                if tuple(map(p2.__getitem__, map(p1.__getitem__, cyls))) not in keyed:
                     raise NotAnActionError(f"composition {n2}*{n1} escapes the element set")
-        if not any(all(p[c] == c for c in p) for p in self.elements.values()):
+        if cyls not in keyed:
             raise NotAnActionError("identity element missing")
+        return level_maps
 
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self.elements))
@@ -216,16 +232,14 @@ class FiniteCylinderGroup:
 def average_metric(d: EndMetric, action: FiniteCylinderGroup) -> EndMetric:
     """Group-average d over the finite action, which is d itself.
 
-    Each element maps the depth-k prefixes well-definedly and injectively for
-    k = 0..D (checked), so it keeps common prefixes and is an isometry of d.
+    Each element's level maps are maps (checked when the group was made) and
+    injective (checked here), so it keeps common prefixes: an isometry of d.
     """
     if action.automaton != d.automaton or action.depth != d.depth:
         raise NotAnActionError("action and metric live on different cylinder sets")
     for h in action.names():
-        perm = action.elements[h]
-        for k in range(d.depth + 1):
-            pairs = {(c[:k], x[:k]) for c, x in perm.items()}
-            if not len(pairs) == len({u for u, _ in pairs}) == len({x for _, x in pairs}):
+        for k, level in enumerate(action.level_maps[h]):
+            if len(set(level.values())) != len(level):
                 raise NotInvariantError(f"element {h} is not an isometry of the prefix metric at depth {k}")
     return d
 
@@ -237,20 +251,16 @@ def epsilon_partition(m: EndMetric, eps: Fraction | int, depth: int, level: int 
     """Blocks are the eps-path-connected components (strict `< eps` joins).
 
     d(u, v) < eps iff u[:j] == v[:j], j the least integer with 2^-j < eps;
-    that relation is transitive, so the components are the classes of c[:j].
+    that relation is transitive, so the components are the classes of c[:j],
+    and each block lists its one prefix c[:j].
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     if depth != m.depth:
         raise DepthTooShallowError("averaged metrics evaluate only at their construction depth")
-    j = 0
-    while j < depth and Fraction(1, 2**j) >= eps:
-        j += 1
-    groups: dict[Path, set[Path]] = {}
-    for c in cylinders(m.automaton, depth):
-        groups.setdefault(c[:j], set()).add(c)
-    blocks = [ClopenSet.make(g, depth) for g in groups.values()]
+    j = next((k for k in range(depth) if Fraction(1, 2**k) < eps), depth)
+    blocks = [ClopenSet(frozenset((v,)), depth) for v in dict.fromkeys(c[:j] for c in cylinders(m.automaton, depth))]
     return Partition.make(m.automaton, depth, blocks, level)
 
 
@@ -258,18 +268,15 @@ def _parents(fine: Partition, coarse: Partition) -> list[list[int]]:
     """For each block of fine, the indices of the blocks of coarse containing it.
 
     Coarse blocks are disjoint: a nonempty block lies in the one block that
-    the index names for all of its cylinders, or in none.
+    holds the shadows of all of its listed vertices, or in none.
     """
     if fine.automaton != coarse.automaton:
         raise ValueError("partitions of different end spaces")
     if fine.depth != coarse.depth:
         raise ValueError(f"partitions of different depths ({fine.depth} and {coarse.depth})")
-    out = []
-    for cell in fine.cells:
-        js = {coarse.index[c] for c in cell}
-        # a block of dead cylinders is empty and lies in every block
-        out.append(list(js) if len(js) == 1 else [] if js else list(range(len(coarse.blocks))))
-    return out
+    # a block of dead cylinders is empty and lies in every block
+    everywhere = range(len(coarse.blocks))
+    return [list(js) if len(js) == 1 else [] if js else list(everywhere) for js in fine.image_blocks(None, coarse)]
 
 
 def refines(p: Partition, q: Partition) -> bool:
@@ -297,24 +304,15 @@ class TelescopeTree:
     def vertices(self) -> tuple[Vertex, ...]:
         return tuple((n, i) for n, p in enumerate(self.partitions) for i in range(len(p.blocks)))
 
-    def block_of(self, v: Vertex) -> ClopenSet:
-        n, i = v
-        return self.partitions[n].blocks[i]
-
     def check_tree(self):
-        vs = self.vertices()
-        if len(self.edges) != len(vs) - 1:
+        if len(self.edges) != len(self.vertices()) - 1:
             raise AssertionError("telescope is not a tree: wrong edge count")
-        parents_of: dict[Vertex, list[Vertex]] = {}
-        for child, parent in self.edges:
-            parents_of.setdefault(child, []).append(parent)
-        for n, p in enumerate(self.partitions):
-            if n == 0:
-                continue
-            for i in range(len(p.blocks)):
-                parents = parents_of.get((n, i), [])
-                if len(parents) != 1 or parents[0][0] != n - 1:
-                    raise AssertionError(f"vertex {(n, i)} does not have exactly one parent one level down")
+        parent_levels: dict[Vertex, list[int]] = {}
+        for child, (m, _) in self.edges:
+            parent_levels.setdefault(child, []).append(m)
+        bad = next((v for v in self.vertices() if v[0] and parent_levels.get(v) != [v[0] - 1]), None)
+        if bad is not None:
+            raise AssertionError(f"vertex {bad} does not have exactly one parent one level down")
 
 
 def telescope(seq: Sequence[Partition]) -> TelescopeTree:
@@ -348,25 +346,22 @@ class BoundaryCorrespondence:
 
     tree: TelescopeTree
 
-    def block_of(self, v: Vertex) -> ClopenSet:
-        return self.tree.block_of(v)
-
     def vertex_of(self, level: int, cyl: Path) -> Vertex:
         p = self.tree.partitions[level]
         return (level, p.block_of(cyl))
 
     def check_bijective(self):
         for n, p in enumerate(self.tree.partitions):
-            if set(p.index.values()) != set(range(len(p.blocks))):
+            if not all(p.cells):
                 raise AssertionError(f"level {n} correspondence is not onto")
 
     def check_equivariant(self, action: FiniteCylinderGroup, tele_action: "TelescopeAction"):
+        """Each element carries cell i into the cell that ``tele_action`` assigns to i."""
         for h in action.names():
+            levels = action.level_maps[h]
             for n, p in enumerate(self.tree.partitions):
-                for c, i in p.index.items():
-                    lhs = tele_action.apply(h, (n, i))
-                    rhs = (n, p.index[action.apply(h, c)])
-                    if lhs != rhs:
+                for i, js in enumerate(p.image_blocks(levels, p)):
+                    if js and (len(js) > 1 or tele_action.apply(h, (n, i)) != (n, *js)):
                         raise AssertionError(f"boundary correspondence not equivariant at {h}, level {n}")
 
 
@@ -384,25 +379,25 @@ class TelescopeAction:
     def apply(self, name: str, v: Vertex) -> Vertex:
         return self.vertex_maps[name][v]
 
-    def names(self):
-        return tuple(sorted(self.vertex_maps))
-
 
 def induced_telescope_action(t: TelescopeTree, action: FiniteCylinderGroup) -> TelescopeAction:
-    """Permute level-n vertices by permuting blocks; verified simplicial."""
+    """Permute level-n vertices by permuting blocks; verified simplicial.
+
+    A nonempty cell goes to the one block its image meets, and an empty cell
+    to the first empty cell.  When no image meets two blocks, the element
+    (a bijection) permutes the nonempty cells, so each image is a whole cell.
+    """
     if any(p.depth != action.depth for p in t.partitions):
         raise ValueError(f"telescope and action at different depths (the action is at depth {action.depth})")
-    first = [{cell: j for j, cell in reversed(list(enumerate(p.cells)))} for p in t.partitions]  # cell -> its first block
     maps: dict[str, dict[Vertex, Vertex]] = {}
     for h in action.names():
-        perm = action.elements[h]
+        levels = action.level_maps[h]
         vmap: dict[Vertex, Vertex] = {}
         for n, p in enumerate(t.partitions):
-            for i, cell in enumerate(p.cells):
-                j = first[n].get(frozenset(perm[c] for c in cell))
-                if j is None:
+            for i, js in enumerate(p.image_blocks(levels, p)):
+                if len(js) > 1:
                     raise NotInvariantError(f"element {h} does not preserve partition level {n}")
-                vmap[(n, i)] = (n, j)
+                vmap[(n, i)] = (n, min(js) if js else p.cells.index(frozenset()))
         maps[h] = vmap
     out = TelescopeAction(t, maps)
     # simplicial check: levels preserved by construction, edges must map to edges
@@ -419,8 +414,6 @@ def induced_telescope_action(t: TelescopeTree, action: FiniteCylinderGroup) -> T
 
 def parse_partition_file(a: UnfoldingAutomaton, depth: int, text: str) -> Partition:
     """`block <name>: <path>,<path>,...` with slash-separated child indices."""
-    from .graph_model import parse_path
-
     blocks = []
     for line in text.splitlines():
         line = line.strip()
@@ -435,10 +428,16 @@ def parse_partition_file(a: UnfoldingAutomaton, depth: int, text: str) -> Partit
     return Partition.make(a, depth, blocks)
 
 
+def _shown(a: UnfoldingAutomaton, b: ClopenSet) -> list[Path]:
+    """A block's listed vertices, each one above its reference depth expanded there, sorted."""
+    d = b.reference_depth
+    return sorted(c for v in b.cylinders for c in (cylinders_below(a, d, v) if len(v) < d else (v,)))
+
+
 def format_partition(p: Partition) -> str:
     lines = []
     for i, b in enumerate(p.blocks):
-        paths = ",".join(path_str(c) for c in sorted(b.cylinders))
+        paths = ",".join(path_str(c) for c in _shown(p.automaton, b))
         lines.append(f"block b{i}: {paths}")
     return "\n".join(lines) + "\n"
 
@@ -447,7 +446,7 @@ def telescope_to_dot(t: TelescopeTree) -> str:
     lines = ["graph telescope {"]
     for n, p in enumerate(t.partitions):
         for i, b in enumerate(p.blocks):
-            label = "|".join(path_str(c) for c in sorted(b.cylinders))
+            label = "|".join(path_str(c) for c in _shown(p.automaton, b))
             lines.append(f'  "v{n}_{i}" [label="{n}:{label}"];')
     for (n1, i1), (n0, i0) in t.edges:
         lines.append(f'  "v{n1}_{i1}" -- "v{n0}_{i0}";')

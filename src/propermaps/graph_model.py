@@ -132,7 +132,8 @@ class GraphTruncation:
 
     It is the one index of the rooted tree: ``state`` names every vertex's
     state, and ``frontier`` is its depth-``depth`` part.  Both list their
-    vertices level by level, each level in path order.
+    vertices level by level, each level in path order.  ``paths`` reads each
+    vertex's ``path_str`` name back to the vertex.
     """
 
     depth: int
@@ -144,6 +145,7 @@ class GraphTruncation:
     loop_ids: tuple[str, ...]  # "<path>:<k>" per loop edge, in sorted loop-edge order
     loop_at: Mapping[str, tuple[Path, int]]  # loop id -> (vertex, k)
     loop_name: Mapping[tuple[Path, int], str]  # (vertex, k) -> loop id
+    paths: Mapping[str, Path]  # path_str(v) -> v
 
 
 @_once_per_automaton
@@ -154,29 +156,31 @@ def unfold(a: UnfoldingAutomaton, depth: int) -> GraphTruncation:
     state: dict[Path, str] = {}
     tree_edges: list[tuple[Path, Path]] = []
     loop_edges: list[tuple[Path, int]] = []
+    lids: list[str] = []  # the id of each loop edge, in loop_edges order
     frontier: dict[Path, str] = {}
-    names: dict[Path, str] = {(): "."}  # path_str of each vertex, from its parent's name
-    level: list[tuple[Path, str]] = [((), a.root)]
+    paths: dict[str, Path] = {".": ()}  # each vertex by its path_str, made from its parent's
+    level: list[tuple[Path, str, str]] = [((), a.root, ".")]
     for d in range(depth + 1):
-        nxt: list[tuple[Path, str]] = []
-        for v, s in level:
+        nxt: list[tuple[Path, str, str]] = []
+        for v, s, name in level:
             state[v] = s
             for k in range(a.loops[s]):
                 loop_edges.append((v, k))
+                lids.append(f"{name}:{k}")
             if d == depth:
                 frontier[v] = s
             else:
-                prefix = names[v] + "/" if v else ""
+                prefix = name + "/" if v else ""
                 for i, c in enumerate(a.children[s]):
-                    w = v + (i,)
-                    names[w] = f"{prefix}{i}"
+                    w, wname = v + (i,), f"{prefix}{i}"
+                    paths[wname] = w
                     tree_edges.append((v, w))
-                    nxt.append((w, c))
+                    nxt.append((w, c, wname))
         level = nxt
-    loop_name = {(v, k): f"{names[v]}:{k}" for v, k in sorted(loop_edges)}
+    loop_name = dict(sorted(zip(loop_edges, lids)))
     loop_at = {lid: vk for vk, lid in loop_name.items()}
     return GraphTruncation(
-        depth, tuple(state), tuple(tree_edges), tuple(loop_edges), state, frontier, tuple(loop_at), loop_at, loop_name
+        depth, tuple(state), tuple(tree_edges), tuple(loop_edges), state, frontier, tuple(loop_at), loop_at, loop_name, paths
     )
 
 

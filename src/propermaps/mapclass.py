@@ -820,8 +820,16 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
 
     A vmap source lies in the truncation and an endmap source is a live frontier
     cylinder; ``make`` refuses endmap records that disagree with an IDENTITY_OUTSIDE vmap.
+    Once the support line is read, paths are read through the truncation's vertex
+    names, and other spellings (``01``, `` 0/ 1``) through ``parse_path``.
     """
     depth = None
+    paths: Mapping[str, Path] = {}
+
+    def read_path(text: str) -> Path:
+        path = paths.get(text.strip())
+        return parse_path(text) if path is None else path
+
     records: dict[str, dict] = {"vmap": {}, "loop": {}, "wrap": {}, "endmap": {}}
     outside: object = IDENTITY_OUTSIDE
     seen: set[str] = set()
@@ -841,10 +849,12 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
             depth = int(parts[1])
         elif kind in records:
             src, _, dst = line[len(kind) :].partition("->")
-            key = src.strip() if kind == "loop" else parse_path(src)
+            if not paths and kind != "loop" and depth is not None and depth >= 0:
+                paths = unfold(a, depth).paths
+            key = src.strip() if kind == "loop" else read_path(src)
             if key in records[kind]:
                 raise ValueError(f"line {lineno}: repeated {kind} source {src.strip()}")
-            records[kind][key] = W.word_from_str(dst) if kind in ("loop", "wrap") else parse_path(dst)
+            records[kind][key] = W.word_from_str(dst) if kind in ("loop", "wrap") else read_path(dst)
         elif kind == "outside":
             flag = parts[1:2]
             if flag == ["identity"]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,6 +243,17 @@ class IntervalCover:
         return (max(a - 2, 0), min(b + 2, m))
 
 
+def _band_table(r: Sequence[int], n: int, depth: int) -> list[int]:
+    """The annulus of each depth 0..depth: the least i in 1..min(n, len(r) - 1)
+    with r[i-1] <= d <= r[i], or min(n + 1, len(r)) if there is none."""
+    top = min(n + 1, len(r))
+    table = [top] * (depth + 1)
+    for i in reversed(range(1, top)):  # the least i is written last
+        for d in range(max(r[i - 1], 0), min(r[i], depth) + 1):
+            table[d] = i
+    return table
+
+
 def verify_displacement_bound(action: FiniteGroupAction, r: Sequence[int], n: int) -> bool:
     """Check (*): every representative maps each annulus into its neighbors.
 
@@ -252,15 +264,10 @@ def verify_displacement_bound(action: FiniteGroupAction, r: Sequence[int], n: in
     r = list(r)
     if r[-1] < action.depth:
         r = r + [action.depth]
-
-    def band(d: int) -> int:
-        for i in range(1, min(n + 1, len(r))):
-            if r[i - 1] <= d <= r[i]:
-                return i
-        return min(n + 1, len(r))
+    band = _band_table(r, n, max(f.depth for f in action.reps.values()))
 
     def allowed(d_src: int, d_img: int) -> bool:
-        return abs(band(d_src) - band(d_img)) <= 1
+        return abs(band[d_src] - band[d_img]) <= 1
 
     for g in action.group.elements:
         f = action.reps[g]
@@ -284,6 +291,12 @@ def is_core_automaton(a: UnfoldingAutomaton) -> bool:
 
 
 @_once_per_automaton
+def _loop_depths(a: UnfoldingAutomaton, depth: int) -> list[int]:
+    """The depth of each loop edge of the truncation; ``unfold`` lists them level by level."""
+    return [len(v) for v, _ in unfold(a, depth).loop_edges]
+
+
+@_once_per_automaton
 def ffs_of_interval(a: UnfoldingAutomaton, cover: IntervalCover, J: tuple[int, int] | int, depth: int) -> st.FreeFactorSystem:
     """Free factor system carried by the annulus D^-1(J) of a core graph.
 
@@ -299,10 +312,10 @@ def ffs_of_interval(a: UnfoldingAutomaton, cover: IntervalCover, J: tuple[int, i
     if hi > depth:
         raise ValueError("interval exceeds the truncation depth")
     # in the rooted tree, the band's components are the classes of v[:lo]
+    t, depths = unfold(a, depth), _loop_depths(a, depth)
     comps: dict[Path, list[str]] = {}
-    for lid, (v, _) in unfold(a, depth).loop_at.items():
-        if lo <= len(v) <= hi:
-            comps.setdefault(v[:lo], []).append(lid)
+    for v, k in t.loop_edges[bisect_left(depths, lo) : bisect_right(depths, hi)]:
+        comps.setdefault(v[:lo], []).append(t.loop_name[(v, k)])
     graphs = [st.LabeledGraph.rose(sorted(lids)) for _, lids in sorted(comps.items())]
     return st.FreeFactorSystem.from_graphs(graphs)
 

@@ -21,13 +21,6 @@ def test_clopen_normalization():
     assert c.cylinders == frozenset({(0,)})
 
 
-def test_clopen_subset(cantor_tree):
-    small = es.ClopenSet.make([(0, 0)], 2)
-    big = es.ClopenSet.make([(0,)], 1)
-    assert es.clopen_subset(cantor_tree, small, big)
-    assert not es.clopen_subset(cantor_tree, big, small)
-
-
 # -- metrics --------------------------------------------------------------------------
 
 
@@ -74,9 +67,11 @@ def test_epsilon_partition_examples(cantor_tree):
     huge = es.epsilon_partition(d, Fr(2), 2)
     assert len(huge.blocks) == 1
     p03 = es.epsilon_partition(d, Fr(3, 10), 2)
-    assert [sorted(b.cylinders) for b in p03.blocks] == [[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]
+    assert [sorted(cell) for cell in p03.cells] == [[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]
     p06 = es.epsilon_partition(d, Fr(6, 10), 2)
-    assert [sorted(b.cylinders) for b in p06.blocks] == [[(0, 0), (0, 1)], [(1, 0), (1, 1)]]
+    assert [sorted(cell) for cell in p06.cells] == [[(0, 0), (0, 1)], [(1, 0), (1, 1)]]
+    # each block lists its one prefix
+    assert [sorted(b.cylinders) for b in p06.blocks] == [[(0,)], [(1,)]]
 
 
 def test_epsilon_strictness(cantor_tree):
@@ -255,8 +250,9 @@ def test_partition_file_roundtrip(cantor_tree):
     d = es.EndMetric.base(cantor_tree, 2)
     p = es.epsilon_partition(d, Fr(6, 10), 2)
     text = es.format_partition(p)
+    assert text == "block b0: 0/0,0/1\nblock b1: 1/0,1/1\n"
     p2 = es.parse_partition_file(cantor_tree, 2, text)
-    assert [b.cylinders for b in p2.blocks] == [b.cylinders for b in p.blocks]
+    assert p2.cells == p.cells
 
 
 def test_telescope_dot(cantor_tree):

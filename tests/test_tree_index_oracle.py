@@ -223,6 +223,26 @@ def test_partition_cells_match_expansion_and_block_of(seed):
     assert checked >= 30
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_blocks_meeting_matches_the_cells(seed):
+    """Each live vertex, asked in random order on one partition (so answers above
+    the listed vertices are kept before those below them), meets exactly the
+    blocks of the cylinders below it."""
+    checked = 0
+    for a, depth, rng in _cases(300 + seed, 60):
+        if not _small(a, depth) or not ref_cylinders(a, depth):
+            continue
+        live = [v for v in gm.unfold(a, depth).vertices if ref_expand_to_depth(a, [v], depth)]
+        for p in [random_partition(rng, a, depth) for _ in range(3)]:
+            rng.shuffle(live)
+            for v in live:
+                assert p.blocks_meeting([v]) == {p.index[c] for c in ref_expand_to_depth(a, [v], depth)}
+            batch = rng.sample(live, min(len(live), 3))
+            assert p.blocks_meeting(batch) == {p.index[c] for c in ref_expand_to_depth(a, batch, depth)}
+        checked += 1
+    assert checked >= 30
+
+
 def test_telescope_refuses_partitions_of_different_depths(cantor_tree):
     coarse, fine = Partition.trivial(cantor_tree, 2), Partition.trivial(cantor_tree, 3)
     with pytest.raises(ValueError, match="different depths") as info:

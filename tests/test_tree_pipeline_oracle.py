@@ -4,19 +4,26 @@ The ``ref_*`` functions are verbatim copies of the old ``end_space`` tree
 pipeline: the group-averaged metric as a ``Fraction`` table over all
 cylinder pairs, the union-find epsilon partition over all pairs, the
 pairwise ``clopen_subset`` parent search of ``refines`` and ``telescope``,
-and the linear image-block search of ``induced_telescope_action``.  They
-are slow but obviously right for any metric and any blocks; the prefix
-versions must agree with them exactly on tree-compatible actions.
+the linear image-block search of ``induced_telescope_action``, and the
+printers of partitions and telescopes.  They are slow but obviously right
+for any metric and any blocks; the prefix versions must agree with them
+exactly on tree-compatible actions.
+
+A reference block lists all of its depth-D cylinders, where an epsilon block
+lists its one prefix; so each block is compared through its cell, its live
+expansion, which holds exactly the reference block's cylinders.
 """
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st_h
 
 from propermaps import end_space as es
 from propermaps import graph_model as gm
+from propermaps import nielsen as nz
 from propermaps.end_space import (
     ClopenSet,
     DepthTooShallowError,
@@ -186,6 +193,61 @@ def ref_clopen_make(cyls, reference_depth):
     return ClopenSet(frozenset(keep), reference_depth)
 
 
+def ref_validate(self):
+    cyls = set(cylinders(self.automaton, self.depth))
+    perms = list(self.elements.items())
+    for name, perm in perms:
+        if set(perm) != cyls or set(perm.values()) != cyls:
+            raise NotAnActionError(f"element {name} is not a bijection of the depth-{self.depth} cylinders")
+        # tree compatibility: same prefix at depth k maps to same prefix
+        for k in range(self.depth):
+            images = {}
+            for c, d in perm.items():
+                pre, img = c[:k], d[:k]
+                if pre in images and images[pre] != img:
+                    raise NotAnActionError(f"element {name} is incompatible with the cylinder tree at depth {k}")
+                images[pre] = img
+    # closure under composition (finite closed sets of bijections are groups)
+    keyed = {tuple(sorted(p.items())): n for n, p in self.elements.items()}
+    for n1, p1 in perms:
+        for n2, p2 in perms:
+            comp = {c: p2[p1[c]] for c in p1}
+            if tuple(sorted(comp.items())) not in keyed:
+                raise NotAnActionError(f"composition {n2}*{n1} escapes the element set")
+    if not any(all(p[c] == c for c in p) for p in self.elements.values()):
+        raise NotAnActionError("identity element missing")
+
+
+def ref_check_equivariant(self, action, tele_action):
+    for h in action.names():
+        for n, p in enumerate(self.tree.partitions):
+            for c, i in p.index.items():
+                lhs = tele_action.apply(h, (n, i))
+                rhs = (n, p.index[action.apply(h, c)])
+                if lhs != rhs:
+                    raise AssertionError(f"boundary correspondence not equivariant at {h}, level {n}")
+
+
+def ref_format_partition(p):
+    lines = []
+    for i, b in enumerate(p.blocks):
+        paths = ",".join(path_str(c) for c in sorted(b.cylinders))
+        lines.append(f"block b{i}: {paths}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_telescope_to_dot(t):
+    lines = ["graph telescope {"]
+    for n, p in enumerate(t.partitions):
+        for i, b in enumerate(p.blocks):
+            label = "|".join(path_str(c) for c in sorted(b.cylinders))
+            lines.append(f'  "v{n}_{i}" [label="{n}:{label}"];')
+    for (n1, i1), (n0, i0) in t.edges:
+        lines.append(f'  "v{n1}_{i1}" -- "v{n0}_{i0}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 # -- inputs ---------------------------------------------------------------------------------
 
 
@@ -218,14 +280,24 @@ def _cases():
     for depth in range(2, 7):
         for copy in range(2):
             cases.append((f"cantor-d{depth}-{copy}", *_twisted_rotation(rng, 2, depth)))
-    for depth in range(2, 5):
+    for depth in range(2, 6):
         cases.append((f"ternary-d{depth}", *_twisted_rotation(rng, 3, depth)))
     for depth in (3, 4):
         model, act = _swap_branch_action(depth)
         cases.append((f"swap-branch-d{depth}", model, act.end_group()))
     ray = gm.UnfoldingAutomaton.make("r", {"r": ["r"]}, {"r": 0})
     cases.append(("plain-ray-d3", ray, FiniteCylinderGroup.trivial(ray, 3)))
+    for depth in (3, 4):
+        cases.append((f"dead-path-d{depth}", *_dead_path_swap(depth)))
     return cases
+
+
+def _dead_path_swap(depth):
+    """Z/2 swapping the live root branches 0 and 2 around the dead path (1,), a leaf state."""
+    a = gm.UnfoldingAutomaton.make("r", {"r": ["b", "x", "b"], "b": ["b", "b"], "x": []}, {"r": 0})
+    cyls = gm.cylinders(a, depth)
+    swap = {c: (2 - c[0],) + c[1:] for c in cyls}
+    return a, FiniteCylinderGroup(a, depth, {"e": {c: c for c in cyls}, "s": swap})
 
 
 CASES = _cases()
@@ -245,14 +317,14 @@ REFERENCE = (RefEndMetric, ref_average_metric, ref_epsilon_partition, ref_telesc
 CURRENT = (es.EndMetric, es.average_metric, es.epsilon_partition, es.telescope, es.induced_telescope_action)
 
 
-def _pipeline(impl, a, action, bases):
+def _pipeline(impl, a, action, bases, levels=LEVELS):
     """The averaged metric, then per eps base: partition sequence, telescope, telescope action."""
     metric, avg_fn, eps_fn, tele_fn, act_fn = impl
     avg = avg_fn(metric.base(a, action.depth), action)
     runs = []
     for base in bases:
         seq = [Partition.trivial(a, action.depth, level=0)]
-        seq += [eps_fn(avg, base ** (1 - n), action.depth, n) for n in range(1, LEVELS + 1)]
+        seq += [eps_fn(avg, base ** (1 - n), action.depth, n) for n in range(1, levels + 1)]
         tele = _outcome(tele_fn, seq)
         tact = _outcome(act_fn, tele, action) if isinstance(tele, TelescopeTree) else None
         runs.append((seq, tele, tact))
@@ -260,6 +332,21 @@ def _pipeline(impl, a, action, bases):
 
 
 # -- tests ---------------------------------------------------------------------------------
+
+
+def _assert_runs_agree(ref_runs, runs, action):
+    for (ref_seq, ref_tele, ref_act), (seq, tele, tact) in zip(ref_runs, runs):
+        # both start at the trivial partition; then each block's expansion, in order, is the reference block
+        assert seq[0] == ref_seq[0]
+        assert [list(p.cells) for p in seq[1:]] == [[b.cylinders for b in p.blocks] for p in ref_seq[1:]]
+        assert [es.format_partition(p) for p in seq] == [ref_format_partition(p) for p in ref_seq]
+        pairs = [(p, q) for p, q in zip(seq, seq[1:])] + [(q, p) for p, q in zip(seq, seq[1:])]
+        assert [es.refines(p, q) for p, q in pairs] == [ref_refines(p, q) for p, q in pairs]
+        assert isinstance(tele, TelescopeTree) and isinstance(ref_tele, TelescopeTree)
+        assert tele.edges == ref_tele.edges
+        assert es.telescope_to_dot(tele) == ref_telescope_to_dot(ref_tele)
+        assert isinstance(tact, TelescopeAction) and tact.vertex_maps == ref_act.vertex_maps
+        es.boundary_map(tele).check_equivariant(action, tact)
 
 
 @pytest.mark.parametrize("name, a, action", CASES, ids=[c[0] for c in CASES])
@@ -270,13 +357,37 @@ def test_tree_pipeline_matches_pairwise_reference(name, a, action):
     for i, u in enumerate(cyls):
         for v in cyls[i:]:
             assert avg.distance(u, v) == ref_avg.distance(u, v)
-    for (ref_seq, ref_tele, ref_act), (seq, tele, tact) in zip(ref_runs, runs):
-        assert [p.blocks for p in seq] == [p.blocks for p in ref_seq]
-        pairs = [(p, q) for p, q in zip(seq, seq[1:])] + [(q, p) for p, q in zip(seq, seq[1:])]
-        assert [es.refines(p, q) for p, q in pairs] == [ref_refines(p, q) for p, q in pairs]
-        assert isinstance(tele, TelescopeTree) and isinstance(ref_tele, TelescopeTree)
-        assert tele.edges == ref_tele.edges
-        assert isinstance(tact, TelescopeAction) and tact.vertex_maps == ref_act.vertex_maps
+    _assert_runs_agree(ref_runs, runs, action)
+
+
+@pytest.mark.parametrize("name, a, action", CASES, ids=[c[0] for c in CASES])
+def test_level_maps_are_the_prefix_maps(name, a, action):
+    for h, perm in action.elements.items():
+        naive = tuple({c[:k]: perm[c][:k] for c in perm} for k in range(action.depth + 1))
+        assert action.level_maps[h] == naive
+
+
+# eps = base^(1-n) for n = 1..5 lists prefixes of depths 1,1,1,1,1 (base 1), 1,1,2,2,3 (3/2),
+# 1,2,4,5,7 (3) and 1,3,5,7,9 (4): depths repeat and skip, and pass the support
+@pytest.mark.parametrize("base, depths", [(1, [1] * 5), (Fraction(3, 2), [1, 1, 2, 2, 3]), (3, [1, 2, 4, 5, 7]), (4, [1, 3, 5, 7, 9])])
+def test_eps_bases_that_repeat_or_skip_prefix_depths(base, depths):
+    a, action = next((a, act) for name, a, act in CASES if name == "cantor-d6-0")
+    ref_avg, ref_runs = _pipeline(REFERENCE, a, action, [Fraction(base)])
+    avg, runs = _pipeline(CURRENT, a, action, [Fraction(base)])
+    ((seq, _, _),) = runs
+    assert [len(next(iter(p.blocks[0].cylinders))) for p in seq[1:]] == [min(j, action.depth) for j in depths]
+    _assert_runs_agree(ref_runs, runs, action)
+
+
+@pytest.mark.parametrize("name, a, action", [c for c in CASES if c[0] in ("cantor-d4-0", "ternary-d3", "dead-path-d3")])
+def test_zero_levels_match_reference(name, a, action):
+    _, ref_runs = _pipeline(REFERENCE, a, action, [Fraction(2)], levels=0)
+    _, runs = _pipeline(CURRENT, a, action, [Fraction(2)], levels=0)
+    _assert_runs_agree(ref_runs, runs, action)
+    ((_, tele, _),) = runs
+    assert tele.vertices() == ((0, 0),) and tele.edges == ()
+    report = nz.realize_tree_case(a, action, levels=0).report
+    assert report["vertices"] == 1 and report["block_counts"] == [1]
 
 
 @pytest.mark.parametrize("name, a, action", [c for c in CASES if c[0] in ("cantor-d4-0", "ternary-d3", "swap-branch-d3")])
@@ -326,3 +437,53 @@ _paths = st_h.lists(st_h.integers(min_value=0, max_value=2), max_size=4).map(tup
 @settings(max_examples=100, deadline=None)
 def test_clopen_make_matches_all_pairs(paths, depth):
     assert ClopenSet.make(paths, depth) == ref_clopen_make(paths, depth)
+
+
+def _outcome_of_group(a, depth, elements):
+    """What making the group gives, with the reference validation's verdict beside it."""
+    ref = _outcome(ref_validate, SimpleNamespace(automaton=a, depth=depth, elements=elements))
+    got = _outcome(FiniteCylinderGroup, a, depth, elements)
+    return (None if isinstance(got, FiniteCylinderGroup) else got), ref
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_group_validation_fails_alike(seed):
+    """Random bijections, tree automorphisms and automorphisms spoilt by one
+    transposition: the group is refused exactly when, and as, the old checks refused it."""
+    rng = random.Random(seed)
+    refused = 0
+    for _ in range(40):
+        arity, depth = rng.choice(((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)))
+        a, action = _twisted_rotation(rng, arity, depth)
+        cyls = list(gm.cylinders(a, depth))
+        shuffled = rng.sample(cyls, len(cyls))
+        spoilt = dict(action.elements["g1"])
+        u, v = rng.sample(cyls, 2)
+        spoilt[u], spoilt[v] = spoilt[v], spoilt[u]
+        for extra in (dict(zip(cyls, shuffled)), spoilt, action.elements["g1"]):
+            elements = {**action.elements, "x": extra}
+            for chosen in (elements, {"e": elements["g0"], "x": extra}):
+                got, ref = _outcome_of_group(a, depth, chosen)
+                assert got == (None if ref is None else ref)
+                refused += got is not None
+    assert refused >= 40
+
+
+@pytest.mark.parametrize("name, a, action", [c for c in CASES if c[0] in ("cantor-d4-0", "ternary-d3", "swap-branch-d3", "dead-path-d3")])
+def test_tampered_telescope_actions_fail_alike(name, a, action):
+    ((_, tele, tact),) = _pipeline(CURRENT, a, action, [Fraction(2)])[1]
+    bnd = es.boundary_map(tele)
+    assert _outcome(bnd.check_equivariant, action, tact) is None
+    rng = random.Random(name)
+    caught = 0
+    for h in action.names():
+        for v in rng.sample(tele.vertices(), min(8, len(tele.vertices()))):
+            n, _ = v
+            for w in [u for u in tele.vertices() if u[0] == n] + [(n + 1, 0)]:
+                maps = {g: dict(m) for g, m in tact.vertex_maps.items()}
+                maps[h][v] = w
+                bad = TelescopeAction(tele, maps)
+                got = _outcome(bnd.check_equivariant, action, bad)
+                assert got == _outcome(ref_check_equivariant, bnd, action, bad)
+                caught += got is not None
+    assert caught > 0

@@ -81,8 +81,9 @@ class Partition:
     """Blocks covering the live depth-D cylinders once each.
 
     A block lists truncation vertices (an epsilon block, its one prefix).  ``make`` computes
-    ``cells[i]``, block i's live expansion (its live depth-D cylinders), ``index``, the block
-    of each live depth-D cylinder, and ``listed``, the lowest block listing each listed vertex.
+    ``cells[i]``, block i's live expansion (its live depth-D cylinders), ``index``, the block of
+    each live depth-D cylinder, ``listed``, the lowest block listing each listed vertex, and
+    ``meeting``, where ``blocks_meeting`` keeps its answers.
     """
 
     automaton: UnfoldingAutomaton
@@ -125,10 +126,9 @@ class Partition:
     def blocks_meeting(self, vs: Iterable[Path]) -> set[int]:
         """The blocks whose cells meet the shadow of some live truncation vertex in vs.
 
-        ``meeting`` keeps each answer, seeded by ``make`` with the live listed
-        vertices.  A vertex below one of those lies in its block alone; above
-        them, it meets its live children's blocks, kept too, so a kept ancestor
-        is always of the first kind.
+        ``make`` seeds ``meeting`` with the live listed vertices.  A vertex below one of
+        those lies in its block alone; one above them meets its live children's blocks,
+        which are kept with it, so a kept ancestor is always of the first kind.
         """
         memo, out = self.meeting, set()
         for v in vs:

@@ -825,11 +825,6 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
     """
     depth = None
     paths: Mapping[str, Path] = {}
-
-    def read_path(text: str) -> Path:
-        path = paths.get(text.strip())
-        return parse_path(text) if path is None else path
-
     records: dict[str, dict] = {"vmap": {}, "loop": {}, "wrap": {}, "endmap": {}}
     outside: object = IDENTITY_OUTSIDE
     seen: set[str] = set()
@@ -851,10 +846,11 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
             src, _, dst = line[len(kind) :].partition("->")
             if not paths and kind != "loop" and depth is not None and depth >= 0:
                 paths = unfold(a, depth).paths
-            key = src.strip() if kind == "loop" else read_path(src)
+            key = src.strip() if kind == "loop" else paths.get(src.strip()) or parse_path(src)
             if key in records[kind]:
                 raise ValueError(f"line {lineno}: repeated {kind} source {src.strip()}")
-            records[kind][key] = W.word_from_str(dst) if kind in ("loop", "wrap") else read_path(dst)
+            word = kind in ("loop", "wrap")
+            records[kind][key] = W.word_from_str(dst) if word else paths.get(dst.strip()) or parse_path(dst)
         elif kind == "outside":
             flag = parts[1:2]
             if flag == ["identity"]:

@@ -291,12 +291,6 @@ def is_core_automaton(a: UnfoldingAutomaton) -> bool:
 
 
 @_once_per_automaton
-def _loop_depths(a: UnfoldingAutomaton, depth: int) -> list[int]:
-    """The depth of each loop edge of the truncation; ``unfold`` lists them level by level."""
-    return [len(v) for v, _ in unfold(a, depth).loop_edges]
-
-
-@_once_per_automaton
 def ffs_of_interval(a: UnfoldingAutomaton, cover: IntervalCover, J: tuple[int, int] | int, depth: int) -> st.FreeFactorSystem:
     """Free factor system carried by the annulus D^-1(J) of a core graph.
 
@@ -311,10 +305,13 @@ def ffs_of_interval(a: UnfoldingAutomaton, cover: IntervalCover, J: tuple[int, i
         lo, hi = cover.depth_range(J)
     if hi > depth:
         raise ValueError("interval exceeds the truncation depth")
-    # in the rooted tree, the band's components are the classes of v[:lo]
-    t, depths = unfold(a, depth), _loop_depths(a, depth)
+    # in the rooted tree, the band's components are the classes of v[:lo];
+    # unfold lists the loop edges level by level, so the band's are one slice
+    t = unfold(a, depth)
+    first = bisect_left(t.loop_edges, lo, key=lambda e: len(e[0]))
+    last = bisect_right(t.loop_edges, hi, key=lambda e: len(e[0]))
     comps: dict[Path, list[str]] = {}
-    for v, k in t.loop_edges[bisect_left(depths, lo) : bisect_right(depths, hi)]:
+    for v, k in t.loop_edges[first:last]:
         comps.setdefault(v[:lo], []).append(t.loop_name[(v, k)])
     graphs = [st.LabeledGraph.rose(sorted(lids)) for _, lids in sorted(comps.items())]
     return st.FreeFactorSystem.from_graphs(graphs)

@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from perfbench import workloads
 from propermaps import graph_model as gm
 from propermaps import mapclass as mc
 from propermaps import words as W
@@ -576,3 +578,59 @@ def test_random_rigid_maps_pair_with_inverses(two_loop_ray):
         inv = mc.rigid_inverse(f)
         assert inv is not None
         assert mc.verify_proper_pair(f, inv)
+
+
+# -- map paths through the truncation's vertex names ------------------------------------------
+
+
+def _respelled(text, rng):
+    """The map text with some paths spelled otherwise: spaces around parts, leading zeros, `.` as ``."""
+    out = []
+    for line in text.splitlines():
+        kind, _, rest = line.partition(" ")
+        if kind in ("vmap", "endmap", "wrap") and rng.random() < 0.5:
+            src, _, dst = rest.partition("->")
+            spell = rng.choice([lambda p: " " + p.replace("/", "/ "), lambda p: "/".join("0" + x for x in p.split("/")),
+                                lambda p: "" if p.strip() == "." else p])
+            rest = spell(src.strip()) + " -> " + (spell(dst.strip()) if kind != "wrap" else dst.strip())
+        out.append(f"{kind} {rest}" if rest else kind)
+    return "\n".join(out) + "\n"
+
+
+def _parse_outcome(a, text):
+    try:
+        return mc.format_map_file(mc.parse_map_file(a, text))
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+def test_map_paths_read_through_vertex_names_as_parse_path_reads_them(monkeypatch):
+    """Every map of the maps and realize workloads, respelled, with a repeated or bad
+    record added: names give the same map, or the same error, as parse_path alone."""
+    texts = []
+    for name in ("maps", "realize"):
+        inp = workloads.make_inputs(name, 1)
+        for op in inp.ops:
+            if op.kind != "cli":
+                continue
+            graph = next(f for f in op.args if f.endswith(".aut"))
+            maps = [f for f in op.args if f.endswith(".map")]
+            if not maps and op.args[:1] == ["realize"]:
+                prefix = graph.rsplit("/", 1)[0]
+                maps = [f for f in inp.files if f.startswith(prefix + "/") and f.endswith(".map")]
+            texts += [(inp.files[graph], inp.files[m]) for m in maps]
+    assert len(texts) > 50
+    rng = random.Random(3)
+    cases = []
+    for graph, text in texts:
+        a = gm.parse_automaton(graph)
+        body = _respelled(text, rng)
+        lines = body.splitlines()
+        vmaps = [ln for ln in lines if ln.startswith("vmap")]
+        cases += [(a, body), (a, body + "vmap x -> 0\n"), (a, body + "endmap 9/9 -> 9/9\n")]
+        if vmaps:
+            cases.append((a, body + vmaps[0].replace("vmap ", "vmap  ") + "\n"))  # a repeated source
+    with_names = [_parse_outcome(a, t) for a, t in cases]
+    monkeypatch.setattr(mc, "unfold", lambda a, d: replace(gm.unfold(a, d), paths={}))
+    assert with_names == [_parse_outcome(a, t) for a, t in cases]
+    assert sum(isinstance(o, str) for o in with_names) > 50 and sum(isinstance(o, tuple) for o in with_names) > 100

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .graph_model import Path, UnfoldingAutomaton, cylinders, cylinders_below, live_states, parse_path, path_str, unfold
+from .graph_model import Path, UnfoldingAutomaton, cylinders, cylinders_below, live_states, path_str, unfold
 
 
 class DepthTooShallowError(ValueError):
@@ -66,14 +66,19 @@ class ClopenSet:
 def expand_to_depth(a: UnfoldingAutomaton, cyls: Iterable[Path], depth: int) -> frozenset[Path]:
     """Live descendants at exactly `depth` of each (shallower) cylinder."""
     vertices = unfold(a, depth).state
-    out: list[Path] = []
+    out: set[Path] = set()
     for v in cyls:
         if len(v) > depth:
             raise DepthTooShallowError(f"cylinder {path_str(v)} deeper than {depth}")
         if v not in vertices:
             raise KeyError(f"{path_str(v)} is not a vertex of the tree")
-        out += cylinders_below(a, depth, v)
+        out.update(cylinders_below(a, depth, v))
     return frozenset(out)
+
+
+def clopen_subset(a: UnfoldingAutomaton, c1: ClopenSet, c2: ClopenSet) -> bool:
+    d = max(c1.reference_depth, c2.reference_depth, max((len(v) for v in c1.cylinders | c2.cylinders), default=0))
+    return expand_to_depth(a, c1.cylinders, d) <= expand_to_depth(a, c2.cylinders, d)
 
 
 @dataclass(frozen=True)
@@ -81,9 +86,8 @@ class Partition:
     """Blocks covering the live depth-D cylinders once each.
 
     A block lists truncation vertices (an epsilon block, its one prefix).  ``make`` computes
-    ``cells[i]``, block i's live expansion (its live depth-D cylinders), ``index``, the block of
-    each live depth-D cylinder, ``listed``, the lowest block listing each listed vertex, and
-    ``meeting``, where ``blocks_meeting`` keeps its answers.
+    ``cells[i]``, block i's live depth-D cylinders, ``index`` (cylinder -> block), ``listed``
+    (listed vertex -> lowest block listing it) and ``meeting`` (``blocks_meeting``'s answers).
     """
 
     automaton: UnfoldingAutomaton
@@ -126,25 +130,21 @@ class Partition:
     def blocks_meeting(self, vs: Iterable[Path]) -> set[int]:
         """The blocks whose cells meet the shadow of some live truncation vertex in vs.
 
-        ``make`` seeds ``meeting`` with the live listed vertices.  A vertex below one of
-        those lies in its block alone; one above them meets its live children's blocks,
-        which are kept with it, so a kept ancestor is always of the first kind.
+        ``make`` seeds ``meeting`` with the live listed vertices.  A vertex below one of those
+        lies in its block alone; one above them meets its live children's blocks, which are
+        kept with it, so the deepest kept ancestor of a vertex is always of the first kind.
         """
         memo, out = self.meeting, set()
         for v in vs:
-            got = memo.get(v)
-            if got is None:
-                n = len(v) - 1
-                while n >= 0 and v[:n] not in memo:
-                    n -= 1
-                if n >= 0:
-                    got = memo[v[:n]]
-                else:
+            if v not in memo:
+                up = next((v[:n] for n in reversed(range(len(v))) if v[:n] in memo), None)
+                if up is None:
                     a, state = self.automaton, unfold(self.automaton, self.depth).state
                     kids = (v + (k,) for k in range(len(a.children[state[v]])))
-                    got = frozenset(self.blocks_meeting(w for w in kids if state[w] in live_states(a)))
-                memo[v] = got
-            out |= got
+                    memo[v] = frozenset(self.blocks_meeting(w for w in kids if state[w] in live_states(a)))
+                else:
+                    memo[v] = memo[up]
+            out |= memo[v]
         return out
 
     def image_blocks(self, levels: Sequence[Mapping[Path, Path]] | None, into: "Partition") -> list[set[int]]:
@@ -179,20 +179,18 @@ class EndMetric:
 
 
 class FiniteCylinderGroup:
-    """Finite group acting by tree-compatible bijections of depth-D cylinders.
-
-    ``level_maps[name][k]`` sends each live depth-k prefix to its image, k = 0..D.
-    """
+    """Finite group acting by tree-compatible bijections of depth-D cylinders."""
 
     def __init__(self, automaton: UnfoldingAutomaton, depth: int, elements: Mapping[str, Mapping[Path, Path]]):
         self.automaton = automaton
         self.depth = depth
         self.elements = {name: dict(perm) for name, perm in elements.items()}
-        self.level_maps = self._validate()
+        self.level_maps = self._validate()  # name -> k -> {live depth-k prefix: its image}, k = 0..D
 
     @classmethod
     def trivial(cls, a: UnfoldingAutomaton, depth: int) -> "FiniteCylinderGroup":
-        return cls(a, depth, {"e": {c: c for c in cylinders(a, depth)}})
+        cyls = cylinders(a, depth)
+        return cls(a, depth, {"e": {c: c for c in cyls}})
 
     def _validate(self) -> dict[str, tuple[dict[Path, Path], ...]]:
         """Check the group and return each element's level maps."""
@@ -304,15 +302,24 @@ class TelescopeTree:
     def vertices(self) -> tuple[Vertex, ...]:
         return tuple((n, i) for n, p in enumerate(self.partitions) for i in range(len(p.blocks)))
 
+    def block_of(self, v: Vertex) -> ClopenSet:
+        n, i = v
+        return self.partitions[n].blocks[i]
+
     def check_tree(self):
-        if len(self.edges) != len(self.vertices()) - 1:
+        vs = self.vertices()
+        if len(self.edges) != len(vs) - 1:
             raise AssertionError("telescope is not a tree: wrong edge count")
-        parent_levels: dict[Vertex, list[int]] = {}
-        for child, (m, _) in self.edges:
-            parent_levels.setdefault(child, []).append(m)
-        bad = next((v for v in self.vertices() if v[0] and parent_levels.get(v) != [v[0] - 1]), None)
-        if bad is not None:
-            raise AssertionError(f"vertex {bad} does not have exactly one parent one level down")
+        parents_of: dict[Vertex, list[Vertex]] = {}
+        for child, parent in self.edges:
+            parents_of.setdefault(child, []).append(parent)
+        for n, p in enumerate(self.partitions):
+            if n == 0:
+                continue
+            for i in range(len(p.blocks)):
+                parents = parents_of.get((n, i), [])
+                if len(parents) != 1 or parents[0][0] != n - 1:
+                    raise AssertionError(f"vertex {(n, i)} does not have exactly one parent one level down")
 
 
 def telescope(seq: Sequence[Partition]) -> TelescopeTree:
@@ -345,6 +352,9 @@ class BoundaryCorrespondence:
     """
 
     tree: TelescopeTree
+
+    def block_of(self, v: Vertex) -> ClopenSet:
+        return self.tree.block_of(v)
 
     def vertex_of(self, level: int, cyl: Path) -> Vertex:
         p = self.tree.partitions[level]
@@ -379,13 +389,15 @@ class TelescopeAction:
     def apply(self, name: str, v: Vertex) -> Vertex:
         return self.vertex_maps[name][v]
 
+    def names(self):
+        return tuple(sorted(self.vertex_maps))
+
 
 def induced_telescope_action(t: TelescopeTree, action: FiniteCylinderGroup) -> TelescopeAction:
     """Permute level-n vertices by permuting blocks; verified simplicial.
 
-    A nonempty cell goes to the one block its image meets, and an empty cell
-    to the first empty cell.  When no image meets two blocks, the element
-    (a bijection) permutes the nonempty cells, so each image is a whole cell.
+    A nonempty cell goes to the one block its image meets (so, the element being a
+    bijection, onto that block's cell), and an empty cell to the first empty cell.
     """
     if any(p.depth != action.depth for p in t.partitions):
         raise ValueError(f"telescope and action at different depths (the action is at depth {action.depth})")
@@ -414,6 +426,8 @@ def induced_telescope_action(t: TelescopeTree, action: FiniteCylinderGroup) -> T
 
 def parse_partition_file(a: UnfoldingAutomaton, depth: int, text: str) -> Partition:
     """`block <name>: <path>,<path>,...` with slash-separated child indices."""
+    from .graph_model import parse_path
+
     blocks = []
     for line in text.splitlines():
         line = line.strip()
@@ -429,9 +443,10 @@ def parse_partition_file(a: UnfoldingAutomaton, depth: int, text: str) -> Partit
 
 
 def _shown(a: UnfoldingAutomaton, b: ClopenSet) -> list[Path]:
-    """A block's listed vertices, each one above its reference depth expanded there, sorted."""
+    """A block's listed vertices, sorted, each live one above its reference depth
+    expanded there (a dead one, which expands to nothing, is shown as itself)."""
     d = b.reference_depth
-    return sorted(c for v in b.cylinders for c in (cylinders_below(a, d, v) if len(v) < d else (v,)))
+    return sorted(c for v in b.cylinders for c in (len(v) < d and cylinders_below(a, d, v) or (v,)))
 
 
 def format_partition(p: Partition) -> str:

@@ -814,55 +814,72 @@ def extend_over_trees(
 # -- map files ----------------------------------------------------------------------------------
 
 
+_MAP_RECORDS = ("vmap", "loop", "wrap", "endmap")
+
+
+def _read_map_records(lines: Iterable[tuple[int, str, str, str]], paths: Mapping[str, Path]) -> dict[str, dict]:
+    """Each kind's records, source -> target, in line order; a path is looked up in ``paths``
+    (vertex names) and otherwise parsed."""
+
+    def path(text: str) -> Path:
+        got = paths.get(text.strip())
+        return parse_path(text) if got is None else got
+
+    records: dict[str, dict] = {kind: {} for kind in _MAP_RECORDS}
+    for lineno, kind, src, dst in lines:
+        key = src.strip() if kind == "loop" else path(src)
+        if key in records[kind]:
+            raise ValueError(f"line {lineno}: repeated {kind} source {src.strip()}")
+        records[kind][key] = W.word_from_str(dst) if kind in ("loop", "wrap") else path(dst)
+    return records
+
+
 def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
     """`support <D>` then vmap/loop/wrap/endmap/outside records: one support line,
     at most one outside line, and each record source once.
 
     A vmap source lies in the truncation and an endmap source is a live frontier
     cylinder; ``make`` refuses endmap records that disagree with an IDENTITY_OUTSIDE vmap.
-    Once the support line is read, paths are read through the truncation's vertex
-    names, and other spellings (``01``, `` 0/ 1``) through ``parse_path``.
+    The records are read once the whole file is: their paths through the truncation's
+    vertex names, and other spellings (``01``, `` 0/ 1``) through ``parse_path``.
     """
     depth = None
-    paths: Mapping[str, Path] = {}
-    records: dict[str, dict] = {"vmap": {}, "loop": {}, "wrap": {}, "endmap": {}}
+    lines: list[tuple[int, str, str, str]] = []  # (lineno, kind, source, target) of each record
     outside: object = IDENTITY_OUTSIDE
     seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        kind = parts[0]
-        if kind in ("support", "outside"):
-            if kind in seen:
-                raise ValueError(f"line {lineno}: repeated {kind}")
-            seen.add(kind)
-        if kind == "support":
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: support needs one depth")
-            depth = int(parts[1])
-        elif kind in records:
-            src, _, dst = line[len(kind) :].partition("->")
-            if not paths and kind != "loop" and depth is not None and depth >= 0:
-                paths = unfold(a, depth).paths
-            key = src.strip() if kind == "loop" else paths.get(src.strip()) or parse_path(src)
-            if key in records[kind]:
-                raise ValueError(f"line {lineno}: repeated {kind} source {src.strip()}")
-            word = kind in ("loop", "wrap")
-            records[kind][key] = W.word_from_str(dst) if word else paths.get(dst.strip()) or parse_path(dst)
-        elif kind == "outside":
-            flag = parts[1:2]
-            if flag == ["identity"]:
-                outside = IDENTITY_OUTSIDE
-            elif flag == ["banded"] and len(parts) > 2:
-                outside = banded(int(parts[2]))
+    try:
+        for lineno, line in enumerate(text.splitlines(), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            kind = parts[0]
+            if kind in ("support", "outside"):
+                if kind in seen:
+                    raise ValueError(f"line {lineno}: repeated {kind}")
+                seen.add(kind)
+            if kind == "support":
+                if len(parts) != 2:
+                    raise ValueError(f"line {lineno}: support needs one depth")
+                depth = int(parts[1])
+            elif kind in _MAP_RECORDS:
+                lines.append((lineno, kind, *line[len(kind) :].partition("->")[::2]))
+            elif kind == "outside":
+                flag = parts[1:2]
+                if flag == ["identity"]:
+                    outside = IDENTITY_OUTSIDE
+                elif flag == ["banded"] and len(parts) > 2:
+                    outside = banded(int(parts[2]))
+                else:
+                    raise ValueError(f"line {lineno}: bad outside flag")
             else:
-                raise ValueError(f"line {lineno}: bad outside flag")
-        else:
-            raise ValueError(f"line {lineno}: unknown record {kind!r}")
-    if depth is None:
-        raise ValueError("missing support line")
+                raise ValueError(f"line {lineno}: unknown record {kind!r}")
+        if depth is None:
+            raise ValueError("missing support line")
+    except ValueError:
+        _read_map_records(lines, {})  # a record's own error on an earlier line comes first
+        raise
+    records = _read_map_records(lines, unfold(a, depth).paths)
     vmap, endmap = records["vmap"], records["endmap"]
     stray = min(set(vmap).difference(unfold(a, depth).vertices), default=None)
     if stray is not None:

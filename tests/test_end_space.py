@@ -21,6 +21,13 @@ def test_clopen_normalization():
     assert c.cylinders == frozenset({(0,)})
 
 
+def test_clopen_subset(cantor_tree):
+    small = es.ClopenSet.make([(0, 0)], 2)
+    big = es.ClopenSet.make([(0,)], 1)
+    assert es.clopen_subset(cantor_tree, small, big)
+    assert not es.clopen_subset(cantor_tree, big, small)
+
+
 # -- metrics --------------------------------------------------------------------------
 
 
@@ -253,6 +260,20 @@ def test_partition_file_roundtrip(cantor_tree):
     assert text == "block b0: 0/0,0/1\nblock b1: 1/0,1/1\n"
     p2 = es.parse_partition_file(cantor_tree, 2, text)
     assert p2.cells == p.cells
+    assert es.format_partition(p2) == text
+
+
+def test_partition_file_roundtrip_keeps_a_dead_block():
+    """A block listing only a dead vertex above the depth prints as that vertex, so the file reads back
+    as the same partition, and the telescope labels it by that vertex."""
+    a = gm.UnfoldingAutomaton.make("r", {"r": ["b", "x", "b"], "b": ["b", "b"], "x": []}, {"r": 0})
+    text = "block b0: 0/0/0,0/0/1,0/1/0,0/1/1\nblock b1: 1\nblock b2: 2/0/0,2/0/1,2/1/0,2/1/1\n"
+    p = es.parse_partition_file(a, 3, text)
+    assert p.cells[1] == frozenset()
+    assert es.format_partition(p) == text
+    assert es.parse_partition_file(a, 3, es.format_partition(p)) == p
+    t = es.telescope([es.Partition.trivial(a, 3), p])
+    assert '"v1_1" [label="1:1"];' in es.telescope_to_dot(t)
 
 
 def test_telescope_dot(cantor_tree):

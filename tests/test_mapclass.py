@@ -634,3 +634,17 @@ def test_map_paths_read_through_vertex_names_as_parse_path_reads_them(monkeypatc
     monkeypatch.setattr(mc, "unfold", lambda a, d: replace(gm.unfold(a, d), paths={}))
     assert with_names == [_parse_outcome(a, t) for a, t in cases]
     assert sum(isinstance(o, str) for o in with_names) > 50 and sum(isinstance(o, tuple) for o in with_names) > 100
+
+
+def test_map_file_errors_come_in_line_order_before_the_truncation_is_built(monkeypatch, cantor_tree):
+    """A file is checked line by line before its support-D truncation is built, and a
+    record's own error on an earlier line is reported before a later line's."""
+    monkeypatch.setattr(mc, "unfold", lambda a, d: pytest.fail("the truncation was built"))
+    with pytest.raises(ValueError, match=r"^line 4: unknown record 'bogus'$"):
+        mc.parse_map_file(cantor_tree, "support 1000000\nvmap 0 -> 1\nvmap 1 -> 0\nbogus\n")
+    with pytest.raises(ValueError, match=r"^line 3: repeated vmap source 00$"):
+        mc.parse_map_file(cantor_tree, "support 1000000\nvmap 0 -> 1\nvmap 00 -> 1\nbogus\n")
+    with pytest.raises(ValueError, match="invalid literal"):
+        mc.parse_map_file(cantor_tree, "vmap x -> 1\nsupport 1000000\nsupport 3\n")
+    with pytest.raises(ValueError, match=r"^line 2: repeated wrap source 0/ 1$"):
+        mc.parse_map_file(cantor_tree, "wrap 0/1 -> a\nwrap 0/ 1 -> a\n")

@@ -818,19 +818,15 @@ _MAP_RECORDS = ("vmap", "loop", "wrap", "endmap")
 
 
 def _read_map_records(lines: Iterable[tuple[int, str, str, str]], paths: Mapping[str, Path]) -> dict[str, dict]:
-    """Each kind's records, source -> target, in line order; a path is looked up in ``paths``
-    (vertex names) and otherwise parsed."""
-
-    def path(text: str) -> Path:
-        got = paths.get(text.strip())
-        return parse_path(text) if got is None else got
-
+    """Each kind's records, source -> target, in line order.  A path is looked up in ``paths``
+    (vertex names); other spellings, and the root (a falsy path), go through ``parse_path``."""
     records: dict[str, dict] = {kind: {} for kind in _MAP_RECORDS}
     for lineno, kind, src, dst in lines:
-        key = src.strip() if kind == "loop" else path(src)
+        key = src.strip() if kind == "loop" else paths.get(src.strip()) or parse_path(src)
         if key in records[kind]:
             raise ValueError(f"line {lineno}: repeated {kind} source {src.strip()}")
-        records[kind][key] = W.word_from_str(dst) if kind in ("loop", "wrap") else path(dst)
+        word = kind in ("loop", "wrap")
+        records[kind][key] = W.word_from_str(dst) if word else paths.get(dst.strip()) or parse_path(dst)
     return records
 
 

@@ -814,20 +814,15 @@ def extend_over_trees(
 # -- map files ----------------------------------------------------------------------------------
 
 
-_MAP_RECORDS = ("vmap", "loop", "wrap", "endmap")
-
-
-def _read_map_records(lines: Iterable[tuple[int, str, str, str]], paths: Mapping[str, Path]) -> dict[str, dict]:
-    """Each kind's records, source -> target, in line order.  A path is looked up in ``paths``
-    (vertex names); other spellings, and the root (a falsy path), go through ``parse_path``."""
-    records: dict[str, dict] = {kind: {} for kind in _MAP_RECORDS}
+def _add_path_records(records: dict[str, dict], lines: Iterable[tuple[int, str, str, str]], paths: Mapping[str, Path]):
+    """Add (lineno, kind, source, target) vmap, wrap and endmap records to ``records[kind]``, in line order.
+    A path is looked up in ``paths`` (vertex names); other spellings, and the root (a falsy path), go
+    through ``parse_path``."""
     for lineno, kind, src, dst in lines:
-        key = src.strip() if kind == "loop" else paths.get(src.strip()) or parse_path(src)
+        key = paths.get(src.strip()) or parse_path(src)
         if key in records[kind]:
             raise ValueError(f"line {lineno}: repeated {kind} source {src.strip()}")
-        word = kind in ("loop", "wrap")
-        records[kind][key] = W.word_from_str(dst) if word else paths.get(dst.strip()) or parse_path(dst)
-    return records
+        records[kind][key] = W.word_from_str(dst) if kind == "wrap" else paths.get(dst.strip()) or parse_path(dst)
 
 
 def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
@@ -836,11 +831,13 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
 
     A vmap source lies in the truncation and an endmap source is a live frontier
     cylinder; ``make`` refuses endmap records that disagree with an IDENTITY_OUTSIDE vmap.
-    The records are read once the whole file is: their paths through the truncation's
-    vertex names, and other spellings (``01``, `` 0/ 1``) through ``parse_path``.
+    Loop records are read as they come; path records once the whole file is checked,
+    through the truncation's vertex names, and other spellings (``01``, `` 0/ 1``) through
+    ``parse_path``.
     """
     depth = None
-    lines: list[tuple[int, str, str, str]] = []  # (lineno, kind, source, target) of each record
+    records: dict[str, dict] = {"vmap": {}, "loop": {}, "wrap": {}, "endmap": {}}
+    pending: list[tuple[int, str, str, str]] = []  # (lineno, kind, source, target) of each path record
     outside: object = IDENTITY_OUTSIDE
     seen: set[str] = set()
     try:
@@ -858,8 +855,13 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
                 if len(parts) != 2:
                     raise ValueError(f"line {lineno}: support needs one depth")
                 depth = int(parts[1])
-            elif kind in _MAP_RECORDS:
-                lines.append((lineno, kind, *line[len(kind) :].partition("->")[::2]))
+            elif kind == "loop":
+                src, _, dst = line[len(kind) :].partition("->")
+                if src.strip() in records[kind]:
+                    raise ValueError(f"line {lineno}: repeated {kind} source {src.strip()}")
+                records[kind][src.strip()] = W.word_from_str(dst)
+            elif kind in records:
+                pending.append((lineno, kind, *line[len(kind) :].partition("->")[::2]))
             elif kind == "outside":
                 flag = parts[1:2]
                 if flag == ["identity"]:
@@ -872,10 +874,10 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
                 raise ValueError(f"line {lineno}: unknown record {kind!r}")
         if depth is None:
             raise ValueError("missing support line")
-    except ValueError:
-        _read_map_records(lines, {})  # a record's own error on an earlier line comes first
+    except Exception:
+        _add_path_records(records, pending, {})  # a path record's own error on an earlier line comes first
         raise
-    records = _read_map_records(lines, unfold(a, depth).paths)
+    _add_path_records(records, pending, unfold(a, depth).paths)
     vmap, endmap = records["vmap"], records["endmap"]
     stray = min(set(vmap).difference(unfold(a, depth).vertices), default=None)
     if stray is not None:

@@ -644,6 +644,8 @@ def test_map_file_errors_come_in_line_order_before_the_truncation_is_built(monke
         mc.parse_map_file(cantor_tree, "support 1000000\nvmap 0 -> 1\nvmap 1 -> 0\nbogus\n")
     with pytest.raises(ValueError, match=r"^line 3: repeated vmap source 00$"):
         mc.parse_map_file(cantor_tree, "support 1000000\nvmap 0 -> 1\nvmap 00 -> 1\nbogus\n")
+    with pytest.raises(ValueError, match=r"^line 3: repeated vmap source 00$"):
+        mc.parse_map_file(cantor_tree, "support 1000000\nvmap 0 -> 1\nvmap 00 -> 1\nloop .:0 -> a\nloop .:0 -> a\n")
     with pytest.raises(ValueError, match="invalid literal"):
         mc.parse_map_file(cantor_tree, "vmap x -> 1\nsupport 1000000\nsupport 3\n")
     with pytest.raises(ValueError, match=r"^line 2: repeated wrap source 0/ 1$"):

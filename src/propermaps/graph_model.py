@@ -65,6 +65,8 @@ class UnfoldingAutomaton:
         return s
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, UnfoldingAutomaton)
             and self.root == other.root

@@ -12,7 +12,7 @@ import functools
 import itertools
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -313,17 +313,33 @@ def ffs_of_interval(a: UnfoldingAutomaton, cover: IntervalCover, J: tuple[int, i
     comps: dict[Path, list[str]] = {}
     for v, k in t.loop_edges[first:last]:
         comps.setdefault(v[:lo], []).append(t.loop_name[(v, k)])
-    graphs = [st.LabeledGraph.rose(sorted(lids)) for _, lids in sorted(comps.items())]
-    return st.FreeFactorSystem.from_graphs(graphs)
+    return _keyed_system(st.LabeledGraph.rose(sorted(lids)) for _, lids in sorted(comps.items()))
+
+
+def _keyed_system(graphs: Iterable[st.LabeledGraph]) -> st.FreeFactorSystem:
+    """``FreeFactorSystem.from_graphs`` that keeps the keys it sorts by."""
+    pieces = [(c.canonical_key(), c) for g in graphs for c in st._core_pieces(g)]
+    pieces.sort(key=lambda piece: piece[0])  # stable, as in from_graphs
+    return st.FreeFactorSystem._keyed(pieces)
 
 
 def f_prime(ffs_J: st.FreeFactorSystem, action: FiniteGroupAction) -> st.FreeFactorSystem:
-    """Intersection of all pushforwards h_*(F(J)); a finite intersection."""
-    out = ffs_J
+    """Intersection of all pushforwards h_*(F(J)); a finite intersection.
+
+    A pushforward equal to the running system F is not intersected:
+    F ∧ F = F for a free factor system, since its components are malnormal
+    free factors no two of which meet up to conjugacy, so the pullback of
+    two components is the diagonal copy of one when they are conjugate and
+    contractible otherwise.  The pushforwards, the intersections and the
+    result carry their keys.
+    """
+    out = st.FreeFactorSystem._keyed(list(zip(ffs_J.keys(), ffs_J.components)))
     for g in action.group.elements:
         if g == action.group.identity:
             continue
-        out = st.intersect_ffs(out, st.apply_automorphism(action.outer(g), ffs_J))
+        pushed = st.apply_automorphism(action.outer(g), ffs_J)
+        if pushed.keys() != out.keys():
+            out = _keyed_system(st.pullback(c1, c2) for c1 in out.components for c2 in pushed.components)
     return out
 
 
@@ -345,11 +361,11 @@ def f_star(
         fplus = ffs_of_interval(a, cover, cover.plus(J), depth)
         fp = f_prime(result, action)
         keep = []
-        for comp in fp.components:
+        for key, comp in zip(fp.keys(), fp.components):
             target = st.FreeFactorSystem((comp,))
             if any(st.contained_in(st.FreeFactorSystem((b,)), target) for b in fminus.components):
-                keep.append(comp)
-        result = st.FreeFactorSystem(tuple(keep))
+                keep.append((key, comp))
+        result = st.FreeFactorSystem._keyed(keep)
         if not st.contained_in(fminus, result) or not st.contained_in(result, fplus):
             raise InvarianceFailedError("sandwich F(J-) < F*(J) < F(J+) fails")
         if J[1] - J[0] < 8:
@@ -369,7 +385,10 @@ class TreeOfGroups:
     """Vertices at integer heights, edges between consecutive heights.
 
     Vertex and edge groups are basepoint-free core graphs over the ambient
-    loop alphabet (conjugacy classes of free factors).
+    loop alphabet (conjugacy classes of free factors).  Their canonical keys
+    are carried by name: ``build_tree_of_groups``, ``fold_ia`` and
+    ``pull_iia`` set each key with its group, and ``keys`` computes only the
+    keys of groups given without one.
     """
 
     kind: str
@@ -377,6 +396,8 @@ class TreeOfGroups:
     vertex_heights: dict[str, int]
     edge_groups: dict[str, st.LabeledGraph]
     edge_ends: dict[str, tuple[str, str]]  # (low vertex, high vertex)
+    vertex_keys: dict[str, tuple] = field(default_factory=dict)
+    edge_keys: dict[str, tuple] = field(default_factory=dict)
 
     def copy(self) -> "TreeOfGroups":
         return TreeOfGroups(
@@ -385,6 +406,8 @@ class TreeOfGroups:
             dict(self.vertex_heights),
             dict(self.edge_groups),
             dict(self.edge_ends),
+            dict(self.vertex_keys),
+            dict(self.edge_keys),
         )
 
     def rank(self) -> int:
@@ -425,10 +448,13 @@ class TreeOfGroups:
                         "every height-(n+1) vertex must meet exactly one height-n vertex"
                     )
 
-    def keys(self):
-        vk = {v: g.canonical_key() for v, g in self.vertex_groups.items()}
-        ek = {e: g.canonical_key() for e, g in self.edge_groups.items()}
-        return vk, ek
+    def keys(self) -> tuple[dict[str, tuple], dict[str, tuple]]:
+        """The carried vertex and edge keys by name; callers must not mutate them."""
+        for groups, keys in ((self.vertex_groups, self.vertex_keys), (self.edge_groups, self.edge_keys)):
+            for name, g in groups.items():
+                if name not in keys:
+                    keys[name] = g.canonical_key()
+        return self.vertex_keys, self.edge_keys
 
 
 def _single(comp: st.LabeledGraph) -> st.FreeFactorSystem:
@@ -453,21 +479,24 @@ def build_tree_of_groups(
 
     vg: dict[str, st.LabeledGraph] = {}
     vh: dict[str, int] = {}
+    vk: dict[str, tuple] = {}
     by_height: list[list[str]] = []
     for n, J in enumerate(cover.intervals):
         sysn = system(J)
         names = []
-        for i, comp in enumerate(sysn.components):
+        for i, (key, comp) in enumerate(zip(sysn.keys(), sysn.components)):
             name = f"v{n}_{i}"
             vg[name] = comp
             vh[name] = n
+            vk[name] = key
             names.append(name)
         by_height.append(names)
     eg: dict[str, st.LabeledGraph] = {}
     ee: dict[str, tuple[str, str]] = {}
+    ek: dict[str, tuple] = {}
     for n in range(len(cover.intervals) - 1):
         sysedge = system(cover.overlap(n))
-        for i, comp in enumerate(sysedge.components):
+        for i, (key, comp) in enumerate(zip(sysedge.keys(), sysedge.components)):
             lows = [v for v in by_height[n] if st.contained_in(_single(comp), _single(vg[v]))]
             highs = [v for v in by_height[n + 1] if st.contained_in(_single(comp), _single(vg[v]))]
             if len(lows) != 1 or len(highs) != 1:
@@ -477,22 +506,24 @@ def build_tree_of_groups(
             name = f"e{n}_{i}"
             eg[name] = comp
             ee[name] = (lows[0], highs[0])
-    t = TreeOfGroups(kind, vg, vh, eg, ee)
+            ek[name] = key
+    t = TreeOfGroups(kind, vg, vh, eg, ee, vk, ek)
     t.check_tree_axioms()
     return t
 
 
-def _join(*graphs: st.LabeledGraph) -> st.LabeledGraph:
-    """Subgroup join of conjugacy-class components inside the ambient group."""
+def _join(*graphs: st.LabeledGraph) -> tuple[tuple, st.LabeledGraph]:
+    """Subgroup join of conjugacy-class components inside the ambient
+    group, with its canonical key."""
     ws: list[Word] = []
     for g in graphs:
         base = min(g.vertices)
         _, petals = g.petals(base)
         ws.extend(word for _, _, word in petals)
-    sys = st.FreeFactorSystem.from_graphs([st.LabeledGraph.from_words(ws)])
+    sys = _keyed_system([st.LabeledGraph.from_words(ws)])
     if len(sys.components) != 1:
         raise IllegalMoveError("join of groups is not a single factor")
-    return sys.components[0]
+    return sys.keys()[0], sys.components[0]
 
 
 def fold_ia(t: TreeOfGroups, e1: str, e2: str) -> TreeOfGroups:
@@ -505,16 +536,16 @@ def fold_ia(t: TreeOfGroups, e1: str, e2: str) -> TreeOfGroups:
         raise IllegalMoveError("edges must share their initial vertex")
     before = t.rank()
     out = t.copy()
-    new_edge_group = _join(t.edge_groups[e1], t.edge_groups[e2])
+    out.edge_keys[e1], out.edge_groups[e1] = _join(t.edge_groups[e1], t.edge_groups[e2])
     if hi1 != hi2:
-        new_vertex_group = _join(t.vertex_groups[hi1], t.vertex_groups[hi2])
-        out.vertex_groups[hi1] = new_vertex_group
+        out.vertex_keys[hi1], out.vertex_groups[hi1] = _join(t.vertex_groups[hi1], t.vertex_groups[hi2])
         del out.vertex_groups[hi2]
+        out.vertex_keys.pop(hi2, None)
         del out.vertex_heights[hi2]
         for e, (lo, hi) in list(out.edge_ends.items()):
             out.edge_ends[e] = (lo1 if lo == hi2 else lo, hi1 if hi == hi2 else hi)
-    out.edge_groups[e1] = new_edge_group
     del out.edge_groups[e2]
+    out.edge_keys.pop(e2, None)
     del out.edge_ends[e2]
     if out.rank() != before:
         raise IllegalMoveError("Move IA changed the first Betti number")
@@ -531,8 +562,8 @@ def pull_iia(t: TreeOfGroups, vertex: str, edge: str, subgroup: st.FreeFactorSys
     far = hi if vertex == lo else lo
     before = t.rank()
     out = t.copy()
-    out.edge_groups[edge] = _join(t.edge_groups[edge], *subgroup.components)
-    out.vertex_groups[far] = _join(t.vertex_groups[far], *subgroup.components)
+    out.edge_keys[edge], out.edge_groups[edge] = _join(t.edge_groups[edge], *subgroup.components)
+    out.vertex_keys[far], out.vertex_groups[far] = _join(t.vertex_groups[far], *subgroup.components)
     if out.rank() != before:
         raise IllegalMoveError("Move IIA changed the first Betti number")
     return out
@@ -599,10 +630,11 @@ def fold_to_t(tstar: TreeOfGroups, t: TreeOfGroups, max_rounds: int = 8) -> list
     # phase 2: IIA promotion of edge groups by pulls from both endpoints
     for _ in range(max_rounds):
         pending = []
+        _, edge_keys = cur.keys()
         for e, (lo, hi) in sorted(cur.edge_ends.items()):
             img = t_edge_of(cur.edge_groups[e], cur.vertex_heights[lo])
             target_group = t.edge_groups[img]
-            if cur.edge_groups[e].canonical_key() == t_edge_keys[img]:
+            if edge_keys[e] == t_edge_keys[img]:
                 continue
             for w in (lo, hi):
                 inter = st.intersect_ffs(_single(cur.vertex_groups[w]), _single(target_group))
@@ -623,8 +655,8 @@ def fold_to_t(tstar: TreeOfGroups, t: TreeOfGroups, max_rounds: int = 8) -> list
         for e, (lo, hi) in sorted(cur.edge_ends.items()):
             for w, far in ((lo, hi), (hi, lo)):
                 sub = st.FreeFactorSystem((cur.edge_groups[e],))
-                joined = _join(cur.vertex_groups[far], *sub.components)
-                if joined.canonical_key() != vertex_keys[far]:
+                joined_key, _ = _join(cur.vertex_groups[far], *sub.components)
+                if joined_key != vertex_keys[far]:
                     pending.append(("IIA", w, e, sub))
         if not pending:
             break
@@ -1026,9 +1058,9 @@ def _embedded_classes_match(piece: RelativePiece, marked: MarkedGraph, emb: Embe
         edge_set = {emb.emap[e][0] for e in range(len(piece.graph.edges)) if set(piece.graph.edges[e]) <= comp}
         vset = {emb.vmap[v] for v in comp}
         got = _subgraph_class_words(marked, vset, edge_set)
-        lhs = st.FreeFactorSystem.from_graphs([st.LabeledGraph.from_words(got)])
-        rhs = st.FreeFactorSystem.from_graphs([st.LabeledGraph.from_words(list(words))])
-        if lhs != rhs:
+        lhs = _keyed_system([st.LabeledGraph.from_words(got)])
+        rhs = _keyed_system([st.LabeledGraph.from_words(list(words))])
+        if lhs.keys() != rhs.keys():
             return False
     return True
 
@@ -1103,12 +1135,13 @@ def _aligned_marking(piece: RelativePiece, g: SymGraph, emb: Embedding, basis) -
 
 
 def _read_off_images(
-    base: tuple, basis: Sequence[str], marks: Sequence[MarkedGraph], target: st.FreeGroupAutomorphism
+    base: tuple, marks: Sequence[MarkedGraph], target: st.FreeGroupAutomorphism, induces
 ) -> list[GraphAutomorphism]:
     """The images on the wedge of a generator that acts by ``base`` (vertex
     permutation, edge map of the old edges) and by a signed permutation of
     the fresh petals after them, and that induce ``target`` under one of
-    ``marks`` (each a signed permutation of the basis on the wedge).
+    ``marks`` (each a signed permutation of the basis on the wedge);
+    ``induces(i, alpha)`` says whether alpha does so under marks[i].
 
     Such an image sends fresh petal letter x_j to a conjugate of x_π(j)^±1 in
     the petal basis, and it induces the target under a marking ν only if
@@ -1139,13 +1172,39 @@ def _read_off_images(
         GraphAutomorphism(vperm, base_emap + tuple((len(base_emap) + p, f) for p, f in zip(perm, flips)))
         for perm, flips in sorted(read)
     )
-    return [img for img in images if any(_induces(m, basis, img, target) for m in marks)]
+    return [img for img in images if any(induces(i, img) for i in range(len(marks)))]
 
 
-def _induces(marked: MarkedGraph, basis: Sequence[str], alpha: GraphAutomorphism, target: st.FreeGroupAutomorphism) -> bool:
+def _induces(
+    marked: MarkedGraph,
+    basis: Sequence[str],
+    alpha: GraphAutomorphism,
+    target: st.FreeGroupAutomorphism,
+    nu: st.FreeGroupAutomorphism | None = None,
+) -> bool:
     """Whether alpha induces the target under the marking ν of ``marked``,
-    ν∘ρ∘ν⁻¹ ≃ T, read as ν∘ρ ≃ T∘ν: ν is a basis, so no ν⁻¹ is needed."""
-    return st.outer_equal(marked.outer(basis, alpha), target.compose(marked.outer(basis)))
+    ν∘ρ∘ν⁻¹ ≃ T, read as ν∘ρ ≃ T∘ν: ν is a basis, so no ν⁻¹ is needed.
+    ``nu``, when given, is ``marked.outer(basis)``."""
+    nu = marked.outer(basis) if nu is None else nu
+    return st.outer_equal(marked.outer(basis, alpha), target.compose(nu))
+
+
+def _verdicts(marks: Sequence[MarkedGraph], basis: Sequence[str], targets: Mapping[str, st.FreeGroupAutomorphism]):
+    """``induces(h, i, alpha)``: whether alpha induces targets[h] under
+    marks[i].  Each marking's ν is read once and each verdict computed once,
+    so the wedge search's read-off and its verification share them."""
+    nus: dict[int, st.FreeGroupAutomorphism] = {}
+    memo: dict[tuple, bool] = {}
+
+    def induces(h: str, i: int, alpha: GraphAutomorphism) -> bool:
+        key = (h, i, alpha)
+        if key not in memo:
+            if i not in nus:
+                nus[i] = marks[i].outer(basis)
+            memo[key] = _induces(marks[i], basis, alpha, targets[h], nus[i])
+        return memo[key]
+
+    return induces
 
 
 def realize_relative(
@@ -1191,15 +1250,18 @@ def realize_relative(
                         words.append(cand)
         return [MarkedGraph.on_petals(g, pw) for pw in words]
 
-    def verify(g, act, emb, marks=None) -> MarkedGraph | None:
+    def verify(g, act, emb, marks=None, induces=None) -> MarkedGraph | None:
         """The first marking under which act induces every target and the
         piece's factors embed as prescribed, or None."""
         if absolute and len({(a.vperm, a.emap) for a in act.values()}) != len(group.elements):
             return None  # not faithful
         if not _apply_embedding_action_check(piece, g, act, emb, group.elements):
             return None
-        for m in markings(g, emb) if marks is None else marks:
-            if all(_induces(m, basis, act[h], targets[h]) for h in group.elements):
+        if marks is None:
+            marks = markings(g, emb)
+            induces = _verdicts(marks, basis, targets)
+        for i, m in enumerate(marks):
+            if all(induces(h, i, act[h]) for h in group.elements):
                 if _embedded_classes_match(piece, m, emb):
                     return m
         return None
@@ -1212,13 +1274,14 @@ def realize_relative(
         g, emb, bases = wedge
         # g and emb are fixed for the whole wedge search: mark once
         marks = markings(g, emb)
+        induces = _verdicts(marks, basis, targets)
         expr = _element_expressions(group, list(bases))
-        per_gen = [_read_off_images(bases[s], basis, marks, targets[s]) for s in bases]
+        per_gen = [_read_off_images(bases[s], marks, targets[s], functools.partial(induces, s)) for s in bases]
         for images in itertools.product(*per_gen):
             act = _extend_to_action(group, expr, g, dict(zip(bases, images)))
             if act is None:
                 continue
-            marked = verify(g, act, emb, marks)
+            marked = verify(g, act, emb, marks, induces)
             if marked is not None:
                 return realized(act, emb, marked)
 
@@ -1348,34 +1411,41 @@ class CoreRealization:
 
 
 def _tog_action(ts: TreeOfGroups, action: FiniteGroupAction) -> dict[str, dict[str, str]]:
-    """Permutation of T* vertices and edges induced by each group element."""
+    """Permutation of T* vertices and edges induced by each group element.
+
+    A vertex goes to the vertex of its height whose key its pushforward
+    has, an edge to the edge of that key at the image of its low vertex;
+    the carried keys are indexed once, so each lookup is one probe.
+    """
     out: dict[str, dict[str, str]] = {}
     vkeys, ekeys = ts.keys()
+    vertices_at: dict[tuple, list[str]] = {}
+    for v in ts.vertex_groups:
+        vertices_at.setdefault((ts.vertex_heights[v], vkeys[v]), []).append(v)
+    edges_at: dict[tuple, list[str]] = {}
+    for e in ts.edge_groups:
+        edges_at.setdefault((ts.edge_ends[e][0], ekeys[e]), []).append(e)
     for h in action.group.elements:
         phi = action.outer(h)
         m: dict[str, str] = {}
         for v, g in ts.vertex_groups.items():
-            pushed = st.apply_automorphism(phi, _single(g)).keys()
-            key = pushed[0] if len(pushed) == 1 else None
-            hits = [v2 for v2 in ts.vertex_groups if ts.vertex_heights[v2] == ts.vertex_heights[v] and vkeys[v2] == key]
+            hits = vertices_at.get((ts.vertex_heights[v], _pushed_key(phi, g)), [])
             if len(hits) != 1:
                 raise InvarianceFailedError(f"element {h} does not permute the T* vertices")
             m[v] = hits[0]
         for e, g in ts.edge_groups.items():
-            pushed = st.apply_automorphism(phi, _single(g)).keys()
-            key = pushed[0] if len(pushed) == 1 else None
-            lo = ts.edge_ends[e][0]
-            hits = [
-                e2
-                for e2 in ts.edge_groups
-                if ts.vertex_heights[ts.edge_ends[e2][0]] == ts.vertex_heights[lo] and ekeys[e2] == key
-                and ts.edge_ends[e2][0] == m[lo]
-            ]
+            hits = edges_at.get((m[ts.edge_ends[e][0]], _pushed_key(phi, g)), [])
             if len(hits) != 1:
                 raise InvarianceFailedError(f"element {h} does not permute the T* edges")
             m[e] = hits[0]
         out[h] = m
     return out
+
+
+def _pushed_key(phi: st.FreeGroupAutomorphism, g: st.LabeledGraph) -> tuple | None:
+    """The key of phi_*(g) when it is one factor, else None."""
+    pushed = st.apply_automorphism(phi, _single(g)).keys()
+    return pushed[0] if len(pushed) == 1 else None
 
 
 def _orbits(names: Iterable[str], taus: dict[str, dict[str, str]], group: FiniteGroup):

@@ -18,6 +18,15 @@ from tests.test_classification_fuzz import handcrafted, random_automaton
 # -- reference implementations ------------------------------------------------------------
 
 
+def ref_automaton_eq(self, other):
+    return (
+        isinstance(other, UnfoldingAutomaton)
+        and self.root == other.root
+        and dict(self.children) == dict(other.children)
+        and {s: self.loops[s] for s in self.children} == {s: other.loops[s] for s in other.children}
+    )
+
+
 def ref_loop_reaching_states(a: UnfoldingAutomaton) -> frozenset[str]:
     """States from which some loop-bearing state is reachable."""
     reach = {s for s in a.children if a.loops[s] > 0}
@@ -357,3 +366,17 @@ def test_analyses_are_computed_once_per_automaton(monkeypatch):
     n = len(calls)
     assert all(x is y for x, y in zip(first, analyses()))
     assert len(calls) == n
+
+
+def test_equality_matches_the_copying_reference():
+    """``==`` answers as the old dict-copying comparison does: on the same
+    object, on an equal automaton built afresh, on its neighbours in the
+    corpus and on non-automata."""
+    corpus = _corpus()
+    for a, b in zip(corpus, corpus[1:] + corpus[:1]):
+        twin = UnfoldingAutomaton.make(a.root, a.children, a.loops)
+        assert twin is not a
+        for x, y in ((a, a), (a, twin), (twin, a), (a, b), (b, a)):
+            assert (x == y) is ref_automaton_eq(x, y)
+        assert (a == twin) and not (a == gm.format_automaton(a))
+    assert sum(ref_automaton_eq(a, b) for a, b in zip(corpus, corpus[1:])) < len(corpus) - 1

@@ -561,8 +561,9 @@ def test_core_ops_match_the_reference_search_and_certification(slot, tmp_path, m
         calls["search"] += 1
         return out
 
-    def checked_read_off(base, basis, marks, target):
-        out = read_off(base, basis, marks, target)
+    def checked_read_off(base, marks, target, induces):
+        out = read_off(base, marks, target, induces)
+        basis = target.basis
         assert all(_is_signed_permutation(m.read(), basis) for m in marks)
         g = marks[0].graph
         ref_marks = [RefMarking.make(m.read(), basis) for m in marks]

@@ -649,7 +649,8 @@ def _assert_read_off_matches_reference(calls):
     rose search reads, if any: the blind enumeration of k!·2^k images would
     not end on the rank-8 roses of the order-8 case."""
     assert calls and any(out for _, out in calls), "no image was read off"
-    for (base, basis, marks, target), out in calls:
+    for (base, marks, target, _), out in calls:
+        basis = target.basis
         g = marks[0].graph
         if not base[1]:
             assert [m.read() for m in marks] == [tuple(W.gen(x) for x in basis)]

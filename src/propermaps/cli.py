@@ -143,6 +143,11 @@ def _rational(text: str | None) -> Fraction | None:
 
 
 def cmd_realize(args) -> int:
+    report = _base_report(f"realize-{args.kind}")
+    if args.eps_base is not None and args.kind != "tree":
+        report.update({"stage": "input", "error": f"--eps-base applies to realize tree only, not {args.kind}"})
+        _emit(report, args.out, "realize")
+        return EXIT_PARSE
     try:
         a = gm.parse_automaton(FsPath(args.graph).read_text())
         base = FsPath(args.action).parent
@@ -155,7 +160,6 @@ def cmd_realize(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     _write_truncation(args.out, a, action.depth)
-    report = _base_report(f"realize-{args.kind}")
     levels = {} if args.depth is None else {"levels": args.depth}  # absent: the pipeline's default
     try:
         if args.kind == "tree":
@@ -233,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph")
     sp.add_argument("action")
     sp.add_argument("--depth", type=int, default=None, help="telescope levels")
-    sp.add_argument("--eps-base", default=None, help="base of the epsilon schedule (rational)")
+    sp.add_argument("--eps-base", default=None, help="base of the epsilon schedule (rational; tree only)")
     sp.add_argument("--max-edges", type=int, default=6, help="edge bound for realization searches")
     sp.add_argument("--rank-bound", type=int, default=3, help="rank bound for exhaustive searches")
     common(sp)

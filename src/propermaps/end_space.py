@@ -1,14 +1,15 @@
-"""Clopen-set algebra on end spaces: metrics, partitions, telescopes.
+"""Clopen-set algebra on end spaces: partitions, telescopes.
 
 Ends of an automaton-generated graph are infinite child-index paths; a
 depth-D cylinder is a live depth-D vertex, standing for the clopen set of
-ends through it.  All distances are exact rationals (ties against epsilon
-matter, the joining relation is strictly `< eps`).
+ends through it.  The metric is the 2^-prefix ultrametric, and epsilon is an
+exact rational (ties against it matter, the joining relation is strictly
+`< eps`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -93,14 +94,13 @@ class Partition:
     automaton: UnfoldingAutomaton
     depth: int
     blocks: tuple[ClopenSet, ...]
-    level: int | None = None
     cells: tuple[frozenset[Path], ...] = field(kw_only=True, compare=False, repr=False)
     index: Mapping[Path, int] = field(kw_only=True, compare=False, repr=False)
     listed: Mapping[Path, int] = field(kw_only=True, compare=False, repr=False)
     meeting: dict[Path, frozenset[int]] = field(kw_only=True, compare=False, repr=False)
 
     @classmethod
-    def make(cls, a: UnfoldingAutomaton, depth: int, blocks: Iterable[ClopenSet], level: int | None = None) -> "Partition":
+    def make(cls, a: UnfoldingAutomaton, depth: int, blocks: Iterable[ClopenSet]) -> "Partition":
         blocks = tuple(sorted(blocks, key=lambda b: b.min_cylinder()))
         cells = tuple(expand_to_depth(a, b.cylinders, depth) for b in blocks)
         index = {c: i for i, cell in enumerate(cells) for c in cell}
@@ -111,14 +111,11 @@ class Partition:
         listed = {u: i for i, b in reversed(tuple(enumerate(blocks))) for u in b.cylinders}
         state, live = unfold(a, depth).state, live_states(a)
         meeting = {u: frozenset((i,)) for u, i in listed.items() if state[u] in live}
-        return cls(a, depth, blocks, level, cells=cells, index=index, listed=listed, meeting=meeting)
+        return cls(a, depth, blocks, cells=cells, index=index, listed=listed, meeting=meeting)
 
     @classmethod
-    def trivial(cls, a: UnfoldingAutomaton, depth: int, level: int | None = 0) -> "Partition":
-        return cls.make(a, depth, [ClopenSet.make([()], 0)], level)
-
-    def with_level(self, n: int) -> "Partition":
-        return self if self.level == n else replace(self, level=n)
+    def trivial(cls, a: UnfoldingAutomaton, depth: int) -> "Partition":
+        return cls.make(a, depth, [ClopenSet.make([()], 0)])
 
     def block_of(self, cyl: Path) -> int:
         """The lowest-index block listing cyl or one of its ancestors."""
@@ -158,24 +155,7 @@ class Partition:
         return out
 
 
-# -- metrics -----------------------------------------------------------------
-
-
-class EndMetric:
-    """The 2^-prefix ultrametric on depth-D cylinders, exact."""
-
-    def __init__(self, automaton: UnfoldingAutomaton, depth: int):
-        self.automaton = automaton
-        self.depth = depth
-
-    @classmethod
-    def base(cls, a: UnfoldingAutomaton, depth: int) -> "EndMetric":
-        return cls(a, depth)
-
-    def distance(self, u: Path, v: Path) -> Fraction:
-        if u == v:
-            return Fraction(0)
-        return Fraction(1, 2 ** common_prefix_len(u, v))
+# -- group actions ---------------------------------------------------------------
 
 
 class FiniteCylinderGroup:
@@ -193,7 +173,14 @@ class FiniteCylinderGroup:
         return cls(a, depth, {"e": {c: c for c in cyls}})
 
     def _validate(self) -> dict[str, tuple[dict[Path, Path], ...]]:
-        """Check the group and return each element's level maps."""
+        """Check the group and return each element's level maps.
+
+        Once these checks pass every level map is a bijection of the live depth-k prefixes:
+        closure and the identity make the elements a finite group, so each element's inverse
+        is an element whose level maps are maps, and the two compose to the identity level by
+        level.  So each element keeps common prefixes, an isometry of the 2^-prefix metric,
+        which is therefore its own average over the group.
+        """
         cyls = cylinders(self.automaton, self.depth)
         live = set(cyls)
         level_maps = {}
@@ -227,26 +214,12 @@ class FiniteCylinderGroup:
         return self.elements[name][cyl]
 
 
-def average_metric(d: EndMetric, action: FiniteCylinderGroup) -> EndMetric:
-    """Group-average d over the finite action, which is d itself.
-
-    Each element's level maps are maps (checked when the group was made) and
-    injective (checked here), so it keeps common prefixes: an isometry of d.
-    """
-    if action.automaton != d.automaton or action.depth != d.depth:
-        raise NotAnActionError("action and metric live on different cylinder sets")
-    for h in action.names():
-        for k, level in enumerate(action.level_maps[h]):
-            if len(set(level.values())) != len(level):
-                raise NotInvariantError(f"element {h} is not an isometry of the prefix metric at depth {k}")
-    return d
-
-
 # -- epsilon partitions -------------------------------------------------------
 
 
-def epsilon_partition(m: EndMetric, eps: Fraction | int, depth: int, level: int | None = None) -> Partition:
-    """Blocks are the eps-path-connected components (strict `< eps` joins).
+def epsilon_partition(a: UnfoldingAutomaton, eps: Fraction | int, depth: int) -> Partition:
+    """Blocks are the eps-path-connected components (strict `< eps` joins) of the
+    depth-D cylinders under the 2^-prefix ultrametric d(u, v) = 2^-|common prefix|.
 
     d(u, v) < eps iff u[:j] == v[:j], j the least integer with 2^-j < eps;
     that relation is transitive, so the components are the classes of c[:j],
@@ -255,11 +228,9 @@ def epsilon_partition(m: EndMetric, eps: Fraction | int, depth: int, level: int 
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if depth != m.depth:
-        raise DepthTooShallowError("averaged metrics evaluate only at their construction depth")
     j = next((k for k in range(depth) if Fraction(1, 2**k) < eps), depth)
-    blocks = [ClopenSet(frozenset((v,)), depth) for v in dict.fromkeys(c[:j] for c in cylinders(m.automaton, depth))]
-    return Partition.make(m.automaton, depth, blocks, level)
+    blocks = [ClopenSet(frozenset((v,)), depth) for v in dict.fromkeys(c[:j] for c in cylinders(a, depth))]
+    return Partition.make(a, depth, blocks)
 
 
 def _parents(fine: Partition, coarse: Partition) -> list[list[int]]:
@@ -328,7 +299,7 @@ def telescope(seq: Sequence[Partition]) -> TelescopeTree:
         raise ValueError("empty partition sequence")
     if len(seq[0].blocks) != 1:
         raise NotRefiningError("sequence must start with the trivial partition")
-    parts = tuple(p.with_level(n) for n, p in enumerate(seq))
+    parts = tuple(seq)
     edges: list[tuple[Vertex, Vertex]] = []
     for n in range(1, len(parts)):
         parents = _parents(parts[n], parts[n - 1])

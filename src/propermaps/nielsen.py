@@ -517,8 +517,7 @@ def _join(*graphs: st.LabeledGraph) -> tuple[tuple, st.LabeledGraph]:
     group, with its canonical key."""
     ws: list[Word] = []
     for g in graphs:
-        base = min(g.vertices)
-        _, petals = g.petals(base)
+        _, petals = g.petals
         ws.extend(word for _, _, word in petals)
     sys = _keyed_system([st.LabeledGraph.from_words(ws)])
     if len(sys.components) != 1:
@@ -1534,8 +1533,7 @@ def realize_core_case(
         stab = [h for h in group.elements if taus[h][w0] == w0]
         sgroup = sub_group(group, stab)
         comp = t_star.vertex_groups[w0]
-        base = min(comp.vertices)
-        _, petals = comp.petals(base)
+        _, petals = comp.petals
         marking = {name: word for _, name, word in petals}
         targets = {h: st.restriction_outer(comp, action.outer(h)) for h in sgroup.elements}
         incident = incident_at.get(w0, [])
@@ -1555,8 +1553,7 @@ def realize_core_case(
             # ambient words of this edge factor in the rep marking, pushed by the transporter
             tr = edge_orbits[edge_orbit_of[e]][e]
             ecomp0 = t_star.edge_groups[edge_orbit_of[e]]
-            eb = min(ecomp0.vertices)
-            _, epetals = ecomp0.petals(eb)
+            _, epetals = ecomp0.petals
             amb = [action.outer(tr)(word) for _, _, word in epetals]
             factor_words.append(st.rewrite_in_component(comp, amb))
         gamma0 = SymGraph(v_off, tuple(base_edges))
@@ -1927,11 +1924,7 @@ def _block_stabilizer(action: FiniteGroupAction, block_cyls: frozenset) -> list[
     return out
 
 
-def good_filter(
-    partitions: Sequence[es.Partition],
-    action: FiniteGroupAction,
-    exhaustion_depths: Sequence[int] | None = None,
-) -> GoodCover:
+def good_filter(partitions: Sequence[es.Partition], action: FiniteGroupAction) -> GoodCover:
     """Select good orbits of partition elements, with attachment points.
 
     An element is good when it sits in DX over a single attachment point,
@@ -1947,8 +1940,6 @@ def good_filter(
     live = live_states(a)
     frontier = unfold(a, depth).frontier
     corev = core_vertices(a, depth)
-    if exhaustion_depths is None:
-        exhaustion_depths = list(range(depth + 1))
 
     good_orbits_per_level: list[list[frozenset]] = [[]]
     selected: list[tuple[int, frozenset]] = []  # (level, cell) of each selected good element
@@ -1988,15 +1979,13 @@ def good_filter(
                 if pt[0] != "vertex":
                     return False
                 fixed = pt[1]
-                # exhaustion locality: attachment outside K_{i+1} forces the
-                # fixed point into the same component of core minus K_i
-                for i in range(len(exhaustion_depths) - 1):
-                    ki1 = exhaustion_depths[i + 1]
-                    ki = exhaustion_depths[i]
-                    if len(att) > ki1:
-                        if len(fixed) <= ki:
+                # exhaustion locality, K_k the depth-k ball: attachment outside
+                # K_{k+1} forces the fixed point into the same component of core minus K_k
+                for k in range(depth):
+                    if len(att) > k + 1:
+                        if len(fixed) <= k:
                             return False
-                        if fixed[: ki + 1] != att[: ki + 1]:
+                        if fixed[: k + 1] != att[: k + 1]:
                             return False
                 rho[(n, bc)] = fixed
                 return True
@@ -2026,14 +2015,12 @@ def good_filter(
 # -- tree pipeline --------------------------------------------------------------------
 
 
-def _epsilon_sequence(avg: es.EndMetric, eps0: Fraction, levels: int) -> list[es.Partition]:
+def _epsilon_sequence(a: UnfoldingAutomaton, depth: int, eps0: Fraction, levels: int) -> list[es.Partition]:
     """The trivial partition, then the epsilon-partitions at eps0^(1-n) for n = 1..levels."""
     if levels < 0:
         raise ValueError(f"levels must be nonnegative, got {levels}")
-    a, depth = avg.automaton, avg.depth
-    seq = [es.Partition.trivial(a, depth, level=0)]
-    seq += [es.epsilon_partition(avg, eps0 ** (1 - n), depth, level=n) for n in range(1, levels + 1)]
-    return seq
+    seq = [es.Partition.trivial(a, depth)]
+    return seq + [es.epsilon_partition(a, eps0 ** (1 - n), depth) for n in range(1, levels + 1)]
 
 
 @dataclass
@@ -2050,14 +2037,16 @@ def realize_tree_case(
     levels: int = 4,
     eps_base=None,
 ) -> TreeRealization:
-    """Invariant metric, refining partitions, mapping telescope, action."""
+    """Refining partitions of the prefix metric (invariant, see ``FiniteCylinderGroup``),
+    mapping telescope, action."""
     if genus(a) != 0:
         raise ValueError("tree pipeline needs a loop-free ambient graph")
-    avg = es.average_metric(es.EndMetric.base(a, action.depth), action)
+    if action.automaton != a:
+        raise es.NotAnActionError("action and automaton live on different cylinder sets")
     eps0 = Fraction(2) if eps_base is None else Fraction(eps_base)
     if eps0 <= 0:
         raise ValueError(f"eps base must be positive, got {eps0}")
-    tele = es.telescope(_epsilon_sequence(avg, eps0, levels))
+    tele = es.telescope(_epsilon_sequence(a, action.depth, eps0, levels))
     tact = es.induced_telescope_action(tele, action)
     bnd = es.boundary_map(tele)
     bnd.check_equivariant(action, tact)
@@ -2123,7 +2112,8 @@ def realize_general_case(
         return realize_core_case(action, e_max=e_max, rank_bound=rank_bound)
     _check_core_simplicial(action)
     depth = action.depth
-    seq = _epsilon_sequence(es.average_metric(es.EndMetric.base(a, depth), action.end_group()), Fraction(2), levels)
+    action.end_group()  # validates the end action
+    seq = _epsilon_sequence(a, depth, Fraction(2), levels)
     cover = good_filter(seq, action)
 
     corev = sorted(core_vertices(a, depth))
@@ -2193,15 +2183,6 @@ def realize_general_case(
             pair = (alpha.vperm[u], alpha.vperm[v])
             if pair != ((iu, iv) if not fl else (iv, iu)):
                 raise FinalCheckFailedError(f"element {h} is not simplicial on the realized graph")
-
-    # boundary equivariance: the leaf blocks correspond to end cylinders
-    for h in action.group.elements:
-        f = action.reps[h]
-        for (lev, cyl), idx in tindex.items():
-            img_idx = y_action[h].apply_vertex(idx)
-            expect = tindex[(lev, frozenset(f.end_action[c] for c in cyl))]
-            if img_idx != expect:
-                raise FinalCheckFailedError("boundary correspondence is not equivariant")
 
     report = {
         "core_vertices": len(corev),

@@ -378,19 +378,15 @@ class LabeledGraph:
         down = to_base(dst)
         return W.reduce_word(up + [(g, -s) for g, s in reversed(down)])
 
-    def petals(self, base: int):
-        """Non-tree edges with their ambient petal words.
+    @cached_property
+    def petals(self):
+        """Non-tree edges with their ambient petal words, based at min(vertices).
 
-        Returns (tree, [(edge, name, ambient_word), ...]) with deterministic
-        petal names p0, p1, ...  Computed once per base and kept in the
-        instance ``__dict__`` (as ``_index`` is); callers must not mutate it.
+        (tree, [(edge, name, ambient_word), ...]) with deterministic petal
+        names p0, p1, ...  Computed once and kept in the instance ``__dict__``
+        (as ``_index`` is); callers must not mutate it.
         """
-        memo = self.__dict__.setdefault("_petals", {})
-        if base not in memo:
-            memo[base] = self._petals_at(base)
-        return memo[base]
-
-    def _petals_at(self, base: int):
+        base = min(self.vertices)
         tree = self.spanning_tree(base)
         tree_edges = set()
         for v, (p, l, s, _) in tree.items():
@@ -867,7 +863,7 @@ def apply_automorphism(phi: FreeGroupAutomorphism, f: FreeFactorSystem) -> FreeF
 
 def _push_component(phi: FreeGroupAutomorphism, comp: LabeledGraph) -> tuple[tuple[tuple, LabeledGraph], ...]:
     """(key, piece) for each core piece of phi_*(comp), in ``from_graphs`` order."""
-    _, petals = comp.petals(min(comp.vertices))
+    _, petals = comp.petals
     image = LabeledGraph.from_words([phi(word) for _, _, word in petals])
     return tuple((c.canonical_key(), c) for c in _core_pieces(image))
 
@@ -903,7 +899,7 @@ def rewrite_in_component(comp: LabeledGraph, words: Sequence[Word], onto: bool =
     if morph is None:
         raise ValueError("the subgroup core does not " + ("map onto" if onto else "immerse into") + " the component")
     base = min(comp.vertices)
-    tree, petals = comp.petals(base)
+    tree, petals = comp.petals
     petal_of = {e: name for e, name, _ in petals}
     q = comp.tree_path_word(tree, base, morph[v])
     _, out, inn, _ = comp._index
@@ -937,7 +933,7 @@ def restriction_outer(comp: LabeledGraph, phi: FreeGroupAutomorphism) -> FreeGro
     result is an automorphism of the free group on the component's petal
     basis p0, p1, ..., well defined up to inner.
     """
-    _, petals = comp.petals(min(comp.vertices))
+    _, petals = comp.petals
     names = tuple(name for _, name, _ in petals)
     images = rewrite_in_component(comp, [phi(word) for _, _, word in petals], onto=True)
     return FreeGroupAutomorphism(names, dict(zip(names, images)))
@@ -973,7 +969,6 @@ def parse_ffs_file(text: str) -> FreeFactorSystem:
 def format_ffs(f: FreeFactorSystem) -> str:
     parts = []
     for comp in f.components:
-        base = min(comp.vertices)
-        _, petals = comp.petals(base)
+        _, petals = comp.petals
         parts.append("\n".join(W.word_to_str(word) for _, _, word in petals))
     return "\n---\n".join(parts) + ("\n" if parts else "")

@@ -208,6 +208,25 @@ def test_realize_tree_nonpositive_eps_base_is_input_error(tmp_path, capsys, base
     assert rep["stage"] == "input" and rep["error"].startswith("eps base must be positive")
 
 
+def test_eps_base_is_refused_outside_the_tree_pipeline(tmp_path, capsys):
+    """``general`` hands a tree to the tree pipeline at base 2 and ``core`` has no epsilon
+    schedule, so both refuse --eps-base, writing nothing but the report."""
+    g, act = _write_tree_action(tmp_path)
+    code, rep = run(capsys, "realize", "tree", str(g), str(act), "--eps-base", "3")
+    assert code == 0 and rep["block_counts"] == [1, 2, 4, 8, 8]
+    flip = tmp_path / "flip"
+    flip.mkdir()
+    for kind, (graph, action) in (("general", (g, act)), ("core", _write_flip_action(flip, 0))):
+        out = tmp_path / kind
+        code, rep = run(capsys, "realize", kind, str(graph), str(action), "--eps-base", "3", "--out", str(out))
+        assert code == 4 and rep["command"] == f"realize-{kind}" and rep["stage"] == "input"
+        assert rep["error"] == f"--eps-base applies to realize tree only, not {kind}"
+        assert [p.name for p in out.iterdir()] == ["realize.json"]
+        code, rep = run(capsys, "realize", kind, str(graph), str(action))
+        assert code == 0 and rep["stage"] == ("tree-case" if kind == "general" else "done")
+    assert rep["verdicts"] == {"e": "certified_yes", "f": "certified_yes"}
+
+
 @pytest.mark.parametrize("flag, levels", [([], 4), (["--depth", "0"], 0), (["--depth", "2"], 2)])
 def test_realize_tree_runs_the_levels_it_is_given(tmp_path, capsys, flag, levels):
     """--depth 0 is the trivial partition alone; only an absent flag means the default."""

@@ -82,8 +82,7 @@ def ref_join(*graphs: st.LabeledGraph) -> st.LabeledGraph:
     """Subgroup join of conjugacy-class components inside the ambient group."""
     ws = []
     for g in graphs:
-        base = min(g.vertices)
-        _, petals = g.petals(base)
+        _, petals = g.petals
         ws.extend(word for _, _, word in petals)
     sys = st.FreeFactorSystem.from_graphs([st.LabeledGraph.from_words(ws)])
     if len(sys.components) != 1:
@@ -592,7 +591,7 @@ def test_each_marking_is_read_once(two_loop_ray, monkeypatch):
 
 
 FIELDS = {"vertices", "edges", "basepoint"}
-LAZY = {"_index", "_petals"}  # the adjacency index and the petal memo, as before keys were carried
+LAZY = {"_index", "petals"}  # the adjacency index and the petal memo, as before keys were carried
 
 
 def test_ffs_path_carries_no_keys(tmp_path, capsys, monkeypatch):

@@ -31,27 +31,15 @@ def test_clopen_subset(cantor_tree):
 # -- metrics --------------------------------------------------------------------------
 
 
-def test_base_metric_values(cantor_tree):
-    d = es.EndMetric.base(cantor_tree, 2)
-    assert d.distance((0, 0), (0, 1)) == Fr(1, 2)
-    assert d.distance((0, 0), (1, 1)) == Fr(1)
-    assert d.distance((0, 0), (0, 0)) == 0
+def distance(u, v):
+    """The 2^-prefix ultrametric that epsilon partitions are taken in."""
+    return Fr(0) if u == v else Fr(1, 2 ** es.common_prefix_len(u, v))
 
 
-def test_average_trivial_group_is_identity(cantor_tree):
-    d = es.EndMetric.base(cantor_tree, 2)
-    grp = es.FiniteCylinderGroup.trivial(cantor_tree, 2)
-    avg = es.average_metric(d, grp)
-    for u in gm.cylinders(cantor_tree, 2):
-        for v in gm.cylinders(cantor_tree, 2):
-            if u != v:
-                assert avg.distance(u, v) == d.distance(u, v)
-
-
-def test_average_swap_example(cantor_tree):
-    d = es.EndMetric.base(cantor_tree, 2)
-    avg = es.average_metric(d, cantor_group(cantor_tree, 2))
-    assert avg.distance((0, 0), (0, 1)) == Fr(1, 2)
+def test_base_metric_values():
+    assert distance((0, 0), (0, 1)) == Fr(1, 2)
+    assert distance((0, 0), (1, 1)) == Fr(1)
+    assert distance((0, 0), (0, 0)) == 0
 
 
 def test_not_an_action(cantor_tree):
@@ -70,34 +58,25 @@ def test_not_an_action(cantor_tree):
 
 
 def test_epsilon_partition_examples(cantor_tree):
-    d = es.EndMetric.base(cantor_tree, 2)
-    huge = es.epsilon_partition(d, Fr(2), 2)
+    huge = es.epsilon_partition(cantor_tree, Fr(2), 2)
     assert len(huge.blocks) == 1
-    p03 = es.epsilon_partition(d, Fr(3, 10), 2)
+    p03 = es.epsilon_partition(cantor_tree, Fr(3, 10), 2)
     assert [sorted(cell) for cell in p03.cells] == [[(0, 0)], [(0, 1)], [(1, 0)], [(1, 1)]]
-    p06 = es.epsilon_partition(d, Fr(6, 10), 2)
+    p06 = es.epsilon_partition(cantor_tree, Fr(6, 10), 2)
     assert [sorted(cell) for cell in p06.cells] == [[(0, 0), (0, 1)], [(1, 0), (1, 1)]]
     # each block lists its one prefix
     assert [sorted(b.cylinders) for b in p06.blocks] == [[(0,)], [(1,)]]
 
 
 def test_epsilon_strictness(cantor_tree):
-    d = es.EndMetric.base(cantor_tree, 2)
     # d = 1/2 exactly: strict < means no join at eps = 1/2
-    p = es.epsilon_partition(d, Fr(1, 2), 2)
+    p = es.epsilon_partition(cantor_tree, Fr(1, 2), 2)
     assert len(p.blocks) == 4
 
 
-def test_averaged_depth_mismatch(cantor_tree):
-    d = es.average_metric(es.EndMetric.base(cantor_tree, 2), cantor_group(cantor_tree, 2))
-    with pytest.raises(es.DepthTooShallowError):
-        es.epsilon_partition(d, Fr(1, 2), 3)
-
-
 def test_refines(cantor_tree):
-    d = es.EndMetric.base(cantor_tree, 2)
-    p03 = es.epsilon_partition(d, Fr(3, 10), 2)
-    p06 = es.epsilon_partition(d, Fr(6, 10), 2)
+    p03 = es.epsilon_partition(cantor_tree, Fr(3, 10), 2)
+    p06 = es.epsilon_partition(cantor_tree, Fr(6, 10), 2)
     assert es.refines(p03, p03)
     assert es.refines(p03, p06)
     assert not es.refines(p06, p03)
@@ -118,10 +97,9 @@ def test_crossing_partitions_do_not_refine(cantor_tree):
 @settings(max_examples=20, deadline=None)
 def test_epsilon_monotone_refinement(n1, n2):
     cantor_tree = gm.UnfoldingAutomaton.make("b", {"b": ["b", "b"]}, {"b": 0})
-    d = es.EndMetric.base(cantor_tree, 3)
     e1, e2 = Fr(1, 2) ** n1, Fr(1, 2) ** n2
-    p1 = es.epsilon_partition(d, min(e1, e2), 3)
-    p2 = es.epsilon_partition(d, max(e1, e2), 3)
+    p1 = es.epsilon_partition(cantor_tree, min(e1, e2), 3)
+    p2 = es.epsilon_partition(cantor_tree, max(e1, e2), 3)
     assert es.refines(p1, p2)
 
 
@@ -135,8 +113,7 @@ def test_epsilon_monotone_refinement(n1, n2):
 )
 def test_union_find_matches_transitive_closure(children, depth, eps):
     a = gm.UnfoldingAutomaton.make(children[0], {children[0]: children}, {children[0]: 0})
-    d = es.EndMetric.base(a, depth)
-    p = es.epsilon_partition(d, eps, depth)
+    p = es.epsilon_partition(a, eps, depth)
     cyls = gm.cylinders(a, depth)
     # brute force transitive closure of the < eps relation
     blocks = {c: {c} for c in cyls}
@@ -145,7 +122,7 @@ def test_union_find_matches_transitive_closure(children, depth, eps):
         changed = False
         for u in cyls:
             for v in cyls:
-                if u != v and d.distance(u, v) < eps and blocks[u] is not blocks[v]:
+                if u != v and distance(u, v) < eps and blocks[u] is not blocks[v]:
                     merged = blocks[u] | blocks[v]
                     for x in merged:
                         blocks[x] = merged
@@ -159,10 +136,9 @@ def test_union_find_matches_transitive_closure(children, depth, eps):
 
 
 def _binary_seq(cantor_tree, depth):
-    d = es.EndMetric.base(cantor_tree, depth)
     seq = [es.Partition.trivial(cantor_tree, depth)]
     for n in range(1, depth + 1):
-        seq.append(es.epsilon_partition(d, Fr(2) ** (1 - n), depth))
+        seq.append(es.epsilon_partition(cantor_tree, Fr(2) ** (1 - n), depth))
     return seq
 
 
@@ -185,8 +161,7 @@ def test_telescope_binary_depth3(cantor_tree):
 
 
 def test_telescope_stabilizing_partition(cantor_tree):
-    d = es.EndMetric.base(cantor_tree, 3)
-    half = es.epsilon_partition(d, Fr(1), 3)
+    half = es.epsilon_partition(cantor_tree, Fr(1), 3)
     seq = [es.Partition.trivial(cantor_tree, 3), half, half, half]
     t = es.telescope(seq)
     # beyond level 1 each vertex has exactly one child: two rays
@@ -197,9 +172,8 @@ def test_telescope_stabilizing_partition(cantor_tree):
 
 
 def test_telescope_not_refining(cantor_tree):
-    d = es.EndMetric.base(cantor_tree, 2)
-    fine = es.epsilon_partition(d, Fr(1, 2), 2)
-    coarse = es.epsilon_partition(d, Fr(1), 2)
+    fine = es.epsilon_partition(cantor_tree, Fr(1, 2), 2)
+    coarse = es.epsilon_partition(cantor_tree, Fr(1), 2)
     with pytest.raises(es.NotRefiningError):
         es.telescope([es.Partition.trivial(cantor_tree, 2), fine, coarse])
     with pytest.raises(es.NotRefiningError):
@@ -230,8 +204,7 @@ def test_induced_action_trivial_on_blocks(cantor_tree):
     cyls = gm.cylinders(cantor_tree, 2)
     inner = {c: (c[0], 1 - c[1]) for c in cyls}
     grp = es.FiniteCylinderGroup(cantor_tree, 2, {"e": {c: c for c in cyls}, "w": inner})
-    d = es.EndMetric.base(cantor_tree, 2)
-    seq = [es.Partition.trivial(cantor_tree, 2), es.epsilon_partition(d, Fr(1), 2)]
+    seq = [es.Partition.trivial(cantor_tree, 2), es.epsilon_partition(cantor_tree, Fr(1), 2)]
     act = es.induced_telescope_action(es.telescope(seq), grp)
     assert all(act.apply("w", v) == v for v in es.telescope(seq).vertices())
 
@@ -254,8 +227,7 @@ def test_induced_action_not_invariant(cantor_tree):
 
 
 def test_partition_file_roundtrip(cantor_tree):
-    d = es.EndMetric.base(cantor_tree, 2)
-    p = es.epsilon_partition(d, Fr(6, 10), 2)
+    p = es.epsilon_partition(cantor_tree, Fr(6, 10), 2)
     text = es.format_partition(p)
     assert text == "block b0: 0/0,0/1\nblock b1: 1/0,1/1\n"
     p2 = es.parse_partition_file(cantor_tree, 2, text)
@@ -293,19 +265,11 @@ def _scan_block_of(p, cyl):
     raise KeyError(cyl)
 
 
-def _rotation_group(a, depth, arity):
-    cyls = gm.cylinders(a, depth)
-    return es.FiniteCylinderGroup(
-        a, depth, {f"r{k}": {c: ((c[0] + k) % arity,) + c[1:] for c in cyls} for k in range(arity)}
-    )
-
-
 @pytest.mark.parametrize("arity, depth", [(2, 4), (2, 6), (3, 3), (3, 4)])
 def test_block_of_index_matches_scan(arity, depth):
     a = gm.UnfoldingAutomaton.make("b", {"b": ["b"] * arity}, {"b": 0})
-    avg = es.average_metric(es.EndMetric.base(a, depth), _rotation_group(a, depth, arity))
     parts = [es.Partition.trivial(a, depth)]
-    parts += [es.epsilon_partition(avg, Fr(2) ** (1 - n), depth) for n in range(1, depth + 2)]
+    parts += [es.epsilon_partition(a, Fr(2) ** (1 - n), depth) for n in range(1, depth + 2)]
     queries = list(gm.unfold(a, depth + 1).vertices)
     for p in parts:
         for cyl in queries * 2:  # the second round is answered from the memo

@@ -729,9 +729,8 @@ def test_good_filter_selects_branch():
     from fractions import Fraction
 
     model, act = _swap_branch_action()
-    avg = es.average_metric(es.EndMetric.base(model, 4), act.end_group())
     seq = [es.Partition.trivial(model, 4)] + [
-        es.epsilon_partition(avg, Fraction(2) ** (1 - n), 4) for n in range(1, 4)
+        es.epsilon_partition(model, Fraction(2) ** (1 - n), 4) for n in range(1, 4)
     ]
     cover = nz.good_filter(seq, act)
     assert len(cover.blocks) >= 1

@@ -213,9 +213,6 @@ def test_partition_cells_match_expansion_and_block_of(seed):
             assert list(p.cells) == [ref_expand_to_depth(a, b.cylinders, depth) for b in p.blocks]
             assert p.index == {c: ref_block_of(p, c) for c in ref_cylinders(a, depth)}
             assert dict(p.index) == {c: p.block_of(c) for c in gm.cylinders(a, depth)}
-            moved = p.with_level(7)
-            assert moved.with_level(7) is moved
-            assert moved.level == 7 and moved.cells is p.cells and moved.index is p.index
         for p in parts:
             for q in parts:
                 assert [sorted(js) for js in es._parents(p, q)] == [sorted(js) for js in ref_parents(p, q)]

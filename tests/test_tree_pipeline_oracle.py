@@ -7,7 +7,10 @@ pairwise ``clopen_subset`` parent search of ``refines`` and ``telescope``,
 the linear image-block search of ``induced_telescope_action``, and the
 printers of partitions and telescopes.  They are slow but obviously right
 for any metric and any blocks; the prefix versions must agree with them
-exactly on tree-compatible actions.
+exactly on tree-compatible actions.  The prefix pipeline has no metric
+object and no averaging pass: its partitions are ``nielsen._epsilon_sequence``
+of the automaton, and the averaged reference metric is checked to be the
+2^-prefix metric itself.
 
 A reference block lists all of its depth-D cylinders, where an epsilon block
 lists its one prefix; so each block is compared through its cell, its live
@@ -105,7 +108,7 @@ class RefUnionFind:
             self.parent[ry] = rx
 
 
-def ref_epsilon_partition(m, eps, depth, level=None):
+def ref_epsilon_partition(m, eps, depth):
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -121,7 +124,7 @@ def ref_epsilon_partition(m, eps, depth, level=None):
     for c in cyls:
         groups.setdefault(uf.find(c), set()).add(c)
     blocks = [ClopenSet.make(g, depth) for g in groups.values()]
-    return Partition.make(m.automaton, depth, blocks, level)
+    return Partition.make(m.automaton, depth, blocks)
 
 
 def ref_clopen_subset(a, c1, c2):
@@ -143,7 +146,7 @@ def ref_telescope(seq):
         raise ValueError("empty partition sequence")
     if len(seq[0].blocks) != 1:
         raise NotRefiningError("sequence must start with the trivial partition")
-    parts = tuple(p.with_level(n) for n, p in enumerate(seq))
+    parts = tuple(seq)
     edges = []
     for n in range(1, len(parts)):
         fine, coarse = parts[n], parts[n - 1]
@@ -313,22 +316,33 @@ def _outcome(fn, *args):
         return (type(exc), str(exc))
 
 
-REFERENCE = (RefEndMetric, ref_average_metric, ref_epsilon_partition, ref_telescope, ref_induced_telescope_action)
-CURRENT = (es.EndMetric, es.average_metric, es.epsilon_partition, es.telescope, es.induced_telescope_action)
+def prefix_distance(u, v):
+    """The 2^-prefix ultrametric."""
+    return Fraction(0) if u == v else Fraction(1, 2 ** common_prefix_len(u, v))
 
 
-def _pipeline(impl, a, action, bases, levels=LEVELS):
+def _run(tele_fn, act_fn, seq, action):
+    """A partition sequence with its telescope and telescope action (or their errors)."""
+    tele = _outcome(tele_fn, seq)
+    tact = _outcome(act_fn, tele, action) if isinstance(tele, TelescopeTree) else None
+    return seq, tele, tact
+
+
+def _ref_pipeline(a, action, bases, levels=LEVELS):
     """The averaged metric, then per eps base: partition sequence, telescope, telescope action."""
-    metric, avg_fn, eps_fn, tele_fn, act_fn = impl
-    avg = avg_fn(metric.base(a, action.depth), action)
+    avg = ref_average_metric(RefEndMetric.base(a, action.depth), action)
     runs = []
     for base in bases:
-        seq = [Partition.trivial(a, action.depth, level=0)]
-        seq += [eps_fn(avg, base ** (1 - n), action.depth, n) for n in range(1, levels + 1)]
-        tele = _outcome(tele_fn, seq)
-        tact = _outcome(act_fn, tele, action) if isinstance(tele, TelescopeTree) else None
-        runs.append((seq, tele, tact))
+        seq = [Partition.trivial(a, action.depth)]
+        seq += [ref_epsilon_partition(avg, base ** (1 - n), action.depth) for n in range(1, levels + 1)]
+        runs.append(_run(ref_telescope, ref_induced_telescope_action, seq, action))
     return avg, runs
+
+
+def _pipeline(a, action, bases, levels=LEVELS):
+    """Per eps base: the prefix partition sequence, telescope, telescope action."""
+    seqs = (nz._epsilon_sequence(a, action.depth, base, levels) for base in bases)
+    return [_run(es.telescope, es.induced_telescope_action, seq, action) for seq in seqs]
 
 
 # -- tests ---------------------------------------------------------------------------------
@@ -346,18 +360,26 @@ def _assert_runs_agree(ref_runs, runs, action):
         assert tele.edges == ref_tele.edges
         assert es.telescope_to_dot(tele) == ref_telescope_to_dot(ref_tele)
         assert isinstance(tact, TelescopeAction) and tact.vertex_maps == ref_act.vertex_maps
-        es.boundary_map(tele).check_equivariant(action, tact)
+        bnd = es.boundary_map(tele)
+        assert _outcome(bnd.check_equivariant, action, tact) is None
+        assert _outcome(ref_check_equivariant, bnd, action, tact) is None
 
 
 @pytest.mark.parametrize("name, a, action", CASES, ids=[c[0] for c in CASES])
 def test_tree_pipeline_matches_pairwise_reference(name, a, action):
-    ref_avg, ref_runs = _pipeline(REFERENCE, a, action, BASES)
-    avg, runs = _pipeline(CURRENT, a, action, BASES)
+    ref_avg, ref_runs = _ref_pipeline(a, action, BASES)
     cyls = cylinders(a, action.depth)
     for i, u in enumerate(cyls):
         for v in cyls[i:]:
-            assert avg.distance(u, v) == ref_avg.distance(u, v)
-    _assert_runs_agree(ref_runs, runs, action)
+            assert ref_avg.distance(u, v) == prefix_distance(u, v)
+    _assert_runs_agree(ref_runs, _pipeline(a, action, BASES), action)
+    # the whole tree pipeline, report and DOT text included, where it applies
+    for base, (ref_seq, ref_tele, ref_act) in zip(BASES, ref_runs if gm.genus(a) == 0 else ()):
+        tr = nz.realize_tree_case(a, action, levels=LEVELS, eps_base=base)
+        assert es.telescope_to_dot(tr.telescope) == ref_telescope_to_dot(ref_tele)
+        assert tr.action.vertex_maps == ref_act.vertex_maps
+        assert tr.report["block_counts"] == [len(p.blocks) for p in ref_seq]
+        assert tr.report["vertices"] == len(ref_tele.vertices()) and tr.report["edges"] == len(ref_tele.edges)
 
 
 @pytest.mark.parametrize("name, a, action", CASES, ids=[c[0] for c in CASES])
@@ -365,6 +387,7 @@ def test_level_maps_are_the_prefix_maps(name, a, action):
     for h, perm in action.elements.items():
         naive = tuple({c[:k]: perm[c][:k] for c in perm} for k in range(action.depth + 1))
         assert action.level_maps[h] == naive
+    _assert_prefix_isometries(action)
 
 
 # eps = base^(1-n) for n = 1..5 lists prefixes of depths 1,1,1,1,1 (base 1), 1,1,2,2,3 (3/2),
@@ -372,8 +395,8 @@ def test_level_maps_are_the_prefix_maps(name, a, action):
 @pytest.mark.parametrize("base, depths", [(1, [1] * 5), (Fraction(3, 2), [1, 1, 2, 2, 3]), (3, [1, 2, 4, 5, 7]), (4, [1, 3, 5, 7, 9])])
 def test_eps_bases_that_repeat_or_skip_prefix_depths(base, depths):
     a, action = next((a, act) for name, a, act in CASES if name == "cantor-d6-0")
-    ref_avg, ref_runs = _pipeline(REFERENCE, a, action, [Fraction(base)])
-    avg, runs = _pipeline(CURRENT, a, action, [Fraction(base)])
+    _, ref_runs = _ref_pipeline(a, action, [Fraction(base)])
+    runs = _pipeline(a, action, [Fraction(base)])
     ((seq, _, _),) = runs
     assert [len(next(iter(p.blocks[0].cylinders))) for p in seq[1:]] == [min(j, action.depth) for j in depths]
     _assert_runs_agree(ref_runs, runs, action)
@@ -381,8 +404,8 @@ def test_eps_bases_that_repeat_or_skip_prefix_depths(base, depths):
 
 @pytest.mark.parametrize("name, a, action", [c for c in CASES if c[0] in ("cantor-d4-0", "ternary-d3", "dead-path-d3")])
 def test_zero_levels_match_reference(name, a, action):
-    _, ref_runs = _pipeline(REFERENCE, a, action, [Fraction(2)], levels=0)
-    _, runs = _pipeline(CURRENT, a, action, [Fraction(2)], levels=0)
+    _, ref_runs = _ref_pipeline(a, action, [Fraction(2)], levels=0)
+    runs = _pipeline(a, action, [Fraction(2)], levels=0)
     _assert_runs_agree(ref_runs, runs, action)
     ((_, tele, _),) = runs
     assert tele.vertices() == ((0, 0),) and tele.edges == ()
@@ -392,8 +415,8 @@ def test_zero_levels_match_reference(name, a, action):
 
 @pytest.mark.parametrize("name, a, action", [c for c in CASES if c[0] in ("cantor-d4-0", "ternary-d3", "swap-branch-d3")])
 def test_increasing_eps_fails_alike(name, a, action):
-    ((_, ref_tele, _),) = _pipeline(REFERENCE, a, action, [Fraction(1, 2)])[1]
-    ((_, tele, _),) = _pipeline(CURRENT, a, action, [Fraction(1, 2)])[1]
+    ((_, ref_tele, _),) = _ref_pipeline(a, action, [Fraction(1, 2)])[1]
+    ((_, tele, _),) = _pipeline(a, action, [Fraction(1, 2)])
     assert tele == ref_tele
     assert tele[0] is NotRefiningError and tele[1].startswith("partition 2 does not refine")
 
@@ -471,7 +494,7 @@ def test_group_validation_fails_alike(seed):
 
 @pytest.mark.parametrize("name, a, action", [c for c in CASES if c[0] in ("cantor-d4-0", "ternary-d3", "swap-branch-d3", "dead-path-d3")])
 def test_tampered_telescope_actions_fail_alike(name, a, action):
-    ((_, tele, tact),) = _pipeline(CURRENT, a, action, [Fraction(2)])[1]
+    ((_, tele, tact),) = _pipeline(a, action, [Fraction(2)])
     bnd = es.boundary_map(tele)
     assert _outcome(bnd.check_equivariant, action, tact) is None
     rng = random.Random(name)
@@ -487,3 +510,45 @@ def test_tampered_telescope_actions_fail_alike(name, a, action):
                 assert got == _outcome(ref_check_equivariant, bnd, action, bad)
                 caught += got is not None
     assert caught > 0
+
+
+def _assert_prefix_isometries(group):
+    """What the averaging pass checked: every level map of every element is a bijection of
+    the live depth-k prefixes at every depth k, so the group average of the prefix metric is
+    that metric."""
+    cyls = cylinders(group.automaton, group.depth)
+    for h in group.names():
+        for k, level in enumerate(group.level_maps[h]):
+            prefixes = {c[:k] for c in cyls}
+            assert level.keys() == prefixes and set(level.values()) == prefixes
+    avg = ref_average_metric(RefEndMetric.base(group.automaton, group.depth), group)
+    assert all(avg.distance(u, v) == prefix_distance(u, v) for u in cyls for v in cyls)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_level_maps_of_valid_groups_are_bijections(seed):
+    """The random groups of the validation test that validate."""
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(40):
+        arity, depth = rng.choice(((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)))
+        a, action = _twisted_rotation(rng, arity, depth)
+        cyls = list(gm.cylinders(a, depth))
+        for extra in (dict(zip(cyls, rng.sample(cyls, len(cyls)))), action.elements["g1"]):
+            for chosen in ({**action.elements, "x": extra}, {"e": action.elements["g0"], "x": extra}):
+                group = _outcome(FiniteCylinderGroup, a, depth, chosen)
+                if isinstance(group, FiniteCylinderGroup):
+                    _assert_prefix_isometries(group)
+                    checked += 1
+    assert checked >= 40
+
+
+def test_tree_case_refuses_an_action_on_another_automaton():
+    """The one check of the averaging pass that could fail, now made by ``realize_tree_case``."""
+    cantor, cantor_action = next((a, act) for name, a, act in CASES if name == "cantor-d3-0")
+    ternary, ternary_action = next((a, act) for name, a, act in CASES if name == "ternary-d3")
+    for a, action in ((cantor, ternary_action), (ternary, cantor_action)):
+        with pytest.raises(NotAnActionError):
+            ref_average_metric(RefEndMetric.base(a, action.depth), action)
+        with pytest.raises(NotAnActionError, match="different cylinder sets"):
+            nz.realize_tree_case(a, action)

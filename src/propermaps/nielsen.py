@@ -372,7 +372,7 @@ def f_star(
             raise ValueError("invariance guarantee needs |J| >= 8")
     keys = result.keys()
     for g in action.group.elements:
-        if st.apply_automorphism(action.outer(g), result).keys() != keys:
+        if g != action.group.identity and st.apply_automorphism(action.outer(g), result).keys() != keys:
             raise InvarianceFailedError(f"F*({J}) moved by {g}")
     return result
 
@@ -1479,6 +1479,13 @@ class _Piece:
     slots: list[tuple[str, int, int]]  # (incident edge name at rep, v_off, e_off)
 
 
+def _restrictions(comp: st.LabeledGraph, group: FiniteGroup, action: FiniteGroupAction) -> dict[str, st.FreeGroupAutomorphism]:
+    """``restriction_outer`` of each element to comp; the identity's representative is
+    certified trivial, so its restriction is the identity on the petal basis."""
+    ident = st.FreeGroupAutomorphism.identity([name for _, name, _ in comp.petals[1]])
+    return {h: ident if h == group.identity else st.restriction_outer(comp, action.outer(h)) for h in group.elements}
+
+
 def realize_core_case(
     action: FiniteGroupAction,
     cover: IntervalCover | None = None,
@@ -1520,7 +1527,7 @@ def realize_core_case(
         stab = [h for h in group.elements if taus[h][e0] == e0]
         sgroup = sub_group(group, stab)
         comp = t_star.edge_groups[e0]
-        targets = {h: st.restriction_outer(comp, action.outer(h)) for h in sgroup.elements}
+        targets = _restrictions(comp, sgroup, action)
         edge_real[e0] = realize_relative(sgroup, targets, None, e_max=e_max, rank_bound=max(rank_bound, 1))
 
     # realize vertex graphs relative to their incident edge graphs
@@ -1535,7 +1542,7 @@ def realize_core_case(
         comp = t_star.vertex_groups[w0]
         _, petals = comp.petals
         marking = {name: word for _, name, word in petals}
-        targets = {h: st.restriction_outer(comp, action.outer(h)) for h in sgroup.elements}
+        targets = _restrictions(comp, sgroup, action)
         incident = incident_at.get(w0, [])
         if not incident:
             rr = realize_relative(sgroup, targets, None, e_max=e_max, rank_bound=max(rank_bound, 1))

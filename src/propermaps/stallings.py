@@ -238,8 +238,9 @@ class LabeledGraph:
 
     # -- canonical form ---------------------------------------------------
 
-    def _slot_table(self) -> dict[int, list[int | None]]:
-        """Each vertex's neighbour in every (label, direction) slot of a key row.
+    def _slot_table(self) -> tuple[dict[int, list[int | None]], dict[int, int]]:
+        """Each vertex's neighbour in every (label, direction) slot of a key
+        row, and the index of its first filled slot (the row length if none).
 
         Slots run over the sorted labels, "+" (out) before "-" (in) for
         each; None marks an empty slot.  One pass over ``self.edges``: the
@@ -248,15 +249,20 @@ class LabeledGraph:
         labels = self._index.labels
         slot = {lab: 2 * i for i, lab in enumerate(labels)}
         table = {v: [None] * (2 * len(labels)) for v in self.vertices}
+        first = dict.fromkeys(self.vertices, 2 * len(labels))
         for u, l, t in self.edges:
             i = slot[l]
             row = table[u]
             if row[i] is None:
                 row[i] = t
+                if i < first[u]:
+                    first[u] = i
             row = table[t]
             if row[i + 1] is None:
                 row[i + 1] = u
-        return table
+                if i + 1 < first[t]:
+                    first[t] = i + 1
+        return table, first
 
     def _encode_from(self, start: int, table: dict[int, list[int | None]], best: tuple | None = None) -> tuple | None:
         """BFS encoding from a start vertex; deterministic on folded graphs.
@@ -301,28 +307,33 @@ class LabeledGraph:
         spells each row entry as (label, direction, number).
 
         Row 0 of the encoding from v is v's own slot row renumbered (v is
-        0, its other neighbours 1, 2, ... in order of first occurrence), so
-        starts are tried in order of that first row.  Connected encodings
-        all have one row per vertex: an encoding is abandoned at its first
-        row above the least one so far, and the search stops at the first
-        start whose first row is above that of the least connected
-        encoding.  On an unfolded graph a walk can miss vertices, so a
-        start with a larger first row can still be the first connected
-        one; the search goes on until one is found.
+        0, its other neighbours 1, 2, ... in order of first occurrence); it
+        is -1 up to v's first filled slot, so the least one belongs to a
+        start whose first filled slot comes latest.  Those starts are tried
+        in order of first row.  Connected encodings all have one row per
+        vertex: an encoding is abandoned at its first row above the least
+        one so far, and the search stops at the first start whose first row
+        is above that of the least connected encoding.  On an unfolded graph
+        a walk can miss vertices; if no latest-filled start reaches them
+        all, the other starts are tried in order of first row until one does.
         """
         if not self.vertices:
             return ()
-        table = self._slot_table()
+        table, first = self._slot_table()
         if self.basepoint is not None:
             rows = self._encode_from(self.basepoint, table)
         else:
             rows = None
-            for first, v in sorted((_first_row(v, slots), v) for v, slots in table.items()):
-                if rows is not None and first > rows[0]:
+            latest = max(first.values())
+            for starts in ((v for v in table if first[v] == latest), (v for v in table if first[v] != latest)):
+                for row0, v in sorted((_first_row(v, table[v]), v) for v in starts):
+                    if rows is not None and row0 > rows[0]:
+                        break
+                    enc = self._encode_from(v, table, rows)
+                    if enc is not None:
+                        rows = enc
+                if rows is not None:
                     break
-                enc = self._encode_from(v, table, rows)
-                if enc is not None:
-                    rows = enc
         if rows is None:
             raise ValueError("canonical_key requires a connected graph")
         labels = self._index.labels
@@ -606,10 +617,6 @@ class FreeFactorSystem:
     def from_generator_lists(cls, lists: Iterable[Iterable[Word]]) -> "FreeFactorSystem":
         return cls.from_graphs(LabeledGraph.from_words(ws) for ws in lists)
 
-    @classmethod
-    def empty(cls) -> "FreeFactorSystem":
-        return cls(())
-
     def ranks(self) -> tuple[int, ...]:
         return tuple(c.rank() for c in self.components)
 
@@ -640,16 +647,13 @@ def intersect_ffs(f1: FreeFactorSystem, f2: FreeFactorSystem) -> FreeFactorSyste
     """The system of the pullback cores of each pair of components.
 
     Each ``pullback`` is already a folded core, seeded from the feedback
-    set of the f1 component, so the ``fold`` and ``core`` of
-    ``from_graphs`` still run over it but change nothing and return it as
-    it is; ``from_graphs`` then splits it into components and sorts them.
-    Contractible pieces come back empty and are dropped.
+    set of the f1 component, so it is only split into its components,
+    which are sorted by key as ``from_graphs`` sorts them.  Contractible
+    pieces come back empty and have no components.
     """
-    pieces = []
-    for c1 in f1.components:
-        for c2 in f2.components:
-            pieces.append(pullback(c1, c2))
-    return FreeFactorSystem.from_graphs(pieces)
+    comps = [c for c1 in f1.components for c2 in f2.components for c in pullback(c1, c2).components()]
+    comps.sort(key=LabeledGraph.canonical_key)
+    return FreeFactorSystem(tuple(comps))
 
 
 def contained_in(f: FreeFactorSystem, fprime: FreeFactorSystem) -> bool:
@@ -942,27 +946,35 @@ def restriction_outer(comp: LabeledGraph, phi: FreeGroupAutomorphism) -> FreeGro
 # -- file formats ---------------------------------------------------------------
 
 
+def _word_on_line(lineno: int, line: str) -> Word:
+    """The word on a file line; a bad word's error names the line."""
+    try:
+        return W.word_from_str(line)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
 def parse_subgroup_file(text: str) -> list[Word]:
     out = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        out.append(W.word_from_str(line))
+        out.append(_word_on_line(lineno, line))
     return out
 
 
 def parse_ffs_file(text: str) -> FreeFactorSystem:
     """Components separated by `---` lines, one generator word per line."""
     chunks: list[list[Word]] = [[]]
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("---"):
             chunks.append([])
             continue
-        chunks[-1].append(W.word_from_str(line))
+        chunks[-1].append(_word_on_line(lineno, line))
     return FreeFactorSystem.from_generator_lists([c for c in chunks if c])
 
 

@@ -162,7 +162,9 @@ def word_from_str(text: str) -> Word:
     while i < len(text):
         ch = text[i]
         if ch == "[":
-            j = text.index("]", i)
+            j = text.find("]", i)
+            if j <= i + 1:
+                raise ValueError(f"{'unclosed [' if j < 0 else 'empty generator name []'} in word {text!r}")
             name = text[i + 1 : j]
             i = j + 1
             sign = 1

@@ -77,6 +77,27 @@ def test_intersect_paper_example(tmp_path, capsys):
     assert code == 0 and rep["ranks"] == [2]
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("[]a\n", "line 1: empty generator name [] in word '[]a'"),
+        ("a\n---\n# comment\n[]\n", "line 4: empty generator name [] in word '[]'"),
+        ("ab\n[x\n", "line 2: unclosed [ in word '[x'"),
+    ],
+    ids=["empty-name-first", "empty-name-alone", "unclosed"],
+)
+def test_intersect_refuses_an_empty_or_unclosed_generator_name(tmp_path, capsys, text, error):
+    f1, f2 = tmp_path / "f1.ffs", tmp_path / "f2.ffs"
+    f1.write_text(text)
+    f2.write_text("[]\n")
+    for first, message in ((f1, error), (tmp_path / "ab.ffs", "line 1: empty generator name [] in word '[]'")):
+        (tmp_path / "ab.ffs").write_text(FFS_AB)
+        code = cli.main(["intersect", str(first), str(f2)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == f"parse error: {message}\n"
+
+
 def test_check_id_identity(tmp_path, capsys):
     g = tmp_path / "g.aut"
     g.write_text(LOOP_RAY)

@@ -5,13 +5,17 @@ names qualified, ``self`` renamed to ``t``): ``f_prime``, which intersects
 F(J) with every pushforward, ``f_star``, ``_join``, ``TreeOfGroups.keys``,
 ``_tog_shape``, ``fold_to_t``, ``_tog_action`` and ``_induces``.  They key
 every graph again where the new code reads a key carried with its system or
-tree of groups.
+tree of groups.  ``ref_restrictions`` is the ``restriction_outer`` of every
+stabiliser element, the identity included, that ``realize_core_case``
+computed before it put the identity on the petal basis in its place.
 
 - On every core variant of the ``realize`` workload and on the actions of
   the tests, F'(J) and F*(J) have the same keys and the same component
   graphs, vertex numbers included; T* and T carry exactly the keys of their
   groups; the scripts, their replays, the shapes and the T* actions agree;
-  and the whole realization is the reference pipeline's.
+  and the whole realization is the reference pipeline's.  The identity
+  element's ``restriction_outer`` to every group of T* is the identity on
+  its petal basis.
 - F'(J) skips a pushforward equal to the running system (F ∧ F = F).  On
   systems that an element moves -- the twist of
   ``test_f_prime_strictly_smaller`` and seeded involutions that drag a loop
@@ -227,6 +231,10 @@ def ref_induces(marked, basis, alpha, target) -> bool:
     return st.outer_equal(marked.outer(basis, alpha), target.compose(marked.outer(basis)))
 
 
+def ref_restrictions(comp, group, action):
+    return {h: st.restriction_outer(comp, action.outer(h)) for h in group.elements}
+
+
 # -- helpers -------------------------------------------------------------------------------
 
 
@@ -270,7 +278,7 @@ def _intervals(cover):
 
 def _check_pipeline(action, cover):
     """F', F*, T*, T, the script, its replay, the shapes and the T* action
-    against the references."""
+    against the references; the identity's restriction to each T* group."""
     a, depth = action.automaton, action.depth
     for J in _intervals(cover):
         F = nz.ffs_of_interval(a, cover, J, depth)
@@ -286,6 +294,10 @@ def _check_pipeline(action, cover):
     _assert_carried(replay)
     assert nz._tog_shape(replay) == ref_tog_shape(replay) == ref_tog_shape(tt)
     assert nz._tog_action(ts, action) == ref_tog_action(ts, action)
+    identity = action.outer(action.group.identity)
+    for comp in (*ts.vertex_groups.values(), *ts.edge_groups.values()):
+        names = [name for _, name, _ in comp.petals[1]]
+        assert st.restriction_outer(comp, identity) == st.FreeGroupAutomorphism.identity(names)
 
 
 def _check_realization(action, cover, monkeypatch):
@@ -305,7 +317,8 @@ def _check_realization(action, cover, monkeypatch):
         got = nz.realize_core_case(action, cover)
     assert verdicts
     with monkeypatch.context() as m:
-        for name, ref in (("f_star", ref_f_star), ("fold_to_t", ref_fold_to_t), ("_tog_action", ref_tog_action)):
+        refs = [("f_star", ref_f_star), ("fold_to_t", ref_fold_to_t), ("_tog_action", ref_tog_action), ("_restrictions", ref_restrictions)]
+        for name, ref in refs:
             m.setattr(nz, name, ref)
         m.setattr(nz, "_induces", lambda marked, basis, alpha, target, nu=None: ref_induces(marked, basis, alpha, target))
         want = nz.realize_core_case(action, cover)

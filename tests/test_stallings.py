@@ -437,3 +437,5 @@ def test_subgroup_file_parsing():
     assert words == [w("acBC"), w("b")]
     graph = st.subgroup_graph(words)
     assert graph.reads(w("acBC")) and not graph.reads(w("a"))
+    with pytest.raises(ValueError, match=r"^line 3: bad character '-' in word 'a-b'$"):
+        st.parse_subgroup_file("# generators\nab\na-b\n")

@@ -10,7 +10,8 @@ them exactly, on folded and unfolded graphs alike.
 ``ref_pullback`` is the full fiber product that ``pullback`` built before
 it built only the core; folded and cored, it is the reference for the
 product core, and ``from_graphs`` over its pieces is the reference for
-``intersect_ffs``.
+``intersect_ffs``.  ``from_graphs_intersect_ffs`` is ``intersect_ffs`` as it
+was before it stopped sending the pullback cores through ``from_graphs``.
 """
 
 import random
@@ -217,6 +218,14 @@ def ref_intersect_ffs(f1, f2):
     return st.FreeFactorSystem.from_graphs([ref_pullback(c1, c2) for c1 in f1.components for c2 in f2.components])
 
 
+def from_graphs_intersect_ffs(f1, f2):
+    pieces = []
+    for c1 in f1.components:
+        for c2 in f2.components:
+            pieces.append(st.pullback(c1, c2))
+    return st.FreeFactorSystem.from_graphs(pieces)
+
+
 # -- graphs ------------------------------------------------------------------------------------
 
 
@@ -307,15 +316,65 @@ def least_first_row_starts(g):
     return sorted(v for v in g.vertices if rows[v] == least), sorted(v for v in g.vertices if rows[v] > least)
 
 
+def latest_filled_starts(g):
+    """The starts whose first row is -1 the longest: their first filled slot comes latest."""
+    lead = {v: next((i for i, x in enumerate(ref_first_row(g, v)) if x != -1), 2 * len({l for _, l, _ in g.edges})) for v in g.vertices}
+    latest = max(lead.values())
+    return sorted(v for v in g.vertices if lead[v] == latest)
+
+
+def cayley_graph(n, gens):
+    """Schreier graph of permutations of range(n) (tuples of images) on the orbit of 0."""
+    verts, queue, edges = {0}, [0], []
+    for v in queue:
+        for lab, perm in gens.items():
+            edges.append((v, lab, perm[v]))
+            if perm[v] not in verts:
+                verts.add(perm[v])
+                queue.append(perm[v])
+    return LabeledGraph.make(verts, edges)
+
+
+def cyclic_cover(k, ups, downs=""):
+    """The k-fold cyclic cover of the rose: i -x-> i+1 for x in ups, i -x-> i-1 for x in downs."""
+    edges = [(i, x, (i + 1) % k) for i in range(k) for x in ups] + [(i, x, (i - 1) % k) for i in range(k) for x in downs]
+    return LabeledGraph.make(range(k), edges)
+
+
+TIED = {
+    "rose-abc": LabeledGraph.make([0], [(0, x, 0) for x in "abc"]),
+    "cover-2-a": cyclic_cover(2, "a"),
+    "cover-3-ab": cyclic_cover(3, "ab"),
+    "cover-4-a-b": cyclic_cover(4, "a", "b"),
+    "cover-5-bc-a": cyclic_cover(5, "bc", "a"),
+    "theta-double-cover": LabeledGraph.make(range(2), [(0, "a", 1), (1, "a", 0), (0, "b", 1), (1, "b", 0)]),
+    "klein-four": cayley_graph(4, {"a": (1, 0, 3, 2), "b": (2, 3, 0, 1)}),
+    "s3-transposition-and-rotation": cayley_graph(6, {"a": (1, 0, 3, 2, 5, 4), "b": (2, 5, 4, 1, 0, 3)}),
+    "cayley-8": cayley_graph(8, {"a": (1, 2, 3, 0, 5, 6, 7, 4), "c": (4, 7, 6, 5, 2, 1, 0, 3)}),
+}
+
+
+@pytest.mark.parametrize("name", TIED)
+def test_key_where_the_latest_filled_starts_tie(name):
+    """Vertex-transitive folded cores: every latest-filled start gives the key itself."""
+    g = TIED[name]
+    assert g.is_folded()
+    key = ref_canonical_key(g)
+    starts = latest_filled_starts(g)
+    assert all(ref_encode_from(g, v) == key for v in starts) and len(starts) == len(g.vertices)
+    assert g.canonical_key() == key
+
+
 @pytest.mark.parametrize("word", ["a", "ab", "aab", "abAB", "abaB"])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_key_of_periodic_circle(word, k):
-    """The circle spelling w^k: k automorphic starts tie in every row."""
+    """The circle spelling w^k: k automorphic starts tie in every row, and
+    all of them are latest-filled."""
     circle = LabeledGraph.from_words([W.power(W.word_from_str(word), k)])
     circle = LabeledGraph(circle.vertices, circle.edges, None)
     assert circle.is_folded() and len(circle.vertices) == k * len(word)
     key = ref_canonical_key(circle)
-    assert sum(ref_encode_from(circle, v) == key for v in circle.vertices) == k
+    assert sum(ref_encode_from(circle, v) == key for v in latest_filled_starts(circle)) == k
     assert circle.canonical_key() == key
 
 
@@ -342,6 +401,22 @@ def test_key_of_unfolded_graph_past_the_least_first_row(edges):
     assert all(ref_encode_from(g, v) is None for v in lows)
     assert any(ref_encode_from(g, v) is not None for v in highs)
     assert g.canonical_key() == ref_canonical_key(g)
+
+
+def test_key_of_unfolded_graphs_past_every_latest_filled_start():
+    """Seeded unfolded graphs on which every latest-filled start misses a
+    vertex but some other start reaches them all: the other starts are tried."""
+    rng = random.Random("latest-filled-fallback")
+    found = 0
+    while found < 60:
+        n = rng.randint(2, 6)
+        edges = [(rng.randrange(n), rng.choice("ab"), rng.randrange(n)) for _ in range(rng.randint(n - 1, 2 * n))]
+        g = LabeledGraph.make(range(n), edges)
+        latest = latest_filled_starts(g)
+        if all(ref_encode_from(g, v) is None for v in latest) and any(ref_encode_from(g, v) is not None for v in g.vertices):
+            assert not g.is_folded()
+            assert g.canonical_key() == ref_canonical_key(g)
+            found += 1
 
 
 # -- ffs-style pullbacks ------------------------------------------------------------------------
@@ -399,6 +474,19 @@ def assert_product_core_matches(f1, f2):
     inter, ref = st.intersect_ffs(f1, f2), ref_intersect_ffs(f1, f2)
     assert inter.keys() == ref.keys()
     assert st.format_ffs(inter) == st.format_ffs(ref)
+    assert_split_as_from_graphs(f1, f2)
+
+
+def assert_split_as_from_graphs(f1, f2):
+    """Each pullback core is its own fold and core, and ``intersect_ffs``
+    has the components of ``from_graphs_intersect_ffs``, in its order."""
+    for c1 in f1.components:
+        for c2 in f2.components:
+            pb = st.pullback(c1, c2)
+            assert pb.fold() is pb and pb.core() is pb
+    got, want = st.intersect_ffs(f1, f2), from_graphs_intersect_ffs(f1, f2)
+    assert got.components == want.components
+    assert got.keys() == want.keys()
 
 
 def ffs_systems(rng, letters, length):
@@ -458,3 +546,21 @@ def test_product_core_on_circles_loops_and_disjoint_alphabets():
         assert_product_core_matches(f1, f2)
         assert_product_core_matches(f2, f1)
     assert st.intersect_ffs(loop, st.FreeFactorSystem.from_generator_lists([[W.word_from_str("b")]])).is_empty()
+
+
+def test_intersection_of_pieces_with_several_components_or_none():
+    """A pullback of an index-2 cover with itself has two components, and
+    the pullback of disjoint alphabets is contractible; both split as
+    ``from_graphs`` split them."""
+    system = lambda *comps: st.FreeFactorSystem.from_generator_lists([[W.word_from_str(g) for g in comp] for comp in comps])
+    cover = system(["aa", "b", "aBA"])  # the words of even exponent sum in a
+    mixed = system(["ab", "ba", "abb"])
+    two = system(["aa", "b", "aBA"], ["cd", "dc"])
+    counts = []
+    for f1, f2 in ((cover, cover), (cover, mixed), (mixed, mixed), (cover, two), (cover, system(["cd"]))):
+        for c1 in f1.components:
+            for c2 in f2.components:
+                counts.append(len(st.pullback(c1, c2).components()))
+        assert_split_as_from_graphs(f1, f2)
+        assert_split_as_from_graphs(f2, f1)
+    assert 0 in counts and max(counts) >= 2

@@ -115,7 +115,7 @@ class ProperMapRep:
         ew = {}
         for child, word in (edge_wraps or {}).items():
             if child not in verts or not child:
-                raise ValueError(f"unknown edge target {child}")
+                raise ValueError(f"unknown edge target {path_str(child)}")
             word = W.reduce_word(word)
             if word:
                 ew[child] = word
@@ -161,8 +161,9 @@ class ProperMapRep:
     @cached_property
     def _accumulated_wraps(self) -> dict[Path, Word]:
         acc: dict[Path, Word] = {(): W.EMPTY}
+        wraps = self.edge_wraps  # make keeps only nonempty wraps
         for parent, child in self.truncation().tree_edges:
-            acc[child] = W.mul(acc[parent], self.wrap(child))
+            acc[child] = W.mul(acc[parent], wraps[child]) if child in wraps else acc[parent]
         return acc
 
     def accumulated_wrap(self, v: Path) -> Word:
@@ -819,10 +820,17 @@ def _add_path_records(records: dict[str, dict], lines: Iterable[tuple[int, str, 
     A path is looked up in ``paths`` (vertex names); other spellings, and the root (a falsy path), go
     through ``parse_path``."""
     for lineno, kind, src, dst in lines:
-        key = paths.get(src.strip()) or parse_path(src)
+        key = paths.get(src.strip()) or _path_on_line(lineno, src)
         if key in records[kind]:
             raise ValueError(f"line {lineno}: repeated {kind} source {src.strip()}")
-        records[kind][key] = W.word_from_str(dst) if kind == "wrap" else paths.get(dst.strip()) or parse_path(dst)
+        records[kind][key] = st._word_on_line(lineno, dst) if kind == "wrap" else paths.get(dst.strip()) or _path_on_line(lineno, dst)
+
+
+def _path_on_line(lineno: int, text: str) -> Path:
+    try:
+        return parse_path(text)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
@@ -852,21 +860,21 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
                     raise ValueError(f"line {lineno}: repeated {kind}")
                 seen.add(kind)
             if kind == "support":
-                if len(parts) != 2:
+                if len(parts) != 2 or not parts[1].isdecimal():
                     raise ValueError(f"line {lineno}: support needs one depth")
                 depth = int(parts[1])
             elif kind == "loop":
                 src, _, dst = line[len(kind) :].partition("->")
                 if src.strip() in records[kind]:
                     raise ValueError(f"line {lineno}: repeated {kind} source {src.strip()}")
-                records[kind][src.strip()] = W.word_from_str(dst)
+                records[kind][src.strip()] = st._word_on_line(lineno, dst)
             elif kind in records:
                 pending.append((lineno, kind, *line[len(kind) :].partition("->")[::2]))
             elif kind == "outside":
                 flag = parts[1:2]
                 if flag == ["identity"]:
                     outside = IDENTITY_OUTSIDE
-                elif flag == ["banded"] and len(parts) > 2:
+                elif flag == ["banded"] and len(parts) > 2 and parts[2].isdecimal():
                     outside = banded(int(parts[2]))
                 else:
                     raise ValueError(f"line {lineno}: bad outside flag")

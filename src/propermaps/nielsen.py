@@ -2251,5 +2251,11 @@ def parse_action_file(a: UnfoldingAutomaton, text: str, read_map_file) -> Finite
     if order is not None and order != len(elems):
         raise ValueError(f"group order {order} does not match the {len(elems)} elem lines")
     group = FiniteGroup.make(elems, mult)
-    reps = {name: mc.parse_map_file(a, read_map_file(files[name])) for name in elems}
+    reps = {}
+    for name in elems:
+        try:
+            reps[name] = mc.parse_map_file(a, read_map_file(files[name]))
+        except ValueError as exc:
+            exc.args = (f"{files[name]}: {exc}",)  # keeps the error's type
+            raise
     return FiniteGroupAction.make(group, reps)

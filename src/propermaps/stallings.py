@@ -807,32 +807,37 @@ def _fold_inverse(basis: Sequence[str], images: Sequence[Word]) -> tuple[Word, .
 def outer_conjugator(phi: FreeGroupAutomorphism, psi: FreeGroupAutomorphism) -> Word | None:
     """Witness w with phi(x) = w psi(x) w^-1 for all basis x, or None.
 
-    The candidates form the coset u C(psi(x1)).  As an automorphism image,
-    psi(x1) is no proper power, so C(psi(x1)) = <c> with c its root; the
-    exponent is bounded because excess c-powers only lengthen the other
-    images, and the least exponent from -bound up is returned.
+    psi must be an automorphism: in rank >= 2 its images then have trivial
+    centralizer, so the witness is unique and the order of the scan does not
+    matter.  Equal images give the empty word.  Otherwise the candidates form
+    the coset u C(psi(x1)) = u <c>, c the root of psi(x1) (no proper power as
+    an automorphism image), so they hold at x1; the exponent is bounded
+    because excess c-powers only lengthen the other images, and k runs
+    0, 1, -1, 2, -2, ... .
     """
     basis = phi.basis
     if set(basis) != set(psi.basis):
         raise ValueError("automorphisms over different bases")
-    if not basis:
+    if all(phi.images[x] == psi.images[x] for x in basis):
         return W.EMPTY
     if len(basis) == 1:
-        return W.EMPTY if phi.images[basis[0]] == psi.images[basis[0]] else None
-    x1 = basis[0]
+        return None
+    x1, rest = basis[0], basis[1:]
     u = W.conjugator(phi.images[x1], psi.images[x1])
     if u is None:
         return None
     c1, p = W.cyclic_reduce(psi.images[x1])
-    root, _ = W.root_of(c1)
-    gen_c = W.conjugate(root, p)
+    c = W.conjugate(W.root_of(c1)[0], p)
+    c_inv = W.inv(c)
     maxlen = max(max(len(phi.images[x]), len(psi.images[x])) for x in basis)
     bound = len(u) + maxlen + 2
-    for k in range(-bound, bound + 1):
-        w = W.mul(u, W.power(gen_c, k))
-        w_inv = W.inv(w)
-        if all(phi.images[x] == W.mul(w, psi.images[x], w_inv) for x in basis):
-            return w
+    up = down = u  # u c^k and u c^-k
+    for k in range(bound + 1):
+        for w in (up, down) if k else (u,):
+            w_inv = W.inv(w)
+            if all(phi.images[x] == W.mul(w, psi.images[x], w_inv) for x in rest):
+                return w
+        up, down = W.mul(up, c), W.mul(down, c_inv)
     return None
 
 

@@ -172,11 +172,8 @@ def word_from_str(text: str) -> Word:
                 sign = -1
                 i += 3
             letters.append((name, sign))
-        elif ch.isalpha():
-            if ch.islower():
-                letters.append((ch, 1))
-            else:
-                letters.append((ch.lower(), -1))
+        elif ch.isalpha() and (ch.islower() or ch.isupper()):  # a caseless letter has no inverse spelling
+            letters.append((ch, 1) if ch.islower() else (ch.lower(), -1))
             i += 1
         elif ch in " \t,.":
             i += 1

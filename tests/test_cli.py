@@ -596,3 +596,35 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert exc.value.code == 2
     code, third = run(capsys, "intersect", str(f1), str(f2))
     assert code == 0 and third == first
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("support 2\nloop :0 -> [0:0\n", "line 2: unclosed [ in word '[0:0'"),
+        ("support 2\nwrap 0 -> [0:0\n", "line 2: unclosed [ in word '[0:0'"),
+        ("support x\n", "line 1: support needs one depth"),
+        ("support 2\noutside banded x\n", "line 2: bad outside flag"),
+        ("support 2\nwrap . -> [.:0]\n", "unknown edge target ."),
+        ("support 2\nvmap x -> 0\n", "line 2: invalid literal for int() with base 10: 'x'"),
+        ("support 2\nloop :0 -> 中\n", "line 2: bad character '中' in word '中'"),
+    ],
+    ids=["loop-word", "wrap-word", "support", "outside", "root-wrap", "vmap-path", "caseless-letter"],
+)
+def test_check_id_map_file_errors_say_where(tmp_path, capsys, text, error):
+    g, m = tmp_path / "g.aut", tmp_path / "bad.map"
+    g.write_text(LOOP_RAY)
+    m.write_text(text)
+    code = cli.main(["check-id", str(g), str(m)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == f"parse error: {error}\n"
+
+
+def test_realize_names_the_map_file_of_a_bad_element(tmp_path, capsys):
+    g, act = _write_flip_action(tmp_path, 4)
+    (tmp_path / "f.map").write_text("support 4\nloop :0 -> [0:0\n")
+    code = cli.main(["realize", "core", str(g), str(act)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "parse error: f.map: line 2: unclosed [ in word '[0:0'\n"

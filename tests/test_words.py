@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from propermaps import words as W
@@ -103,3 +104,13 @@ def test_is_conjugate_edge_cases():
     assert W.is_conjugate((a + b) * 3, (b + a) * 3)  # proper powers
     assert not W.is_conjugate((a + b) * 2, (a + b) * 3)
     assert not W.is_conjugate(a + b, W.inv(a + b))
+
+
+def test_word_from_str_refuses_a_caseless_letter():
+    """A bare letter with no case has no inverse spelling, so it is not read as one."""
+    for text in ("中", "a中", "ßẞ中"):
+        with pytest.raises(ValueError, match="^bad character '中' in word"):
+            W.word_from_str(text)
+    assert W.word_from_str("[中][中]^-1b") == (("b", 1),)
+    assert W.word_from_str("ßé") == (("ß", 1), ("é", 1))
+    assert W.word_from_str("É") == (("é", -1),)

@@ -3,7 +3,8 @@
 A representative stores, on a depth-D truncation of the ambient graph:
 
 * ``vmap``        -- vertex images (root fixed, frontier to same-state frontier),
-* ``loop_images`` -- the induced root-based class of every loop generator,
+* ``loop_images`` -- the induced root-based class of every moved loop generator
+                     (a loop that is absent is fixed),
 * ``edge_wraps``  -- for each tree edge (keyed by the child endpoint) the
                      root-based class ``geod(root->f(u)) f(e) geod(f(v)->root)``,
 * ``end_action``  -- a bijection of the live depth-D cylinders: vmap there
@@ -107,11 +108,13 @@ class ProperMapRep:
             if w not in t.frontier or bis[t.frontier[w]] != bis[s]:
                 raise ValueError(f"frontier vertex {path_str(v)} must map to an equivalent frontier vertex")
         lids = t.loop_at
-        li = {}
+        li = {}  # only moved loops: loop_word reads the rest as their generators
         for lid, word in (loop_images or {}).items():
             if lid not in lids:
                 raise ValueError(f"unknown loop {lid}")
-            li[lid] = W.reduce_word(word)
+            word = W.reduce_word(word)
+            if word != W.gen(lid):
+                li[lid] = word
         ew = {}
         for child, word in (edge_wraps or {}).items():
             if child not in verts or not child:
@@ -394,21 +397,23 @@ class IdentityVerdict:
 def _moved_class_witness(f: ProperMapRep) -> tuple | None:
     """A short curve whose free homotopy class moves, if one is found.
 
-    Scans the loops, then the curves x^sx y for ids x < y with sx = 1, -1.
+    Scans the loops, then the curves x^sx y for ids x < y with sx = 1, -1,
+    skipping those through no moved loop: they are fixed on the nose.
     """
     lids = f.loop_ids()
-    images = f.substitution().images
-    for lid in lids:
-        if not W.is_conjugate(images[lid], W.gen(lid)):
+    moved = f.loop_images  # make keeps only moved loops
+    moved_ids = [lid for lid in lids if lid in moved]
+    for lid in moved_ids:
+        if not W.is_conjugate(moved[lid], W.gen(lid)):
             return ("loop", lid)
-    inverses = {x: W.inv(images[x]) for x in lids}
     for x in lids:
-        for y in lids:
+        image_x = f.loop_word(x)
+        for y in lids if x in moved else moved_ids:
             if x >= y:
                 continue
             for sx in (1, -1):
                 wd = ((x, sx), (y, 1))
-                if not W.is_conjugate(W.mul(images[x] if sx > 0 else inverses[x], images[y]), wd):
+                if not W.is_conjugate(W.mul(image_x if sx > 0 else W.inv(image_x), f.loop_word(y)), wd):
                     return ("curve", wd)
     return None
 
@@ -434,15 +439,15 @@ def is_properly_homotopic_to_identity(f: ProperMapRep) -> IdentityVerdict:
     w = W.EMPTY
     if rank != 0:
         if rank == 1:
-            for lid in lids:
-                if f.loop_word(lid) != W.gen(lid):
-                    return IdentityVerdict("no", f.depth, ("loop", lid))
+            if f.loop_images:  # make keeps only moved loops
+                lid = next(lid for lid in lids if lid in f.loop_images)
+                return IdentityVerdict("no", f.depth, ("loop", lid))
             values = [f.accumulated_wrap(c) for c in dx_front]
             for c, val in zip(dx_front, values):
                 if val != values[0]:
                     return IdentityVerdict("no", f.depth, ("line", LineRep(dx_front[0], W.EMPTY, c)))
         else:
-            if lids:
+            if f.loop_images:  # no moved loop: the substitution is the identity, w = 1
                 w = st.is_inner(f.substitution())
                 if w is None:
                     witness = _moved_class_witness(f)
@@ -685,9 +690,8 @@ def c_of(f: ProperMapRep) -> Word:
     for c in f.end_action:
         if f.end_action[c] != c:
             raise PreconditionFailedError("end action is not the identity")
-    for lid in f.loop_ids():
-        if f.loop_word(lid) != W.gen(lid):
-            raise PreconditionFailedError("representative is not the identity on the core")
+    if f.loop_images:  # make keeps only moved loops
+        raise PreconditionFailedError("representative is not the identity on the core")
     for c in f.genus_frontier():
         if f.accumulated_wrap(c) != W.EMPTY:
             raise PreconditionFailedError("representative drags the genus part")
@@ -816,14 +820,14 @@ def extend_over_trees(
 
 
 def _add_path_records(records: dict[str, dict], lines: Iterable[tuple[int, str, str, str]], paths: Mapping[str, Path]):
-    """Add (lineno, kind, source, target) vmap, wrap and endmap records to ``records[kind]``, in line order.
-    A path is looked up in ``paths`` (vertex names); other spellings, and the root (a falsy path), go
-    through ``parse_path``."""
+    """Add (lineno, kind, source, target) vmap, wrap and endmap records to ``records[kind]`` as
+    source -> (lineno, target), in line order.  A path is looked up in ``paths`` (vertex names);
+    other spellings, and the root (a falsy path), go through ``parse_path``."""
     for lineno, kind, src, dst in lines:
         key = paths.get(src.strip()) or _path_on_line(lineno, src)
         if key in records[kind]:
             raise ValueError(f"line {lineno}: repeated {kind} source {src.strip()}")
-        records[kind][key] = st._word_on_line(lineno, dst) if kind == "wrap" else paths.get(dst.strip()) or _path_on_line(lineno, dst)
+        records[kind][key] = (lineno, st._word_on_line(lineno, dst) if kind == "wrap" else paths.get(dst.strip()) or _path_on_line(lineno, dst))
 
 
 def _path_on_line(lineno: int, text: str) -> Path:
@@ -833,18 +837,27 @@ def _path_on_line(lineno: int, text: str) -> Path:
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
+def _known_letters(lineno: int, word: Word, lids: Mapping[str, object]) -> Word:
+    """The word of the record on ``lineno``, refused if a letter is not a loop in ``lids``."""
+    for g, _ in word:
+        if g not in lids:
+            raise ValueError(f"line {lineno}: word uses unknown loop generator {g}")
+    return word
+
+
 def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
     """`support <D>` then vmap/loop/wrap/endmap/outside records: one support line,
-    at most one outside line, and each record source once.
+    at most one outside line, and each record source once, as ``source -> target``.
 
-    A vmap source lies in the truncation and an endmap source is a live frontier
-    cylinder; ``make`` refuses endmap records that disagree with an IDENTITY_OUTSIDE vmap.
-    Loop records are read as they come; path records once the whole file is checked,
-    through the truncation's vertex names, and other spellings (``01``, `` 0/ 1``) through
-    ``parse_path``.
+    A vmap source and target lie in the truncation, an endmap source is a live
+    frontier cylinder, and loop and wrap records name its loops and edges; ``make``
+    refuses endmap records that disagree with an IDENTITY_OUTSIDE vmap.  Loop records
+    are read as they come, and one whose target is its own generator (``loop X -> [X]``)
+    is only checked, not kept; path records once the whole file is checked, through the
+    truncation's vertex names, and other spellings (``01``, `` 0/ 1``) through ``parse_path``.
     """
     depth = None
-    records: dict[str, dict] = {"vmap": {}, "loop": {}, "wrap": {}, "endmap": {}}
+    records: dict[str, dict] = {"vmap": {}, "loop": {}, "wrap": {}, "endmap": {}}  # source -> (lineno, target)
     pending: list[tuple[int, str, str, str]] = []  # (lineno, kind, source, target) of each path record
     outside: object = IDENTITY_OUTSIDE
     seen: set[str] = set()
@@ -853,28 +866,31 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            kind = parts[0]
-            if kind in ("support", "outside"):
+            kind = line.split(None, 1)[0]
+            if kind in records:
+                src, arrow, dst = line[len(kind) :].partition("->")
+                if not arrow:
+                    raise ValueError(f"line {lineno}: {kind} record needs ->")
+                if kind != "loop":
+                    pending.append((lineno, kind, src, dst))
+                    continue
+                src, dst = src.strip(), dst.strip()
+                if src in records[kind]:
+                    raise ValueError(f"line {lineno}: repeated {kind} source {src}")
+                fixed = src and "]" not in src and dst == f"[{src}]"
+                records[kind][src] = (lineno, None if fixed else st._word_on_line(lineno, dst))
+            elif kind in ("support", "outside"):
                 if kind in seen:
                     raise ValueError(f"line {lineno}: repeated {kind}")
                 seen.add(kind)
-            if kind == "support":
-                if len(parts) != 2 or not parts[1].isdecimal():
-                    raise ValueError(f"line {lineno}: support needs one depth")
-                depth = int(parts[1])
-            elif kind == "loop":
-                src, _, dst = line[len(kind) :].partition("->")
-                if src.strip() in records[kind]:
-                    raise ValueError(f"line {lineno}: repeated {kind} source {src.strip()}")
-                records[kind][src.strip()] = st._word_on_line(lineno, dst)
-            elif kind in records:
-                pending.append((lineno, kind, *line[len(kind) :].partition("->")[::2]))
-            elif kind == "outside":
-                flag = parts[1:2]
-                if flag == ["identity"]:
+                parts = line.split()
+                if kind == "support":
+                    if len(parts) != 2 or not parts[1].isdecimal():
+                        raise ValueError(f"line {lineno}: support needs one depth")
+                    depth = int(parts[1])
+                elif parts[1:2] == ["identity"]:
                     outside = IDENTITY_OUTSIDE
-                elif flag == ["banded"] and len(parts) > 2 and parts[2].isdecimal():
+                elif parts[1:2] == ["banded"] and len(parts) > 2 and parts[2].isdecimal():
                     outside = banded(int(parts[2]))
                 else:
                     raise ValueError(f"line {lineno}: bad outside flag")
@@ -885,17 +901,34 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
     except Exception:
         _add_path_records(records, pending, {})  # a path record's own error on an earlier line comes first
         raise
-    _add_path_records(records, pending, unfold(a, depth).paths)
-    vmap, endmap = records["vmap"], records["endmap"]
-    stray = min(set(vmap).difference(unfold(a, depth).vertices), default=None)
+    t = unfold(a, depth)
+    _add_path_records(records, pending, t.paths)
+    vmap = {v: w for v, (_, w) in records["vmap"].items()}
+    endmap = {c: d for c, (_, d) in records["endmap"].items()}
+    stray = min(set(vmap).difference(t.state), default=None)
     if stray is not None:
         raise ValueError(f"vmap source {path_str(stray)} lies outside the support-{depth} truncation")
+    for lineno, w in records["vmap"].values():
+        if w not in t.state:
+            raise ValueError(f"line {lineno}: vmap target {path_str(w)} lies outside the support-{depth} truncation")
     live = cylinders(a, depth)
     stray = min(set(endmap).difference(live), default=None)
     if stray is not None:
         raise ValueError(f"endmap source {path_str(stray)} is not a live frontier cylinder")
+    lids = t.loop_at
+    loops = {}
+    for lid, (lineno, word) in records["loop"].items():
+        if lid not in lids:
+            raise ValueError(f"line {lineno}: unknown loop {lid!r}")
+        if word is not None:
+            loops[lid] = _known_letters(lineno, word, lids)
+    wraps = {}
+    for child, (lineno, word) in records["wrap"].items():
+        if not child or child not in t.state:
+            raise ValueError(f"line {lineno}: unknown edge target {path_str(child)}")
+        wraps[child] = _known_letters(lineno, word, lids)
     ea = {c: endmap.get(c, vmap.get(c, c)) for c in live} if endmap else None
-    return ProperMapRep.make(a, depth, vmap, records["loop"], records["wrap"], ea, outside)
+    return ProperMapRep.make(a, depth, vmap, loops, wraps, ea, outside)
 
 
 def format_map_file(f: ProperMapRep) -> str:

@@ -605,11 +605,20 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
         ("support 2\nwrap 0 -> [0:0\n", "line 2: unclosed [ in word '[0:0'"),
         ("support x\n", "line 1: support needs one depth"),
         ("support 2\noutside banded x\n", "line 2: bad outside flag"),
-        ("support 2\nwrap . -> [.:0]\n", "unknown edge target ."),
+        ("support 2\nwrap . -> [.:0]\n", "line 2: unknown edge target ."),
         ("support 2\nvmap x -> 0\n", "line 2: invalid literal for int() with base 10: 'x'"),
         ("support 2\nloop :0 -> 中\n", "line 2: bad character '中' in word '中'"),
+        ("support 2\nloop .:0\n", "line 2: loop record needs ->"),
+        ("support 2\nvmap 0\n", "line 2: vmap record needs ->"),
+        ("support 2\nloop .:0 -> b\n", "line 2: word uses unknown loop generator b"),
+        ("support 2\nwrap 0 -> [zz:0]\n", "line 2: word uses unknown loop generator zz:0"),
+        ("support 2\nloop bogus -> [bogus]\n", "line 2: unknown loop 'bogus'"),
+        ("support 2\nloop -> [.:0]\n", "line 2: unknown loop ''"),
+        ("support 2\nvmap 0 -> 5\n", "line 2: vmap target 5 lies outside the support-2 truncation"),
     ],
-    ids=["loop-word", "wrap-word", "support", "outside", "root-wrap", "vmap-path", "caseless-letter"],
+    ids=["loop-word", "wrap-word", "support", "outside", "root-wrap", "vmap-path", "caseless-letter", "loop-no-arrow",
+         "vmap-no-arrow", "loop-unknown-generator", "wrap-unknown-generator", "unknown-loop", "empty-loop-name",
+         "vmap-target"],
 )
 def test_check_id_map_file_errors_say_where(tmp_path, capsys, text, error):
     g, m = tmp_path / "g.aut", tmp_path / "bad.map"

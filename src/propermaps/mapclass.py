@@ -1,15 +1,23 @@
 """Finitely supported representatives of proper maps and their invariants.
 
-A representative stores, on a depth-D truncation of the ambient graph:
+A representative stores, on a depth-D truncation of the ambient graph, only
+what the map moves:
 
-* ``vmap``        -- vertex images (root fixed, frontier to same-state frontier),
+* ``moves``       -- the vertices v with vmap[v] != v (the root is fixed,
+                     a frontier vertex goes to a same-state frontier vertex),
 * ``loop_images`` -- the induced root-based class of every moved loop generator
                      (a loop that is absent is fixed),
-* ``edge_wraps``  -- for each tree edge (keyed by the child endpoint) the
-                     root-based class ``geod(root->f(u)) f(e) geod(f(v)->root)``,
-* ``end_action``  -- a bijection of the live depth-D cylinders: vmap there
-                     for IDENTITY_OUTSIDE maps, given only for BANDED ones,
+* ``edge_wraps``  -- for each wrapped tree edge (keyed by the child endpoint) the
+                     root-based class ``geod(root->f(u)) f(e) geod(f(v)->root)``
+                     (an edge that is absent is unwrapped),
+* ``end_moves``   -- the live depth-D cylinders c with end_action[c] != c:
+                     ``moves`` there for IDENTITY_OUTSIDE maps, given only for
+                     BANDED ones,
 * ``outside``     -- IDENTITY_OUTSIDE or BANDED(b).
+
+``vmap`` and ``end_action`` are views, filled in with the identity over the
+truncation and the live cylinders on first read; the identity criterion
+reads neither.
 
 For IDENTITY_OUTSIDE maps everything beyond the support is carried
 canonically, so a loop generator g below a frontier cylinder c has induced
@@ -21,6 +29,7 @@ relative to the base end is A(b)^-1 A(a0).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -75,10 +84,10 @@ def loop_id(path: Path, k: int) -> str:
 class ProperMapRep:
     automaton: UnfoldingAutomaton
     depth: int
-    vmap: Mapping[Path, Path]
+    moves: Mapping[Path, Path]  # only vertices v with vmap[v] != v
     loop_images: Mapping[str, Word]
     edge_wraps: Mapping[Path, Word]
-    end_action: Mapping[Path, Path]
+    end_moves: Mapping[Path, Path]  # only live cylinders c with end_action[c] != c
     outside: object = IDENTITY_OUTSIDE
 
     # -- construction -----------------------------------------------------
@@ -94,19 +103,26 @@ class ProperMapRep:
         end_action: Mapping[Path, Path] | None = None,
         outside: object = IDENTITY_OUTSIDE,
     ) -> "ProperMapRep":
+        """Check the given entries and keep only what moves; an absent vertex, loop or
+        edge is fixed (unwrapped).  Every unmoved entry passes every check."""
         t = unfold(automaton, depth)
-        verts = set(t.vertices)
-        vm = {v: v for v in verts}
-        vm.update(vmap or {})
-        if set(vm) != verts or not set(vm.values()) <= verts:
-            raise ValueError("vmap must map truncation vertices to truncation vertices")
-        if vm[()] != ():
+        verts = t.state
+        moves = {}
+        for v, w in (vmap or {}).items():
+            if v not in verts or w not in verts:
+                raise ValueError("vmap must map truncation vertices to truncation vertices")
+            if v != w:
+                moves[v] = w
+        if () in moves:
             raise ValueError("representatives fix the root")
-        bis = bisimulation_classes(automaton)
-        for v, s in t.frontier.items():
-            w = vm[v]
-            if w not in t.frontier or bis[t.frontier[w]] != bis[s]:
-                raise ValueError(f"frontier vertex {path_str(v)} must map to an equivalent frontier vertex")
+        frontier = t.frontier
+        moved_front = sorted(v for v in moves if v in frontier)
+        if moved_front:
+            bis = bisimulation_classes(automaton)
+            for v in moved_front:  # in path order, as the frontier lists them
+                w = moves[v]
+                if w not in frontier or bis[frontier[w]] != bis[frontier[v]]:
+                    raise ValueError(f"frontier vertex {path_str(v)} must map to an equivalent frontier vertex")
         lids = t.loop_at
         li = {}  # only moved loops: loop_word reads the rest as their generators
         for lid, word in (loop_images or {}).items():
@@ -126,28 +142,48 @@ class ProperMapRep:
             for g, _ in word:
                 if g not in lids:
                     raise ValueError(f"word uses unknown loop generator {g}")
-        live = frozenset(cylinders(automaton, depth))
-        ea = {c: vm[c] for c in live}  # the subtree below c is carried onto the subtree below vmap[c]
+        live = live_states(automaton)
+        # the subtree below a live frontier vertex is carried onto the subtree below its image
+        em = {c: moves[c] for c in moved_front if frontier[c] in live}
         if outside == IDENTITY_OUTSIDE:
-            if end_action is not None and dict(end_action) != ea:
-                bad = min(c for c in set(ea) | set(end_action) if ea.get(c) != end_action.get(c))
-                raise InconsistentFrontierError(f"end action disagrees with vmap at {path_str(bad)}")
+            if end_action is not None:
+                ea = {c: em.get(c, c) for c in cylinders(automaton, depth)}
+                if dict(end_action) != ea:
+                    bad = min(c for c in ea.keys() | end_action.keys() if ea.get(c) != end_action.get(c))
+                    raise InconsistentFrontierError(f"end action disagrees with vmap at {path_str(bad)}")
         elif not (isinstance(outside, tuple) and outside[0] == "banded"):
             raise ValueError(f"bad outside flag {outside!r}")
         elif end_action is not None:
-            ea = dict(end_action)
-        if set(ea) != live or set(ea.values()) != live:
+            cyls = frozenset(cylinders(automaton, depth))
+            if end_action.keys() != cyls or set(end_action.values()) != cyls:
+                raise ValueError("end action must be a bijection of the live frontier cylinders")
+            em = {c: d for c, d in end_action.items() if c != d}
+        if set(em.values()) != set(em):  # with the unmoved cylinders fixed, a bijection permutes the moved ones
             raise ValueError("end action must be a bijection of the live frontier cylinders")
-        reach = loop_reaching_states(automaton)
-        if outside != IDENTITY_OUTSIDE and any((t.frontier[c] in reach) != (t.frontier[d] in reach) for c, d in ea.items()):
-            raise ValueError("end action must preserve the genus end set")
-        return cls(automaton, depth, vm, li, ew, ea, outside)
+        if outside != IDENTITY_OUTSIDE:
+            reach = loop_reaching_states(automaton)
+            if any((frontier[c] in reach) != (frontier[d] in reach) for c, d in em.items()):
+                raise ValueError("end action must preserve the genus end set")
+        return cls(automaton, depth, moves, li, ew, em, outside)
 
     @classmethod
     def identity(cls, automaton: UnfoldingAutomaton, depth: int) -> "ProperMapRep":
         return cls.make(automaton, depth)
 
     # -- basic accessors -----------------------------------------------------
+
+    @cached_property
+    def vmap(self) -> dict[Path, Path]:
+        """The image of every truncation vertex: ``moves`` filled in with the identity."""
+        vm = {v: v for v in self.truncation().state}
+        vm.update(self.moves)
+        return vm
+
+    @cached_property
+    def end_action(self) -> dict[Path, Path]:
+        """The image of every live depth-D cylinder: ``end_moves`` filled in with the identity."""
+        moves = self.end_moves
+        return {c: moves.get(c, c) for c in cylinders(self.automaton, self.depth)}
 
     def truncation(self):
         return unfold(self.automaton, self.depth)
@@ -188,11 +224,11 @@ class ProperMapRep:
         return _dx_cylinders(self.automaton, self.depth)
 
     def genus_frontier(self) -> tuple[Path, ...]:
-        """Frontier vertices with loops strictly beyond the support."""
+        """Frontier vertices with loops strictly beyond the support, in path order."""
         t = self.truncation()
         reach = loop_reaching_states(self.automaton)
         out = []
-        for v, s in sorted(t.frontier.items()):
+        for v, s in t.frontier.items():  # unfold lists the frontier in path order
             if any(c in reach for c in self.automaton.children[s]):
                 out.append(v)
         return tuple(out)
@@ -273,7 +309,7 @@ def compose(f: ProperMapRep, g: ProperMapRep) -> ProperMapRep:
 
 def _rigid_inverse_substitution(f: ProperMapRep) -> st.FreeGroupAutomorphism | None:
     """sigma^-1 when f is IDENTITY_OUTSIDE, vmap is bijective and sigma inverts."""
-    if not f.is_identity_outside() or set(f.vmap.values()) != set(f.vmap):
+    if not f.is_identity_outside() or set(f.moves.values()) != set(f.moves):  # vmap permutes the moved vertices
         return None
     try:
         return f.substitution().inverse()
@@ -291,7 +327,7 @@ def rigid_inverse(f: ProperMapRep) -> ProperMapRep | None:
     sigma_inv = _rigid_inverse_substitution(f)
     if sigma_inv is None:
         return None
-    inv_vmap = {w: v for v, w in f.vmap.items()}
+    inv_vmap = {w: v for v, w in f.moves.items()}
     li = {}
     for lid in f.loop_ids():
         img = sigma_inv.images[lid]
@@ -418,6 +454,19 @@ def _moved_class_witness(f: ProperMapRep) -> tuple | None:
     return None
 
 
+def _suspects(f: ProperMapRep, front: tuple[Path, ...]) -> list[Path]:
+    """The vertices of ``front`` (path-ordered, one depth) that f moves or that lie below a
+    wrapped edge, in ``front`` order: f fixes every other one, and A is 1 there."""
+    hits = set()
+    for v in f.edge_wraps:  # the vertices below v are one run of front
+        hits.update(range(bisect_left(front, v), bisect_left(front, v[:-1] + (v[-1] + 1,))))
+    for v in f.moves:
+        i = bisect_left(front, v)
+        if i < len(front) and front[i] == v:
+            hits.add(i)
+    return [front[i] for i in sorted(hits)]
+
+
 def is_properly_homotopic_to_identity(f: ProperMapRep) -> IdentityVerdict:
     """Decide the identity criterion at support depth.
 
@@ -425,40 +474,40 @@ def is_properly_homotopic_to_identity(f: ProperMapRep) -> IdentityVerdict:
     curves (inner-ness of the induced substitution, pinned by any loops
     beyond the support), and the proper lines into DX via the accumulated
     wrap A.  Complete for IDENTITY_OUTSIDE maps; BANDED maps that pass all
-    checks stay UNKNOWN.
+    checks stay UNKNOWN.  Reads only what f moves: with w = 1 a frontier
+    vertex f fixes and no wrapped edge lies above passes every check.
     """
-    for c in sorted(f.end_action):
-        if f.end_action[c] != c:
-            return IdentityVerdict("no", f.depth, ("end", c))
+    if f.end_moves:
+        return IdentityVerdict("no", f.depth, ("end", min(f.end_moves)))
 
     rank = genus(f.automaton)
-    lids = f.loop_ids()
-    genus_front = f.genus_frontier()
-    dx_front = f.dx_frontier()
-
-    w = W.EMPTY
-    if rank != 0:
-        if rank == 1:
-            if f.loop_images:  # make keeps only moved loops
-                lid = next(lid for lid in lids if lid in f.loop_images)
-                return IdentityVerdict("no", f.depth, ("loop", lid))
-            values = [f.accumulated_wrap(c) for c in dx_front]
-            for c, val in zip(dx_front, values):
-                if val != values[0]:
+    if rank == 1:
+        if f.loop_images:  # make keeps only moved loops
+            lid = next(lid for lid in f.loop_ids() if lid in f.loop_images)
+            return IdentityVerdict("no", f.depth, ("loop", lid))
+        dx_front = f.dx_frontier()
+        if dx_front:
+            first = f.accumulated_wrap(dx_front[0])
+            for c in dx_front if first else _suspects(f, dx_front):
+                if f.accumulated_wrap(c) != first:
                     return IdentityVerdict("no", f.depth, ("line", LineRep(dx_front[0], W.EMPTY, c)))
-        else:
-            if f.loop_images:  # no moved loop: the substitution is the identity, w = 1
-                w = st.is_inner(f.substitution())
-                if w is None:
-                    witness = _moved_class_witness(f)
-                    return IdentityVerdict("no", f.depth, witness or ("curve", None))
-            for c in genus_front:  # a moved piece of genus beyond c moves its curves too
-                if f.vmap[c] != c or f.accumulated_wrap(c) != w:
-                    return IdentityVerdict("no", f.depth, ("curve", c))
-            for c in dx_front:
-                if f.accumulated_wrap(c) != w:
-                    anchor = dx_front[0]
-                    return IdentityVerdict("no", f.depth, ("line", LineRep(anchor, W.EMPTY, c)))
+    elif rank != 0:
+        w = W.EMPTY  # no moved loop: the substitution is the identity
+        if f.loop_images:
+            # two fixed letters x, y pin w: it centralizes both, so w = 1, yet a loop moves
+            fixes_two = len(f.loop_ids()) - len(f.loop_images) >= 2
+            w = None if fixes_two else st.is_inner(f.substitution())
+            if w is None:
+                witness = _moved_class_witness(f)
+                return IdentityVerdict("no", f.depth, witness or ("curve", None))
+        genus_front = f.genus_frontier()
+        for c in genus_front if w else _suspects(f, genus_front):  # a moved piece of genus beyond c moves its curves too
+            if c in f.moves or f.accumulated_wrap(c) != w:
+                return IdentityVerdict("no", f.depth, ("curve", c))
+        dx_front = f.dx_frontier()
+        for c in dx_front if w else _suspects(f, dx_front):
+            if f.accumulated_wrap(c) != w:
+                return IdentityVerdict("no", f.depth, ("line", LineRep(dx_front[0], W.EMPTY, c)))
 
     if f.is_identity_outside():
         return IdentityVerdict("certified_yes", f.depth)
@@ -575,9 +624,8 @@ def phi_T(f: ProperMapRep, alpha0: Path | None = None) -> RFunction:
     dx = dx_states(a)
     if a.state_of(alpha0) not in dx:
         raise PreconditionFailedError("base end cylinder carries no DX ends")
-    for c in f.end_action:
-        if f.end_action[c] != c:
-            raise PreconditionFailedError("end action is not the identity")
+    if f.end_moves:
+        raise PreconditionFailedError("end action is not the identity")
     a0 = f.accumulated_wrap(alpha0)
     based_identity = all(f.loop_word(lid) == W.conjugate(W.gen(lid), a0) for lid in f.loop_ids()) and all(
         f.accumulated_wrap(c) == a0 for c in f.genus_frontier()
@@ -687,9 +735,8 @@ def c_of(f: ProperMapRep) -> Word:
     dxf = f.dx_frontier()
     if len(dxf) != 1:
         raise PreconditionFailedError("ambient graph must have exactly one DX ray")
-    for c in f.end_action:
-        if f.end_action[c] != c:
-            raise PreconditionFailedError("end action is not the identity")
+    if f.end_moves:
+        raise PreconditionFailedError("end action is not the identity")
     if f.loop_images:  # make keeps only moved loops
         raise PreconditionFailedError("representative is not the identity on the core")
     for c in f.genus_frontier():
@@ -727,7 +774,7 @@ def uk_membership(f: ProperMapRep, k_vertices: frozenset[Path]) -> bool:
             raise ValueError("K must sit strictly inside the support")
 
     def conditions(g: ProperMapRep) -> bool:
-        for c, d in g.end_action.items():
+        for c, d in g.end_moves.items():
             if _component_of(k_vertices, c) != _component_of(k_vertices, d):
                 return False
         t = g.truncation()
@@ -855,6 +902,7 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
     are read as they come, and one whose target is its own generator (``loop X -> [X]``)
     is only checked, not kept; path records once the whole file is checked, through the
     truncation's vertex names, and other spellings (``01``, `` 0/ 1``) through ``parse_path``.
+    The outside line is ``outside identity`` or ``outside banded <n>``, with nothing after it.
     """
     depth = None
     records: dict[str, dict] = {"vmap": {}, "loop": {}, "wrap": {}, "endmap": {}}  # source -> (lineno, target)
@@ -888,9 +936,9 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
                     if len(parts) != 2 or not parts[1].isdecimal():
                         raise ValueError(f"line {lineno}: support needs one depth")
                     depth = int(parts[1])
-                elif parts[1:2] == ["identity"]:
+                elif parts[1:] == ["identity"]:
                     outside = IDENTITY_OUTSIDE
-                elif parts[1:2] == ["banded"] and len(parts) > 2 and parts[2].isdecimal():
+                elif parts[1:2] == ["banded"] and len(parts) == 3 and parts[2].isdecimal():
                     outside = banded(int(parts[2]))
                 else:
                     raise ValueError(f"line {lineno}: bad outside flag")
@@ -911,10 +959,13 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
     for lineno, w in records["vmap"].values():
         if w not in t.state:
             raise ValueError(f"line {lineno}: vmap target {path_str(w)} lies outside the support-{depth} truncation")
-    live = cylinders(a, depth)
-    stray = min(set(endmap).difference(live), default=None)
-    if stray is not None:
-        raise ValueError(f"endmap source {path_str(stray)} is not a live frontier cylinder")
+    ea = None
+    if endmap:
+        live = cylinders(a, depth)
+        stray = min(set(endmap).difference(live), default=None)
+        if stray is not None:
+            raise ValueError(f"endmap source {path_str(stray)} is not a live frontier cylinder")
+        ea = {c: endmap.get(c, vmap.get(c, c)) for c in live}
     lids = t.loop_at
     loops = {}
     for lid, (lineno, word) in records["loop"].items():
@@ -927,24 +978,21 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
         if not child or child not in t.state:
             raise ValueError(f"line {lineno}: unknown edge target {path_str(child)}")
         wraps[child] = _known_letters(lineno, word, lids)
-    ea = {c: endmap.get(c, vmap.get(c, c)) for c in live} if endmap else None
     return ProperMapRep.make(a, depth, vmap, loops, wraps, ea, outside)
 
 
 def format_map_file(f: ProperMapRep) -> str:
     lines = [f"support {f.depth}"]
-    for v in sorted(f.vmap):
-        if f.vmap[v] != v:
-            lines.append(f"vmap {path_str(v)} -> {path_str(f.vmap[v])}")
+    for v in sorted(f.moves):
+        lines.append(f"vmap {path_str(v)} -> {path_str(f.moves[v])}")
     for lid in f.loop_ids():
         w = f.loop_word(lid)
         if w != W.gen(lid):
             lines.append(f"loop {lid} -> {W.word_to_str(w)}")
     for child in sorted(f.edge_wraps):
         lines.append(f"wrap {path_str(child)} -> {W.word_to_str(f.edge_wraps[child])}")
-    for c in sorted(f.end_action):
-        if f.end_action[c] != c:
-            lines.append(f"endmap {path_str(c)} -> {path_str(f.end_action[c])}")
+    for c in sorted(f.end_moves):
+        lines.append(f"endmap {path_str(c)} -> {path_str(f.end_moves[c])}")
     if f.is_identity_outside():
         lines.append("outside identity")
     else:

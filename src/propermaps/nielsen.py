@@ -271,7 +271,7 @@ def verify_displacement_bound(action: FiniteGroupAction, r: Sequence[int], n: in
 
     for g in action.group.elements:
         f = action.reps[g]
-        for v, img in f.vmap.items():
+        for v, img in f.moves.items():  # a fixed vertex stays in its band
             if not allowed(len(v), len(img)):
                 return False
         loop_at = f.truncation().loop_at

@@ -615,10 +615,14 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
         ("support 2\nloop bogus -> [bogus]\n", "line 2: unknown loop 'bogus'"),
         ("support 2\nloop -> [.:0]\n", "line 2: unknown loop ''"),
         ("support 2\nvmap 0 -> 5\n", "line 2: vmap target 5 lies outside the support-2 truncation"),
+        ("support 2\noutside identity banded 3\n", "line 2: bad outside flag"),
+        ("support 2\n\noutside banded 2 junk\n", "line 3: bad outside flag"),
+        ("outside identity x\nsupport 2\n", "line 1: bad outside flag"),
+        ("support 2\noutside\n", "line 2: bad outside flag"),
     ],
     ids=["loop-word", "wrap-word", "support", "outside", "root-wrap", "vmap-path", "caseless-letter", "loop-no-arrow",
          "vmap-no-arrow", "loop-unknown-generator", "wrap-unknown-generator", "unknown-loop", "empty-loop-name",
-         "vmap-target"],
+         "vmap-target", "outside-identity-trailing", "outside-banded-trailing", "outside-before-support", "outside-bare"],
 )
 def test_check_id_map_file_errors_say_where(tmp_path, capsys, text, error):
     g, m = tmp_path / "g.aut", tmp_path / "bad.map"

@@ -15,9 +15,8 @@ what the map moves:
                      BANDED ones,
 * ``outside``     -- IDENTITY_OUTSIDE or BANDED(b).
 
-``vmap`` and ``end_action`` are views, filled in with the identity over the
-truncation and the live cylinders on first read; the identity criterion
-reads neither.
+The image of a vertex v is ``moves.get(v, v)``, of a live cylinder c
+``end_moves.get(c, c)``.
 
 For IDENTITY_OUTSIDE maps everything beyond the support is carried
 canonically, so a loop generator g below a frontier cylinder c has induced
@@ -25,6 +24,11 @@ class A(c) g' A(c)^-1, where g' is the transported loop and A the
 accumulated wrap along the root-to-c path.  The function A drives all
 line invariants: the value of the proper-homotopy cocycle at a cylinder b
 relative to the base end is A(b)^-1 A(a0).
+
+No composite or inverse is built.  What the checks read of one comes from
+its factors by one derivation: sigma_{g∘f} = sigma_g∘sigma_f and
+A_{g∘f}(c) = sigma_g(A_f(c)) A_g(f(c)), and for a rigid inverse
+sigma_{f^-1} = sigma_f^-1 and A_{f^-1}(f(c)) = sigma_f^-1(A_f(c))^-1.
 """
 
 from __future__ import annotations
@@ -172,19 +176,6 @@ class ProperMapRep:
 
     # -- basic accessors -----------------------------------------------------
 
-    @cached_property
-    def vmap(self) -> dict[Path, Path]:
-        """The image of every truncation vertex: ``moves`` filled in with the identity."""
-        vm = {v: v for v in self.truncation().state}
-        vm.update(self.moves)
-        return vm
-
-    @cached_property
-    def end_action(self) -> dict[Path, Path]:
-        """The image of every live depth-D cylinder: ``end_moves`` filled in with the identity."""
-        moves = self.end_moves
-        return {c: moves.get(c, c) for c in cylinders(self.automaton, self.depth)}
-
     def truncation(self):
         return unfold(self.automaton, self.depth)
 
@@ -237,14 +228,14 @@ class ProperMapRep:
         return self.outside == IDENTITY_OUTSIDE
 
 
-# -- composition, extension, inversion ------------------------------------------
+# -- extension, composites and inverses ------------------------------------------
 
 
 def extend(f: ProperMapRep, depth: int) -> ProperMapRep:
     """Extend an IDENTITY_OUTSIDE representative to a deeper support.
 
     Beyond the old support the map carries subtrees canonically, so new
-    vertices transport along vmap of their old-frontier ancestor and new
+    vertices transport along the image of their old-frontier ancestor and new
     loops pick up the conjugation by the accumulated wrap A.
     """
     if depth < f.depth:
@@ -255,61 +246,47 @@ def extend(f: ProperMapRep, depth: int) -> ProperMapRep:
         raise PreconditionFailedError("only IDENTITY_OUTSIDE maps extend canonically")
     a = f.automaton
     t_new = unfold(a, depth)
-    vm: dict[Path, Path] = {}
-    for v in t_new.vertices:
-        if len(v) <= f.depth:
-            vm[v] = f.vmap[v]
-        else:
-            anc, suffix = v[: f.depth], v[f.depth :]
-            vm[v] = f.vmap[anc] + suffix
+    moves = f.moves
+    # a vertex of the old truncation is its own ancestor at the old support
+    vm = {v: moves[v[: f.depth]] + v[f.depth :] for v in t_new.vertices if v[: f.depth] in moves}
     li: dict[str, Word] = dict(f.loop_images)
     for lid, (v, k) in t_new.loop_at.items():
         if len(v) <= f.depth:
             continue
         anc, suffix = v[: f.depth], v[f.depth :]
         acc = f.accumulated_wrap(anc)
-        transported = t_new.loop_name[f.vmap[anc] + suffix, k]
+        transported = t_new.loop_name[moves.get(anc, anc) + suffix, k]
         img = W.mul(acc, W.gen(transported), W.inv(acc))
         if img != W.gen(lid):
             li[lid] = img
     return ProperMapRep.make(a, depth, vm, li, f.edge_wraps)
 
 
-def compose(f: ProperMapRep, g: ProperMapRep) -> ProperMapRep:
-    """The composite g after f (apply f first)."""
-    if f.automaton != g.automaton:
+def _at_common_depth(*maps: ProperMapRep) -> list[ProperMapRep]:
+    """The maps, all on one ambient graph, extended to the deepest support among them."""
+    if any(m.automaton != maps[0].automaton for m in maps):
         raise ValueError("maps on different ambient graphs")
-    depth = max(f.depth, g.depth)
-    if f.depth < depth:
-        f = extend(f, depth)
-    if g.depth < depth:
-        g = extend(g, depth)
-    gs = g.substitution()
-    vm = {v: g.vmap[f.vmap[v]] for v in f.vmap}
-    li = {}
-    for lid in f.loop_ids():
-        img = gs(f.loop_word(lid))
-        if img != W.gen(lid):
-            li[lid] = img
-    ew = {}
-    t = unfold(f.automaton, depth)
-    for parent, child in t.tree_edges:
-        acc_u = g.accumulated_wrap(f.vmap[parent])
-        acc_v = g.accumulated_wrap(f.vmap[child])
-        delta = W.mul(W.inv(acc_u), gs(f.wrap(child)), acc_v)
-        if delta:
-            ew[child] = delta
-    if f.is_identity_outside() and g.is_identity_outside():
-        return ProperMapRep.make(f.automaton, depth, vm, li, ew)
-    bf = 0 if f.is_identity_outside() else f.outside[1]
-    bg = 0 if g.is_identity_outside() else g.outside[1]
-    ea = {c: g.end_action[f.end_action[c]] for c in f.end_action}
-    return ProperMapRep.make(f.automaton, depth, vm, li, ew, ea, banded(bf + bg))
+    depth = max(m.depth for m in maps)
+    return [extend(m, depth) for m in maps]
+
+
+def _after(first: Mapping[Path, Path], then: Mapping[Path, Path], v: Path) -> Path:
+    """The image of v under ``first`` and then ``then``, each given by its moved entries."""
+    v = first.get(v, v)
+    return then.get(v, v)
+
+
+def _composite_wrap(f: ProperMapRep, g: ProperMapRep, gs: st.FreeGroupAutomorphism, c: Path) -> Word:
+    """A_{g∘f}(c) = sigma_g(A_f(c)) A_g(f(c)) at a vertex c of the common truncation, gs = sigma_g.
+
+    The wrap of g∘f on an edge (u, v) is A_g(f(u))^-1 sigma_g(wrap_f(v)) A_g(f(v)), and
+    these telescope along the root path since f fixes the root."""
+    return W.mul(gs(f.accumulated_wrap(c)), g.accumulated_wrap(f.moves.get(c, c)))
 
 
 def _rigid_inverse_substitution(f: ProperMapRep) -> st.FreeGroupAutomorphism | None:
-    """sigma^-1 when f is IDENTITY_OUTSIDE, vmap is bijective and sigma inverts."""
-    if not f.is_identity_outside() or set(f.moves.values()) != set(f.moves):  # vmap permutes the moved vertices
+    """sigma^-1 when f is IDENTITY_OUTSIDE, permutes the truncation's vertices and sigma inverts."""
+    if not f.is_identity_outside() or set(f.moves.values()) != set(f.moves):  # a permutation of the moved vertices
         return None
     try:
         return f.substitution().inverse()
@@ -318,55 +295,31 @@ def _rigid_inverse_substitution(f: ProperMapRep) -> st.FreeGroupAutomorphism | N
 
 
 def has_rigid_inverse(f: ProperMapRep) -> bool:
-    """Whether ``rigid_inverse(f)`` exists, without building it."""
+    """Whether f has a rigid inverse f^-1: f^-1 permutes the vertices back, its substitution
+    is sigma_f^-1 and A_{f^-1}(f(c)) = sigma_f^-1(A_f(c))^-1."""
     return _rigid_inverse_substitution(f) is not None
-
-
-def rigid_inverse(f: ProperMapRep) -> ProperMapRep | None:
-    """Inverse representative when vmap is bijective and the substitution inverts."""
-    sigma_inv = _rigid_inverse_substitution(f)
-    if sigma_inv is None:
-        return None
-    inv_vmap = {w: v for v, w in f.moves.items()}
-    li = {}
-    for lid in f.loop_ids():
-        img = sigma_inv.images[lid]
-        if img != W.gen(lid):
-            li[lid] = img
-    # solve 1 = A_inv(f(u))^-1 sigma_inv(delta_e) A_inv(f(v)) along tree edges
-    acc: dict[Path, Word] = {(): W.EMPTY}
-    t = f.truncation()
-    for parent, child in t.tree_edges:
-        acc[f.vmap[child]] = W.mul(W.inv(sigma_inv(f.wrap(child))), acc[f.vmap[parent]])
-    ew = {}
-    for parent, child in t.tree_edges:
-        delta = W.mul(W.inv(acc[parent]), acc[child])
-        if delta:
-            ew[child] = delta
-    return ProperMapRep.make(f.automaton, f.depth, inv_vmap, li, ew)
 
 
 def composes_to(f: ProperMapRep, g: ProperMapRep, k: ProperMapRep) -> bool:
     """Whether g∘f ≃ k, for IDENTITY_OUTSIDE maps with rigid inverses.
 
-    Decides ``is_properly_homotopic_to_identity(compose(compose(f, g),
-    rigid_inverse(k)))`` from the data the criterion reads, without building
-    either composite.  With F = g∘f, sigma(F) = sigma_g∘sigma_f and, by the
-    telescoped edge deltas of ``compose``, A_F(c) = sigma_g(A_f(c)) A_g(f(c));
-    ``rigid_inverse`` gives A of k^-1 at k(c) as sigma_k^-1(A_k(c))^-1.  Where
-    F(c) = k(c) the difference map wraps c by sigma_k^-1(D(c)), with D(c) =
-    A_F(c) A_k(c)^-1, and its substitution is sigma_k^-1∘sigma_F.  Genus 0
-    asks ea_F = ea_k only; genus 1 also sigma_F = sigma_k and D constant on
-    the DX frontier; higher genus asks F = k on the genus frontier too, and u
-    with sigma_F(x) = u sigma_k(x) u^-1 on every loop and D = u on the genus
-    and DX frontier.
+    Decides the identity criterion on k^-1∘g∘f from what it would read, by
+    the one derivation of composites and inverses (module docstring): with
+    F = g∘f, sigma_F = sigma_g∘sigma_f and A_F(c) = sigma_g(A_f(c)) A_g(f(c)),
+    and A of k^-1 at k(c) is sigma_k^-1(A_k(c))^-1.  Where F(c) = k(c) the
+    difference map wraps c by sigma_k^-1(D(c)), with D(c) = A_F(c) A_k(c)^-1,
+    and its substitution is sigma_k^-1∘sigma_F.  Genus 0 asks F = k on the
+    ends only; genus 1 also sigma_F = sigma_k and D constant on the DX
+    frontier; higher genus asks F = k on the genus frontier too, and u with
+    sigma_F(x) = u sigma_k(x) u^-1 on every loop and D = u on the genus and
+    DX frontier.
     """
-    if not f.automaton == g.automaton == k.automaton:
-        raise ValueError("maps on different ambient graphs")
-    depth = max(f.depth, g.depth, k.depth)
-    f, g, k = extend(f, depth), extend(g, depth), extend(k, depth)
-    if any(g.end_action[f.end_action[c]] != k.end_action[c] for c in f.end_action):
-        return False
+    f, g, k = _at_common_depth(f, g, k)
+    fe, ge, ke = f.end_moves, g.end_moves, k.end_moves
+    for c in fe.keys() | ge.keys() | ke.keys():  # all three fix every other end
+        fc = fe.get(c, c)
+        if ge.get(fc, fc) != ke.get(c, c):
+            return False
     rank = genus(f.automaton)
     if rank == 0:
         return True
@@ -374,31 +327,17 @@ def composes_to(f: ProperMapRep, g: ProperMapRep, k: ProperMapRep) -> bool:
     sigma = {lid: gs(f.loop_word(lid)) for lid in f.loop_ids()}
 
     def d(c: Path) -> Word:
-        a_f = W.mul(gs(f.accumulated_wrap(c)), g.accumulated_wrap(f.vmap[c]))
-        return W.mul(a_f, W.inv(k.accumulated_wrap(c)))
+        return W.mul(_composite_wrap(f, g, gs, c), W.inv(k.accumulated_wrap(c)))
 
     if rank == 1:
         if any(sigma[lid] != k.loop_word(lid) for lid in sigma):
             return False
         return len({d(c) for c in f.dx_frontier()}) <= 1
     genus_front = f.genus_frontier()
-    if any(g.vmap[f.vmap[c]] != k.vmap[c] for c in genus_front):
+    if any(_after(f.moves, g.moves, c) != k.moves.get(c, c) for c in genus_front):
         return False
     u = st.outer_conjugator(st.FreeGroupAutomorphism(f.loop_ids(), sigma), k.substitution())
     return u is not None and all(d(c) == u for c in genus_front + f.dx_frontier())
-
-
-# -- outer actions -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OuterAction:
-    automorphism: st.FreeGroupAutomorphism
-    outside: object = IDENTITY_OUTSIDE
-
-
-def outer_action_of(f: ProperMapRep) -> OuterAction:
-    return OuterAction(f.substitution(), f.outside)
 
 
 # -- the identity criterion ----------------------------------------------------------
@@ -515,10 +454,17 @@ def is_properly_homotopic_to_identity(f: ProperMapRep) -> IdentityVerdict:
 
 
 def verify_proper_pair(f: ProperMapRep, g: ProperMapRep) -> bool:
-    """True iff g∘f and f∘g are both certified properly homotopic to the identity."""
-    return bool(is_properly_homotopic_to_identity(compose(f, g))) and bool(
-        is_properly_homotopic_to_identity(compose(g, f))
-    )
+    """True iff g∘f and f∘g are both certified properly homotopic to the identity.
+
+    Both are decided by ``composes_to`` at the common depth.  A banded map is
+    never certified, and one at the shallower depth does not extend
+    (PreconditionFailedError).
+    """
+    f, g = _at_common_depth(f, g)
+    if not (f.is_identity_outside() and g.is_identity_outside()):
+        return False
+    ident = ProperMapRep.identity(f.automaton, f.depth)
+    return composes_to(f, g, ident) and composes_to(g, f, ident)
 
 
 # -- the R group and Phi_T -------------------------------------------------------------
@@ -614,27 +560,35 @@ def default_base_end(a: UnfoldingAutomaton, depth: int) -> Path:
 def phi_T(f: ProperMapRep, alpha0: Path | None = None) -> RFunction:
     """The cocycle value function: W(b) = A(b)^-1 A(alpha0) per DX cylinder.
 
-    Preconditions mirror the definition: the end action must be the
-    identity, and either DX is compact or f acts as the identity on the
-    fundamental group based at the chosen end.
+    Preconditions mirror the definition: the base end is a DX cylinder at or
+    below the support, the end action must be the identity, and either DX is
+    compact or f acts as the identity on the fundamental group based at the
+    chosen end.
     """
+    return _phi_T(f, bool(f.end_moves), f.loop_word, f.accumulated_wrap, alpha0)
+
+
+def _phi_T(f: ProperMapRep, moves_an_end: bool, loop_word, acc, alpha0: Path | None) -> RFunction:
+    """``phi_T`` of the map on f's truncation with the given end flag, loop images and A."""
     a = f.automaton
     if alpha0 is None:
         alpha0 = default_base_end(a, f.depth)
     dx = dx_states(a)
     if a.state_of(alpha0) not in dx:
         raise PreconditionFailedError("base end cylinder carries no DX ends")
-    if f.end_moves:
+    if len(alpha0) < f.depth:
+        raise PreconditionFailedError(f"base end cylinder lies above the support depth {f.depth}")
+    if moves_an_end:
         raise PreconditionFailedError("end action is not the identity")
-    a0 = f.accumulated_wrap(alpha0)
-    based_identity = all(f.loop_word(lid) == W.conjugate(W.gen(lid), a0) for lid in f.loop_ids()) and all(
-        f.accumulated_wrap(c) == a0 for c in f.genus_frontier()
+    a0 = acc(alpha0)
+    based_identity = all(loop_word(lid) == W.conjugate(W.gen(lid), a0) for lid in f.loop_ids()) and all(
+        acc(c) == a0 for c in f.genus_frontier()
     )
     if not (dx_compact(a) or based_identity):
         raise PreconditionFailedError("need compact DX or trivial action on the based fundamental group")
     by_value: dict[Word, set[Path]] = {}
     for b in f.dx_frontier():
-        val = W.mul(W.inv(f.accumulated_wrap(b)), a0)
+        val = W.mul(W.inv(acc(b)), a0)
         by_value.setdefault(val, set()).add(b)
     assignments = [(ClopenSet.make(cyls, f.depth), val) for val, cyls in by_value.items()]
     h = RFunction.make(a, f.depth, alpha0, assignments)
@@ -668,14 +622,23 @@ def _gstar_at_base(g: ProperMapRep, alpha0: Path, word: Word) -> Word:
 
 
 def r_cocycle_check(f: ProperMapRep, g: ProperMapRep, alpha0: Path | None = None) -> bool:
-    """Verify Phi(g∘f) = Phi(g) * g_*(Phi(f)) blockwise."""
+    """Verify Phi(g∘f) = Phi(g) * g_*(Phi(f)) blockwise, at the common support depth.
+
+    Phi(g∘f) is read off f and g by the one derivation (module docstring).
+    The base end defaults to the least pure-DX cylinder at the common depth.
+    """
+    f, g = _at_common_depth(f, g)
+    depth = f.depth
     if alpha0 is None:
-        alpha0 = default_base_end(f.automaton, min(f.depth, g.depth))
+        alpha0 = default_base_end(f.automaton, depth)
     hf = phi_T(f, alpha0)
     hg = phi_T(g, alpha0)
-    hgf = phi_T(compose(f, g), alpha0)
-    d = max(hf.depth, hg.depth, hgf.depth)
-    for c in hgf.dx_cylinders(d):
+    gs = g.substitution()
+    moves_an_end = any(_after(f.end_moves, g.end_moves, c) != c for c in f.end_moves.keys() | g.end_moves.keys())
+    hgf = _phi_T(
+        f, moves_an_end, lambda lid: gs(f.loop_word(lid)), lambda c: _composite_wrap(f, g, gs, c[:depth]), alpha0
+    )
+    for c in hgf.dx_cylinders():
         expect = W.mul(hg.value_at(c), _gstar_at_base(g, alpha0, hf.value_at(c)))
         if hgf.value_at(c) != expect:
             return False
@@ -762,8 +725,9 @@ def uk_membership(f: ProperMapRep, k_vertices: frozenset[Path]) -> bool:
     Decided through the class invariants at support depth: the end action
     must respect complementary components, loops in K must be literally
     fixed, loop images and accumulated wraps in a component must be
-    supported inside that component, and a rigid inverse must satisfy the
-    same conditions.
+    supported inside that component, and f must have a rigid inverse that
+    meets the same conditions.  The inverse is read off f, with
+    sigma_f^-1 and A_{f^-1}(x) = sigma_f^-1(A_f(f^-1(x)))^-1.
     """
     if () not in k_vertices:
         raise ValueError("K must contain the root")
@@ -773,42 +737,36 @@ def uk_membership(f: ProperMapRep, k_vertices: frozenset[Path]) -> bool:
         if len(v) >= f.depth:
             raise ValueError("K must sit strictly inside the support")
 
-    def conditions(g: ProperMapRep) -> bool:
-        for c, d in g.end_moves.items():
-            if _component_of(k_vertices, c) != _component_of(k_vertices, d):
+    t = f.truncation()
+
+    def supported(v: Path, word: Word, fixed: Word) -> bool:
+        """Whether a word at v is ``fixed`` (v in K) or spelt in the loops of v's component."""
+        if v in k_vertices:
+            return word == fixed
+        comp = _component_of(k_vertices, v)
+        for x, _ in word:
+            xv = t.loop_at[x][0]
+            if xv in k_vertices or _component_of(k_vertices, xv) != comp:
                 return False
-        t = g.truncation()
-        for lid, (v, _) in t.loop_at.items():
-            img = g.loop_word(lid)
-            if v in k_vertices:
-                if img != W.gen(lid):
-                    return False
-            else:
-                comp = _component_of(k_vertices, v)
-                for gname, _ in img:
-                    gv = t.loop_at[gname][0]
-                    if gv in k_vertices or _component_of(k_vertices, gv) != comp:
-                        return False
-        checkpoints = set(t.frontier) | {v for v, _ in t.loop_edges}
-        for c in checkpoints:
-            acc = g.accumulated_wrap(c)
-            if c in k_vertices:
-                if acc != W.EMPTY:
-                    return False
-            else:
-                comp = _component_of(k_vertices, c)
-                for gname, _ in acc:
-                    gv = t.loop_at[gname][0]
-                    if gv in k_vertices or _component_of(k_vertices, gv) != comp:
-                        return False
         return True
 
-    if not conditions(f):
+    checkpoints = set(t.frontier) | {v for v, _ in t.loop_edges}
+
+    def conditions(loop_word, acc) -> bool:
+        return all(supported(v, loop_word(lid), W.gen(lid)) for lid, (v, _) in t.loop_at.items()) and all(
+            supported(c, acc(c), W.EMPTY) for c in checkpoints
+        )
+
+    # f^-1 moves ends between the same components as f does
+    if any(_component_of(k_vertices, c) != _component_of(k_vertices, d) for c, d in f.end_moves.items()):
         return False
-    inv = rigid_inverse(f)
-    if inv is None:
+    if not conditions(f.loop_word, f.accumulated_wrap):
         return False
-    return conditions(inv)
+    sigma_inv = _rigid_inverse_substitution(f)
+    if sigma_inv is None:
+        return False
+    back = {w: v for v, w in f.moves.items()}  # f^-1 on the moved vertices
+    return conditions(sigma_inv.images.__getitem__, lambda x: W.inv(sigma_inv(f.accumulated_wrap(back.get(x, x)))))
 
 
 # -- extension over trees --------------------------------------------------------------------

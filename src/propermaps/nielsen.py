@@ -135,8 +135,11 @@ class FiniteGroupAction:
 
     @classmethod
     def make(cls, group: FiniteGroup, reps: Mapping[str, mc.ProperMapRep], certify: bool = True) -> "FiniteGroupAction":
+        """The action, with every representative extended to the deepest support among them: its
+        readers take each one on the action's truncation."""
         some = reps[group.identity]
-        action = cls(group, some.automaton, some.depth, dict(reps))
+        depth = max(f.depth for f in reps.values())
+        action = cls(group, some.automaton, depth, {g: mc.extend(f, depth) for g, f in reps.items()})
         if set(reps) != set(group.elements):
             raise ValueError("need one representative per group element")
         if certify:
@@ -165,7 +168,8 @@ class FiniteGroupAction:
         return self.reps[g].substitution()
 
     def end_group(self) -> es.FiniteCylinderGroup:
-        perms = {g: dict(self.reps[g].end_action) for g in self.group.elements}
+        cyls = cylinders(self.automaton, self.depth)
+        perms = {g: {c: self.reps[g].end_moves.get(c, c) for c in cyls} for g in self.group.elements}
         return es.FiniteCylinderGroup(self.automaton, self.depth, perms)
 
 
@@ -1848,7 +1852,7 @@ def _beta_anchored_lift(action: FiniteGroupAction, h: str, anchor: Path):
     def lift(point):
         g, v = point
         word = W.mul(W.inv(a_beta), sub(g), f.accumulated_wrap(v))
-        return (word, f.vmap[v])
+        return (word, f.moves.get(v, v))
 
     return lift
 
@@ -1875,7 +1879,7 @@ def nielsen_ray(action: FiniteGroupAction, beta: Path, stabilizer: Iterable[str]
         raise ValueError("ambient graph has no core")
     attach = _attachment(corev, beta)
     if stabilizer is None:
-        stabilizer = [h for h in action.group.elements if action.reps[h].end_action[beta] == beta]
+        stabilizer = [h for h in action.group.elements if beta not in action.reps[h].end_moves]
     stab = tuple(sorted(set(stabilizer)))
     loop_at = unfold(a, depth).loop_at
 
@@ -1925,8 +1929,8 @@ class GoodCover:
 def _block_stabilizer(action: FiniteGroupAction, block_cyls: frozenset) -> list[str]:
     out = []
     for h in action.group.elements:
-        img = frozenset(action.reps[h].end_action[c] for c in block_cyls)
-        if img == block_cyls:
+        moves = action.reps[h].end_moves
+        if frozenset(moves.get(c, c) for c in block_cyls) == block_cyls:
             out.append(h)
     return out
 
@@ -1952,7 +1956,7 @@ def good_filter(partitions: Sequence[es.Partition], action: FiniteGroupAction) -
     selected: list[tuple[int, frozenset]] = []  # (level, cell) of each selected good element
     rho: dict[tuple[int, frozenset], Path] = {}
 
-    end_perms = {h: action.reps[h].end_action for h in action.group.elements}
+    end_moves = {h: action.reps[h].end_moves for h in action.group.elements}
 
     for n in range(1, len(partitions)):
         level_good: list[frozenset] = []
@@ -1960,7 +1964,7 @@ def good_filter(partitions: Sequence[es.Partition], action: FiniteGroupAction) -
         for cyls in partitions[n].cells:
             if cyls in seen:
                 continue
-            orbit = {frozenset(end_perms[h][c] for c in cyls) for h in action.group.elements}
+            orbit = {frozenset(end_moves[h].get(c, c) for c in cyls) for h in action.group.elements}
             seen |= orbit
             # goodness of the orbit (checked on all members)
             def is_good(bc: frozenset) -> bool:
@@ -2085,7 +2089,7 @@ def _check_core_simplicial(action: FiniteGroupAction):
     corev = core_vertices(a, action.depth)
     for h in action.group.elements:
         f = action.reps[h]
-        img = {f.vmap[v] for v in corev}
+        img = {f.moves.get(v, v) for v in corev}
         if img != set(corev):
             raise ValueError(f"element {h} does not act simplicially on the core (vertices move off it)")
         for child in f.edge_wraps:
@@ -2096,7 +2100,7 @@ def _check_core_simplicial(action: FiniteGroupAction):
             if v not in corev:
                 continue
             w_ = f.loop_word(lid)
-            if len(w_) != 1 or loop_at[w_[0][0]][0] != f.vmap[v]:
+            if len(w_) != 1 or loop_at[w_[0][0]][0] != f.moves.get(v, v):
                 raise ValueError(f"element {h} is not simplicial on the loops")
 
 
@@ -2161,15 +2165,15 @@ def realize_general_case(
         f = action.reps[h]
         vperm = [None] * nvert
         for v in corev:
-            vperm[vindex[v]] = vindex[f.vmap[v]]
+            vperm[vindex[v]] = vindex[f.moves.get(v, v)]
         for (lev, cyl), idx in tindex.items():
-            img = frozenset(f.end_action[c] for c in cyl)
+            img = frozenset(f.end_moves.get(c, c) for c in cyl)
             vperm[idx] = tindex[(lev, img)]
         emap: list = [None] * len(edges)
         for key, ei in edge_key.items():
             if key[0] == "tree":
                 child = key[1]
-                img_child = f.vmap[child]
+                img_child = f.moves.get(child, child)
                 emap[ei] = (edge_key[("tree", img_child)], 0)
             elif key[0] == "loop":
                 _, v, k = key
@@ -2177,7 +2181,7 @@ def realize_general_case(
                 emap[ei] = (edge_key[("loop", *t.loop_at[name])], 0 if sign > 0 else 1)
             else:
                 _, lev, cyl = key
-                img = frozenset(f.end_action[c] for c in cyl)
+                img = frozenset(f.end_moves.get(c, c) for c in cyl)
                 emap[ei] = (edge_key[("tele", lev, img)], 0)
         y_action[h] = GraphAutomorphism(tuple(vperm), tuple(emap))
 

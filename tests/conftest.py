@@ -41,3 +41,13 @@ def make_flip_action(automaton, depth, order=2):
     ident = mc.ProperMapRep.identity(automaton, depth)
     grp = nz.FiniteGroup.cyclic(2)
     return nz.FiniteGroupAction.make(grp, {"e": ident, "g1": flip})
+
+
+def full_vmap(f):
+    """The image of every vertex of f's truncation: ``moves`` filled in with the identity."""
+    return {v: f.moves.get(v, v) for v in f.truncation().state}
+
+
+def full_end_action(f):
+    """The image of every live depth-D cylinder: ``end_moves`` filled in with the identity."""
+    return {c: f.end_moves.get(c, c) for c in gm.cylinders(f.automaton, f.depth)}

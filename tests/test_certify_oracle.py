@@ -1,9 +1,10 @@
 """Certification read off the representatives against compose and invert.
 
 ``ref_certify`` is a verbatim copy of the earlier ``FiniteGroupAction.certify``
-(``self`` renamed ``action``): for each generator row it builds
-rep(g)∘rep(h) with ``mapclass.compose``, composes it with
-``mapclass.rigid_inverse`` of rep(gh), and asks the identity criterion of the
+(``self`` renamed ``action``), but for taking ``compose`` and
+``rigid_inverse`` from their reference copies: for each generator row it
+builds rep(g)∘rep(h) with ``ref_compose``, composes it with
+``ref_rigid_inverse`` of rep(gh), and asks the identity criterion of the
 result.  ``FiniteGroupAction.certify`` reads each relation off the end
 actions, substitutions and frontier wraps with ``mapclass.composes_to``;
 both must accept the same actions and reject the others with the same
@@ -21,6 +22,7 @@ from propermaps import mapclass as mc
 from propermaps import nielsen as nz
 from propermaps import stallings as st
 from propermaps import words as W
+from tests.conftest import full_end_action, full_vmap
 from tests.test_nielsen import _order8_action, _swap_branch_action, lid
 from tests.test_nielsen_ray_oracle import (
     _loop_inverting_drag,
@@ -28,6 +30,7 @@ from tests.test_nielsen_ray_oracle import (
     _swapped_core_with_rays,
     _twisted_swap_branch_action,
 )
+from tests.test_one_derivation_oracle import ref_compose, ref_rigid_inverse
 from tests.test_tree_pipeline_oracle import _twisted_rotation
 
 # -- reference: certification through composites --------------------------------------------
@@ -44,15 +47,15 @@ def ref_certify(action):
         raise ValueError("identity element representative is not certified trivial")
     inverses = {}
     for g in action.group.elements:
-        inv = mc.rigid_inverse(action.reps[g])
+        inv = ref_rigid_inverse(action.reps[g])
         if inv is None:
             raise ValueError(f"representative of {g} has no rigid inverse")
         inverses[g] = inv
     for g in nz._generating_subset(action.group):
         for h in action.group.elements:
             k = action.group.mult[(g, h)]
-            comp = mc.compose(action.reps[h], action.reps[g])  # h first, then g
-            diff = mc.compose(comp, inverses[k])
+            comp = ref_compose(action.reps[h], action.reps[g])  # h first, then g
+            diff = ref_compose(comp, inverses[k])
             if not mc.is_properly_homotopic_to_identity(diff):
                 raise ValueError(f"relation {g}*{h}={k} fails certification")
 
@@ -119,13 +122,13 @@ def _conjugated(f, w, first_edges):
     li = {x: W.conjugate(f.loop_word(x), w) for x in f.loop_ids()}
     ew = dict(f.edge_wraps)
     ew.update({e: W.mul(w, f.wrap(e)) for e in first_edges})
-    return mc.ProperMapRep.make(f.automaton, f.depth, f.vmap, li, ew, f.end_action)
+    return mc.ProperMapRep.make(f.automaton, f.depth, f.moves, li, ew, full_end_action(f))
 
 
 def _with(reps, name, **changes):
     """reps with reps[name] remade with some fields changed."""
     f = reps[name]
-    fields = dict(vmap=f.vmap, loop_images=f.loop_images, edge_wraps=f.edge_wraps, end_action=f.end_action,
+    fields = dict(vmap=f.moves, loop_images=f.loop_images, edge_wraps=f.edge_wraps, end_action=full_end_action(f),
                   outside=f.outside)
     fields.update(changes)
     return {**reps, name: mc.ProperMapRep.make(f.automaton, f.depth, **fields)}
@@ -167,8 +170,8 @@ def _late_loops_rotation():
         a, depth, vmap={v: _turn(v, 1) for v in t.vertices}, loop_images={x[i]: W.gen(x[(i + 1) % 4]) for i in range(4)},
         edge_wraps={(0, 0): W.gen(x[1], -1), (3, 0): W.gen(x[0])},
     )
-    s2 = mc.compose(s, s)
-    return _cyclic([mc.ProperMapRep.identity(a, depth), s, s2, mc.compose(s2, s)])
+    s2 = ref_compose(s, s)
+    return _cyclic([mc.ProperMapRep.identity(a, depth), s, s2, ref_compose(s2, s)])
 
 
 def _late_genus_rotation(turns=(0, 1, 2, 3)):
@@ -242,7 +245,7 @@ def _cases():
     t = gm.unfold(CANTOR, 3)
     cyls = gm.cylinders(CANTOR, 3)
     group, reps = _swap(CANTOR, 3, {}, {})
-    collapse = {**reps["g1"].vmap, (1,): (1,)}  # both children of the root onto one; the ends still swap
+    collapse = {**full_vmap(reps["g1"]), (1,): (1,)}  # both children of the root onto one; the ends still swap
     cases.append(("cantor-d3-non-bijective", group, _with(reps, "g1", vmap=collapse), no_inverse))
     group, reps = _flip(LOOP_RAY, 2)
     cases.append(("flip-d2-banded", group, _with(reps, "g1", outside=mc.banded(1)), no_inverse))

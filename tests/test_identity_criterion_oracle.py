@@ -32,6 +32,7 @@ from propermaps import words as W
 from propermaps.end_space import is_ancestor
 from propermaps.graph_model import genus
 from propermaps.mapclass import IdentityVerdict, LineRep
+from tests.conftest import full_end_action, full_vmap
 
 
 def ref_moved_class_witness(f):
@@ -54,9 +55,11 @@ def ref_moved_class_witness(f):
 
 
 def ref_is_properly_homotopic_to_identity(f):
-    """``is_properly_homotopic_to_identity`` before it read only moved loops, verbatim."""
-    for c in sorted(f.end_action):
-        if f.end_action[c] != c:
+    """``is_properly_homotopic_to_identity`` before it read only moved loops, verbatim but for
+    reading the full vertex map and end action through ``full_vmap`` and ``full_end_action``."""
+    end_action, vmap = full_end_action(f), full_vmap(f)
+    for c in sorted(end_action):
+        if end_action[c] != c:
             return IdentityVerdict("no", f.depth, ("end", c))
 
     rank = genus(f.automaton)
@@ -81,7 +84,7 @@ def ref_is_properly_homotopic_to_identity(f):
                     witness = ref_moved_class_witness(f)
                     return IdentityVerdict("no", f.depth, witness or ("curve", None))
             for c in genus_front:  # a moved piece of genus beyond c moves its curves too
-                if f.vmap[c] != c or f.accumulated_wrap(c) != w:
+                if vmap[c] != c or f.accumulated_wrap(c) != w:
                     return IdentityVerdict("no", f.depth, ("curve", c))
             for c in dx_front:
                 if f.accumulated_wrap(c) != w:
@@ -169,9 +172,9 @@ def _assert_loops_read_as_before(a, text):
 def _assert_make_ignores_generator_images(f):
     spelled = {lid: f.loop_word(lid) for lid in f.loop_ids()}
     for images in (spelled, f.loop_images):
-        g = mc.ProperMapRep.make(f.automaton, f.depth, f.vmap, images, f.edge_wraps, f.end_action, f.outside)
+        g = mc.ProperMapRep.make(f.automaton, f.depth, full_vmap(f), images, f.edge_wraps, full_end_action(f), f.outside)
         assert g.loop_images == f.loop_images
-        assert (g.vmap, g.edge_wraps, g.end_action, g.outside) == (f.vmap, f.edge_wraps, f.end_action, f.outside)
+        assert (g.moves, g.edge_wraps, g.end_moves, g.outside) == (f.moves, f.edge_wraps, f.end_moves, f.outside)
 
 
 def test_workloads_cover_every_variant():

@@ -1,19 +1,20 @@
 """Oracle for representatives that keep only the vertices and ends their map moves.
 
 ``ProperMapRep.make`` keeps in ``moves`` only the vertices v with vmap[v] != v
-and in ``end_moves`` only the live cylinders c with end_action[c] != c; the
-full ``vmap`` and ``end_action`` are views that fill in the identity on first
-read.  ``is_properly_homotopic_to_identity`` reads only what moves: its end
+and in ``end_moves`` only the live cylinders c with end_action[c] != c.
+``is_properly_homotopic_to_identity`` reads only what moves: its end
 witness is the least moved cylinder, it skips ``is_inner`` when two loops are
 fixed and one moves, and with w = 1 it checks only the frontier vertices that
 are moved or lie below a wrapped edge.  The references below are ``make``,
 ``genus_frontier`` and the criterion from before, kept verbatim (``make``
-returns its five dicts instead of a representative).  Checked:
+returns its five dicts instead of a representative, and the criterion reads
+the full vertex map and end action through ``full_vmap`` and
+``full_end_action``).  Checked:
 
 - verdict, depth and witness on every ``check-id`` map of all six variants of
-  the ``maps`` workload and on every ``realize`` representative, and that the
-  criterion builds no full ``vmap`` or ``end_action`` for a ``check-id`` map;
-- ``vmap`` and ``end_action`` as dicts, and the verdict, on random maps:
+  the ``maps`` workload and on every ``realize`` representative;
+- ``moves`` and ``end_moves`` against the reference's full dicts with their
+  identity entries removed, and the verdict, on random maps:
   frontier swaps, wraps at several depths, banded maps with and without an end
   action, and inner maps, some conjugating by a power of one loop;
 - the same exception type and message on malformed inputs;
@@ -41,6 +42,7 @@ from propermaps.mapclass import (
     LineRep,
     _moved_class_witness,
 )
+from tests.conftest import full_end_action, full_vmap
 from tests.test_identity_criterion_oracle import MAP_FILES, REALIZE
 
 
@@ -110,9 +112,10 @@ def ref_genus_frontier(self):
 
 def ref_is_properly_homotopic_to_identity(f):
     """``is_properly_homotopic_to_identity`` before it read only moved vertices and ends, verbatim
-    but for calling ``ref_genus_frontier``."""
-    for c in sorted(f.end_action):
-        if f.end_action[c] != c:
+    but for calling ``ref_genus_frontier`` and reading ``full_vmap`` and ``full_end_action``."""
+    end_action, vmap = full_end_action(f), full_vmap(f)
+    for c in sorted(end_action):
+        if end_action[c] != c:
             return IdentityVerdict("no", f.depth, ("end", c))
 
     rank = genus(f.automaton)
@@ -137,7 +140,7 @@ def ref_is_properly_homotopic_to_identity(f):
                     witness = _moved_class_witness(f)
                     return IdentityVerdict("no", f.depth, witness or ("curve", None))
             for c in genus_front:  # a moved piece of genus beyond c moves its curves too
-                if f.vmap[c] != c or f.accumulated_wrap(c) != w:
+                if vmap[c] != c or f.accumulated_wrap(c) != w:
                     return IdentityVerdict("no", f.depth, ("curve", c))
             for c in dx_front:
                 if f.accumulated_wrap(c) != w:
@@ -154,7 +157,7 @@ def _verdict(v):
 
 
 def _assert_same_verdict(f):
-    """The criterion on f, compared with the reference; read before anything fills in f.vmap."""
+    """The criterion on f, compared with the reference."""
     got = _verdict(mc.is_properly_homotopic_to_identity(f))
     assert got == _verdict(ref_is_properly_homotopic_to_identity(f))
     assert f.genus_frontier() == ref_genus_frontier(f)
@@ -162,7 +165,14 @@ def _assert_same_verdict(f):
 
 
 def _fields(f):
-    return f.vmap, f.loop_images, f.edge_wraps, f.end_action, f.outside
+    return f.moves, f.loop_images, f.edge_wraps, f.end_moves, f.outside
+
+
+def _moved(fields):
+    """The reference's (vmap, loop_images, edge_wraps, end_action, outside) with the identity
+    entries of vmap and end_action removed."""
+    vm, li, ew, ea, outside = fields
+    return {v: w for v, w in vm.items() if v != w}, li, ew, {c: d for c, d in ea.items() if c != d}, outside
 
 
 def _outcome(build):
@@ -180,12 +190,11 @@ def test_check_id_verdicts_match_reference_without_the_full_maps():
     for _, a, text in MAP_FILES:
         f = mc.parse_map_file(a, text)
         got = mc.is_properly_homotopic_to_identity(f)
-        assert "vmap" not in f.__dict__ and "end_action" not in f.__dict__
         assert _verdict(got) == _verdict(ref_is_properly_homotopic_to_identity(f))
         kinds.add(got.kind)
         witnesses.add(got.witness[0] if got.witness else None)
-        ea = f.end_action if not f.is_identity_outside() else None
-        assert ref_make(a, f.depth, f.vmap, f.loop_images, f.edge_wraps, ea, f.outside) == _fields(f)
+        ea = full_end_action(f) if not f.is_identity_outside() else None
+        assert _moved(ref_make(a, f.depth, f.moves, f.loop_images, f.edge_wraps, ea, f.outside)) == _fields(f)
     assert kinds == {"certified_yes", "no", "unknown"}
     assert {"loop", "curve"} <= witnesses
 
@@ -196,8 +205,8 @@ def test_realize_representatives_match_reference():
     moved = 0
     for f in reps:
         _assert_same_verdict(f)
-        ea = f.end_action if not f.is_identity_outside() else None
-        assert ref_make(f.automaton, f.depth, f.vmap, f.loop_images, f.edge_wraps, ea, f.outside) == _fields(f)
+        ea = full_end_action(f) if not f.is_identity_outside() else None
+        assert _moved(ref_make(f.automaton, f.depth, f.moves, f.loop_images, f.edge_wraps, ea, f.outside)) == _fields(f)
         moved += bool(f.moves)
     assert moved
 
@@ -340,7 +349,7 @@ def test_random_maps_match_reference():
                 continue
             f = got
             kind, _, witness = _assert_same_verdict(f)
-            assert _fields(f) == want
+            assert _fields(f) == _moved(want)
             assert all(v != w for v, w in f.moves.items()) and all(c != d for c, d in f.end_moves.items())
             w = st.is_inner(f.substitution()) if f.loop_images else W.EMPTY
             seen.add((kind, witness[0] if witness else None, bool(w)))

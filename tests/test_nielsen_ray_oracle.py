@@ -52,7 +52,7 @@ def ball_nielsen_ray(action: FiniteGroupAction, beta: Path, radius: int = 8, sta
         if beta[:i] in corev:
             attach = beta[:i]
     if stabilizer is None:
-        stabilizer = [h for h in action.group.elements if action.reps[h].end_action[beta] == beta]
+        stabilizer = [h for h in action.group.elements if beta not in action.reps[h].end_moves]
     stab = tuple(sorted(set(stabilizer)))
 
     t = unfold(a, depth)
@@ -248,7 +248,7 @@ def test_geodesic_hull_matches_ball_search(name):
     anchors = _pure_dx_anchors(action)
     assert anchors
     for beta in anchors:
-        stab = [h for h in action.group.elements if action.reps[h].end_action[beta] == beta]
+        stab = [h for h in action.group.elements if beta not in action.reps[h].end_moves]
         want = ball_nielsen_ray(action, beta, radius=8, stabilizer=stab)
         assert nz.nielsen_ray(action, beta, stabilizer=stab) == want
         assert nz.nielsen_ray(action, beta) == want

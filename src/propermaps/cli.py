@@ -163,7 +163,8 @@ def cmd_realize(args) -> int:
     levels = {} if args.depth is None else {"levels": args.depth}  # absent: the pipeline's default
     try:
         if args.kind == "tree":
-            tr = nz.realize_tree_case(a, action.end_group(), **levels, eps_base=_rational(args.eps_base))
+            action.level_maps  # an end action off the tree is refused before --eps-base is read
+            tr = nz.realize_tree_case(action, **levels, eps_base=_rational(args.eps_base))
             report.update({"stage": "done", **tr.report})
             _write_dot(args.out, "telescope", lambda: es.telescope_to_dot(tr.telescope))
         elif args.kind == "core":

@@ -4,7 +4,8 @@ Ends of an automaton-generated graph are infinite child-index paths; a
 depth-D cylinder is a live depth-D vertex, standing for the clopen set of
 ends through it.  The metric is the 2^-prefix ultrametric, and epsilon is an
 exact rational (ties against it matter, the joining relation is strictly
-`< eps`).
+`< eps`).  A certified finite action acts here through each element's level
+maps (``level_maps``); that it is a group is certification's to prove.
 """
 
 from __future__ import annotations
@@ -158,60 +159,39 @@ class Partition:
 # -- group actions ---------------------------------------------------------------
 
 
-class FiniteCylinderGroup:
-    """Finite group acting by tree-compatible bijections of depth-D cylinders."""
+LevelMaps = Mapping[str, Sequence[Mapping[Path, Path]]]  # name -> k -> {live depth-k prefix: its image}
 
-    def __init__(self, automaton: UnfoldingAutomaton, depth: int, elements: Mapping[str, Mapping[Path, Path]]):
-        self.automaton = automaton
-        self.depth = depth
-        self.elements = {name: dict(perm) for name, perm in elements.items()}
-        self.level_maps = self._validate()  # name -> k -> {live depth-k prefix: its image}, k = 0..D
 
-    @classmethod
-    def trivial(cls, a: UnfoldingAutomaton, depth: int) -> "FiniteCylinderGroup":
-        cyls = cylinders(a, depth)
-        return cls(a, depth, {"e": {c: c for c in cyls}})
+def level_maps(
+    a: UnfoldingAutomaton, depth: int, moves: Mapping[str, Mapping[Path, Path]]
+) -> dict[str, tuple[dict[Path, Path], ...]]:
+    """Each element's level maps, k = 0..depth, from the live depth-D cylinders it moves
+    (``moves``, in the group's element order), refusing an element at the least depth where
+    its prefix pairs form no map.
 
-    def _validate(self) -> dict[str, tuple[dict[Path, Path], ...]]:
-        """Check the group and return each element's level maps.
-
-        Once these checks pass every level map is a bijection of the live depth-k prefixes:
-        closure and the identity make the elements a finite group, so each element's inverse
-        is an element whose level maps are maps, and the two compose to the identity level by
-        level.  So each element keeps common prefixes, an isometry of the 2^-prefix metric,
-        which is therefore its own average over the group.
-        """
-        cyls = cylinders(self.automaton, self.depth)
-        live = set(cyls)
-        level_maps = {}
-        for name, perm in self.elements.items():
-            if perm.keys() != live or set(perm.values()) != live:
-                raise NotAnActionError(f"element {name} is not a bijection of the depth-{self.depth} cylinders")
-            # tree compatibility: each depth's (prefix, image prefix) pairs, made from the next one's, form a map
-            pairs, levels, bad = perm.items(), [perm], None
-            for k in reversed(range(self.depth)):
-                pairs = {(c[:k], d[:k]) for c, d in pairs}
-                levels.append(dict(pairs))
-                if len(levels[-1]) != len(pairs):
-                    bad = k
-            if bad is not None:
-                raise NotAnActionError(f"element {name} is incompatible with the cylinder tree at depth {bad}")
-            level_maps[name] = tuple(reversed(levels))
-        # closure under composition (finite closed sets of bijections are groups)
-        keyed = {tuple(map(p.__getitem__, cyls)) for p in self.elements.values()}
-        for n1, p1 in self.elements.items():
-            for n2, p2 in self.elements.items():
-                if tuple(map(p2.__getitem__, map(p1.__getitem__, cyls))) not in keyed:
-                    raise NotAnActionError(f"composition {n2}*{n1} escapes the element set")
-        if cyls not in keyed:
-            raise NotAnActionError("identity element missing")
-        return level_maps
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.elements))
-
-    def apply(self, name: str, cyl: Path) -> Path:
-        return self.elements[name][cyl]
+    The elements are a certified action's, so their cylinder bijections (``ProperMapRep.make``)
+    are closed under composition and hold the identity: certification compares end actions
+    exactly and finds that the identity moves no end.  Each
+    element's inverse is then an element whose level maps are maps, and the two compose to the
+    identity level by level, so every level map is a bijection of the live depth-k prefixes.
+    So each element keeps common prefixes, an isometry of the 2^-prefix metric, which is
+    therefore its own average over the group.
+    """
+    cyls = cylinders(a, depth)
+    out = {}
+    for name, moved in moves.items():
+        perm = {c: moved.get(c, c) for c in cyls}
+        # each depth's (prefix, image prefix) pairs, made from the next one's, form a map
+        pairs, levels, bad = perm.items(), [perm], None
+        for k in reversed(range(depth)):
+            pairs = {(c[:k], d[:k]) for c, d in pairs}
+            levels.append(dict(pairs))
+            if len(levels[-1]) != len(pairs):
+                bad = k
+        if bad is not None:
+            raise NotAnActionError(f"element {name} is incompatible with the cylinder tree at depth {bad}")
+        out[name] = tuple(reversed(levels))
+    return out
 
 
 # -- epsilon partitions -------------------------------------------------------
@@ -336,12 +316,11 @@ class BoundaryCorrespondence:
             if not all(p.cells):
                 raise AssertionError(f"level {n} correspondence is not onto")
 
-    def check_equivariant(self, action: FiniteCylinderGroup, tele_action: "TelescopeAction"):
+    def check_equivariant(self, levels: LevelMaps, tele_action: "TelescopeAction"):
         """Each element carries cell i into the cell that ``tele_action`` assigns to i."""
-        for h in action.names():
-            levels = action.level_maps[h]
+        for h in sorted(levels):
             for n, p in enumerate(self.tree.partitions):
-                for i, js in enumerate(p.image_blocks(levels, p)):
+                for i, js in enumerate(p.image_blocks(levels[h], p)):
                     if js and (len(js) > 1 or tele_action.apply(h, (n, i)) != (n, *js)):
                         raise AssertionError(f"boundary correspondence not equivariant at {h}, level {n}")
 
@@ -364,20 +343,21 @@ class TelescopeAction:
         return tuple(sorted(self.vertex_maps))
 
 
-def induced_telescope_action(t: TelescopeTree, action: FiniteCylinderGroup) -> TelescopeAction:
-    """Permute level-n vertices by permuting blocks; verified simplicial.
+def induced_telescope_action(t: TelescopeTree, levels: LevelMaps) -> TelescopeAction:
+    """Permute level-n vertices by permuting blocks, each element by its level maps;
+    verified simplicial.
 
     A nonempty cell goes to the one block its image meets (so, the element being a
     bijection, onto that block's cell), and an empty cell to the first empty cell.
     """
-    if any(p.depth != action.depth for p in t.partitions):
-        raise ValueError(f"telescope and action at different depths (the action is at depth {action.depth})")
+    depth = len(next(iter(levels.values()))) - 1  # every element has levels 0..D
+    if any(p.depth != depth for p in t.partitions):
+        raise ValueError(f"telescope and action at different depths (the action is at depth {depth})")
     maps: dict[str, dict[Vertex, Vertex]] = {}
-    for h in action.names():
-        levels = action.level_maps[h]
+    for h in sorted(levels):
         vmap: dict[Vertex, Vertex] = {}
         for n, p in enumerate(t.partitions):
-            for i, js in enumerate(p.image_blocks(levels, p)):
+            for i, js in enumerate(p.image_blocks(levels[h], p)):
                 if len(js) > 1:
                     raise NotInvariantError(f"element {h} does not preserve partition level {n}")
                 vmap[(n, i)] = (n, min(js) if js else p.cells.index(frozenset()))

@@ -134,16 +134,14 @@ class FiniteGroupAction:
     reps: Mapping[str, mc.ProperMapRep]
 
     @classmethod
-    def make(cls, group: FiniteGroup, reps: Mapping[str, mc.ProperMapRep], certify: bool = True) -> "FiniteGroupAction":
-        """The action, with every representative extended to the deepest support among them: its
-        readers take each one on the action's truncation."""
-        some = reps[group.identity]
-        depth = max(f.depth for f in reps.values())
-        action = cls(group, some.automaton, depth, {g: mc.extend(f, depth) for g, f in reps.items()})
+    def make(cls, group: FiniteGroup, reps: Mapping[str, mc.ProperMapRep]) -> "FiniteGroupAction":
+        """The certified action, with every representative extended to the deepest support among
+        them: its readers take each one on the action's truncation."""
         if set(reps) != set(group.elements):
             raise ValueError("need one representative per group element")
-        if certify:
-            action.certify()
+        depth = max(f.depth for f in reps.values())
+        action = cls(group, reps[group.identity].automaton, depth, {g: mc.extend(f, depth) for g, f in reps.items()})
+        action.certify()
         return action
 
     def certify(self):
@@ -167,10 +165,10 @@ class FiniteGroupAction:
     def outer(self, g: str) -> st.FreeGroupAutomorphism:
         return self.reps[g].substitution()
 
-    def end_group(self) -> es.FiniteCylinderGroup:
-        cyls = cylinders(self.automaton, self.depth)
-        perms = {g: {c: self.reps[g].end_moves.get(c, c) for c in cyls} for g in self.group.elements}
-        return es.FiniteCylinderGroup(self.automaton, self.depth, perms)
+    @functools.cached_property
+    def level_maps(self) -> dict[str, tuple[dict[Path, Path], ...]]:
+        """Each element's level maps on the live prefixes (``end_space.level_maps``), made once."""
+        return es.level_maps(self.automaton, self.depth, {g: self.reps[g].end_moves for g in self.group.elements})
 
 
 # -- interval covers and factor systems ------------------------------------------
@@ -1505,9 +1503,9 @@ def realize_core_case(
     if not live_states(a):
         return _realize_compact_core(action, e_max, rank_bound)
     if cover is None:
-        if depth == 0:  # the default cover needs radius 1; extending keeps every class
-            reps = {g: mc.extend(f, max(f.depth, 1)) for g, f in action.reps.items()}
-            action, depth = FiniteGroupAction.make(action.group, reps, certify=False), 1
+        if depth == 0:  # the default cover needs radius 1; extending keeps every class, so the action stays certified
+            reps = {g: mc.extend(f, 1) for g, f in action.reps.items()}
+            action, depth = FiniteGroupAction(action.group, a, 1, reps), 1
         cover = IntervalCover.default(depth)
     if cover.r[-1] > depth:
         raise ValueError("cover exceeds the support depth")
@@ -2042,31 +2040,26 @@ class TreeRealization:
     report: dict
 
 
-def realize_tree_case(
-    a: UnfoldingAutomaton,
-    action: es.FiniteCylinderGroup,
-    levels: int = 4,
-    eps_base=None,
-) -> TreeRealization:
-    """Refining partitions of the prefix metric (invariant, see ``FiniteCylinderGroup``),
-    mapping telescope, action."""
+def realize_tree_case(action: FiniteGroupAction, levels: int = 4, eps_base=None) -> TreeRealization:
+    """Refining epsilon-partitions of the prefix metric, their mapping telescope, and the action
+    on it, read off the certified action's level maps (the metric is invariant, see
+    ``end_space.level_maps``)."""
+    maps, a = action.level_maps, action.automaton  # an end action off the tree is refused first
     if genus(a) != 0:
         raise ValueError("tree pipeline needs a loop-free ambient graph")
-    if action.automaton != a:
-        raise es.NotAnActionError("action and automaton live on different cylinder sets")
     eps0 = Fraction(2) if eps_base is None else Fraction(eps_base)
     if eps0 <= 0:
         raise ValueError(f"eps base must be positive, got {eps0}")
     tele = es.telescope(_epsilon_sequence(a, action.depth, eps0, levels))
-    tact = es.induced_telescope_action(tele, action)
+    tact = es.induced_telescope_action(tele, maps)
     bnd = es.boundary_map(tele)
-    bnd.check_equivariant(action, tact)
+    bnd.check_equivariant(maps, tact)
     report = {
         "levels": levels,
         "vertices": len(tele.vertices()),
         "edges": len(tele.edges),
         "block_counts": [len(p.blocks) for p in tele.partitions],
-        "elements": list(action.names()),
+        "elements": sorted(action.group.elements),
     }
     return TreeRealization(tele, tact, bnd, report)
 
@@ -2118,12 +2111,12 @@ def realize_general_case(
     """
     a = action.automaton
     if genus(a) == 0:
-        return realize_tree_case(a, action.end_group(), levels=levels)
+        return realize_tree_case(action, levels=levels)
     if is_core_automaton(a):
         return realize_core_case(action, e_max=e_max, rank_bound=rank_bound)
     _check_core_simplicial(action)
     depth = action.depth
-    action.end_group()  # validates the end action
+    action.level_maps  # refuses an end action off the tree
     seq = _epsilon_sequence(a, depth, Fraction(2), levels)
     cover = good_filter(seq, action)
 

@@ -51,3 +51,21 @@ def full_vmap(f):
 def full_end_action(f):
     """The image of every live depth-D cylinder: ``end_moves`` filled in with the identity."""
     return {c: f.end_moves.get(c, c) for c in gm.cylinders(f.automaton, f.depth)}
+
+
+def cylinder_action(automaton, depth, perms):
+    """The certified action of named permutations of the live depth-D cylinders.
+
+    The table is their composition (a product that leaves the set is missing), and each
+    representative moves the frontier vertices that its permutation moves."""
+    cyls = gm.cylinders(automaton, depth)
+    name_of = {tuple(p[c] for c in cyls): g for g, p in perms.items()}
+    mult = {}
+    for g, p in perms.items():
+        for h, q in perms.items():
+            gh = tuple(p[q[c]] for c in cyls)
+            if gh in name_of:
+                mult[(g, h)] = name_of[gh]
+    moved = {g: {c: d for c, d in p.items() if c != d} for g, p in perms.items()}
+    reps = {g: mc.ProperMapRep.make(automaton, depth, vmap=vmap) for g, vmap in moved.items()}
+    return nz.FiniteGroupAction.make(nz.FiniteGroup.make(list(perms), mult), reps)

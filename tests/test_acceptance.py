@@ -18,7 +18,7 @@ from propermaps import nielsen as nz
 from propermaps import stallings as st
 from propermaps import words as W
 from propermaps.end_space import ClopenSet
-from tests.conftest import make_flip_action
+from tests.conftest import cylinder_action, make_flip_action
 from tests.test_nielsen import assert_action_table
 from tests.test_one_derivation_oracle import ref_compose, ref_rigid_inverse
 
@@ -168,11 +168,11 @@ def test_criterion_5_tree_pipeline(cantor_tree):
         depth = 4
         cyls = gm.cylinders(cantor_tree, depth)
         swap = {c: (1 - c[0],) + c[1:] for c in cyls}
-        grp = es.FiniteCylinderGroup(cantor_tree, depth, {"e": {c: c for c in cyls}, "s": swap})
-        tr = nz.realize_tree_case(cantor_tree, grp, levels=4)
+        grp = cylinder_action(cantor_tree, depth, {"e": {c: c for c in cyls}, "s": swap})
+        tr = nz.realize_tree_case(grp, levels=4)
         tr.telescope.check_tree()
         tr.boundary.check_bijective()
-        tr.boundary.check_equivariant(grp, tr.action)
+        tr.boundary.check_equivariant(grp.level_maps, tr.action)
         # action table: s has order 2 on vertices
         vs = tr.telescope.vertices()
         assert all(tr.action.apply("s", tr.action.apply("s", v)) == v for v in vs)
@@ -183,15 +183,15 @@ def test_criterion_5_tree_pipeline(cantor_tree):
         def rot(c, k):
             return ((c[0] + k) % 3,) + c[1:]
 
-        grp3 = es.FiniteCylinderGroup(
+        grp3 = cylinder_action(
             ternary,
             depth,
             {"e": {c: c for c in cyls3}, "r1": {c: rot(c, 1) for c in cyls3}, "r2": {c: rot(c, 2) for c in cyls3}},
         )
-        tr3 = nz.realize_tree_case(ternary, grp3, levels=3)
+        tr3 = nz.realize_tree_case(grp3, levels=3)
         tr3.telescope.check_tree()
         tr3.boundary.check_bijective()
-        tr3.boundary.check_equivariant(grp3, tr3.action)
+        tr3.boundary.check_equivariant(grp3.level_maps, tr3.action)
         for v in tr3.telescope.vertices():
             x = tr3.action.apply("r1", tr3.action.apply("r1", tr3.action.apply("r1", v)))
             assert x == v

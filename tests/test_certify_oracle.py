@@ -108,9 +108,9 @@ def _branch_rotation(n, depth, flip, branch_loops=1):
 
 def _tree_rotation(rng, arity, depth):
     """Z/arity rotating the root's children of the regular tree, twisted below."""
-    a, cyl_group = _twisted_rotation(rng, arity, depth)
+    a, elements = _twisted_rotation(rng, arity, depth)
     reps = []
-    for perm in cyl_group.elements.values():
+    for perm in elements.values():
         vmap = {v: perm[v + (0,) * (depth - len(v))][: len(v)] for v in gm.unfold(a, depth).vertices}
         reps.append(mc.ProperMapRep.make(a, depth, vmap=vmap))
     return _cyclic(reps)

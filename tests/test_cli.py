@@ -430,6 +430,48 @@ def test_realize_general_depth_flag(tmp_path, capsys):
     assert code == 4 and rep["error"] == "levels must be nonnegative, got -1"
 
 
+MIXED = "root r\nstate r loops=1 children=c,b\nstate c loops=1 children=c\nstate b loops=0 children=b,b\n"
+
+
+def _write_end_swap(tmp_path, graph, depth, u, v):
+    """Z/2 swapping the frontier vertices u and v at the given support, every other vertex
+    fixed, as graph and action files: a certified action that is no automorphism of the tree."""
+    g = tmp_path / "g.aut"
+    g.write_text(graph)
+    a = gm.parse_automaton(graph)
+    swap = mc.ProperMapRep.make(a, depth, vmap={u: v, v: u})
+    (tmp_path / "e.map").write_text(mc.format_map_file(mc.ProperMapRep.identity(a, depth)))
+    (tmp_path / "s.map").write_text(mc.format_map_file(swap))
+    act = tmp_path / "swap.act"
+    act.write_text(
+        "group z2 order 2\n"
+        "elem e: mapfile=e.map\n"
+        "elem s: mapfile=s.map\n"
+        "mult e e = e\nmult e s = s\nmult s e = s\nmult s s = e\n"
+    )
+    return g, act
+
+
+@pytest.mark.parametrize(
+    "graph, depth, u, v, argv, at",
+    [
+        (CANTOR, 2, (0, 0), (1, 0), ["tree"], 1),
+        (CANTOR, 2, (0, 0), (1, 0), ["general"], 1),
+        (CANTOR, 2, (0, 0), (1, 0), ["tree", "--eps-base", "1/0"], 1),
+        (MIXED, 3, (1, 0, 0), (1, 1, 0), ["tree"], 2),
+        (MIXED, 3, (1, 0, 0), (1, 1, 0), ["general"], 2),
+    ],
+    ids=["cantor-tree", "cantor-general", "cantor-tree-bad-eps-base", "mixed-tree", "mixed-general"],
+)
+def test_realize_refuses_an_end_action_off_the_tree_first(tmp_path, capsys, graph, depth, u, v, argv, at):
+    """The end action is refused before --eps-base is read and before the tree pipeline's
+    genus check; ``general`` refuses it after the core check, before the epsilon schedule."""
+    g, act = _write_end_swap(tmp_path, graph, depth, u, v)
+    code, rep = run(capsys, "realize", argv[0], str(g), str(act), *argv[1:])
+    assert code == 4 and rep["command"] == f"realize-{argv[0]}" and rep["stage"] == "input"
+    assert rep["error"] == f"element s is incompatible with the cylinder tree at depth {at}"
+
+
 def _stdout(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().out

@@ -5,12 +5,15 @@ from hypothesis import given, settings, strategies as st_h
 
 from propermaps import end_space as es
 from propermaps import graph_model as gm
+from propermaps import mapclass as mc
+from propermaps import nielsen as nz
+from tests.conftest import cylinder_action
 
 
 def cantor_group(a, depth):
     cyls = gm.cylinders(a, depth)
     swap = {c: (1 - c[0],) + c[1:] for c in cyls}
-    return es.FiniteCylinderGroup(a, depth, {"e": {c: c for c in cyls}, "s": swap})
+    return cylinder_action(a, depth, {"e": {c: c for c in cyls}, "s": swap})
 
 
 # -- clopen sets -------------------------------------------------------------------
@@ -44,14 +47,18 @@ def test_base_metric_values():
 
 def test_not_an_action(cantor_tree):
     cyls = gm.cylinders(cantor_tree, 2)
-    # a single swap without the identity is not closed
-    swap = {c: (1 - c[0],) + c[1:] for c in cyls}
-    with pytest.raises(es.NotAnActionError):
-        es.FiniteCylinderGroup(cantor_tree, 2, {"s": swap})
-    # tree-incompatible bijection
-    perm = dict(zip(sorted(cyls), sorted(cyls)[1:] + sorted(cyls)[:1]))
-    with pytest.raises(es.NotAnActionError):
-        es.FiniteCylinderGroup(cantor_tree, 2, {"e": {c: c for c in cyls}, "x": perm})
+    # a single swap as the group's one element: certification finds the identity moving ends
+    swap = mc.ProperMapRep.make(cantor_tree, 2, vmap={c: (1 - c[0],) + c[1:] for c in cyls})
+    with pytest.raises(ValueError, match="identity element representative is not certified trivial"):
+        nz.FiniteGroupAction.make(nz.FiniteGroup.trivial(), {"e": swap})
+    # <x>, x the 4-cycle of the cylinders: a group, but x splits the prefix 0
+    x = dict(zip(sorted(cyls), sorted(cyls)[1:] + sorted(cyls)[:1]))
+    powers = [{c: c for c in cyls}]
+    for _ in range(3):
+        powers.append({c: x[d] for c, d in powers[-1].items()})
+    action = cylinder_action(cantor_tree, 2, dict(zip(["e", "x", "x2", "x3"], powers)))
+    with pytest.raises(es.NotAnActionError, match="element x is incompatible with the cylinder tree at depth 1"):
+        action.level_maps
 
 
 # -- partitions -----------------------------------------------------------------------
@@ -192,20 +199,20 @@ def test_boundary_map_ray(plain_ray):
 def test_induced_action_examples(cantor_tree):
     t = es.telescope(_binary_seq(cantor_tree, 3))
     grp = cantor_group(cantor_tree, 3)
-    act = es.induced_telescope_action(t, grp)
+    act = es.induced_telescope_action(t, grp.level_maps)
     # reflection at level 1 swaps the two blocks
     assert act.apply("s", (1, 0)) == (1, 1)
     assert act.apply("e", (1, 0)) == (1, 0)
-    es.boundary_map(t).check_equivariant(grp, act)
+    es.boundary_map(t).check_equivariant(grp.level_maps, act)
 
 
 def test_induced_action_trivial_on_blocks(cantor_tree):
     # swap inside each half: nontrivial on cylinders, trivial on level-1 blocks
     cyls = gm.cylinders(cantor_tree, 2)
     inner = {c: (c[0], 1 - c[1]) for c in cyls}
-    grp = es.FiniteCylinderGroup(cantor_tree, 2, {"e": {c: c for c in cyls}, "w": inner})
+    grp = cylinder_action(cantor_tree, 2, {"e": {c: c for c in cyls}, "w": inner})
     seq = [es.Partition.trivial(cantor_tree, 2), es.epsilon_partition(cantor_tree, Fr(1), 2)]
-    act = es.induced_telescope_action(es.telescope(seq), grp)
+    act = es.induced_telescope_action(es.telescope(seq), grp.level_maps)
     assert all(act.apply("w", v) == v for v in es.telescope(seq).vertices())
 
 
@@ -218,9 +225,9 @@ def test_induced_action_not_invariant(cantor_tree):
     )
     t = es.telescope([es.Partition.trivial(cantor_tree, 2), p])
     bad = {(0, 0): (0, 1), (0, 1): (0, 0), (1, 0): (1, 0), (1, 1): (1, 1)}
-    grp = es.FiniteCylinderGroup(cantor_tree, 2, {"e": {c: c for c in gm.cylinders(cantor_tree, 2)}, "b": bad})
+    grp = cylinder_action(cantor_tree, 2, {"e": {c: c for c in gm.cylinders(cantor_tree, 2)}, "b": bad})
     with pytest.raises(es.NotInvariantError):
-        es.induced_telescope_action(t, grp)
+        es.induced_telescope_action(t, grp.level_maps)
 
 
 # -- formats -------------------------------------------------------------------------------

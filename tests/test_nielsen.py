@@ -41,6 +41,15 @@ def test_action_certification_rejects_fake(loop_ray):
         nz.FiniteGroupAction.make(grp, {"e": ident, "g1": s})  # s*s is not the identity class
 
 
+def test_action_needs_a_representative_of_every_element(loop_ray):
+    """A missing representative, the identity's too, is refused before any is read."""
+    grp = nz.FiniteGroup.cyclic(2)
+    ident = mc.ProperMapRep.identity(loop_ray, 3)
+    for reps in ({"g1": ident}, {"e": ident}, {"e": ident, "g1": ident, "g2": ident}):
+        with pytest.raises(ValueError, match="need one representative per group element"):
+            nz.FiniteGroupAction.make(grp, reps)
+
+
 # -- displacement bound ----------------------------------------------------------------
 
 

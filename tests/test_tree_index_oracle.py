@@ -18,6 +18,7 @@ from propermaps import mapclass as mc
 from propermaps import nielsen as nz
 from propermaps.end_space import ClopenSet, DepthTooShallowError, Partition
 from propermaps.graph_model import live_states, loop_reaching_states, path_str
+from tests.conftest import cylinder_action
 
 
 # -- references ------------------------------------------------------------------------------
@@ -252,9 +253,9 @@ def test_telescope_refuses_partitions_of_different_depths(cantor_tree):
 def test_telescope_action_refuses_an_action_of_another_depth(cantor_tree):
     t = es.telescope([Partition.trivial(cantor_tree, 2)] * 2)
     cyls = gm.cylinders(cantor_tree, 3)
-    grp = es.FiniteCylinderGroup(cantor_tree, 3, {"e": {c: c for c in cyls}})
+    grp = cylinder_action(cantor_tree, 3, {"e": {c: c for c in cyls}})
     with pytest.raises(ValueError, match="different depths"):
-        es.induced_telescope_action(t, grp)
+        es.induced_telescope_action(t, grp.level_maps)
 
 
 def test_good_filter_refuses_partitions_of_another_depth(cantor_tree):

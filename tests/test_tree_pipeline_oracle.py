@@ -15,6 +15,11 @@ of the automaton, and the averaged reference metric is checked to be the
 A reference block lists all of its depth-D cylinders, where an epsilon block
 lists its one prefix; so each block is compared through its cell, its live
 expansion, which holds exactly the reference block's cylinders.
+
+Every action is certified (``tests.conftest.cylinder_action``), and the
+pipeline reads its level maps.  ``ref_group`` hands the references each
+element's permutation of the cylinders, and ``ref_validate`` is the old
+group check, which the level maps of a certified group must match.
 """
 
 import random
@@ -30,7 +35,6 @@ from propermaps import nielsen as nz
 from propermaps.end_space import (
     ClopenSet,
     DepthTooShallowError,
-    FiniteCylinderGroup,
     NotAnActionError,
     NotInvariantError,
     NotRefiningError,
@@ -43,9 +47,24 @@ from propermaps.end_space import (
     is_ancestor,
     path_str,
 )
+from tests.conftest import cylinder_action
 from tests.test_nielsen import _swap_branch_action
 
 # -- reference implementations ------------------------------------------------------------
+
+
+def ref_group(action):
+    """What the references read of a certified action: each element's permutation of the live
+    depth-D cylinders, by name, as the old cylinder group held it."""
+    cyls = cylinders(action.automaton, action.depth)
+    elements = {g: {c: action.reps[g].end_moves.get(c, c) for c in cyls} for g in action.group.elements}
+    return SimpleNamespace(
+        automaton=action.automaton,
+        depth=action.depth,
+        elements=elements,
+        apply=lambda h, c: elements[h][c],
+        names=lambda: tuple(sorted(elements)),
+    )
 
 
 class RefEndMetric:
@@ -256,7 +275,7 @@ def ref_telescope_to_dot(t):
 
 def _twisted_rotation(rng, arity, depth):
     """Z/arity rotating the root's children, twisted below by a random prefix
-    automorphism pi on child 0 and its inverse on child 1, as a cylinder group."""
+    automorphism pi on child 0 and its inverse on child 1, as named cylinder permutations."""
     a = gm.UnfoldingAutomaton.make("t", {"t": ["t"] * arity}, {"t": 0})
     prefixes = {tuple(rng.randrange(arity) for _ in range(rng.randint(0, max(0, depth - 2)))) for _ in range(rng.randint(0, 3))}
 
@@ -274,7 +293,12 @@ def _twisted_rotation(rng, arity, depth):
     for k in range(arity):
         elements[f"g{k}"] = dict(power)
         power = {c: ((x[0] + 1) % arity,) + below[x[0]](x[1:]) for c, x in power.items()}
-    return a, FiniteCylinderGroup(a, depth, elements)
+    return a, elements
+
+
+def _twisted_action(rng, arity, depth):
+    a, elements = _twisted_rotation(rng, arity, depth)
+    return a, cylinder_action(a, depth, elements)
 
 
 def _cases():
@@ -282,14 +306,13 @@ def _cases():
     cases = []
     for depth in range(2, 7):
         for copy in range(2):
-            cases.append((f"cantor-d{depth}-{copy}", *_twisted_rotation(rng, 2, depth)))
+            cases.append((f"cantor-d{depth}-{copy}", *_twisted_action(rng, 2, depth)))
     for depth in range(2, 6):
-        cases.append((f"ternary-d{depth}", *_twisted_rotation(rng, 3, depth)))
+        cases.append((f"ternary-d{depth}", *_twisted_action(rng, 3, depth)))
     for depth in (3, 4):
-        model, act = _swap_branch_action(depth)
-        cases.append((f"swap-branch-d{depth}", model, act.end_group()))
+        cases.append((f"swap-branch-d{depth}", *_swap_branch_action(depth)))
     ray = gm.UnfoldingAutomaton.make("r", {"r": ["r"]}, {"r": 0})
-    cases.append(("plain-ray-d3", ray, FiniteCylinderGroup.trivial(ray, 3)))
+    cases.append(("plain-ray-d3", ray, cylinder_action(ray, 3, {"e": {c: c for c in cylinders(ray, 3)}})))
     for depth in (3, 4):
         cases.append((f"dead-path-d{depth}", *_dead_path_swap(depth)))
     return cases
@@ -300,7 +323,7 @@ def _dead_path_swap(depth):
     a = gm.UnfoldingAutomaton.make("r", {"r": ["b", "x", "b"], "b": ["b", "b"], "x": []}, {"r": 0})
     cyls = gm.cylinders(a, depth)
     swap = {c: (2 - c[0],) + c[1:] for c in cyls}
-    return a, FiniteCylinderGroup(a, depth, {"e": {c: c for c in cyls}, "s": swap})
+    return a, cylinder_action(a, depth, {"e": {c: c for c in cyls}, "s": swap})
 
 
 CASES = _cases()
@@ -330,19 +353,20 @@ def _run(tele_fn, act_fn, seq, action):
 
 def _ref_pipeline(a, action, bases, levels=LEVELS):
     """The averaged metric, then per eps base: partition sequence, telescope, telescope action."""
-    avg = ref_average_metric(RefEndMetric.base(a, action.depth), action)
+    group = ref_group(action)
+    avg = ref_average_metric(RefEndMetric.base(a, action.depth), group)
     runs = []
     for base in bases:
         seq = [Partition.trivial(a, action.depth)]
         seq += [ref_epsilon_partition(avg, base ** (1 - n), action.depth) for n in range(1, levels + 1)]
-        runs.append(_run(ref_telescope, ref_induced_telescope_action, seq, action))
+        runs.append(_run(ref_telescope, ref_induced_telescope_action, seq, group))
     return avg, runs
 
 
 def _pipeline(a, action, bases, levels=LEVELS):
     """Per eps base: the prefix partition sequence, telescope, telescope action."""
     seqs = (nz._epsilon_sequence(a, action.depth, base, levels) for base in bases)
-    return [_run(es.telescope, es.induced_telescope_action, seq, action) for seq in seqs]
+    return [_run(es.telescope, es.induced_telescope_action, seq, action.level_maps) for seq in seqs]
 
 
 # -- tests ---------------------------------------------------------------------------------
@@ -361,8 +385,8 @@ def _assert_runs_agree(ref_runs, runs, action):
         assert es.telescope_to_dot(tele) == ref_telescope_to_dot(ref_tele)
         assert isinstance(tact, TelescopeAction) and tact.vertex_maps == ref_act.vertex_maps
         bnd = es.boundary_map(tele)
-        assert _outcome(bnd.check_equivariant, action, tact) is None
-        assert _outcome(ref_check_equivariant, bnd, action, tact) is None
+        assert _outcome(bnd.check_equivariant, action.level_maps, tact) is None
+        assert _outcome(ref_check_equivariant, bnd, ref_group(action), tact) is None
 
 
 @pytest.mark.parametrize("name, a, action", CASES, ids=[c[0] for c in CASES])
@@ -375,7 +399,7 @@ def test_tree_pipeline_matches_pairwise_reference(name, a, action):
     _assert_runs_agree(ref_runs, _pipeline(a, action, BASES), action)
     # the whole tree pipeline, report and DOT text included, where it applies
     for base, (ref_seq, ref_tele, ref_act) in zip(BASES, ref_runs if gm.genus(a) == 0 else ()):
-        tr = nz.realize_tree_case(a, action, levels=LEVELS, eps_base=base)
+        tr = nz.realize_tree_case(action, levels=LEVELS, eps_base=base)
         assert es.telescope_to_dot(tr.telescope) == ref_telescope_to_dot(ref_tele)
         assert tr.action.vertex_maps == ref_act.vertex_maps
         assert tr.report["block_counts"] == [len(p.blocks) for p in ref_seq]
@@ -384,7 +408,7 @@ def test_tree_pipeline_matches_pairwise_reference(name, a, action):
 
 @pytest.mark.parametrize("name, a, action", CASES, ids=[c[0] for c in CASES])
 def test_level_maps_are_the_prefix_maps(name, a, action):
-    for h, perm in action.elements.items():
+    for h, perm in ref_group(action).elements.items():
         naive = tuple({c[:k]: perm[c][:k] for c in perm} for k in range(action.depth + 1))
         assert action.level_maps[h] == naive
     _assert_prefix_isometries(action)
@@ -409,7 +433,7 @@ def test_zero_levels_match_reference(name, a, action):
     _assert_runs_agree(ref_runs, runs, action)
     ((_, tele, _),) = runs
     assert tele.vertices() == ((0, 0),) and tele.edges == ()
-    report = nz.realize_tree_case(a, action, levels=0).report
+    report = nz.realize_tree_case(action, levels=0).report
     assert report["vertices"] == 1 and report["block_counts"] == [1]
 
 
@@ -436,9 +460,9 @@ def test_non_invariant_partition_fails_alike(cantor_tree):
     t = es.telescope([Partition.trivial(cantor_tree, 2), stripes])
     cyls = gm.cylinders(cantor_tree, 2)
     bad = {(0, 0): (0, 1), (0, 1): (0, 0), (1, 0): (1, 0), (1, 1): (1, 1)}
-    grp = FiniteCylinderGroup(cantor_tree, 2, {"e": {c: c for c in cyls}, "b": bad})
-    want = _outcome(ref_induced_telescope_action, t, grp)
-    assert _outcome(es.induced_telescope_action, t, grp) == want and want[0] is NotInvariantError
+    grp = cylinder_action(cantor_tree, 2, {"e": {c: c for c in cyls}, "b": bad})
+    want = _outcome(ref_induced_telescope_action, t, ref_group(grp))
+    assert _outcome(es.induced_telescope_action, t, grp.level_maps) == want and want[0] is NotInvariantError
 
 
 def test_dead_block_parents_match_reference():
@@ -462,93 +486,117 @@ def test_clopen_make_matches_all_pairs(paths, depth):
     assert ClopenSet.make(paths, depth) == ref_clopen_make(paths, depth)
 
 
-def _outcome_of_group(a, depth, elements):
-    """What making the group gives, with the reference validation's verdict beside it."""
-    ref = _outcome(ref_validate, SimpleNamespace(automaton=a, depth=depth, elements=elements))
-    got = _outcome(FiniteCylinderGroup, a, depth, elements)
-    return (None if isinstance(got, FiniteCylinderGroup) else got), ref
+ORDER_CAP = 24  # FiniteGroup.make checks associativity in O(|G|^3)
+
+
+def _cyclic(x):
+    """The cyclic group that the cylinder permutation x generates, as its powers named
+    e, x, x2, ..., or None if its order passes ORDER_CAP."""
+    powers = [{c: c for c in x}]
+    while len(powers) <= ORDER_CAP:
+        power = {c: x[d] for c, d in powers[-1].items()}
+        if power == powers[0]:
+            return dict(zip(["e", "x"] + [f"x{k}" for k in range(2, len(powers))], powers))
+        powers.append(power)
+    return None
+
+
+def _closed(perms):
+    """Whether distinct cylinder permutations hold the identity and every product of two."""
+    keyed = {tuple(sorted(p.items())) for p in perms.values()}
+    ident = tuple((c, c) for c in sorted(next(iter(perms.values()))))
+    products = (tuple(sorted((c, p[d]) for c, d in q.items())) for p in perms.values() for q in perms.values())
+    return len(keyed) == len(perms) and ident in keyed and all(k in keyed for k in products)
+
+
+def _outcome_of_level_maps(a, depth, perms):
+    """The level maps of the certified action of perms, with the reference validation's verdict beside it."""
+    ref = _outcome(ref_validate, SimpleNamespace(automaton=a, depth=depth, elements=perms))
+    got = _outcome(getattr, cylinder_action(a, depth, perms), "level_maps")
+    return (None if isinstance(got, dict) else got), ref
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_group_validation_fails_alike(seed):
-    """Random bijections, tree automorphisms and automorphisms spoilt by one
-    transposition: the group is refused exactly when, and as, the old checks refused it."""
+    """The cyclic groups that random bijections, automorphisms spoilt by one transposition and
+    twisted rotations generate are certified, and their level maps are refused exactly when,
+    and as, the old checks refused the group.  Sets that are not closed never certify."""
     rng = random.Random(seed)
-    refused = 0
+    refused = checked = unclosed = 0
     for _ in range(40):
         arity, depth = rng.choice(((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)))
-        a, action = _twisted_rotation(rng, arity, depth)
+        a, elements = _twisted_rotation(rng, arity, depth)
         cyls = list(gm.cylinders(a, depth))
         shuffled = rng.sample(cyls, len(cyls))
-        spoilt = dict(action.elements["g1"])
+        spoilt = dict(elements["g1"])
         u, v = rng.sample(cyls, 2)
         spoilt[u], spoilt[v] = spoilt[v], spoilt[u]
-        for extra in (dict(zip(cyls, shuffled)), spoilt, action.elements["g1"]):
-            elements = {**action.elements, "x": extra}
-            for chosen in (elements, {"e": elements["g0"], "x": extra}):
-                got, ref = _outcome_of_group(a, depth, chosen)
-                assert got == (None if ref is None else ref)
+        for extra in (dict(zip(cyls, shuffled)), spoilt, elements["g1"]):
+            group = _cyclic(extra)
+            if group is not None:
+                got, ref = _outcome_of_level_maps(a, depth, group)
+                assert got == ref
                 refused += got is not None
-    assert refused >= 40
+                checked += 1
+            for chosen in ({**elements, "x": extra}, {"e": elements["g0"], "x": extra}):
+                if _closed(chosen):
+                    got, ref = _outcome_of_level_maps(a, depth, chosen)
+                    assert got == ref
+                else:
+                    with pytest.raises(ValueError):
+                        cylinder_action(a, depth, chosen)
+                    unclosed += 1
+    assert checked >= 100 and refused >= 50 and unclosed >= 180
 
 
 @pytest.mark.parametrize("name, a, action", [c for c in CASES if c[0] in ("cantor-d4-0", "ternary-d3", "swap-branch-d3", "dead-path-d3")])
 def test_tampered_telescope_actions_fail_alike(name, a, action):
     ((_, tele, tact),) = _pipeline(a, action, [Fraction(2)])
     bnd = es.boundary_map(tele)
-    assert _outcome(bnd.check_equivariant, action, tact) is None
+    assert _outcome(bnd.check_equivariant, action.level_maps, tact) is None
     rng = random.Random(name)
     caught = 0
-    for h in action.names():
+    for h in sorted(action.group.elements):
         for v in rng.sample(tele.vertices(), min(8, len(tele.vertices()))):
             n, _ = v
             for w in [u for u in tele.vertices() if u[0] == n] + [(n + 1, 0)]:
                 maps = {g: dict(m) for g, m in tact.vertex_maps.items()}
                 maps[h][v] = w
                 bad = TelescopeAction(tele, maps)
-                got = _outcome(bnd.check_equivariant, action, bad)
-                assert got == _outcome(ref_check_equivariant, bnd, action, bad)
+                got = _outcome(bnd.check_equivariant, action.level_maps, bad)
+                assert got == _outcome(ref_check_equivariant, bnd, ref_group(action), bad)
                 caught += got is not None
     assert caught > 0
 
 
-def _assert_prefix_isometries(group):
+def _assert_prefix_isometries(action):
     """What the averaging pass checked: every level map of every element is a bijection of
     the live depth-k prefixes at every depth k, so the group average of the prefix metric is
     that metric."""
-    cyls = cylinders(group.automaton, group.depth)
-    for h in group.names():
-        for k, level in enumerate(group.level_maps[h]):
+    cyls = cylinders(action.automaton, action.depth)
+    for h in sorted(action.level_maps):
+        for k, level in enumerate(action.level_maps[h]):
             prefixes = {c[:k] for c in cyls}
             assert level.keys() == prefixes and set(level.values()) == prefixes
-    avg = ref_average_metric(RefEndMetric.base(group.automaton, group.depth), group)
+    avg = ref_average_metric(RefEndMetric.base(action.automaton, action.depth), ref_group(action))
     assert all(avg.distance(u, v) == prefix_distance(u, v) for u in cyls for v in cyls)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_level_maps_of_valid_groups_are_bijections(seed):
-    """The random groups of the validation test that validate."""
+    """The cyclic groups of the validation test that have level maps."""
     rng = random.Random(seed)
     checked = 0
     for _ in range(40):
         arity, depth = rng.choice(((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)))
-        a, action = _twisted_rotation(rng, arity, depth)
+        a, elements = _twisted_rotation(rng, arity, depth)
         cyls = list(gm.cylinders(a, depth))
-        for extra in (dict(zip(cyls, rng.sample(cyls, len(cyls)))), action.elements["g1"]):
-            for chosen in ({**action.elements, "x": extra}, {"e": action.elements["g0"], "x": extra}):
-                group = _outcome(FiniteCylinderGroup, a, depth, chosen)
-                if isinstance(group, FiniteCylinderGroup):
-                    _assert_prefix_isometries(group)
-                    checked += 1
+        for extra in (dict(zip(cyls, rng.sample(cyls, len(cyls)))), elements["g1"]):
+            group = _cyclic(extra)
+            if group is None:
+                continue
+            action = cylinder_action(a, depth, group)
+            if isinstance(_outcome(getattr, action, "level_maps"), dict):
+                _assert_prefix_isometries(action)
+                checked += 1
     assert checked >= 40
-
-
-def test_tree_case_refuses_an_action_on_another_automaton():
-    """The one check of the averaging pass that could fail, now made by ``realize_tree_case``."""
-    cantor, cantor_action = next((a, act) for name, a, act in CASES if name == "cantor-d3-0")
-    ternary, ternary_action = next((a, act) for name, a, act in CASES if name == "ternary-d3")
-    for a, action in ((cantor, ternary_action), (ternary, cantor_action)):
-        with pytest.raises(NotAnActionError):
-            ref_average_metric(RefEndMetric.base(a, action.depth), action)
-        with pytest.raises(NotAnActionError, match="different cylinder sets"):
-            nz.realize_tree_case(a, action)

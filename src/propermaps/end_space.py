@@ -78,11 +78,6 @@ def expand_to_depth(a: UnfoldingAutomaton, cyls: Iterable[Path], depth: int) -> 
     return frozenset(out)
 
 
-def clopen_subset(a: UnfoldingAutomaton, c1: ClopenSet, c2: ClopenSet) -> bool:
-    d = max(c1.reference_depth, c2.reference_depth, max((len(v) for v in c1.cylinders | c2.cylinders), default=0))
-    return expand_to_depth(a, c1.cylinders, d) <= expand_to_depth(a, c2.cylinders, d)
-
-
 @dataclass(frozen=True)
 class Partition:
     """Blocks covering the live depth-D cylinders once each.
@@ -228,11 +223,6 @@ def _parents(fine: Partition, coarse: Partition) -> list[list[int]]:
     return [list(js) if len(js) == 1 else [] if js else list(everywhere) for js in fine.image_blocks(None, coarse)]
 
 
-def refines(p: Partition, q: Partition) -> bool:
-    """Whether every block of p lies inside some block of q."""
-    return all(_parents(p, q))
-
-
 # -- telescopes ----------------------------------------------------------------
 
 
@@ -307,10 +297,6 @@ class BoundaryCorrespondence:
     def block_of(self, v: Vertex) -> ClopenSet:
         return self.tree.block_of(v)
 
-    def vertex_of(self, level: int, cyl: Path) -> Vertex:
-        p = self.tree.partitions[level]
-        return (level, p.block_of(cyl))
-
     def check_bijective(self):
         for n, p in enumerate(self.tree.partitions):
             if not all(p.cells):
@@ -375,37 +361,11 @@ def induced_telescope_action(t: TelescopeTree, levels: LevelMaps) -> TelescopeAc
 # -- file format / DOT ----------------------------------------------------------
 
 
-def parse_partition_file(a: UnfoldingAutomaton, depth: int, text: str) -> Partition:
-    """`block <name>: <path>,<path>,...` with slash-separated child indices."""
-    from .graph_model import parse_path
-
-    blocks = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not line.startswith("block"):
-            raise ValueError(f"bad partition line {line!r}")
-        _, rest = line.split(None, 1)
-        _, paths = rest.split(":", 1)
-        cyls = [parse_path(p) for p in paths.split(",") if p.strip()]
-        blocks.append(ClopenSet.make(cyls, depth))
-    return Partition.make(a, depth, blocks)
-
-
 def _shown(a: UnfoldingAutomaton, b: ClopenSet) -> list[Path]:
     """A block's listed vertices, sorted, each live one above its reference depth
     expanded there (a dead one, which expands to nothing, is shown as itself)."""
     d = b.reference_depth
     return sorted(c for v in b.cylinders for c in (len(v) < d and cylinders_below(a, d, v) or (v,)))
-
-
-def format_partition(p: Partition) -> str:
-    lines = []
-    for i, b in enumerate(p.blocks):
-        paths = ",".join(path_str(c) for c in _shown(p.automaton, b))
-        lines.append(f"block b{i}: {paths}")
-    return "\n".join(lines) + "\n"
 
 
 def telescope_to_dot(t: TelescopeTree) -> str:

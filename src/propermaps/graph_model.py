@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 INFINITY = float("inf")
 
@@ -132,10 +132,10 @@ def bisimulation_classes(a: UnfoldingAutomaton) -> dict[str, int]:
 class GraphTruncation:
     """A depth-``depth`` truncation, made by ``unfold`` and kept in its automaton's memo.
 
-    It is the one index of the rooted tree: ``state`` names every vertex's
-    state, and ``frontier`` is its depth-``depth`` part.  Both list their
-    vertices level by level, each level in path order.  ``paths`` reads each
-    vertex's ``path_str`` name back to the vertex.
+    It is the one index of the whole rooted tree: ``state`` names every
+    vertex's state, and ``frontier`` is its depth-``depth`` part.  Both list
+    their vertices level by level, each level in path order.  Readers of a
+    few named vertices walk the automaton instead (``NameIndex``).
     """
 
     depth: int
@@ -147,7 +147,6 @@ class GraphTruncation:
     loop_ids: tuple[str, ...]  # "<path>:<k>" per loop edge, in sorted loop-edge order
     loop_at: Mapping[str, tuple[Path, int]]  # loop id -> (vertex, k)
     loop_name: Mapping[tuple[Path, int], str]  # (vertex, k) -> loop id
-    paths: Mapping[str, Path]  # path_str(v) -> v
 
 
 @_once_per_automaton
@@ -160,7 +159,6 @@ def unfold(a: UnfoldingAutomaton, depth: int) -> GraphTruncation:
     loop_edges: list[tuple[Path, int]] = []
     lids: list[str] = []  # the id of each loop edge, in loop_edges order
     frontier: dict[Path, str] = {}
-    paths: dict[str, Path] = {".": ()}  # each vertex by its path_str, made from its parent's
     level: list[tuple[Path, str, str]] = [((), a.root, ".")]
     for d in range(depth + 1):
         nxt: list[tuple[Path, str, str]] = []
@@ -175,15 +173,155 @@ def unfold(a: UnfoldingAutomaton, depth: int) -> GraphTruncation:
                 prefix = name + "/" if v else ""
                 for i, c in enumerate(a.children[s]):
                     w, wname = v + (i,), f"{prefix}{i}"
-                    paths[wname] = w
                     tree_edges.append((v, w))
                     nxt.append((w, c, wname))
         level = nxt
     loop_name = dict(sorted(zip(loop_edges, lids)))
     loop_at = {lid: vk for vk, lid in loop_name.items()}
     return GraphTruncation(
-        depth, tuple(state), tuple(tree_edges), tuple(loop_edges), state, frontier, tuple(loop_at), loop_at, loop_name, paths
+        depth, tuple(state), tuple(tree_edges), tuple(loop_edges), state, frontier, tuple(loop_at), loop_at, loop_name
     )
+
+
+# -- walks: the named vertices and loops of a truncation, without building it -------------
+
+
+def _index(text: str) -> int | None:
+    """The n >= 0 that ``str(n)`` spells exactly: no sign, space or leading zero."""
+    return int(text) if text.isascii() and text.isdigit() and (text == "0" or text[0] != "0") else None
+
+
+class NameIndex:
+    """The vertices of an automaton's unfolding that readers have named so far.
+
+    ``names(a)`` keeps one per automaton instance.  A vertex name is found from its
+    parent's name by one step of the automaton, and every name found is kept (``paths``
+    by name, ``states`` by vertex), so the files read on one instance walk each name once
+    and no truncation is built.  A name is valid only as ``path_str`` spells it, and a
+    loop id only as ``<path_str(v)>:<k>``.
+    """
+
+    def __init__(self, a: UnfoldingAutomaton):
+        self.root, self.children, self.loop_counts = a.root, a.children, a.loops  # not a: no cycle through its memo
+        self.paths: dict[str, Path] = {".": ()}
+        self.states: dict[Path, str] = {(): a.root}
+        # per state, each child's index as path_str writes it -> (index, child state)
+        self.steps = {s: {str(i): (i, c) for i, c in enumerate(kids)} for s, kids in a.children.items()}
+
+    def state(self, v: Path, depth: int) -> str | None:
+        """The state of vertex v, or None if v is no vertex of depth <= ``depth``."""
+        s = self.states.get(v)
+        if s is None:
+            s = self.root
+            for i in v:
+                kids = self.children[s]
+                if not 0 <= i < len(kids):
+                    return None
+                s = kids[i]
+            self.states[v] = s
+        return s if len(v) <= depth else None
+
+    def known(self, vs: Collection[Path], depth: int) -> bool:
+        """Whether every one of ``vs`` is a vertex of depth <= ``depth``; if so, each is in ``states``."""
+        if all(map(self.states.__contains__, vs)) and max(map(len, vs), default=0) <= depth:  # found before
+            return True
+        return all(self.state(v, depth) is not None for v in vs)
+
+    def find(self, names: Iterable[str], depth: int) -> None:
+        """Find each of ``names`` that spells a vertex, walking at most ``depth`` steps below a
+        name found before; one step below one is the usual case, done inline."""
+        paths, steps, states = self.paths, self.steps, self.states
+        for name in names:
+            if name not in paths:
+                parent, slash, last = name.rpartition("/")
+                up = paths.get(parent) if slash and parent != "." else None if slash else ()
+                step = None if up is None else steps[states[up]].get(last)
+                if step is None:
+                    self._climb(name, depth)
+                else:
+                    v = paths[name] = up + (step[0],)
+                    states[v] = step[1]
+
+    def _climb(self, name: str, depth: int) -> None:
+        """Find ``name`` from the nearest name found before, at most ``depth`` steps above it."""
+        climb, up = [], None  # (name, its last part), up to that name
+        while up is None:
+            parent, slash, last = name.rpartition("/")
+            climb.append((name, last))
+            if len(climb) > depth or parent == ".":
+                return
+            name, up = parent, self.paths.get(parent) if slash else ()
+        s = self.states[up]
+        for name, last in reversed(climb):
+            step = self.steps[s].get(last)
+            if step is None:
+                return
+            up, s = up + (step[0],), step[1]
+            self.paths[name], self.states[up] = up, s
+
+    def vertex(self, name: str, depth: int) -> tuple[Path, str] | None:
+        """(v, state) for the vertex v of depth <= ``depth`` with ``path_str(v) == name``, or None."""
+        self.find((name,), depth)
+        v = self.paths.get(name)
+        return None if v is None or len(v) > depth else (v, self.states[v])
+
+    def loop(self, lid: str, depth: int) -> tuple[Path, int] | None:
+        """(v, k) for the loop id ``f"{path_str(v)}:{k}"`` of the depth-``depth`` truncation, or None."""
+        name, colon, k = lid.rpartition(":")
+        found, k = self.vertex(name, depth) if colon else None, _index(k)
+        return None if found is None or k is None or k >= self.loop_counts[found[1]] else (found[0], k)
+
+
+@_once_per_automaton
+def names(a: UnfoldingAutomaton) -> NameIndex:
+    return NameIndex(a)
+
+
+def loop_basis(a: UnfoldingAutomaton, depth: int, cap: int | None = None) -> tuple[str, ...] | None:
+    """The loop ids of the depth-``depth`` truncation in (vertex, k) order: a walk in path
+    order through the loop-reaching states that names each vertex from its parent.  With
+    ``cap``, None instead if the walk would name more than ``cap`` ids.  A complete basis is
+    kept per automaton and returned at once, and so is the largest ``cap`` found too small."""
+    memo = a.__dict__.setdefault("_memo", {})
+    basis = memo.get(("loop_basis", depth))
+    if basis is None:
+        if cap is not None and cap <= memo.get(("loop_basis_exceeds", depth), -1):
+            return None
+        reach = loop_reaching_states(a)
+        ks = {s: [f":{k}" for k in range(a.loops[s])] for s in reach}
+        kids = {s: [(str(i), c) for i, c in reversed(list(enumerate(a.children[s]))) if c in reach] for s in reach}
+        out: list[str] = []
+        stack = [(".", a.root, 0)] if a.root in reach else []
+        while stack:
+            name, s, d = stack.pop()
+            out += map(name.__add__, ks[s])
+            if cap is not None and len(out) > cap:
+                memo["loop_basis_exceeds", depth] = cap
+                return None
+            if d < depth:
+                prefix = name + "/" if d else ""
+                for i, c in kids[s]:
+                    stack.append((prefix + i, c, d + 1))
+        basis = memo["loop_basis", depth] = tuple(out)
+    return basis
+
+
+@_once_per_automaton
+def _loop_set(a: UnfoldingAutomaton, depth: int) -> frozenset[str]:
+    return frozenset(loop_basis(a, depth))
+
+
+def unknown_loop(a: UnfoldingAutomaton, lids: Collection[str], depth: int) -> str | None:
+    """The first of ``lids`` that is no loop id of the depth-``depth`` truncation, or None.
+
+    Ids that make up at least half of its loops, or any ids once ``loop_basis`` is kept, are
+    looked up among all of them; fewer are each walked from the root by name (``NameIndex``).
+    Either way the cost is bounded by the ids asked about."""
+    if loop_basis(a, depth, 2 * len(lids)) is None:
+        ix = names(a)
+        return next((lid for lid in lids if ix.loop(lid, depth) is None), None)
+    known = _loop_set(a, depth)
+    return None if known.issuperset(lids) else next(lid for lid in lids if lid not in known)
 
 
 # -- state analysis -----------------------------------------------------------
@@ -245,6 +383,13 @@ def _instance_counts(children: Mapping[str, tuple[str, ...]], root: str) -> dict
 def _restricted(a: UnfoldingAutomaton, keep: frozenset[str]) -> dict[str, tuple[str, ...]]:
     """The children relation restricted to a state set."""
     return {s: tuple(c for c in cs if c in keep) for s, cs in a.children.items() if s in keep}
+
+
+@_once_per_automaton
+def genus_front_states(a: UnfoldingAutomaton) -> frozenset[str]:
+    """States with a loop-reaching child: a vertex in one has loops strictly below it."""
+    reach = loop_reaching_states(a)
+    return frozenset(s for s, kids in a.children.items() if any(c in reach for c in kids))
 
 
 @_once_per_automaton
@@ -632,14 +777,6 @@ def parse_automaton(text: str) -> UnfoldingAutomaton:
     if root is None:
         raise ValueError("missing root line")
     return UnfoldingAutomaton.make(root, children, loops)
-
-
-def format_automaton(a: UnfoldingAutomaton) -> str:
-    lines = [f"root {a.root}"]
-    for s in a.states:
-        kids = ",".join(a.children[s])
-        lines.append(f"state {s} loops={a.loops[s]} children={kids}")
-    return "\n".join(lines) + "\n"
 
 
 def truncation_to_dot(t: GraphTruncation) -> str:

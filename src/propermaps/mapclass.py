@@ -33,7 +33,6 @@ sigma_{f^-1} = sigma_f^-1 and A_{f^-1}(f(c)) = sigma_f^-1(A_f(c))^-1.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -53,11 +52,15 @@ from .graph_model import (
     dx_compact,
     dx_states,
     genus,
+    genus_front_states,
     live_states,
+    loop_basis,
     loop_reaching_states,
+    names,
     parse_path,
     path_str,
     unfold,
+    unknown_loop,
 )
 
 IDENTITY_OUTSIDE = "identity"
@@ -77,11 +80,6 @@ class InconsistentFrontierError(ValueError):
 
 class R2ViolationError(ValueError):
     pass
-
-
-def loop_id(path: Path, k: int) -> str:
-    """The name of loop k at ``path``; a truncation names its own loops in ``loop_ids``."""
-    return f"{path_str(path)}:{k}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,67 +106,66 @@ class ProperMapRep:
         outside: object = IDENTITY_OUTSIDE,
     ) -> "ProperMapRep":
         """Check the given entries and keep only what moves; an absent vertex, loop or
-        edge is fixed (unwrapped).  Every unmoved entry passes every check."""
-        t = unfold(automaton, depth)
-        verts = t.state
-        moves = {}
-        for v, w in (vmap or {}).items():
-            if v not in verts or w not in verts:
-                raise ValueError("vmap must map truncation vertices to truncation vertices")
-            if v != w:
-                moves[v] = w
+        edge is fixed (unwrapped), and a live frontier cylinder absent from ``end_action``
+        goes where vmap sends it.  Every unmoved entry passes every check.  Each entry is
+        checked by a walk from the root (``NameIndex``), not in a truncation."""
+        a, ix = automaton, names(automaton)
+        vmap = vmap or {}
+        if not ix.known([*vmap, *vmap.values()], depth):
+            raise ValueError("vmap must map truncation vertices to truncation vertices")
+        state = ix.states  # now holds every vertex of vmap
+        moves = {v: w for v, w in vmap.items() if v != w}
         if () in moves:
             raise ValueError("representatives fix the root")
-        frontier = t.frontier
-        moved_front = sorted(v for v in moves if v in frontier)
+        moved_front = sorted(v for v in moves if len(v) == depth)
         if moved_front:
-            bis = bisimulation_classes(automaton)
-            for v in moved_front:  # in path order, as the frontier lists them
+            bis = bisimulation_classes(a)
+            for v in moved_front:  # in path order
                 w = moves[v]
-                if w not in frontier or bis[frontier[w]] != bis[frontier[v]]:
+                if len(w) != depth or bis[state[w]] != bis[state[v]]:
                     raise ValueError(f"frontier vertex {path_str(v)} must map to an equivalent frontier vertex")
-        lids = t.loop_at
+        bad = unknown_loop(a, loop_images or (), depth)
+        if bad is not None:
+            raise ValueError(f"unknown loop {bad}")
         li = {}  # only moved loops: loop_word reads the rest as their generators
         for lid, word in (loop_images or {}).items():
-            if lid not in lids:
-                raise ValueError(f"unknown loop {lid}")
             word = W.reduce_word(word)
             if word != W.gen(lid):
                 li[lid] = word
         ew = {}
         for child, word in (edge_wraps or {}).items():
-            if child not in verts or not child:
+            if not child or ix.state(child, depth) is None:
                 raise ValueError(f"unknown edge target {path_str(child)}")
             word = W.reduce_word(word)
             if word:
                 ew[child] = word
-        for word in list(li.values()) + list(ew.values()):
-            for g, _ in word:
-                if g not in lids:
-                    raise ValueError(f"word uses unknown loop generator {g}")
-        live = live_states(automaton)
+        bad = unknown_loop(a, dict.fromkeys(g for word in [*li.values(), *ew.values()] for g, _ in word), depth)
+        if bad is not None:
+            raise ValueError(f"word uses unknown loop generator {bad}")
+        live = live_states(a)
+
+        def live_cylinder(c: Path) -> bool:
+            return len(c) == depth and ix.state(c, depth) in live
+
         # the subtree below a live frontier vertex is carried onto the subtree below its image
-        em = {c: moves[c] for c in moved_front if frontier[c] in live}
+        em = {c: moves[c] for c in moved_front if state[c] in live}
         if outside == IDENTITY_OUTSIDE:
-            if end_action is not None:
-                ea = {c: em.get(c, c) for c in cylinders(automaton, depth)}
-                if dict(end_action) != ea:
-                    bad = min(c for c in ea.keys() | end_action.keys() if ea.get(c) != end_action.get(c))
-                    raise InconsistentFrontierError(f"end action disagrees with vmap at {path_str(bad)}")
+            bad = min((c for c, d in (end_action or {}).items() if not live_cylinder(c) or em.get(c, c) != d), default=None)
+            if bad is not None:
+                raise InconsistentFrontierError(f"end action disagrees with vmap at {path_str(bad)}")
         elif not (isinstance(outside, tuple) and outside[0] == "banded"):
             raise ValueError(f"bad outside flag {outside!r}")
         elif end_action is not None:
-            cyls = frozenset(cylinders(automaton, depth))
-            if end_action.keys() != cyls or set(end_action.values()) != cyls:
+            if not all(map(live_cylinder, end_action)):
                 raise ValueError("end action must be a bijection of the live frontier cylinders")
-            em = {c: d for c, d in end_action.items() if c != d}
+            em = {c: d for c, d in {**em, **end_action}.items() if c != d}
         if set(em.values()) != set(em):  # with the unmoved cylinders fixed, a bijection permutes the moved ones
             raise ValueError("end action must be a bijection of the live frontier cylinders")
         if outside != IDENTITY_OUTSIDE:
-            reach = loop_reaching_states(automaton)
-            if any((frontier[c] in reach) != (frontier[d] in reach) for c, d in em.items()):
+            reach = loop_reaching_states(a)
+            if any((ix.state(c, depth) in reach) != (ix.state(d, depth) in reach) for c, d in em.items()):
                 raise ValueError("end action must preserve the genus end set")
-        return cls(automaton, depth, moves, li, ew, em, outside)
+        return cls(a, depth, moves, li, ew, em, outside)
 
     @classmethod
     def identity(cls, automaton: UnfoldingAutomaton, depth: int) -> "ProperMapRep":
@@ -180,7 +177,7 @@ class ProperMapRep:
         return unfold(self.automaton, self.depth)
 
     def loop_ids(self) -> tuple[str, ...]:
-        return self.truncation().loop_ids
+        return loop_basis(self.automaton, self.depth)
 
     def loop_word(self, lid: str) -> Word:
         return self.loop_images.get(lid, W.gen(lid))
@@ -188,20 +185,14 @@ class ProperMapRep:
     def wrap(self, child: Path) -> Word:
         return self.edge_wraps.get(child, W.EMPTY)
 
-    @cached_property
-    def _accumulated_wraps(self) -> dict[Path, Word]:
-        acc: dict[Path, Word] = {(): W.EMPTY}
-        wraps = self.edge_wraps  # make keeps only nonempty wraps
-        for parent, child in self.truncation().tree_edges:
-            acc[child] = W.mul(acc[parent], wraps[child]) if child in wraps else acc[parent]
-        return acc
-
     def accumulated_wrap(self, v: Path) -> Word:
-        """A(v): product of the edge wraps along the root-to-v path."""
-        acc = self._accumulated_wraps
-        while v not in acc:  # no edge beyond the support is wrapped
-            v = v[:-1]
-        return acc[v]
+        """A(v): product of the edge wraps along the root-to-v path (none beyond the support)."""
+        acc, wraps = W.EMPTY, self.edge_wraps  # make keeps only nonempty wraps
+        for i in range(1, min(len(v), self.depth) + 1) if wraps else ():
+            word = wraps.get(v[:i])
+            if word:
+                acc = W.mul(acc, word)
+        return acc
 
     def substitution(self) -> st.FreeGroupAutomorphism:
         return self._substitution
@@ -216,13 +207,8 @@ class ProperMapRep:
 
     def genus_frontier(self) -> tuple[Path, ...]:
         """Frontier vertices with loops strictly beyond the support, in path order."""
-        t = self.truncation()
-        reach = loop_reaching_states(self.automaton)
-        out = []
-        for v, s in t.frontier.items():  # unfold lists the frontier in path order
-            if any(c in reach for c in self.automaton.children[s]):
-                out.append(v)
-        return tuple(out)
+        front = genus_front_states(self.automaton)
+        return tuple(v for v, s in self.truncation().frontier.items() if s in front)  # unfold lists it in path order
 
     def is_identity_outside(self) -> bool:
         return self.outside == IDENTITY_OUTSIDE
@@ -372,15 +358,20 @@ class IdentityVerdict:
 def _moved_class_witness(f: ProperMapRep) -> tuple | None:
     """A short curve whose free homotopy class moves, if one is found.
 
-    Scans the loops, then the curves x^sx y for ids x < y with sx = 1, -1,
-    skipping those through no moved loop: they are fixed on the nose.
+    Scans the moved loops in basis order, then the curves x^sx y for ids x < y with
+    sx = 1, -1, skipping those through no moved loop: they are fixed on the nose.
+    Only the curves need the whole loop basis, unless it is kept or at most twice the moved loops.
     """
-    lids = f.loop_ids()
     moved = f.loop_images  # make keeps only moved loops
-    moved_ids = [lid for lid in lids if lid in moved]
+    lids = loop_basis(f.automaton, f.depth, 2 * len(moved))
+    if lids is None:
+        moved_ids = sorted(moved, key=lambda lid: names(f.automaton).loop(lid, f.depth))
+    else:
+        moved_ids = [lid for lid in lids if lid in moved]
     for lid in moved_ids:
         if not W.is_conjugate(moved[lid], W.gen(lid)):
             return ("loop", lid)
+    lids = lids or f.loop_ids()
     for x in lids:
         image_x = f.loop_word(x)
         for y in lids if x in moved else moved_ids:
@@ -393,17 +384,38 @@ def _moved_class_witness(f: ProperMapRep) -> tuple | None:
     return None
 
 
-def _suspects(f: ProperMapRep, front: tuple[Path, ...]) -> list[Path]:
-    """The vertices of ``front`` (path-ordered, one depth) that f moves or that lie below a
-    wrapped edge, in ``front`` order: f fixes every other one, and A is 1 there."""
-    hits = set()
-    for v in f.edge_wraps:  # the vertices below v are one run of front
-        hits.update(range(bisect_left(front, v), bisect_left(front, v[:-1] + (v[-1] + 1,))))
-    for v in f.moves:
-        i = bisect_left(front, v)
-        if i < len(front) and front[i] == v:
-            hits.add(i)
-    return [front[i] for i in sorted(hits)]
+def _first_off(f: ProperMapRep, through: frozenset[str], take: frozenset[str], w: Word, moved: bool) -> Path | None:
+    """The first depth-D vertex c in path order with a state in ``take`` and A(c) != w (or, if
+    ``moved``, c moved), or None: a walk through the states in ``through`` that skips each
+    subtree in which nothing is wrapped or moved and A(v) = w at its top v."""
+    a, depth, wraps = f.automaton, f.depth, f.edge_wraps
+    busy = set()  # the vertices with a wrapped edge or a moved depth-D vertex strictly below
+    for u in [*wraps, *(v for v in f.moves if len(v) == depth and moved)]:
+        busy.update(u[:i] for i in range(len(u)))
+    stack = [((), a.root, W.EMPTY)]
+    while stack:
+        v, s, acc = stack.pop()
+        if s not in through:
+            continue
+        if len(v) == depth:
+            if s in take and (acc != w or moved and v in f.moves):
+                return v
+        elif v in busy or acc != w:  # below any other vertex every A is A(v) = w, and nothing moves
+            kids = a.children[s]
+            for i in reversed(range(len(kids))):
+                word = wraps.get(v + (i,))
+                stack.append((v + (i,), kids[i], W.mul(acc, word) if word else acc))
+    return None
+
+
+def _first_dx(f: ProperMapRep) -> Path | None:
+    """The first depth-D vertex in path order with DX ends below: each DX vertex has a DX child."""
+    a, dx = f.automaton, dx_states(f.automaton)
+    v, s = (), a.root
+    while s in dx and len(v) < f.depth:
+        i = next(i for i, c in enumerate(a.children[s]) if c in dx)
+        v, s = v + (i,), a.children[s][i]
+    return v if s in dx else None
 
 
 def is_properly_homotopic_to_identity(f: ProperMapRep) -> IdentityVerdict:
@@ -413,40 +425,38 @@ def is_properly_homotopic_to_identity(f: ProperMapRep) -> IdentityVerdict:
     curves (inner-ness of the induced substitution, pinned by any loops
     beyond the support), and the proper lines into DX via the accumulated
     wrap A.  Complete for IDENTITY_OUTSIDE maps; BANDED maps that pass all
-    checks stay UNKNOWN.  Reads only what f moves: with w = 1 a frontier
-    vertex f fixes and no wrapped edge lies above passes every check.
+    checks stay UNKNOWN.  Reads only what f moves: the frontier checks walk
+    the tree in path order (``_first_off``) into the subtrees below a moved
+    vertex or a wrapped edge, and build no truncation.
     """
     if f.end_moves:
         return IdentityVerdict("no", f.depth, ("end", min(f.end_moves)))
 
-    rank = genus(f.automaton)
+    a = f.automaton
+    rank, dx = genus(a), dx_states(a)
+    w = W.EMPTY  # no moved loop: the substitution is the identity
     if rank == 1:
         if f.loop_images:  # make keeps only moved loops
-            lid = next(lid for lid in f.loop_ids() if lid in f.loop_images)
-            return IdentityVerdict("no", f.depth, ("loop", lid))
-        dx_front = f.dx_frontier()
-        if dx_front:
-            first = f.accumulated_wrap(dx_front[0])
-            for c in dx_front if first else _suspects(f, dx_front):
-                if f.accumulated_wrap(c) != first:
-                    return IdentityVerdict("no", f.depth, ("line", LineRep(dx_front[0], W.EMPTY, c)))
+            return IdentityVerdict("no", f.depth, ("loop", min(f.loop_images, key=lambda x: names(a).loop(x, f.depth))))
+        c0 = _first_dx(f)
+        w = f.accumulated_wrap(c0) if c0 is not None else w
     elif rank != 0:
-        w = W.EMPTY  # no moved loop: the substitution is the identity
         if f.loop_images:
             # two fixed letters x, y pin w: it centralizes both, so w = 1, yet a loop moves
-            fixes_two = len(f.loop_ids()) - len(f.loop_images) >= 2
+            basis = loop_basis(a, f.depth, len(f.loop_images) + 1)
+            fixes_two = basis is None or len(basis) - len(f.loop_images) >= 2
             w = None if fixes_two else st.is_inner(f.substitution())
             if w is None:
                 witness = _moved_class_witness(f)
                 return IdentityVerdict("no", f.depth, witness or ("curve", None))
-        genus_front = f.genus_frontier()
-        for c in genus_front if w else _suspects(f, genus_front):  # a moved piece of genus beyond c moves its curves too
-            if c in f.moves or f.accumulated_wrap(c) != w:
-                return IdentityVerdict("no", f.depth, ("curve", c))
-        dx_front = f.dx_frontier()
-        for c in dx_front if w else _suspects(f, dx_front):
-            if f.accumulated_wrap(c) != w:
-                return IdentityVerdict("no", f.depth, ("line", LineRep(dx_front[0], W.EMPTY, c)))
+        # a moved piece of genus beyond c moves its curves too
+        c = _first_off(f, loop_reaching_states(a), genus_front_states(a), w, True)
+        if c is not None:
+            return IdentityVerdict("no", f.depth, ("curve", c))
+    if rank != 0:
+        c = _first_off(f, dx, dx, w, False)
+        if c is not None:
+            return IdentityVerdict("no", f.depth, ("line", LineRep(_first_dx(f), W.EMPTY, c)))
 
     if f.is_identity_outside():
         return IdentityVerdict("certified_yes", f.depth)
@@ -595,24 +605,6 @@ def _phi_T(f: ProperMapRep, moves_an_end: bool, loop_word, acc, alpha0: Path | N
     if not h.r2_certified():
         raise R2ViolationError("computed values violate the (R2) certificate")
     return h
-
-
-def r_compose(h1: RFunction, h2: RFunction) -> RFunction:
-    """Pointwise product on the common refinement of the two block structures."""
-    if h1.automaton != h2.automaton:
-        raise ValueError("R functions on different graphs")
-    d = max(h1.depth, h2.depth)
-    by_value: dict[Word, set[Path]] = {}
-    for c in h1.dx_cylinders(d):
-        val = W.mul(h1.value_at(c), h2.value_at(c))
-        by_value.setdefault(val, set()).add(c)
-    assignments = [(ClopenSet.make(cyls, d), val) for val, cyls in by_value.items()]
-    return RFunction.make(h1.automaton, d, h1.alpha0 if len(h1.alpha0) >= len(h2.alpha0) else h2.alpha0, assignments)
-
-
-def r_inverse(h: RFunction) -> RFunction:
-    assignments = [(b, W.inv(w)) for b, w in h.assignments]
-    return RFunction.make(h.automaton, h.depth, h.alpha0, assignments)
 
 
 def _gstar_at_base(g: ProperMapRep, alpha0: Path, word: Word) -> Word:
@@ -842,12 +834,11 @@ def _path_on_line(lineno: int, text: str) -> Path:
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
-def _known_letters(lineno: int, word: Word, lids: Mapping[str, object]) -> Word:
-    """The word of the record on ``lineno``, refused if a letter is not a loop in ``lids``."""
-    for g, _ in word:
-        if g not in lids:
-            raise ValueError(f"line {lineno}: word uses unknown loop generator {g}")
-    return word
+def _known_letters(lineno: int, word: Word, a: UnfoldingAutomaton, depth: int) -> None:
+    """Refuse the word of the record on ``lineno`` if a letter is not a loop of the truncation."""
+    bad = unknown_loop(a, [g for g, _ in word], depth)
+    if bad is not None:
+        raise ValueError(f"line {lineno}: word uses unknown loop generator {bad}")
 
 
 def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
@@ -858,9 +849,11 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
     frontier cylinder, and loop and wrap records name its loops and edges; ``make``
     refuses endmap records that disagree with an IDENTITY_OUTSIDE vmap.  Loop records
     are read as they come, and one whose target is its own generator (``loop X -> [X]``)
-    is only checked, not kept; path records once the whole file is checked, through the
-    truncation's vertex names, and other spellings (``01``, `` 0/ 1``) through ``parse_path``.
-    The outside line is ``outside identity`` or ``outside banded <n>``, with nothing after it.
+    is only checked, not kept; path records once the whole file is checked.  Each name
+    is checked by walking the automaton (``NameIndex``), so a file
+    costs the records it names; other path spellings (``01``, `` 0/ 1``) go through
+    ``parse_path``.  The outside line is ``outside identity`` or ``outside banded <n>``,
+    with nothing after it.
     """
     depth = None
     records: dict[str, dict] = {"vmap": {}, "loop": {}, "wrap": {}, "endmap": {}}  # source -> (lineno, target)
@@ -872,15 +865,15 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            kind = line.split(None, 1)[0]
+            kind = "loop" if line.startswith("loop ") else line.split(None, 1)[0]  # loop lines are most
             if kind in records:
                 src, arrow, dst = line[len(kind) :].partition("->")
                 if not arrow:
                     raise ValueError(f"line {lineno}: {kind} record needs ->")
+                src, dst = src.strip(), dst.strip()
                 if kind != "loop":
                     pending.append((lineno, kind, src, dst))
                     continue
-                src, dst = src.strip(), dst.strip()
                 if src in records[kind]:
                     raise ValueError(f"line {lineno}: repeated {kind} source {src}")
                 fixed = src and "]" not in src and dst == f"[{src}]"
@@ -907,36 +900,39 @@ def parse_map_file(a: UnfoldingAutomaton, text: str) -> ProperMapRep:
     except Exception:
         _add_path_records(records, pending, {})  # a path record's own error on an earlier line comes first
         raise
-    t = unfold(a, depth)
-    _add_path_records(records, pending, t.paths)
+    ix = names(a)
+    ix.find([src for _, _, src, _ in pending] + [dst for _, kind, _, dst in pending if kind != "wrap"], depth)
+    _add_path_records(records, pending, ix.paths)  # a name found at any depth is the path parse_path reads
     vmap = {v: w for v, (_, w) in records["vmap"].items()}
     endmap = {c: d for c, (_, d) in records["endmap"].items()}
-    stray = min(set(vmap).difference(t.state), default=None)
-    if stray is not None:
-        raise ValueError(f"vmap source {path_str(stray)} lies outside the support-{depth} truncation")
-    for lineno, w in records["vmap"].values():
-        if w not in t.state:
-            raise ValueError(f"line {lineno}: vmap target {path_str(w)} lies outside the support-{depth} truncation")
-    ea = None
-    if endmap:
-        live = cylinders(a, depth)
-        stray = min(set(endmap).difference(live), default=None)
+    if not ix.known([*vmap, *vmap.values()], depth):
+        stray = min((v for v in vmap if ix.state(v, depth) is None), default=None)
         if stray is not None:
-            raise ValueError(f"endmap source {path_str(stray)} is not a live frontier cylinder")
-        ea = {c: endmap.get(c, vmap.get(c, c)) for c in live}
-    lids = t.loop_at
-    loops = {}
-    for lid, (lineno, word) in records["loop"].items():
-        if lid not in lids:
+            raise ValueError(f"vmap source {path_str(stray)} lies outside the support-{depth} truncation")
+        for lineno, w in records["vmap"].values():
+            if ix.state(w, depth) is None:
+                raise ValueError(f"line {lineno}: vmap target {path_str(w)} lies outside the support-{depth} truncation")
+    live = live_states(a)
+    stray = min((c for c in endmap if len(c) != depth or ix.state(c, depth) not in live), default=None)
+    if stray is not None:
+        raise ValueError(f"endmap source {path_str(stray)} is not a live frontier cylinder")
+    loops = {lid: word for lid, (_, word) in records["loop"].items() if word is not None}
+    wraps = {child: word for child, (_, word) in records["wrap"].items()}
+    error = None
+    if unknown_loop(a, records["loop"], depth) is None:  # make checks the moved loops, letters and edges
+        try:
+            return ProperMapRep.make(a, depth, vmap, loops, wraps, endmap, outside)
+        except ValueError as exc:
+            error = exc
+    for lid, (lineno, word) in records["loop"].items():  # a record's own error comes first, in line order
+        if unknown_loop(a, [lid], depth) is not None:
             raise ValueError(f"line {lineno}: unknown loop {lid!r}")
-        if word is not None:
-            loops[lid] = _known_letters(lineno, word, lids)
-    wraps = {}
+        _known_letters(lineno, word or (), a, depth)
     for child, (lineno, word) in records["wrap"].items():
-        if not child or child not in t.state:
+        if not child or ix.state(child, depth) is None:
             raise ValueError(f"line {lineno}: unknown edge target {path_str(child)}")
-        wraps[child] = _known_letters(lineno, word, lids)
-    return ProperMapRep.make(a, depth, vmap, loops, wraps, ea, outside)
+        _known_letters(lineno, word, a, depth)
+    raise error
 
 
 def format_map_file(f: ProperMapRep) -> str:

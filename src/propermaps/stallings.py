@@ -143,10 +143,6 @@ class LabeledGraph:
             out.append(LabeledGraph(comp, es, bp))
         return out
 
-    def is_folded(self) -> bool:
-        idx = self._index
-        return len(idx.out) == len(self.edges) == len(idx.inn)
-
     # -- folding ---------------------------------------------------------
 
     def fold(self) -> "LabeledGraph":
@@ -957,16 +953,6 @@ def _word_on_line(lineno: int, line: str) -> Word:
         return W.word_from_str(line)
     except ValueError as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
-
-
-def parse_subgroup_file(text: str) -> list[Word]:
-    out = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(_word_on_line(lineno, line))
-    return out
 
 
 def parse_ffs_file(text: str) -> FreeFactorSystem:

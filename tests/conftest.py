@@ -6,6 +6,11 @@ from propermaps import nielsen as nz
 from propermaps import words as W
 
 
+def loop_id(path, k):
+    """The name of loop k at ``path``: ``<path_str(path)>:<k>``, as ``unfold`` and ``loop_basis`` spell it."""
+    return f"{gm.path_str(path)}:{k}"
+
+
 @pytest.fixture
 def loop_ray():
     """Ray with one loop at every vertex."""
@@ -36,7 +41,7 @@ def core_with_rays():
 def make_flip_action(automaton, depth, order=2):
     """Z/2 inverting every loop, as a certified action."""
     t = gm.unfold(automaton, depth)
-    li = {mc.loop_id(v, k): W.gen(mc.loop_id(v, k), -1) for v, k in t.loop_edges}
+    li = {loop_id(v, k): W.gen(loop_id(v, k), -1) for v, k in t.loop_edges}
     flip = mc.ProperMapRep.make(automaton, depth, loop_images=li)
     ident = mc.ProperMapRep.identity(automaton, depth)
     grp = nz.FiniteGroup.cyclic(2)

@@ -18,7 +18,7 @@ from propermaps import nielsen as nz
 from propermaps import stallings as st
 from propermaps import words as W
 from propermaps.end_space import ClopenSet
-from tests.conftest import cylinder_action, make_flip_action
+from tests.conftest import cylinder_action, loop_id, make_flip_action
 from tests.test_nielsen import assert_action_table
 from tests.test_one_derivation_oracle import ref_compose, ref_rigid_inverse
 
@@ -28,7 +28,7 @@ def w(s):
 
 
 def lid(path, k=0):
-    return mc.loop_id(tuple(path), k)
+    return loop_id(tuple(path), k)
 
 
 class _Timer:

@@ -14,6 +14,7 @@ import pytest
 from propermaps import graph_model as gm
 from propermaps.graph_model import INFINITY, EndFamily, UnfoldingAutomaton
 from tests.test_classification_fuzz import handcrafted, random_automaton
+from tests.test_graph_model import format_automaton
 
 # -- reference implementations ------------------------------------------------------------
 
@@ -338,12 +339,12 @@ def _corpus():
 @pytest.mark.parametrize("ref, new", PAIRS, ids=[new.__name__ for _, new in PAIRS])
 def test_analysis_matches_fixpoint_reference(ref, new):
     for a in _corpus():
-        assert new(a) == ref(a), gm.format_automaton(a)
+        assert new(a) == ref(a), format_automaton(a)
 
 
 def test_end_families_match_fixpoint_reference():
     for a in _corpus():
-        assert gm.classify_end_space(a) == ref_classify_end_space(a), gm.format_automaton(a)
+        assert gm.classify_end_space(a) == ref_classify_end_space(a), format_automaton(a)
         # on the restrictions the characteristic pair hands to the classifier
         ends, gends = ref_restrict(a, ref_live_states(a)), ref_restrict(a, ref_loop_reaching_states(a))
         c = gm.characteristic_pair(a)
@@ -378,5 +379,5 @@ def test_equality_matches_the_copying_reference():
         assert twin is not a
         for x, y in ((a, a), (a, twin), (twin, a), (a, b), (b, a)):
             assert (x == y) is ref_automaton_eq(x, y)
-        assert (a == twin) and not (a == gm.format_automaton(a))
+        assert (a == twin) and not (a == format_automaton(a))
     assert sum(ref_automaton_eq(a, b) for a, b in zip(corpus, corpus[1:])) < len(corpus) - 1

@@ -7,6 +7,7 @@ from propermaps import end_space as es
 from propermaps import graph_model as gm
 from propermaps import mapclass as mc
 from propermaps import words as W
+from tests.conftest import loop_id
 
 TWO_LOOP_RAY = "root s\nstate s loops=2 children=s\n"
 THREE_LOOP_RAY = "root s\nstate s loops=3 children=s\n"
@@ -113,8 +114,8 @@ def test_check_id_shift_map(tmp_path, capsys):
     a = gm.parse_automaton(LOOP_RAY)
     li = {}
     for n in range(1, 7):
-        xn = mc.loop_id((0,) * n, 0)
-        xp = mc.loop_id((0,) * (n - 1), 0)
+        xn = loop_id((0,) * n, 0)
+        xp = loop_id((0,) * (n - 1), 0)
         li[xn] = W.mul(W.gen(xn), W.gen(xp))
     shift = mc.ProperMapRep.make(a, 6, loop_images=li, outside=mc.banded(1))
     m = tmp_path / "shift.map"
@@ -271,7 +272,7 @@ def _write_flip_action(tmp_path, depth):
     g.write_text(LOOP_RAY)
     a = gm.parse_automaton(LOOP_RAY)
     t = gm.unfold(a, depth)
-    li = {mc.loop_id(v, k): W.gen(mc.loop_id(v, k), -1) for v, k in t.loop_edges}
+    li = {loop_id(v, k): W.gen(loop_id(v, k), -1) for v, k in t.loop_edges}
     flip = mc.ProperMapRep.make(a, depth, loop_images=li)
     (tmp_path / "e.map").write_text(mc.format_map_file(mc.ProperMapRep.identity(a, depth)))
     (tmp_path / "f.map").write_text(mc.format_map_file(flip))

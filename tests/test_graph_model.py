@@ -8,6 +8,15 @@ def aut(root, children, loops=None):
     return UnfoldingAutomaton.make(root, children, loops or {})
 
 
+def format_automaton(a: UnfoldingAutomaton) -> str:
+    """The text form that ``gm.parse_automaton`` reads: the root line, then one line per state."""
+    lines = [f"root {a.root}"]
+    for s in a.states:
+        kids = ",".join(a.children[s])
+        lines.append(f"state {s} loops={a.loops[s]} children={kids}")
+    return "\n".join(lines) + "\n"
+
+
 # -- unfold ------------------------------------------------------------------
 
 
@@ -233,7 +242,7 @@ def test_core_vertices(core_with_rays):
 
 
 def test_parse_format_roundtrip(core_with_rays):
-    text = gm.format_automaton(core_with_rays)
+    text = format_automaton(core_with_rays)
     assert gm.parse_automaton(text) == core_with_rays
 
 

@@ -20,6 +20,7 @@ from propermaps import graph_model as gm
 from propermaps import mapclass as mc
 from propermaps import stallings as st
 from propermaps import words as W
+from tests.conftest import loop_id
 from tests.test_classification_fuzz import random_automaton
 from tests.test_one_derivation_oracle import ref_compose
 
@@ -72,7 +73,7 @@ def assert_index_matches(t):
     for lid, (v, k) in t.loop_at.items():
         assert v == ref_loop_id_vertex(lid)
         assert k == int(lid.rsplit(":", 1)[1])
-        assert t.loop_name[v, k] == lid == ref_loop_id(v, k) == mc.loop_id(v, k)
+        assert t.loop_name[v, k] == lid == ref_loop_id(v, k) == loop_id(v, k)
     assert sorted(t.loop_name) == sorted(t.loop_edges)
 
 

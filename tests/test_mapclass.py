@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -8,12 +7,13 @@ from propermaps import graph_model as gm
 from propermaps import mapclass as mc
 from propermaps import words as W
 from propermaps.end_space import ClopenSet
-from tests.conftest import full_end_action
+from tests.conftest import full_end_action, loop_id
+from tests.test_named_records_oracle import ref_parse_map_file
 from tests.test_one_derivation_oracle import ref_compose, ref_rigid_inverse
 
 
 def lid(path, k=0):
-    return mc.loop_id(tuple(path), k)
+    return loop_id(tuple(path), k)
 
 
 def shift_map(loop_ray, depth, outside=None):
@@ -309,30 +309,43 @@ def test_identity_criterion_computes_live_states_once(monkeypatch, core_with_ray
     assert sum(on_a) == 1
 
 
-def test_loop_ids_formatted_once_per_representative(monkeypatch, core_with_rays):
+def test_loop_ids_formatted_once_per_representative(core_with_rays):
     """composes_to and the identity criterion ask for the loop ids again and again;
-    a representative formats them on the first request only."""
+    they are formatted on the first request only, and every later one gets the same tuple."""
     f = drag_map(core_with_rays, 4, (0, 1), W.gen(lid(())))
     g = mc.ProperMapRep.identity(core_with_rays, 4)
     reps = (f, g, ref_compose(f, g))
     for h in reps:
         mc.is_properly_homotopic_to_identity(h)
-    want = tuple(mc.loop_id(v, k) for v, k in sorted(f.truncation().loop_edges))
-    formatted = []
-    loop_id = mc.loop_id
-    monkeypatch.setattr(mc, "loop_id", lambda *args: formatted.append(args) or loop_id(*args))
+    want = tuple(loop_id(v, k) for v, k in sorted(f.truncation().loop_edges))
     for h in reps:
-        for _ in range(3):
-            assert h.loop_ids() == want
-    assert formatted == []
+        first = h.loop_ids()
+        assert first == want and all(h.loop_ids() is first for _ in range(3))
+
+
+def r_compose(h1: mc.RFunction, h2: mc.RFunction) -> mc.RFunction:
+    """Pointwise product on the common refinement of the two block structures."""
+    if h1.automaton != h2.automaton:
+        raise ValueError("R functions on different graphs")
+    d = max(h1.depth, h2.depth)
+    by_value = {}
+    for c in h1.dx_cylinders(d):
+        val = W.mul(h1.value_at(c), h2.value_at(c))
+        by_value.setdefault(val, set()).add(c)
+    assignments = [(ClopenSet.make(cyls, d), val) for val, cyls in by_value.items()]
+    return mc.RFunction.make(h1.automaton, d, h1.alpha0 if len(h1.alpha0) >= len(h2.alpha0) else h2.alpha0, assignments)
+
+
+def r_inverse(h: mc.RFunction) -> mc.RFunction:
+    return mc.RFunction.make(h.automaton, h.depth, h.alpha0, [(b, W.inv(w)) for b, w in h.assignments])
 
 
 def test_r_compose_and_inverse(core_with_rays):
     rng = random.Random(9)
     alpha0 = mc.default_base_end(core_with_rays, 4)
     h = _random_rfunction(core_with_rays, 4, rng, alpha0)
-    hinv = mc.r_inverse(h)
-    prod = mc.r_compose(h, hinv)
+    hinv = r_inverse(h)
+    prod = r_compose(h, hinv)
     assert all(not prod.value_at(c) for c in prod.dx_cylinders())
 
 
@@ -600,7 +613,7 @@ def test_random_rigid_maps_pair_with_inverses(two_loop_ray):
         assert mc.verify_proper_pair(f, inv)
 
 
-# -- map paths through the truncation's vertex names ------------------------------------------
+# -- map paths and loop ids by walking their names ---------------------------------------------------
 
 
 def _respelled(text, rng):
@@ -617,16 +630,37 @@ def _respelled(text, rng):
     return "\n".join(out) + "\n"
 
 
-def _parse_outcome(a, text):
+def _parse_outcome(parse, a, text):
     try:
-        return mc.format_map_file(mc.parse_map_file(a, text))
+        return mc.format_map_file(parse(a, text))
     except ValueError as exc:
         return (type(exc), str(exc))
 
 
-def test_map_paths_read_through_vertex_names_as_parse_path_reads_them(monkeypatch):
-    """Every map of the maps and realize workloads, respelled, with a repeated or bad
-    record added: names give the same map, or the same error, as parse_path alone."""
+def _walk_refusals(text):
+    """The map text with loop ids that only the walk checks: ``.:00``, ``0/00:0``, a child index
+    out of range, k >= loops(state) and a vertex below the support, each as a record's source
+    and each as a letter of the first loop record's word."""
+    lines = text.splitlines()
+    depth = int(lines[0].split()[1])
+    first = next((i for i, ln in enumerate(lines) if ln.startswith("loop ")), None)
+    if first is None:
+        return []
+    lid = lines[first].split()[1]
+    name, _, k = lid.rpartition(":")
+    bad = [f".:0{k}", "0/00:0", f"{name}:99", "/".join(["0"] * (depth + 1)) + ":0"]
+    bad.append(("" if name == "." else name + "/") + "7:0")  # no automaton of the workloads has eight children
+    out = []
+    for b in bad:
+        out.append(text + f"loop {b} -> [{lid}]\n")
+        out.append("\n".join(lines[:first] + [f"loop {lid} -> [{lid}][{b}]"] + lines[first + 1 :]) + "\n")
+    return out
+
+
+def test_map_paths_read_through_vertex_names_as_parse_path_reads_them():
+    """Every map of the maps and realize workloads, respelled, with a repeated or bad record
+    added, and with the loop ids that only the walk checks: walking the names gives the same
+    map, or the same error, as the parser that looked each name up in the truncation."""
     texts = []
     for name in ("maps", "realize"):
         inp = workloads.make_inputs(name, 1)
@@ -641,19 +675,22 @@ def test_map_paths_read_through_vertex_names_as_parse_path_reads_them(monkeypatc
             texts += [(inp.files[graph], inp.files[m]) for m in maps]
     assert len(texts) > 50
     rng = random.Random(3)
-    cases = []
+    cases, refusals = [], []
     for graph, text in texts:
-        a = gm.parse_automaton(graph)
+        a = gm.parse_automaton(graph)  # the cases of one automaton share its name index
         body = _respelled(text, rng)
         lines = body.splitlines()
         vmaps = [ln for ln in lines if ln.startswith("vmap")]
         cases += [(a, body), (a, body + "vmap x -> 0\n"), (a, body + "endmap 9/9 -> 9/9\n")]
         if vmaps:
             cases.append((a, body + vmaps[0].replace("vmap ", "vmap  ") + "\n"))  # a repeated source
-    with_names = [_parse_outcome(a, t) for a, t in cases]
-    monkeypatch.setattr(mc, "unfold", lambda a, d: replace(gm.unfold(a, d), paths={}))
-    assert with_names == [_parse_outcome(a, t) for a, t in cases]
+        refusals += [(a, t) for t in _walk_refusals(text)]
+    walked = [_parse_outcome(mc.parse_map_file, a, t) for a, t in cases + refusals]
+    assert walked == [_parse_outcome(ref_parse_map_file, a, t) for a, t in cases + refusals]
+    with_names = walked[: len(cases)]
     assert sum(isinstance(o, str) for o in with_names) > 50 and sum(isinstance(o, tuple) for o in with_names) > 100
+    messages = [o[1] for o in walked[len(cases) :]]
+    assert len(messages) > 500 and all("unknown loop" in m for m in messages)
 
 
 def test_map_file_errors_come_in_line_order_before_the_truncation_is_built(monkeypatch, cantor_tree):

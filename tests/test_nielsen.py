@@ -9,12 +9,12 @@ from propermaps import mapclass as mc
 from propermaps import nielsen as nz
 from propermaps import stallings as st
 from propermaps import words as W
-from tests.conftest import make_flip_action
+from tests.conftest import loop_id, make_flip_action
 from tests.test_classification_fuzz import random_automaton
 
 
 def lid(path, k=0):
-    return mc.loop_id(tuple(path), k)
+    return loop_id(tuple(path), k)
 
 
 def w(s):
@@ -133,7 +133,7 @@ def ref_ffs_of_interval(a, cover, J, depth):
     comps = {}
     for v, k in t.loop_edges:
         if v in vset:
-            comps.setdefault(uf.find(v), []).append(mc.loop_id(v, k))
+            comps.setdefault(uf.find(v), []).append(loop_id(v, k))
     graphs = [st.LabeledGraph.rose(sorted(lids)) for _, lids in sorted(comps.items())]
     return st.FreeFactorSystem.from_graphs(graphs)
 

@@ -20,7 +20,7 @@ from propermaps import nielsen as nz
 from propermaps import words as W
 from propermaps.graph_model import Path, core_vertices, live_states, loop_reaching_states, unfold
 from propermaps.nielsen import FiniteGroupAction, NielsenRay, _beta_anchored_lift, fixed_point_in_finite_tree
-from tests.conftest import make_flip_action
+from tests.conftest import loop_id, make_flip_action
 from tests.test_nielsen import _swap_branch_action, lid
 
 # -- reference: the ball search ----------------------------------------------------------------
@@ -64,7 +64,7 @@ def ball_nielsen_ray(action: FiniteGroupAction, beta: Path, radius: int = 8, sta
     loops_at: dict[Path, list[str]] = {v: [] for v in corev}
     for v, k in t.loop_edges:
         if v in corev:
-            loops_at[v].append(mc.loop_id(v, k))
+            loops_at[v].append(loop_id(v, k))
 
     def neighbors(point):
         g, v = point

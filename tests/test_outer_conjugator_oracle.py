@@ -16,8 +16,9 @@ must give the same answer.  Checked:
   of every representative of every ``realize`` variant;
 - ``composes_to`` on every row of every ``realize`` variant's table, against
   the same function calling the reference;
-- ``ProperMapRep._accumulated_wraps``, which now multiplies only at wrapped
-  edges, against the product over every edge, on all of those maps.
+- ``ProperMapRep.accumulated_wrap``, which now reads only the wrapped edges
+  on the root path, against the product over every edge, at every vertex of
+  the truncation and below it, on all of those maps.
 """
 
 import random
@@ -197,6 +198,8 @@ def test_accumulated_wraps_match_the_product_over_every_edge():
     reps = [f for _, f in MAPS] + [f for _, action in ACTIONS for f in action.reps.values()]
     wrapped = 0
     for f in reps:
-        assert f._accumulated_wraps == ref_accumulated_wraps(f)
+        want = ref_accumulated_wraps(f)
+        assert {v: f.accumulated_wrap(v) for v in want} == want
+        assert all(f.accumulated_wrap(v + (0, 1)) == want[v] for v in f.truncation().frontier)  # beyond the support
         wrapped += bool(f.edge_wraps)
     assert wrapped

@@ -16,10 +16,11 @@ import pytest
 from propermaps import graph_model as gm
 from propermaps import mapclass as mc
 from propermaps import words as W
+from tests.conftest import loop_id
 
 
 def lid(path, k=0):
-    return mc.loop_id(tuple(path), k)
+    return loop_id(tuple(path), k)
 
 
 def _loop_vertex(name):

@@ -19,6 +19,7 @@ from propermaps import nielsen as nz
 from propermaps.end_space import ClopenSet, DepthTooShallowError, Partition
 from propermaps.graph_model import live_states, loop_reaching_states, path_str
 from tests.conftest import cylinder_action
+from tests.test_end_space import refines
 
 
 # -- references ------------------------------------------------------------------------------
@@ -247,7 +248,7 @@ def test_telescope_refuses_partitions_of_different_depths(cantor_tree):
         es.telescope([coarse, fine])
     assert not isinstance(info.value, es.NotRefiningError)
     with pytest.raises(ValueError, match="different depths"):
-        es.refines(fine, coarse)
+        refines(fine, coarse)
 
 
 def test_telescope_action_refuses_an_action_of_another_depth(cantor_tree):

@@ -48,6 +48,7 @@ from propermaps.end_space import (
     path_str,
 )
 from tests.conftest import cylinder_action
+from tests.test_end_space import format_partition, refines
 from tests.test_nielsen import _swap_branch_action
 
 # -- reference implementations ------------------------------------------------------------
@@ -377,9 +378,9 @@ def _assert_runs_agree(ref_runs, runs, action):
         # both start at the trivial partition; then each block's expansion, in order, is the reference block
         assert seq[0] == ref_seq[0]
         assert [list(p.cells) for p in seq[1:]] == [[b.cylinders for b in p.blocks] for p in ref_seq[1:]]
-        assert [es.format_partition(p) for p in seq] == [ref_format_partition(p) for p in ref_seq]
+        assert [format_partition(p) for p in seq] == [ref_format_partition(p) for p in ref_seq]
         pairs = [(p, q) for p, q in zip(seq, seq[1:])] + [(q, p) for p, q in zip(seq, seq[1:])]
-        assert [es.refines(p, q) for p, q in pairs] == [ref_refines(p, q) for p, q in pairs]
+        assert [refines(p, q) for p, q in pairs] == [ref_refines(p, q) for p, q in pairs]
         assert isinstance(tele, TelescopeTree) and isinstance(ref_tele, TelescopeTree)
         assert tele.edges == ref_tele.edges
         assert es.telescope_to_dot(tele) == ref_telescope_to_dot(ref_tele)
@@ -449,7 +450,7 @@ def test_crossing_partitions_fail_alike(cantor_tree):
     halves = Partition.make(cantor_tree, 2, [ClopenSet.make([(0,)], 1), ClopenSet.make([(1,)], 1)])
     stripes = Partition.make(cantor_tree, 2, [ClopenSet.make([(0, 0), (1, 0)], 2), ClopenSet.make([(0, 1), (1, 1)], 2)])
     for p, q in ((halves, stripes), (stripes, halves)):
-        assert es.refines(p, q) == ref_refines(p, q) == False  # noqa: E712
+        assert refines(p, q) == ref_refines(p, q) == False  # noqa: E712
         seq = [Partition.trivial(cantor_tree, 2), q, p]
         want = _outcome(ref_telescope, seq)
         assert _outcome(es.telescope, seq) == want and want[0] is NotRefiningError
@@ -474,7 +475,7 @@ def test_dead_block_parents_match_reference():
     fine = Partition.make(a, 2, [ClopenSet.make([c], 2) for c in ((0, 0), (0, 1), (1,))])
     for seq in ([trivial, coarse], [trivial, fine], [trivial, fine, coarse], [trivial, coarse, fine]):
         assert _outcome(es.telescope, seq) == _outcome(ref_telescope, seq)
-        assert es.refines(seq[-1], seq[-2]) == ref_refines(seq[-1], seq[-2])
+        assert refines(seq[-1], seq[-2]) == ref_refines(seq[-1], seq[-2])
 
 
 _paths = st_h.lists(st_h.integers(min_value=0, max_value=2), max_size=4).map(tuple)
